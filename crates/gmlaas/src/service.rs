@@ -3,9 +3,11 @@
 //! In the paper, the RDF engine's UDFs reach trained models through HTTP
 //! calls into GMLaaS, and the number of such calls is exactly what the
 //! SPARQL-ML query optimizer minimises (Figs. 11/12). This module keeps that
-//! boundary honest in-process: every request/response is serialised through
-//! JSON, and the service counts calls and payload bytes so the optimizer's
-//! objective is observable.
+//! objective observable in-process: the service counts calls, and each call
+//! serialises its request once and its response once, only to count their
+//! JSON bytes. The typed request is served and the typed response returned
+//! directly; both types round-trip through JSON unchanged (see the tests),
+//! so the counts are exactly what an HTTP client would send and receive.
 
 use kgnet_sync::atomic::{AtomicUsize, Ordering};
 use std::collections::HashMap;
@@ -168,22 +170,21 @@ impl InferenceService {
         self.bytes_out.store(0, Ordering::Relaxed);
     }
 
-    /// Perform one call across the JSON boundary.
+    /// Perform one call across the JSON boundary: the call and the JSON
+    /// size of the request and of the response are counted, and the
+    /// caller's request is served directly.
     pub fn call(&self, request: &InferenceRequest) -> Result<InferenceResponse, ServiceError> {
-        // Serialise the request exactly as an HTTP client would.
         let wire_req =
             serde_json::to_string(request).map_err(|e| ServiceError::Codec(e.to_string()))?;
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_in.fetch_add(wire_req.len(), Ordering::Relaxed);
-        let parsed: InferenceRequest =
-            serde_json::from_str(&wire_req).map_err(|e| ServiceError::Codec(e.to_string()))?;
 
-        let response = self.handle(&parsed)?;
+        let response = self.handle(request)?;
 
         let wire_resp =
             serde_json::to_string(&response).map_err(|e| ServiceError::Codec(e.to_string()))?;
         self.bytes_out.fetch_add(wire_resp.len(), Ordering::Relaxed);
-        serde_json::from_str(&wire_resp).map_err(|e| ServiceError::Codec(e.to_string()))
+        Ok(response)
     }
 
     fn handle(&self, request: &InferenceRequest) -> Result<InferenceResponse, ServiceError> {
@@ -359,6 +360,76 @@ mod tests {
             resp,
             InferenceResponse::NodeClass { node: "http://x/unknown".into(), class: None }
         );
+    }
+
+    /// Every request and response variant survives `to_string` → `from_str`
+    /// unchanged, so `call` can serve the typed values directly and still
+    /// count the bytes an HTTP client would exchange.
+    #[test]
+    fn every_variant_roundtrips_through_json() {
+        let model = "https://www.kgnet.com/model/x".to_owned();
+        let requests = [
+            InferenceRequest::GetNodeClass { model: model.clone(), node: "http://x/p\"1".into() },
+            InferenceRequest::GetNodeClassDict { model: model.clone() },
+            InferenceRequest::GetTopkLinks { model: model.clone(), source: "s".into(), k: 3 },
+            InferenceRequest::GetAllTopkLinks { model: model.clone(), k: 0 },
+            InferenceRequest::GetSimilarNodes { model, node: "Zürich 😀".into(), k: 10 },
+        ];
+        for req in requests {
+            let json = serde_json::to_string(&req).unwrap();
+            assert_eq!(serde_json::from_str::<InferenceRequest>(&json).unwrap(), req, "{json}");
+        }
+        let links = vec![("http://x/d1".to_owned(), 0.1f32), ("d2".to_owned(), -3.5e-7)];
+        let responses = [
+            InferenceResponse::NodeClass { node: "n".into(), class: Some("c".into()) },
+            InferenceResponse::NodeClass { node: "n".into(), class: None },
+            InferenceResponse::NodeClassDict {
+                predictions: [("p1".to_owned(), "v1".to_owned()), ("p\n2".into(), "ü".into())]
+                    .into_iter()
+                    .collect(),
+            },
+            InferenceResponse::TopkLinks { source: "s".into(), links: links.clone() },
+            InferenceResponse::AllTopkLinks {
+                links: [("s".to_owned(), links.clone()), ("t".to_owned(), vec![])]
+                    .into_iter()
+                    .collect(),
+            },
+            InferenceResponse::SimilarNodes { neighbors: links },
+        ];
+        for resp in responses {
+            let json = serde_json::to_string(&resp).unwrap();
+            assert_eq!(serde_json::from_str::<InferenceResponse>(&json).unwrap(), resp, "{json}");
+        }
+    }
+
+    #[test]
+    fn byte_counters_equal_serialised_sizes() {
+        let (svc, uri) = service_with_nc();
+        let requests = [
+            InferenceRequest::GetNodeClass { model: uri.clone(), node: "http://x/p2".into() },
+            InferenceRequest::GetNodeClassDict { model: uri },
+        ];
+        for req in requests {
+            svc.reset_stats();
+            let resp = svc.call(&req).unwrap();
+            let stats = svc.stats();
+            assert_eq!(stats.calls, 1);
+            assert_eq!(stats.bytes_in, serde_json::to_string(&req).unwrap().len());
+            assert_eq!(stats.bytes_out, serde_json::to_string(&resp).unwrap().len());
+        }
+    }
+
+    #[test]
+    fn error_paths_still_count_the_call() {
+        let (svc, uri) = service_with_nc();
+        svc.reset_stats();
+        let missing = InferenceRequest::GetNodeClassDict { model: "http://nope".into() };
+        let wrong = InferenceRequest::GetAllTopkLinks { model: uri, k: 2 };
+        assert!(matches!(svc.call(&missing), Err(ServiceError::ModelNotFound(_))));
+        assert!(matches!(svc.call(&wrong), Err(ServiceError::WrongTask(_))));
+        let expected_in = serde_json::to_string(&missing).unwrap().len()
+            + serde_json::to_string(&wrong).unwrap().len();
+        assert_eq!(svc.stats(), ServiceStats { calls: 2, bytes_in: expected_in, bytes_out: 0 });
     }
 
     #[test]
