@@ -325,8 +325,8 @@ fn level_of(seed: u64, i: usize, ml: f64) -> u8 {
 impl HnswIndex {
     /// Build an HNSW graph over `vectors` under `metric`.
     ///
-    /// Nodes are inserted in id order: the first [`SEQ_PHASE`] strictly
-    /// sequentially, the rest in waves of [`WAVE`] whose candidate
+    /// Nodes are inserted in id order: the first `SEQ_PHASE` strictly
+    /// sequentially, the rest in waves of `WAVE` whose candidate
     /// discovery runs as a pure parallel map against the wave-frozen
     /// graph. Bit-identical on any pool size.
     pub fn build(vectors: &dyn Vectors, metric: Metric, cfg: &HnswConfig) -> HnswIndex {

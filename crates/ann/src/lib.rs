@@ -16,7 +16,7 @@
 //!   tables, and an optional refine pass over the raw vectors.
 //! - [`IvfIndex`] — the inverted-file coarse index (k-means cells plus
 //!   posting lists), relocated here from the embedding store.
-//! - [`format`] / [`file`] — a versioned, checksummed flat file format for
+//! - [`format`](mod@format) / [`file`](mod@file) — a versioned, checksummed flat file format for
 //!   embedding matrices and index structures, read back through a
 //!   memory-mapped [`VectorTable`] so searches run straight off the page
 //!   cache without JSON round-trips.

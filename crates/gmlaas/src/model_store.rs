@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 use kgnet_gml::config::{GmlMethodKind, TrainReport};
 
 use crate::embedding_store::EmbeddingStore;
+use crate::service::InferenceResponse;
 
 /// Task-type tag stored on an artifact (mirrors the `kgnet:` model classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,8 +37,9 @@ pub enum TaskKind {
 pub enum ArtifactPayload {
     /// Node classifier: target IRI -> predicted class IRI.
     NodeClassifier {
-        /// Prediction dictionary over every inferable target.
-        predictions: HashMap<String, String>,
+        /// Prediction dictionary over every inferable target, shared with
+        /// every Dictionary response served from it.
+        predictions: Arc<HashMap<String, String>>,
     },
     /// Link predictor: source IRI -> ranked `(destination IRI, score)`.
     LinkPredictor {
@@ -92,10 +94,19 @@ impl ModelArtifact {
     }
 }
 
+/// One registry slot: an artifact and, for a node classifier, the JSON
+/// length of its `NodeClassDict` response, computed once at registration
+/// so the two are replaced and removed together.
+#[derive(Clone)]
+pub(crate) struct Registered {
+    pub(crate) artifact: Arc<ModelArtifact>,
+    pub(crate) dict_wire_len: Option<usize>,
+}
+
 /// Thread-safe registry of trained models, keyed by URI.
 #[derive(Default, Clone)]
 pub struct ModelStore {
-    inner: Arc<RwLock<HashMap<String, Arc<ModelArtifact>>>>,
+    inner: Arc<RwLock<HashMap<String, Registered>>>,
 }
 
 impl ModelStore {
@@ -106,13 +117,27 @@ impl ModelStore {
 
     /// Register a model, replacing any previous artifact under its URI.
     pub fn insert(&self, artifact: ModelArtifact) -> Arc<ModelArtifact> {
+        let dict_wire_len = match &artifact.payload {
+            ArtifactPayload::NodeClassifier { predictions } => {
+                let response =
+                    InferenceResponse::NodeClassDict { predictions: Arc::clone(predictions) };
+                serde_json::to_string(&response).ok().map(|json| json.len())
+            }
+            _ => None,
+        };
         let arc = Arc::new(artifact);
-        self.inner.write().insert(arc.uri.clone(), arc.clone());
+        let entry = Registered { artifact: arc.clone(), dict_wire_len };
+        self.inner.write().insert(arc.uri.clone(), entry);
         arc
     }
 
     /// Fetch a model by URI.
     pub fn get(&self, uri: &str) -> Option<Arc<ModelArtifact>> {
+        self.inner.read().get(uri).map(|entry| entry.artifact.clone())
+    }
+
+    /// Fetch a model together with its cached Dictionary response length.
+    pub(crate) fn get_registered(&self, uri: &str) -> Option<Registered> {
         self.inner.read().get(uri).cloned()
     }
 
@@ -143,7 +168,7 @@ impl ModelStore {
     pub fn save_dir(&self, dir: &Path) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
         let guard = self.inner.read();
-        for artifact in guard.values() {
+        for Registered { artifact, .. } in guard.values() {
             let name = sanitise(&artifact.uri);
             let json_path = dir.join(format!("{name}.json"));
             let ann_path = dir.join(format!("{name}.ann"));
@@ -279,9 +304,9 @@ mod tests {
             cardinality: 10,
             trained_generation: 0,
             payload: ArtifactPayload::NodeClassifier {
-                predictions: [("http://x/p1".to_owned(), "http://x/v1".to_owned())]
-                    .into_iter()
-                    .collect(),
+                predictions: Arc::new(
+                    [("http://x/p1".to_owned(), "http://x/v1".to_owned())].into_iter().collect(),
+                ),
             },
         }
     }
@@ -417,6 +442,43 @@ mod tests {
             panic!("payload kind changed")
         };
         assert!(emb.is_empty(), "old embeddings resurrected from a stale sidecar");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sharing NC predictions behind an `Arc` is invisible on disk: the
+    /// bytes `save_dir` writes are the ones it wrote when the payload was
+    /// a plain map, and they load back into an equal map.
+    #[test]
+    fn node_classifier_json_on_disk_is_unchanged() {
+        const EXPECTED: &str = r#"{"uri":"http://kgnet/nc","task_kind":"NodeClassifier","target_type":"http://x/Paper","label_predicate":"http://x/venue","destination_type":null,"method":"Gcn","report":{"method":"Gcn","train_time_s":1.0,"peak_mem_bytes":1024,"test_metric":0.9,"valid_metric":0.88,"mrr":0.0,"loss_curve":[1.0,0.5],"n_nodes":10,"n_edges":20,"inference_time_ms":0.5},"sampler":"d1h1","cardinality":10,"trained_generation":0,"payload":{"NodeClassifier":{"predictions":{"http://x/p1":"http://x/v1","http://x/p2":"http://x/v\"2"}}}}"#;
+        let dir = std::env::temp_dir().join(format!("kgnet-models-nc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let uri = "http://kgnet/nc";
+        let predictions: HashMap<String, String> = [
+            ("http://x/p2".to_owned(), "http://x/v\"2".to_owned()),
+            ("http://x/p1".to_owned(), "http://x/v1".to_owned()),
+        ]
+        .into_iter()
+        .collect();
+        let mut artifact = dummy_artifact(uri);
+        artifact.payload = ArtifactPayload::NodeClassifier { predictions: Arc::new(predictions) };
+        let store = ModelStore::new();
+        store.insert(artifact);
+        store.save_dir(&dir).unwrap();
+        let json = std::fs::read_to_string(dir.join(format!("{}.json", sanitise(uri)))).unwrap();
+        assert_eq!(json, EXPECTED);
+
+        let restored = ModelStore::new();
+        assert_eq!(restored.load_dir(&dir).unwrap().loaded, 1);
+        let (a, b) = (store.get(uri).unwrap(), restored.get(uri).unwrap());
+        let (
+            ArtifactPayload::NodeClassifier { predictions: saved },
+            ArtifactPayload::NodeClassifier { predictions: loaded },
+        ) = (&a.payload, &b.payload)
+        else {
+            panic!("payload kind changed across persistence")
+        };
+        assert_eq!(saved, loaded);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

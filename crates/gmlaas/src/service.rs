@@ -8,6 +8,11 @@
 //! JSON bytes. The typed request is served and the typed response returned
 //! directly; both types round-trip through JSON unchanged (see the tests),
 //! so the counts are exactly what an HTTP client would send and receive.
+//!
+//! The Fig. 12 Dictionary response is the exception on both counts: it
+//! shares the artifact's prediction map (an `Arc` clone, not a copy), and
+//! its wire size is the length [`ModelStore::insert`] cached when the model
+//! was registered, so a call neither copies nor serialises the map.
 
 use kgnet_sync::atomic::{AtomicUsize, Ordering};
 use std::collections::HashMap;
@@ -15,7 +20,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::model_store::{ArtifactPayload, ModelStore};
+use crate::model_store::{ArtifactPayload, ModelStore, Registered};
 
 /// A request to the inference service (one "HTTP call").
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
@@ -73,8 +78,8 @@ pub enum InferenceResponse {
     },
     /// Full prediction dictionary.
     NodeClassDict {
-        /// target IRI -> class IRI.
-        predictions: HashMap<String, String>,
+        /// target IRI -> class IRI, shared with the model artifact.
+        predictions: Arc<HashMap<String, String>>,
     },
     /// Ranked links for one source.
     TopkLinks {
@@ -179,15 +184,26 @@ impl InferenceService {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.bytes_in.fetch_add(wire_req.len(), Ordering::Relaxed);
 
-        let response = self.handle(request)?;
+        let mut cached_len = None;
+        let response = self.handle(request, &mut cached_len)?;
 
-        let wire_resp =
-            serde_json::to_string(&response).map_err(|e| ServiceError::Codec(e.to_string()))?;
-        self.bytes_out.fetch_add(wire_resp.len(), Ordering::Relaxed);
+        let wire_len = match cached_len {
+            Some(len) => len,
+            None => serde_json::to_string(&response)
+                .map_err(|e| ServiceError::Codec(e.to_string()))?
+                .len(),
+        };
+        self.bytes_out.fetch_add(wire_len, Ordering::Relaxed);
         Ok(response)
     }
 
-    fn handle(&self, request: &InferenceRequest) -> Result<InferenceResponse, ServiceError> {
+    /// Serve `request`. A response whose wire length the registry cached
+    /// reports it through `cached_len`, so `call` need not serialise it.
+    fn handle(
+        &self,
+        request: &InferenceRequest,
+        cached_len: &mut Option<usize>,
+    ) -> Result<InferenceResponse, ServiceError> {
         match request {
             InferenceRequest::GetNodeClass { model, node } => {
                 let artifact = self.lookup(model)?;
@@ -202,10 +218,18 @@ impl InferenceService {
                 }
             }
             InferenceRequest::GetNodeClassDict { model } => {
-                let artifact = self.lookup(model)?;
+                // Artifact and cached length come from one registry read,
+                // so a concurrent re-insert cannot pair one with the other.
+                let Registered { artifact, dict_wire_len } = self
+                    .models
+                    .get_registered(model)
+                    .ok_or_else(|| ServiceError::ModelNotFound(model.clone()))?;
                 match &artifact.payload {
                     ArtifactPayload::NodeClassifier { predictions } => {
-                        Ok(InferenceResponse::NodeClassDict { predictions: predictions.clone() })
+                        *cached_len = dict_wire_len;
+                        Ok(InferenceResponse::NodeClassDict {
+                            predictions: Arc::clone(predictions),
+                        })
                     }
                     _ => Err(ServiceError::WrongTask(format!("{model} is not a node classifier"))),
                 }
@@ -278,11 +302,9 @@ mod tests {
         }
     }
 
-    fn service_with_nc() -> (InferenceService, String) {
-        let store = ModelStore::new();
-        let uri = "https://www.kgnet.com/model/nc/test-1".to_owned();
-        store.insert(ModelArtifact {
-            uri: uri.clone(),
+    fn nc_artifact(uri: &str, papers: usize) -> ModelArtifact {
+        ModelArtifact {
+            uri: uri.to_owned(),
             task_kind: TaskKind::NodeClassifier,
             target_type: "http://x/Paper".into(),
             label_predicate: "http://x/venue".into(),
@@ -290,18 +312,30 @@ mod tests {
             method: GmlMethodKind::Gcn,
             report: report(),
             sampler: "d1h1".into(),
-            cardinality: 2,
+            cardinality: papers,
             trained_generation: 0,
             payload: ArtifactPayload::NodeClassifier {
-                predictions: [
-                    ("http://x/p1".to_owned(), "http://x/v1".to_owned()),
-                    ("http://x/p2".to_owned(), "http://x/v2".to_owned()),
-                ]
-                .into_iter()
-                .collect(),
+                predictions: Arc::new(
+                    (1..=papers)
+                        .map(|i| (format!("http://x/p{i}"), format!("http://x/v{i}")))
+                        .collect(),
+                ),
             },
-        });
+        }
+    }
+
+    fn service_with_nc() -> (InferenceService, String) {
+        let store = ModelStore::new();
+        let uri = "https://www.kgnet.com/model/nc/test-1".to_owned();
+        store.insert(nc_artifact(&uri, 2));
         (InferenceService::new(store), uri)
+    }
+
+    fn dict(resp: &InferenceResponse) -> &Arc<HashMap<String, String>> {
+        match resp {
+            InferenceResponse::NodeClassDict { predictions } => predictions,
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -330,11 +364,48 @@ mod tests {
         let (svc, uri) = service_with_nc();
         svc.reset_stats();
         let resp = svc.call(&InferenceRequest::GetNodeClassDict { model: uri }).unwrap();
-        match resp {
-            InferenceResponse::NodeClassDict { predictions } => assert_eq!(predictions.len(), 2),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(dict(&resp).len(), 2);
         assert_eq!(svc.stats().calls, 1);
+    }
+
+    #[test]
+    fn dictionary_calls_share_the_artifact_predictions() {
+        let (svc, uri) = service_with_nc();
+        let req = InferenceRequest::GetNodeClassDict { model: uri.clone() };
+        let (a, b) = (svc.call(&req).unwrap(), svc.call(&req).unwrap());
+        assert!(Arc::ptr_eq(dict(&a), dict(&b)), "each call copied the prediction map");
+        let artifact = svc.models().get(&uri).unwrap();
+        let ArtifactPayload::NodeClassifier { predictions } = &artifact.payload else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(dict(&a), predictions));
+    }
+
+    /// The Dictionary response is sized from the length cached at
+    /// registration; it must stay the exact serialised size across a
+    /// re-insert of the URI, and vanish with the model.
+    #[test]
+    fn cached_dictionary_length_tracks_the_registry() {
+        let (svc, uri) = service_with_nc();
+        let req = InferenceRequest::GetNodeClassDict { model: uri.clone() };
+        let bytes_out_of_one_call = || {
+            svc.reset_stats();
+            let resp = svc.call(&req).unwrap();
+            (svc.stats().bytes_out, serde_json::to_string(&resp).unwrap().len(), dict(&resp).len())
+        };
+        let (counted, serialised, entries) = bytes_out_of_one_call();
+        assert_eq!((counted, entries), (serialised, 2));
+
+        svc.models().insert(nc_artifact(&uri, 40));
+        let (counted_after, serialised_after, entries) = bytes_out_of_one_call();
+        assert_eq!((counted_after, entries), (serialised_after, 40));
+        assert!(counted_after > counted, "re-insert kept the old cached length");
+
+        assert!(svc.models().remove(&uri));
+        svc.reset_stats();
+        assert!(matches!(svc.call(&req), Err(ServiceError::ModelNotFound(_))));
+        let expected_in = serde_json::to_string(&req).unwrap().len();
+        assert_eq!(svc.stats(), ServiceStats { calls: 1, bytes_in: expected_in, bytes_out: 0 });
     }
 
     #[test]
@@ -384,9 +455,11 @@ mod tests {
             InferenceResponse::NodeClass { node: "n".into(), class: Some("c".into()) },
             InferenceResponse::NodeClass { node: "n".into(), class: None },
             InferenceResponse::NodeClassDict {
-                predictions: [("p1".to_owned(), "v1".to_owned()), ("p\n2".into(), "ü".into())]
-                    .into_iter()
-                    .collect(),
+                predictions: Arc::new(
+                    [("p1".to_owned(), "v1".to_owned()), ("p\n2".into(), "ü".into())]
+                        .into_iter()
+                        .collect(),
+                ),
             },
             InferenceResponse::TopkLinks { source: "s".into(), links: links.clone() },
             InferenceResponse::AllTopkLinks {

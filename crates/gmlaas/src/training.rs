@@ -212,7 +212,7 @@ impl TrainingManager {
             sampler: req.sampler.clone(),
             cardinality: data.n_targets(),
             trained_generation: 0,
-            payload: ArtifactPayload::NodeClassifier { predictions },
+            payload: ArtifactPayload::NodeClassifier { predictions: Arc::new(predictions) },
         };
         Ok((artifact, trace))
     }

@@ -5,7 +5,7 @@
 //! harnesses can report training memory the way the paper does.
 //!
 //! The matmul kernels run data-parallel over row blocks of the output once
-//! the arithmetic volume crosses [`PAR_MIN_FLOPS`] (tiny shapes stay on the
+//! the arithmetic volume crosses `PAR_MIN_FLOPS` (tiny shapes stay on the
 //! sequential path, so they pay no scheduling overhead). Each output row is
 //! produced by exactly one thread with the same per-row accumulation order
 //! as the sequential kernel, so parallel and sequential results — and runs

@@ -1,6 +1,6 @@
 //! Statistics-driven join planning for group graph patterns.
 //!
-//! [`plan_group`] translates a parsed [`GroupPattern`] into an explicit
+//! `plan_group` translates a parsed [`GroupPattern`] into an explicit
 //! [`GroupPlan`]: triple patterns resolved against the term dictionary and
 //! variable table, greedily reordered by cardinality estimates fed by the
 //! store's real per-predicate statistics ([`RdfStore::predicate_stats`]),

@@ -4,11 +4,11 @@
 //! downstream short-circuiting (`LIMIT k`) stops the upstream index scans as
 //! soon as enough solutions have been produced — nothing between join steps
 //! is materialised. The pipeline for a [`GroupPlan`] is: seed → eager
-//! filters → one [`ScanStep`] per join step (index nested-loop join with
+//! filters → one `ScanStep` per join step (index nested-loop join with
 //! pushed-down filters) → sub-SELECT joins → OPTIONAL left-joins → late
 //! filters.
 //!
-//! [`exec_group_materialised`] is the loop-based reference implementation of
+//! `exec_group_materialised` is the loop-based reference implementation of
 //! the same plan; the streaming operators must enumerate exactly the same
 //! bindings in the same order (property-tested in the conformance suite).
 

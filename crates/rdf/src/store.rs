@@ -7,7 +7,7 @@
 //!
 //! # Copy-on-write interior
 //!
-//! Each index is split into [`SHARDS`] B-tree shards keyed by the tuple's
+//! Each index is split into `SHARDS` B-tree shards keyed by the tuple's
 //! first component, every shard behind its own [`Arc`]. Cloning a store is
 //! therefore O(shards): the clone shares every shard (and the term
 //! dictionary) with the original until one side mutates, at which point only

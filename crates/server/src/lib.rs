@@ -84,8 +84,8 @@ pub struct ServerConfig {
     /// into the slow-query log with its rendered plan and span profile
     /// (0 uses the default of 100 ms).
     pub slow_query_millis: u64,
-    /// Nanosecond-precision override of [`slow_query_millis`]
-    /// (`Self::slow_query_millis`): when nonzero this is the capture
+    /// Nanosecond-precision override of
+    /// [`slow_query_millis`](Self::slow_query_millis): when nonzero this is the capture
     /// threshold verbatim, for sub-millisecond SLOs.
     pub slow_query_nanos: u64,
 }

@@ -7,6 +7,10 @@
 //! user-defined predicates are evaluated through the inference service's
 //! JSON boundary. `DELETE` removes models and their KGMeta metadata.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use kgnet_gml::config::{GmlMethodKind, GnnConfig};
@@ -396,16 +400,31 @@ impl QueryManager {
             }
         }
 
-        // Re-apply the original solution modifiers and projection.
+        // Re-apply the original solution modifiers and projection. Cells are
+        // moved out of the base rows; only a column projected more than once
+        // is cloned, for every use but its last.
         let final_vars = q.base.output_vars();
         let cols: Vec<usize> = final_vars.iter().filter_map(|v| result.column(v)).collect();
-        let mut rows: Vec<Vec<Option<Term>>> =
-            result.rows.iter().map(|row| cols.iter().map(|&c| row[c].clone()).collect()).collect();
+        let used_again: Vec<bool> =
+            cols.iter().enumerate().map(|(i, c)| cols[i + 1..].contains(c)).collect();
+        let mut rows: Vec<Vec<Option<Term>>> = result
+            .rows
+            .into_iter()
+            .map(|mut row| {
+                cols.iter()
+                    .zip(&used_again)
+                    .map(|(&c, &again)| if again { row[c].clone() } else { row[c].take() })
+                    .collect()
+            })
+            .collect();
         if q.base.distinct {
+            // Term equality: the same as comparing N-Triples renderings for
+            // every term the parsers build (no literal has both a language
+            // tag and a datatype).
             let mut seen = FxHashSet::default();
-            rows.retain(|row| {
-                seen.insert(row.iter().map(|t| t.as_ref().map(Term::to_string)).collect::<Vec<_>>())
-            });
+            let first: Vec<bool> = rows.iter().map(|row| seen.insert(row.as_slice())).collect();
+            let mut first = first.into_iter();
+            rows.retain(|_| first.next().unwrap_or(false));
         }
         if !q.base.order_by.is_empty() {
             let keys: Vec<(usize, Order)> = q
@@ -442,41 +461,38 @@ impl QueryManager {
         subj_col: Option<usize>,
         obj_col: usize,
     ) -> Result<(), MlError> {
-        let subjects = collect_subjects(result, step, subj_col);
-        let mut predicted: FxHashMap<String, String> = FxHashMap::default();
-        match step.plan {
-            RewritePlan::Dictionary => {
-                let resp = self
-                    .service
-                    .call(&InferenceRequest::GetNodeClassDict { model: step.model_uri.clone() })?;
-                if let InferenceResponse::NodeClassDict { predictions } = resp {
-                    predicted.extend(predictions);
-                }
-            }
+        let subject = SubjectKey::of(step, subj_col);
+        let predicted: Arc<HashMap<String, String>> = match step.plan {
+            // The artifact's own map, shared by the service: looked up in
+            // place, never copied.
+            RewritePlan::Dictionary => match self
+                .service
+                .call(&InferenceRequest::GetNodeClassDict { model: step.model_uri.clone() })?
+            {
+                InferenceResponse::NodeClassDict { predictions } => predictions,
+                _ => Arc::default(),
+            },
             RewritePlan::PerBinding => {
-                for iri in &subjects {
+                let mut predicted = HashMap::new();
+                for iri in collect_subjects(result, &subject) {
                     let resp = self.service.call(&InferenceRequest::GetNodeClass {
                         model: step.model_uri.clone(),
                         node: iri.clone(),
                     })?;
                     if let InferenceResponse::NodeClass { class: Some(class), .. } = resp {
-                        predicted.insert(iri.clone(), class);
+                        predicted.insert(iri, class);
                     }
                 }
+                Arc::new(predicted)
             }
-        }
+        };
         // Bind predictions; rows whose subject has no prediction are dropped
         // (the inferred triple pattern did not match).
         result.rows.retain_mut(|row| {
-            let subject = subject_of_row(row, step, subj_col);
-            let Some(subject) = subject else { return false };
-            match predicted.get(&subject) {
-                Some(class) => {
-                    row[obj_col] = Some(Term::iri(class.clone()));
-                    true
-                }
-                None => false,
-            }
+            let class = subject.of_row(row).and_then(|s| predicted.get(s.as_ref()));
+            let Some(class) = class else { return false };
+            row[obj_col] = Some(Term::iri(class.clone()));
+            true
         });
         Ok(())
     }
@@ -488,7 +504,7 @@ impl QueryManager {
         subj_col: Option<usize>,
         obj_col: usize,
     ) -> Result<(), MlError> {
-        let subjects = collect_subjects(result, step, subj_col);
+        let subject = SubjectKey::of(step, subj_col);
         let k = step.ud.topk;
         let mut links: FxHashMap<String, Vec<(String, f32)>> = FxHashMap::default();
         match (step.ud.task_kind, step.plan) {
@@ -502,26 +518,26 @@ impl QueryManager {
                 }
             }
             (TaskKind::LinkPredictor, RewritePlan::PerBinding) => {
-                for iri in &subjects {
+                for iri in collect_subjects(result, &subject) {
                     let resp = self.service.call(&InferenceRequest::GetTopkLinks {
                         model: step.model_uri.clone(),
                         source: iri.clone(),
                         k,
                     })?;
                     if let InferenceResponse::TopkLinks { links: l, .. } = resp {
-                        links.insert(iri.clone(), l);
+                        links.insert(iri, l);
                     }
                 }
             }
             (TaskKind::NodeSimilarity, _) => {
-                for iri in &subjects {
+                for iri in collect_subjects(result, &subject) {
                     let resp = self.service.call(&InferenceRequest::GetSimilarNodes {
                         model: step.model_uri.clone(),
                         node: iri.clone(),
                         k,
                     })?;
                     if let InferenceResponse::SimilarNodes { neighbors } = resp {
-                        links.insert(iri.clone(), neighbors);
+                        links.insert(iri, neighbors);
                     }
                 }
             }
@@ -530,8 +546,8 @@ impl QueryManager {
 
         let mut expanded = Vec::with_capacity(result.rows.len());
         for row in &result.rows {
-            let Some(subject) = subject_of_row(row, step, subj_col) else { continue };
-            let Some(ranked) = links.get(&subject) else { continue };
+            let ranked = subject.of_row(row).and_then(|s| links.get(s.as_ref()));
+            let Some(ranked) = ranked else { continue };
             for (dest, _score) in ranked.iter().take(k) {
                 let mut new_row = row.clone();
                 new_row[obj_col] = Some(Term::iri(dest.clone()));
@@ -543,46 +559,49 @@ impl QueryManager {
     }
 }
 
-fn collect_subjects(
-    result: &QueryResult,
-    step: &crate::rewrite::InferenceStep,
-    subj_col: Option<usize>,
-) -> Vec<String> {
-    match (&step.ud.subject, subj_col) {
-        (TermPattern::Ground(t), _) => vec![plain_iri(t)],
-        (TermPattern::Var(_), Some(col)) => {
-            let mut seen = FxHashSet::default();
-            let mut out = Vec::new();
-            for row in &result.rows {
-                if let Some(t) = &row[col] {
-                    let iri = plain_iri(t);
-                    if seen.insert(iri.clone()) {
-                        out.push(iri);
-                    }
-                }
-            }
-            out
+/// Where an inference step reads its subject: a ground term, rendered once
+/// per step, or a column of the base rows.
+enum SubjectKey<'a> {
+    Ground(Cow<'a, str>),
+    Column(Option<usize>),
+}
+
+impl<'a> SubjectKey<'a> {
+    fn of(step: &'a crate::rewrite::InferenceStep, subj_col: Option<usize>) -> Self {
+        match &step.ud.subject {
+            TermPattern::Ground(t) => SubjectKey::Ground(plain_iri(t)),
+            TermPattern::Var(_) => SubjectKey::Column(subj_col),
         }
-        (TermPattern::Var(_), None) => vec![],
+    }
+
+    /// The subject of one base row, borrowed unless it is not an IRI.
+    fn of_row<'r>(&'r self, row: &'r [Option<Term>]) -> Option<Cow<'r, str>> {
+        match self {
+            SubjectKey::Ground(iri) => Some(Cow::Borrowed(iri)),
+            SubjectKey::Column(col) => row[(*col)?].as_ref().map(plain_iri),
+        }
     }
 }
 
-fn subject_of_row(
-    row: &[Option<Term>],
-    step: &crate::rewrite::InferenceStep,
-    subj_col: Option<usize>,
-) -> Option<String> {
-    match (&step.ud.subject, subj_col) {
-        (TermPattern::Ground(t), _) => Some(plain_iri(t)),
-        (TermPattern::Var(_), Some(col)) => row[col].as_ref().map(plain_iri),
-        (TermPattern::Var(_), None) => None,
+/// The distinct subjects, in row order, for plans that call once per subject.
+fn collect_subjects(result: &QueryResult, subject: &SubjectKey) -> Vec<String> {
+    if let SubjectKey::Ground(iri) = subject {
+        return vec![iri.to_string()];
     }
+    let mut seen = FxHashSet::default();
+    result
+        .rows
+        .iter()
+        .filter_map(|row| subject.of_row(row))
+        .filter(|s| seen.insert(s.clone()))
+        .map(Cow::into_owned)
+        .collect()
 }
 
-fn plain_iri(t: &Term) -> String {
+fn plain_iri(t: &Term) -> Cow<'_, str> {
     match t {
-        Term::Iri(i) => i.clone(),
-        other => other.to_string(),
+        Term::Iri(i) => Cow::Borrowed(i),
+        other => Cow::Owned(other.to_string()),
     }
 }
 
@@ -591,12 +610,7 @@ fn distinct_subject_count(result: &QueryResult, subject: &TermPattern) -> usize 
         TermPattern::Ground(_) => 1,
         TermPattern::Var(v) => {
             let Some(col) = result.column(v) else { return 0 };
-            result
-                .rows
-                .iter()
-                .filter_map(|r| r[col].as_ref().map(Term::to_string))
-                .collect::<FxHashSet<_>>()
-                .len()
+            result.rows.iter().filter_map(|r| r[col].as_ref()).collect::<FxHashSet<&Term>>().len()
         }
     }
 }
@@ -841,6 +855,33 @@ mod tests {
             .unwrap();
         let MlOutcome::Rows(rows) = out else { panic!("expected rows") };
         assert_eq!(rows.rows[0][0].as_ref().unwrap().as_int(), Some(60));
+    }
+
+    /// ML `DISTINCT` compares `Term`s where it once compared their
+    /// N-Triples renderings. The two disagree only on a literal carrying
+    /// both a language tag and a datatype; neither parser builds one.
+    #[test]
+    fn no_parser_builds_a_literal_with_both_lang_and_datatype() {
+        use kgnet_rdf::sparql::lexer::{tokenize, Token};
+        let literal = |datatype: Option<&str>, lang: Option<&str>| Term::Literal {
+            lexical: "x".into(),
+            datatype: datatype.map(str::to_owned),
+            lang: lang.map(str::to_owned),
+        };
+        let (both, tagged) = (literal(Some("http://x/dt"), Some("en")), literal(None, Some("en")));
+        assert_ne!(both, tagged);
+        assert_eq!(both.to_string(), tagged.to_string(), "the one case the two tests differ");
+
+        let texts = [r#""x"@en^^<http://x/dt>"#, r#""x"^^<http://x/dt>@en"#];
+        for text in texts {
+            let doc = format!("<http://x/s> <http://x/p> {text} .");
+            assert!(kgnet_rdf::parse_ntriples(&doc).is_err(), "N-Triples accepted {doc}");
+            for token in tokenize(text).into_iter().flatten() {
+                if let Token::Literal { datatype, lang, .. } = token {
+                    assert!(datatype.is_none() || lang.is_none(), "lexer built {text}");
+                }
+            }
+        }
     }
 
     #[test]
