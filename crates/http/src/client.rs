@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client, just enough to talk to the
-//! frontend: used by the integration tests, the `metrics_drift` CI gate
-//! (scraping `/metrics` over the wire) and the over-the-wire bench mode.
+//! frontend: used by the integration tests (which scrape `/metrics` over
+//! the wire and gate on the metric catalog) and by the benchmark.
 //! Keep-alive: one [`Client`] can issue many requests over one
 //! connection.
 

@@ -17,7 +17,7 @@ use kgnet_gmlaas::TrainRequest;
 use kgnet_graph::{GmlTask, NcTask};
 use kgnet_http::{client, Client, HttpConfig, HttpServer};
 use kgnet_obs::validate_prometheus;
-use kgnet_server::{JobState, KgServer, QueueConfig, ServerConfig};
+use kgnet_server::{JobState, KgServer, QueueConfig, ServerConfig, METRIC_CATALOG};
 use kgnet_sparqlml::ManagerConfig;
 
 const COUNT_QUERY: &str = "PREFIX dblp: <https://www.dblp.org/> \
@@ -159,8 +159,28 @@ fn frontend_serves_queries_probes_and_traces_under_churn() {
     // in-process render, and the frontend's own series are live.
     let scraped = conn.get("/metrics").unwrap();
     assert_eq!(scraped.status, 200);
+    let content_type = scraped.header("content-type");
+    assert!(
+        content_type.is_some_and(|ct| ct.starts_with("text/plain")),
+        "GET /metrics content-type: {content_type:?}, want text/plain"
+    );
     let body = scraped.text();
     let kinds = validate_prometheus(&body).expect("wire exposition must validate");
+    // Every catalog entry reaches the wire under its declared kind: a
+    // refactor that drops or renames an instrument fails here.
+    let drift: Vec<String> = METRIC_CATALOG
+        .iter()
+        .filter_map(|(name, kind)| match kinds.get(*name) {
+            Some(k) if k == kind => None,
+            Some(k) => Some(format!("{name}: declared {kind}, rendered as {k}")),
+            None => Some(format!("{name}: missing from the exposition")),
+        })
+        .collect();
+    assert!(
+        drift.is_empty(),
+        "catalog drift in the wire scrape of GET /metrics:\n{}",
+        drift.join("\n")
+    );
     assert_eq!(kinds.get("kgnet_http_requests_total").map(String::as_str), Some("counter"));
     assert!(sample(&body, "kgnet_http_requests_total") >= 41.0, "all requests counted");
     assert!(sample(&body, "kgnet_http_responses_2xx_total") >= 41.0);

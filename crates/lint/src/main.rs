@@ -425,10 +425,9 @@ fn path_has_component(path: &Path, name: &str) -> bool {
     path.components().any(|c| c.as_os_str() == name)
 }
 
-/// Integration tests, benches and bin fixtures: exempt from the
-/// production-code rules.
+/// Integration tests: exempt from the production-code rules.
 fn is_test_path(path: &Path) -> bool {
-    path_has_component(path, "tests") || path_has_component(path, "benches")
+    path_has_component(path, "tests")
 }
 
 fn is_vendor(path: &Path) -> bool {

@@ -2,7 +2,8 @@
 //!
 //! The platform's flight recorder: one offline, dependency-free
 //! observability layer every subsystem records into and every consumer
-//! (benches, the CI drift check, a future `/metrics` endpoint) reads
+//! (the `kgnet-http` `/metrics` endpoint, the benchmark, and the catalog
+//! checks in the `kgnet-server` and `kgnet-http` integration tests) reads
 //! from.
 //!
 //! Three pieces:

@@ -1,12 +1,11 @@
 //! Structural validation of a Prometheus text exposition.
 //!
 //! One parser shared by every consumer that gates on the exposition
-//! format: the CI `metrics_drift` binary validates the in-process render
-//! *and* the body scraped over the `kgnet-http` frontend, and the HTTP
-//! integration tests reuse it so a wire body is held to exactly the same
-//! rules. The checks are structural, not value-level: every sample needs
-//! a preceding `# TYPE` of a known kind, histogram buckets must be
-//! cumulative, and the `+Inf` bucket must agree with `_count`.
+//! format: the `kgnet-http` integration tests validate the body scraped
+//! over the frontend with it and check the metric catalog against the
+//! kinds it returns. The checks are structural, not value-level: every
+//! sample needs a preceding `# TYPE` of a known kind, histogram buckets
+//! must be cumulative, and the `+Inf` bucket must agree with `_count`.
 
 use std::collections::HashMap;
 

@@ -7,8 +7,7 @@
 //! in `sparql::stream`, which yields bindings one at a time so `LIMIT k`
 //! queries stop scanning after k results. A loop-based materialised executor
 //! over the same plan is kept as the reference oracle
-//! ([`evaluate_select_materialised`]) and as the baseline for the evaluator
-//! microbenchmarks.
+//! ([`evaluate_select_materialised`]).
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -463,8 +462,8 @@ fn consume_stream<'a>(
 /// Runs the same plan as [`evaluate_select`] but with full binding tables
 /// between operators, enumerating solutions in the same order. Kept as the
 /// correctness oracle for the streaming pipeline (see the equivalence
-/// property test in the conformance suite) and as the microbenchmark
-/// baseline; production call sites should use [`evaluate_select`].
+/// property test in the conformance suite); production call sites should
+/// use [`evaluate_select`].
 pub fn evaluate_select_materialised(
     store: &RdfStore,
     q: &SelectQuery,

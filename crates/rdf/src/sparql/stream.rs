@@ -348,7 +348,7 @@ impl BindingStream for OptionalStep<'_> {
 
 /// Loop-based reference execution of the same plan: materialises the full
 /// binding table between operators. Kept as the correctness oracle for the
-/// streaming operators and as the baseline in the evaluator microbenchmarks.
+/// streaming operators.
 pub(crate) fn exec_group_materialised(
     ctx: ExecCtx<'_>,
     plan: &GroupPlan,

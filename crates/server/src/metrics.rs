@@ -5,7 +5,8 @@
 //! Every metric the server will ever emit is registered eagerly at
 //! construction, so a scrape sees the complete catalog (with zero values)
 //! from the very first render instead of metrics popping into existence
-//! when first touched — the CI `metrics-drift` check depends on that.
+//! when first touched — the catalog checks in the integration tests
+//! depend on that.
 //! Hot paths record exclusively through the cloned `Arc` handles below;
 //! the registry lock is only taken at registration and render time.
 
@@ -16,8 +17,9 @@ use kgnet_obs::{Counter, Gauge, Histogram, Registry, SpanGuard, Tracer};
 use kgnet_sync::atomic::{AtomicU64, Ordering};
 
 /// Every metric the server registers, as `(name, kind)` pairs in
-/// registration order. The bench harness's drift check walks this catalog
-/// and fails when a rendered exposition is missing any of it.
+/// registration order. The `kgnet-server` and `kgnet-http` integration
+/// tests walk this catalog and fail when the in-process render or the
+/// `/metrics` wire scrape is missing any of it.
 pub const METRIC_CATALOG: &[(&str, &str)] = &[
     ("kgnet_query_latency_nanos", "histogram"),
     ("kgnet_query_rows", "histogram"),
@@ -494,11 +496,12 @@ mod tests {
         assert!(m.lock_acquires.get() >= 2);
         assert!(m.lock_contended.get() >= 1);
         assert!(m.lock_wait_nanos.get() >= 1_000);
-        // A second refresh is delta-based: the aggregates must not
-        // re-count the already harvested acquisitions.
-        let before = m.lock_acquires.get();
+        // A second refresh is delta-based: the aggregate equals the
+        // process-wide total it harvested, so already harvested
+        // acquisitions are never counted twice. (Tests running beside this
+        // one may take tracked locks in between, so the total can move.)
         m.refresh_system();
-        assert_eq!(m.lock_acquires.get(), before);
+        assert_eq!(m.lock_acquires.get(), m.harvest.lock_acquires.load(Ordering::SeqCst));
         // Pool gauges are populated from the global pool.
         assert!(m.pool_threads.get() >= 1);
     }

@@ -297,6 +297,8 @@ fn slow_query_log_captures_plan_and_profile() {
 fn debug_report_renders_every_section() {
     let server = fast_server(53);
     let mut session = server.read_session();
+    // Twice, so the second run is a plan-cache hit.
+    session.sparql(PLAIN_QUERY).unwrap();
     session.sparql(PLAIN_QUERY).unwrap();
     let id = server.submit_train(nc_request("reported")).unwrap();
     let done = server.wait(id).unwrap();
@@ -333,6 +335,10 @@ fn debug_report_renders_every_section() {
     // And the per-site gauges surface in the exposition after refresh.
     let text = server.metrics().render_prometheus();
     assert!(metric_value(&text, "kgnet_lock_site_server_queue_state_acquires") > 0);
+    assert!(
+        metric_value(&text, "kgnet_lock_site_server_plan_cache_acquires") > 0,
+        "kgnet_lock_site_server_plan_cache_acquires: per-site lock gauge zero after a plan-cache hit"
+    );
     assert!(metric_value(&text, "kgnet_lock_acquires_total") > 0);
     assert!(metric_value(&text, "kgnet_pool_global_threads") >= 1);
     assert!(metric_value(&text, "kgnet_job_epochs_total") >= usage.epochs);
