@@ -27,21 +27,22 @@
 //! by default. Every request gets a request id (an incoming
 //! `X-Request-Id` is respected, otherwise one is assigned), echoed on
 //! the response, tagged onto the root `http.request` trace span and
-//! recorded — with status, byte counts and latency — in a bounded
-//! access-log ring. [`HttpServer::shutdown`] drains gracefully:
+//! recorded — with status, byte counts and latency — in the access log, a
+//! [`kgnet_obs::Ring`] of the newest 256 requests. `POST /sparql` and
+//! `POST /similar` run on pooled read sessions (up to 8 kept idle between
+//! requests). [`HttpServer::shutdown`] drains gracefully:
 //! in-flight requests complete, new connections stop being accepted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accesslog;
 pub mod client;
 mod parser;
 mod response;
 mod router;
 
-pub use accesslog::{AccessLog, AccessRecord};
 pub use client::{Client, Response};
+pub use router::AccessRecord;
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -72,11 +73,6 @@ pub struct HttpConfig {
     /// read (slow-loris guard, 408 beyond); also the idle keep-alive
     /// timeout after which a silent connection is closed.
     pub read_timeout_millis: u64,
-    /// Records retained in the access-log ring.
-    pub access_log_capacity: usize,
-    /// Idle [`kgnet_server::ReadSession`]s retained for `POST /sparql`
-    /// and `POST /similar` between requests.
-    pub session_pool_capacity: usize,
 }
 
 impl Default for HttpConfig {
@@ -87,8 +83,6 @@ impl Default for HttpConfig {
             max_head_bytes: 8 * 1024,
             max_body_bytes: 1024 * 1024,
             read_timeout_millis: 5_000,
-            access_log_capacity: 256,
-            session_pool_capacity: 8,
         }
     }
 }

@@ -5,22 +5,54 @@
 //! id/method/path — sessions opened by the handler on the same thread
 //! nest their own spans under it — dispatches on `(method, path)`,
 //! writes the response, and lands the request in the metric counters and
-//! the access-log ring.
+//! the access log.
 
 use std::io;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
+use kgnet_obs::{push_json_string, Ring};
 use kgnet_server::metrics::ServerMetrics;
 use kgnet_server::{KgServer, SessionPool};
-use kgnet_sparqlml::{MlError, MlOutcome};
+use kgnet_sparqlml::MlError;
 use kgnet_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use kgnet_sync::profile::SyncSite;
 
-use crate::accesslog::{AccessLog, AccessRecord};
 use crate::parser::Request;
 use crate::response::write_response;
 use crate::HttpConfig;
+
+/// Requests retained in the access log.
+const ACCESS_LOG_CAPACITY: usize = 256;
+
+/// Idle read sessions kept for `POST /sparql` and `POST /similar` between
+/// requests.
+const SESSION_POOL_CAPACITY: usize = 8;
+
+/// Contention site for the access-log ring (every request thread appends
+/// one record through this lock).
+static ACCESS_LOG_SITE: SyncSite = SyncSite::new("http.access_log");
+
+/// One completed request, as the access log retains it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AccessRecord {
+    /// Request id — echoed from `X-Request-Id` or frontend-assigned. The
+    /// same id is tagged onto the request's root trace span.
+    pub request_id: String,
+    /// Request method.
+    pub method: String,
+    /// Request path.
+    pub path: String,
+    /// Response status.
+    pub status: u16,
+    /// Request bytes consumed (head + body).
+    pub bytes_in: u64,
+    /// Response bytes written (head + body).
+    pub bytes_out: u64,
+    /// First parsed byte to response flush, in nanoseconds.
+    pub latency_nanos: u64,
+}
 
 /// Shared state of one frontend: the served platform plus the frontend's
 /// own request-scoped machinery.
@@ -28,7 +60,7 @@ pub(crate) struct AppState {
     pub server: Arc<KgServer>,
     pub metrics: Arc<ServerMetrics>,
     pub pool: SessionPool,
-    pub access_log: AccessLog,
+    pub access_log: Ring<AccessRecord>,
     /// Raised by shutdown: the accept loop stops, handlers answer with
     /// `Connection: close`, idle keep-alive connections wind down.
     pub drain: AtomicBool,
@@ -41,12 +73,12 @@ pub(crate) struct AppState {
 impl AppState {
     pub fn new(server: Arc<KgServer>, config: HttpConfig) -> AppState {
         let metrics = server.metrics_handle();
-        let pool = SessionPool::new(Arc::clone(&server), config.session_pool_capacity);
+        let pool = SessionPool::new(Arc::clone(&server), SESSION_POOL_CAPACITY);
         AppState {
             server,
             metrics,
             pool,
-            access_log: AccessLog::new(config.access_log_capacity),
+            access_log: Ring::new(ACCESS_LOG_CAPACITY, &ACCESS_LOG_SITE),
             drain: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             next_request_id: AtomicU64::new(1),
@@ -86,7 +118,7 @@ pub(crate) fn handle(
     state.metrics.http_request_latency.record(latency);
     state.metrics.http_bytes_out.add(bytes_out);
     bump_status_class(&state.metrics, status);
-    state.access_log.record(AccessRecord {
+    state.access_log.push(AccessRecord {
         request_id,
         method: req.method.clone(),
         path: req.path.clone(),
@@ -164,7 +196,7 @@ fn sparql(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
     }
     let mut session = state.pool.checkout();
     match session.query(text) {
-        Ok(MlOutcome::Rows(rows)) => {
+        Ok(rows) => {
             let mut out = String::from("{\"vars\":[");
             push_string_array(&mut out, rows.vars.iter().map(String::as_str));
             out.push_str("],\"rows\":[");
@@ -186,9 +218,6 @@ fn sparql(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
             }
             out.push_str("]}\n");
             (200, JSON, out.into_bytes())
-        }
-        Ok(other) => {
-            (500, TEXT, format!("non-row outcome from a read session: {other:?}\n").into_bytes())
         }
         Err(e) => ml_error_response(e),
     }
@@ -320,34 +349,5 @@ fn push_string_array<'a>(out: &mut String, items: impl Iterator<Item = &'a str>)
             out.push(',');
         }
         push_json_string(out, item);
-    }
-}
-
-/// Append `s` as a JSON string literal (quotes included).
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -68,8 +68,7 @@ fn frontend_serves_queries_probes_and_traces_under_churn() {
         ServerConfig {
             manager: ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() },
             queue: QueueConfig { max_concurrent: 1, max_pending: 1, ..Default::default() },
-            slow_query_nanos: 1,
-            ..Default::default()
+            slow_query: Duration::from_nanos(1),
         },
     ));
 

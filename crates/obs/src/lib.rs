@@ -6,7 +6,7 @@
 //! checks in the `kgnet-server` and `kgnet-http` integration tests) reads
 //! from.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) collected in a
 //!   [`Registry`] — global ([`Registry::global`]) or injected per
@@ -18,8 +18,13 @@
 //!   ids and per-thread parent linkage, completing into a bounded ring
 //!   buffer drained by subscribers; [`SpanNode::assemble`] rebuilds span
 //!   trees from drained records.
+//! - **Bounded logs** ([`Ring`]) — the one evict-oldest record buffer:
+//!   the tracer's span ring, the server's slow-query log and the HTTP
+//!   access log, each locking through its own contention site and
+//!   counting what it evicts (model-checked).
 //! - **Exporters** — [`Registry::render_prometheus`] (text exposition
-//!   format) and [`Registry::render_json`].
+//!   format) and [`Registry::render_json`], plus [`push_json_string`], the
+//!   one JSON string escaper every hand-written body uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,10 +33,12 @@ pub mod metrics;
 pub mod profile;
 pub mod promcheck;
 pub mod registry;
+pub mod ring;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use profile::SpanNode;
 pub use promcheck::validate_prometheus;
-pub use registry::Registry;
+pub use registry::{push_json_string, Registry};
+pub use ring::Ring;
 pub use trace::{SpanGuard, SpanRecord, Tracer};

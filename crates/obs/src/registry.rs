@@ -5,7 +5,8 @@
 //! subsystem construction time; the returned `Arc` handles are what hot
 //! paths record through, so the registry's lock is never on a hot path.
 //! Renders walk the catalog in registration order, which makes the output
-//! stable across runs — the CI `metrics-drift` check relies on that.
+//! stable across runs — the catalog checks in the server and HTTP
+//! integration tests rely on that.
 
 use kgnet_sync::{Arc, RwLock};
 
@@ -163,14 +164,15 @@ impl Registry {
     pub fn render_json(&self) -> String {
         let mut parts = Vec::new();
         for e in self.entries.read().iter() {
-            let name = json_escape(&e.name);
+            let mut name = String::new();
+            push_json_string(&mut name, &e.name);
             match &e.instrument {
-                Instrument::Counter(c) => parts.push(format!("\"{name}\": {}", c.get())),
-                Instrument::Gauge(g) => parts.push(format!("\"{name}\": {}", g.get())),
+                Instrument::Counter(c) => parts.push(format!("{name}: {}", c.get())),
+                Instrument::Gauge(g) => parts.push(format!("{name}: {}", g.get())),
                 Instrument::Histogram(h) => {
                     let s = h.snapshot();
                     parts.push(format!(
-                        "\"{name}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \
+                        "{name}: {{\"count\": {}, \"sum\": {}, \"max\": {}, \"p50\": {}, \
                          \"p90\": {}, \"p99\": {}, \"mean\": {:.3}}}",
                         s.count,
                         s.sum,
@@ -187,20 +189,23 @@ impl Registry {
     }
 }
 
-/// Escape a string for inclusion in a JSON string literal. Metric names
-/// are plain `[a-z0-9_]`, but the exporter must not emit malformed JSON
-/// for any input.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` to `out` as a JSON string literal, quotes included — the
+/// one escaper behind every hand-written JSON body (this exporter and the
+/// HTTP frontend's endpoints).
+pub fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -258,6 +263,13 @@ mod tests {
         assert!(json.contains("\"a_total\": 1"));
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"p99\": 5"));
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        let mut out = String::new();
+        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

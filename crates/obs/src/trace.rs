@@ -4,20 +4,19 @@
 //! A [`Tracer`] hands out [`SpanGuard`]s; nesting is tracked per thread,
 //! so a span opened while another of the same tracer is live on the same
 //! thread records that span as its parent. When a guard drops, the
-//! finished [`SpanRecord`] is pushed into the tracer's ring buffer
-//! (oldest records are evicted at capacity); subscribers drain the ring
-//! with [`Tracer::drain`]. Because children drop before their parents,
+//! finished [`SpanRecord`] is pushed into the tracer's [`Ring`] (oldest
+//! records are evicted at capacity); subscribers drain the ring with
+//! [`Tracer::drain`]. Because children drop before their parents,
 //! drained records arrive children-first — [`crate::SpanNode::assemble`]
 //! rebuilds the tree.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use kgnet_sync::atomic::{AtomicU64, Ordering};
 use kgnet_sync::profile::SyncSite;
-use kgnet_sync::tracked::lock_tracked;
-use kgnet_sync::Mutex;
+
+use crate::Ring;
 
 /// Contention site for all tracer rings (every request thread pushes its
 /// finished spans through one of these locks).
@@ -57,11 +56,7 @@ pub struct Tracer {
     tracer_id: u64,
     next_span_id: AtomicU64,
     epoch: Instant,
-    capacity: usize,
-    ring: Mutex<VecDeque<SpanRecord>>,
-    /// Spans evicted unread because the ring was full. Without this a
-    /// saturated ring reads as a quiet system.
-    dropped: AtomicU64,
+    ring: Ring<SpanRecord>,
 }
 
 impl Tracer {
@@ -71,9 +66,7 @@ impl Tracer {
             tracer_id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             next_span_id: AtomicU64::new(1),
             epoch: Instant::now(),
-            capacity: capacity.max(1),
-            ring: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
+            ring: Ring::new(capacity, &TRACE_RING_SITE),
         }
     }
 
@@ -101,12 +94,12 @@ impl Tracer {
 
     /// Drain every buffered record, oldest first.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        lock_tracked(&self.ring, &TRACE_RING_SITE).drain(..).collect()
+        self.ring.drain()
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        lock_tracked(&self.ring, &TRACE_RING_SITE).len()
+        self.ring.len()
     }
 
     /// True when no record is buffered.
@@ -116,28 +109,19 @@ impl Tracer {
 
     /// Ring capacity (oldest records are evicted beyond it).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Total spans evicted unread because the ring was at capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    fn push(&self, record: SpanRecord) {
-        let mut ring = lock_tracked(&self.ring, &TRACE_RING_SITE);
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(record);
+        self.ring.dropped()
     }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.capacity())
             .field("buffered", &self.len())
             .finish_non_exhaustive()
     }
@@ -185,7 +169,7 @@ impl Drop for SpanGuard<'_> {
                 stack.remove(at);
             }
         });
-        self.tracer.push(SpanRecord {
+        self.tracer.ring.push(SpanRecord {
             id: self.id,
             parent: self.parent,
             name: std::mem::take(&mut self.name),
@@ -226,30 +210,15 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_evicts_oldest() {
+    fn ring_is_bounded_and_counts_evictions_as_dropped() {
         let t = Tracer::new(3);
         for i in 0..5 {
             let _s = t.span(format!("s{i}"));
         }
-        assert_eq!(t.len(), 3);
+        assert_eq!((t.len(), t.capacity(), t.dropped()), (3, 3, 2));
         let names: Vec<String> = t.drain().into_iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["s2", "s3", "s4"]);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn evictions_count_as_dropped_spans() {
-        let t = Tracer::new(3);
-        assert_eq!(t.dropped(), 0);
-        for i in 0..5 {
-            let _s = t.span(format!("s{i}"));
-        }
-        assert_eq!(t.dropped(), 2, "two spans fell off a 3-slot ring");
-        // Draining frees the ring; new spans fit again without drops.
-        t.drain();
-        let _s = t.span("after-drain");
-        drop(_s);
-        assert_eq!(t.dropped(), 2);
     }
 
     #[test]

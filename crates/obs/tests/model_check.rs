@@ -1,12 +1,14 @@
-//! Deterministic model-check suite for the histogram snapshot coherence
-//! protocol: a registry snapshot racing concurrent recorders never
-//! observes torn totals.
+//! Deterministic model-check suite for the two concurrent obs primitives:
+//! the histogram snapshot coherence protocol (a registry snapshot racing
+//! concurrent recorders never observes torn totals) and the bounded
+//! [`Ring`] (racing pushers and a drainer never lose, duplicate or reorder
+//! a record).
 //!
 //! Compiled only under `--cfg kgnet_check`, where the `kgnet-sync` facade
-//! routes every atomic inside [`Histogram`] to the `kgnet-check`
-//! scheduler — so `explore` drives the *production* record/snapshot code
+//! routes every atomic and lock inside [`Histogram`] and [`Ring`] to the
+//! `kgnet-check` scheduler — so `explore` drives the *production* code
 //! through distinct interleavings, failing with a replayable schedule on
-//! any accepted-but-torn snapshot. Run with:
+//! any violation. Run with:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg kgnet_check" cargo test -p kgnet-obs --test model_check
@@ -21,7 +23,8 @@
 use std::sync::Arc;
 
 use kgnet_check::{explore, Config, Report};
-use kgnet_obs::Histogram;
+use kgnet_obs::{Histogram, Ring};
+use kgnet_sync::profile::SyncSite;
 use kgnet_sync::thread;
 
 /// A histogram snapshot touches ~1000 atomics per attempt, so each
@@ -119,4 +122,46 @@ fn concurrent_recording_never_loses_updates() {
         assert_eq!(s.bucket_total(), 3);
     });
     assert_coverage("obs-recording-exact", &[report], 50);
+}
+
+/// Two pushers race one drainer on a capacity-2 ring, so evictions and a
+/// mid-stream drain both happen under some schedules. Every pushed record
+/// is accounted for exactly once — drained, still retained, or counted as
+/// dropped — and each pusher's surviving records come out in the order it
+/// pushed them.
+#[test]
+fn ring_accounts_for_every_record_in_fifo_order() {
+    static SITE: SyncSite = SyncSite::new("obs.model-check.ring");
+    const PUSHERS: u32 = 2;
+    const PER_PUSHER: u32 = 2;
+    let report = explore(&cfg(), || {
+        let ring = Arc::new(Ring::new(2, &SITE));
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|p| {
+                let ring = ring.clone();
+                thread::spawn(move || (0..PER_PUSHER).for_each(|seq| ring.push((p, seq))))
+            })
+            .collect();
+        let drained = {
+            let ring = ring.clone();
+            thread::spawn(move || ring.drain()).join().unwrap()
+        };
+        for p in pushers {
+            p.join().unwrap();
+        }
+        let retained = ring.drain();
+        let out = (drained.len() + retained.len()) as u64;
+        assert_eq!(
+            out + ring.dropped(),
+            u64::from(PUSHERS * PER_PUSHER),
+            "drained {drained:?} + retained {retained:?} + dropped {} != pushed",
+            ring.dropped()
+        );
+        for p in 0..PUSHERS {
+            let seqs: Vec<u32> =
+                drained.iter().chain(&retained).filter(|r| r.0 == p).map(|r| r.1).collect();
+            assert!(seqs.windows(2).all(|w| w[0] < w[1]), "pusher {p} out of order: {seqs:?}");
+        }
+    });
+    assert_coverage("obs-ring-accounting", &[report], 50);
 }

@@ -555,8 +555,9 @@ fn sort_bindings(
 }
 
 /// Total order over optional terms used by ORDER BY: unbound < numeric <
-/// everything else by display string.
-fn cmp_terms(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
+/// everything else by display string. Shared with the SPARQL-ML layer so
+/// both SELECT paths order rows identically.
+pub fn cmp_terms(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a, b) {
         (None, None) => Ordering::Equal,

@@ -32,6 +32,12 @@
 //! KGMeta registration adds a few metadata triples, together or not at
 //! all. Queries keep flowing while models train and while writers commit;
 //! a cancelled or failed job leaves both untouched.
+//!
+//! Every SELECT a session runs is timed; one at or above
+//! [`ServerConfig::slow_query`] lands, with its rendered plan and span
+//! profile, in the server's slow-query log — a [`kgnet_obs::Ring`] of the
+//! newest [`SLOW_LOG_CAPACITY`] offenders, read back through
+//! [`KgServer::slow_queries`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,7 +48,6 @@ pub mod pool;
 pub mod queue;
 mod report;
 pub mod session;
-pub mod slowlog;
 mod witness;
 
 pub use cache::{CacheStats, SharedPlanCache};
@@ -52,16 +57,14 @@ pub use queue::{
     AdmissionError, JobId, JobInfo, JobOutcome, JobQueue, JobRunner, JobState, QueueConfig,
     ResourceUsage, UsageProbe,
 };
-pub use session::{ReadSession, SessionStats, WriteSession};
-pub use slowlog::{SlowQuery, SLOW_LOG_CAPACITY};
-
-use slowlog::SlowQueryLog;
+pub use session::{ReadSession, SessionStats, SlowQuery, WriteSession};
 
 use kgnet_sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use kgnet_obs::{Histogram, SpanNode};
+use kgnet_obs::{Histogram, Ring, SpanNode};
+use kgnet_sync::profile::SyncSite;
 use kgnet_sync::RwLock;
 
 use kgnet_gml::control::{EpochObserver, PairObserver, TrainControl};
@@ -71,27 +74,39 @@ use kgnet_sampler::{meta_sample_task, SamplingScope};
 use kgnet_sparqlml::{ManagerConfig, QueryManager};
 
 /// Server tuning knobs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Query-manager configuration (training defaults, optimizer bounds).
     pub manager: ManagerConfig,
     /// Training-queue sizing and admission policy.
     pub queue: QueueConfig,
-    /// Plans held in the server-wide shared cache, across all read
-    /// sessions and snapshot versions (0 uses the default of 128).
-    pub plan_cache_capacity: usize,
-    /// Latency threshold, in milliseconds, above which a SELECT is captured
-    /// into the slow-query log with its rendered plan and span profile
-    /// (0 uses the default of 100 ms).
-    pub slow_query_millis: u64,
-    /// Nanosecond-precision override of
-    /// [`slow_query_millis`](Self::slow_query_millis): when nonzero this is the capture
-    /// threshold verbatim, for sub-millisecond SLOs.
-    pub slow_query_nanos: u64,
+    /// Latency at or above which a SELECT is captured into the slow-query
+    /// log with its rendered plan and span profile (default 100 ms).
+    pub slow_query: Duration,
 }
 
-const DEFAULT_PLAN_CACHE: usize = 128;
-const DEFAULT_SLOW_QUERY_MILLIS: u64 = 100;
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            manager: ManagerConfig::default(),
+            queue: QueueConfig::default(),
+            slow_query: Duration::from_millis(100),
+        }
+    }
+}
+
+/// Plans held in the server-wide shared cache, across all read sessions
+/// and snapshot versions.
+const PLAN_CACHE_CAPACITY: usize = 128;
+
+/// Slow-query records retained; the oldest is dropped when a new offender
+/// arrives at capacity.
+pub const SLOW_LOG_CAPACITY: usize = 32;
+
+/// Contention profile of the slow-log ring. Only above-threshold queries
+/// touch it, so sustained contention here means the threshold is too low
+/// (or the workload is genuinely pathological).
+static SLOW_LOG_SITE: SyncSite = SyncSite::new("server.slow_log");
 
 /// The concurrently servable platform: a snapshot-published data KG, a
 /// shared SPARQL-ML manager, a server-wide plan cache and a background
@@ -102,7 +117,8 @@ pub struct KgServer {
     queue: JobQueue,
     plan_cache: Arc<SharedPlanCache>,
     metrics: Arc<ServerMetrics>,
-    slow_log: Arc<SlowQueryLog>,
+    slow_log: Arc<Ring<SlowQuery>>,
+    slow_nanos: u64,
 }
 
 impl KgServer {
@@ -115,25 +131,14 @@ impl KgServer {
         let trainer = witness::read(&manager).trainer().clone();
         let runner = train_runner(store.clone(), manager.clone(), trainer, Arc::clone(&metrics));
         let queue = JobQueue::with_metrics(config.queue, runner, metrics.queue_obs());
-        let capacity = if config.plan_cache_capacity == 0 {
-            DEFAULT_PLAN_CACHE
-        } else {
-            config.plan_cache_capacity
-        };
-        let slow_nanos = if config.slow_query_nanos > 0 {
-            config.slow_query_nanos
-        } else if config.slow_query_millis > 0 {
-            config.slow_query_millis.saturating_mul(1_000_000)
-        } else {
-            DEFAULT_SLOW_QUERY_MILLIS * 1_000_000
-        };
         KgServer {
             store,
             manager,
             queue,
-            plan_cache: Arc::new(SharedPlanCache::new(capacity)),
+            plan_cache: Arc::new(SharedPlanCache::new(PLAN_CACHE_CAPACITY)),
             metrics,
-            slow_log: Arc::new(SlowQueryLog::new(slow_nanos)),
+            slow_log: Arc::new(Ring::new(SLOW_LOG_CAPACITY, &SLOW_LOG_SITE)),
+            slow_nanos: u64::try_from(config.slow_query.as_nanos()).unwrap_or(u64::MAX),
         }
     }
 
@@ -180,6 +185,7 @@ impl KgServer {
             Arc::clone(&self.plan_cache),
             Arc::clone(&self.metrics),
             Arc::clone(&self.slow_log),
+            self.slow_nanos,
         )
     }
 
@@ -218,7 +224,7 @@ impl KgServer {
     }
 
     /// The retained slow-query records, oldest first: every SELECT whose
-    /// latency crossed [`ServerConfig::slow_query_millis`], with the plan
+    /// latency reached [`ServerConfig::slow_query`], with the plan
     /// it ran and its span profile. At most [`SLOW_LOG_CAPACITY`] records
     /// are kept; older offenders are dropped as new ones arrive.
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
@@ -232,10 +238,6 @@ impl KgServer {
     pub fn debug_report(&self) -> String {
         self.metrics();
         report::render(self)
-    }
-
-    pub(crate) fn slow_log(&self) -> &SlowQueryLog {
-        &self.slow_log
     }
 
     /// Drain every span buffered since the last dump and rebuild the
@@ -427,7 +429,7 @@ mod tests {
         assert!(model_uri.contains("/model/nc/"));
 
         let mut session = server.read_session();
-        let rows = session.sparql(PV_QUERY).unwrap();
+        let rows = session.query(PV_QUERY).unwrap();
         assert_eq!(rows.len(), 60);
         // KGMeta visible through the session.
         let meta = session
@@ -474,8 +476,8 @@ mod tests {
         let mut session = server.read_session();
         let q = "PREFIX dblp: <https://www.dblp.org/> \
                  SELECT (COUNT(*) AS ?n) WHERE { ?p a dblp:Publication }";
-        let first = session.sparql(q).unwrap();
-        let second = session.sparql(q).unwrap();
+        let first = session.query(q).unwrap();
+        let second = session.query(q).unwrap();
         assert_eq!(first, second);
         let stats = session.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -490,7 +492,7 @@ mod tests {
             )
             .unwrap();
         writer.commit();
-        let third = session.sparql(q).unwrap();
+        let third = session.query(q).unwrap();
         assert_eq!(first, third, "pinned snapshot must not see the commit");
         assert_eq!(session.cache_stats().hits, 2);
 
@@ -499,7 +501,7 @@ mod tests {
         let pinned = session.generation();
         let refreshed = session.refresh();
         assert!(refreshed > pinned);
-        let fourth = session.sparql(q).unwrap();
+        let fourth = session.query(q).unwrap();
         assert_ne!(first, fourth, "refreshed session must see the commit");
         assert_eq!(session.cache_stats().misses, 2);
     }
@@ -510,13 +512,13 @@ mod tests {
         let q = "PREFIX dblp: <https://www.dblp.org/> \
                  SELECT (COUNT(*) AS ?n) WHERE { ?p a dblp:Publication }";
         let mut first = server.read_session();
-        first.sparql(q).unwrap();
+        first.query(q).unwrap();
         assert_eq!((first.cache_stats().hits, first.cache_stats().misses), (0, 1));
 
         // A second session on the same version hits the plan the first one
         // compiled, without ever having prepared it itself.
         let mut second = server.read_session();
-        second.sparql(q).unwrap();
+        second.query(q).unwrap();
         assert_eq!((second.cache_stats().hits, second.cache_stats().misses), (1, 0));
 
         // Server-wide totals aggregate both sessions.
@@ -743,6 +745,6 @@ mod tests {
         writer.commit();
         assert!(matches!(out, MlOutcome::Trained(_)));
         let mut session = server.read_session();
-        assert_eq!(session.sparql(PV_QUERY).unwrap().len(), 60);
+        assert_eq!(session.query(PV_QUERY).unwrap().len(), 60);
     }
 }

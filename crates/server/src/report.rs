@@ -62,12 +62,12 @@ pub(crate) fn render(server: &KgServer) -> String {
     );
 
     // -- Slow queries -------------------------------------------------------
-    let slow = server.slow_log().snapshot();
+    let slow = server.slow_queries();
     let _ = writeln!(
         out,
         "\n-- slow queries ({} retained, threshold {:.1} ms) --",
         slow.len(),
-        ms(server.slow_log().threshold_nanos()),
+        ms(server.slow_nanos),
     );
     for (i, q) in slow.iter().enumerate() {
         let first_line = q.text.lines().map(str::trim).find(|l| !l.is_empty()).unwrap_or("");

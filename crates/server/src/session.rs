@@ -11,6 +11,16 @@
 //! sessions on the same version; each session keeps its own hit/miss
 //! counters on top of the shared totals.
 //!
+//! [`query`](ReadSession::query) and
+//! [`query_profiled`](ReadSession::query_profiled) share one dispatch that
+//! takes each step once: probe the plan cache, parse on a miss, hand a
+//! SPARQL-ML SELECT to the manager or evaluate the plain plan
+//! (operator-profiled when asked), record the latency, row and scan
+//! metrics plus the session totals, and — when the latency crosses the
+//! server's slow-query threshold — capture a [`SlowQuery`] into the
+//! server's bounded slow-query [`Ring`]. Only a slow query pays for
+//! rendering its plan; a fast one pays the comparison.
+//!
 //! A [`WriteSession`] owns a [`WriteTxn`]: it batches data mutations into
 //! a private next version and publishes them in one atomic
 //! [`commit`](WriteSession::commit); [`abort`](WriteSession::abort) (or
@@ -28,20 +38,41 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use kgnet_obs::SpanNode;
+use kgnet_obs::{Ring, SpanNode};
 use kgnet_sync::RwLock;
 
 use kgnet_gmlaas::{ArtifactPayload, SearchParams, ServiceError};
 use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled, PreparedQuery};
-use kgnet_rdf::{ExecStats, QueryResult, RdfStore, SharedStore, Snapshot, SparqlError, WriteTxn};
+use kgnet_rdf::{QueryResult, RdfStore, SharedStore, Snapshot, SparqlError, WriteTxn};
 use kgnet_sparqlml::{
-    contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation,
+    contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation, SparqlMlQuery,
 };
 
 use crate::cache::{CacheStats, SharedPlanCache};
 use crate::metrics::{nanos_since, ServerMetrics};
-use crate::slowlog::{SlowQuery, SlowQueryLog};
 use crate::witness;
+
+/// One query that crossed the slow threshold, captured with everything a
+/// postmortem needs: what ran, how long, how much it touched, and the plan
+/// the optimizer actually chose against the session's snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlowQuery {
+    /// The SPARQL text as submitted.
+    pub text: String,
+    /// End-to-end latency of the execution.
+    pub total_nanos: u64,
+    /// Result rows returned.
+    pub rows: u64,
+    /// Triples scanned while evaluating.
+    pub triples_scanned: u64,
+    /// The rendered execution plan (operators in execution order, with
+    /// cardinality estimates and pushed filters); SPARQL-ML SELECTs, which
+    /// have no physical plan, carry a marker instead.
+    pub plan: String,
+    /// The span profile of the execution: the full operator tree when the
+    /// query ran under `query_profiled`, a single root span otherwise.
+    pub profile: SpanNode,
+}
 
 /// Per-session resource totals, accumulated across every SELECT the
 /// session executed (plain and SPARQL-ML alike).
@@ -59,6 +90,13 @@ pub struct SessionStats {
     pub lock_wait_nanos: u64,
 }
 
+/// What a read executes: a prepared plain plan, or a SPARQL-ML SELECT the
+/// manager rewrites.
+enum Plan {
+    Plain(Arc<PreparedQuery>),
+    Ml(SparqlMlQuery),
+}
+
 /// A concurrent read handle: SELECT-only execution against a pinned
 /// snapshot, with shared plan caching.
 pub struct ReadSession {
@@ -67,7 +105,8 @@ pub struct ReadSession {
     manager: Arc<RwLock<QueryManager>>,
     cache: Arc<SharedPlanCache>,
     metrics: Arc<ServerMetrics>,
-    slow_log: Arc<SlowQueryLog>,
+    slow_log: Arc<Ring<SlowQuery>>,
+    slow_nanos: u64,
     stats: SessionStats,
     hits: u64,
     misses: u64,
@@ -79,7 +118,8 @@ impl ReadSession {
         manager: Arc<RwLock<QueryManager>>,
         cache: Arc<SharedPlanCache>,
         metrics: Arc<ServerMetrics>,
-        slow_log: Arc<SlowQueryLog>,
+        slow_log: Arc<Ring<SlowQuery>>,
+        slow_nanos: u64,
     ) -> Self {
         ReadSession {
             snapshot: store.snapshot(),
@@ -88,71 +128,11 @@ impl ReadSession {
             cache,
             metrics,
             slow_log,
+            slow_nanos,
             stats: SessionStats::default(),
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Record one finished plain-SELECT evaluation into the server metrics
-    /// (end-to-end latency, result width, scan volume) and the session
-    /// totals. Returns the measured latency so callers can reuse it for
-    /// slow-query classification without re-reading the clock.
-    fn record_select(&mut self, t0: Instant, rows: &QueryResult, stats: &ExecStats) -> u64 {
-        let total = nanos_since(t0);
-        self.metrics.query_latency.record(total);
-        self.metrics.query_rows.record(rows.len() as u64);
-        self.metrics.query_triples_scanned.add(stats.triples_scanned);
-        self.stats.queries += 1;
-        self.stats.rows += rows.len() as u64;
-        self.stats.triples_scanned += stats.triples_scanned;
-        total
-    }
-
-    /// Capture `text` into the server's slow-query log when its latency
-    /// crossed the threshold: the rendered plan it ran (against this
-    /// session's snapshot) plus the span profile — the full operator tree
-    /// when one was measured, a single root span otherwise.
-    fn maybe_log_slow(
-        &self,
-        text: &str,
-        prepared: &PreparedQuery,
-        total_nanos: u64,
-        rows: u64,
-        triples_scanned: u64,
-        profile: Option<&SpanNode>,
-    ) {
-        if total_nanos < self.slow_log.threshold_nanos() {
-            return;
-        }
-        self.metrics.slow_queries.inc();
-        self.slow_log.record(SlowQuery {
-            text: text.to_owned(),
-            total_nanos,
-            rows,
-            triples_scanned,
-            plan: prepared.explain(&self.snapshot),
-            profile: profile.cloned().unwrap_or_else(|| SpanNode::new("query", total_nanos, rows)),
-        });
-    }
-
-    /// Slow-query capture for SPARQL-ML SELECTs, which have no prepared
-    /// physical plan to render: the record is text-only — a marker plan
-    /// string plus a single root span — so slow ML rewrites still show up
-    /// in `/slowlog` next to their plain-SPARQL peers.
-    fn maybe_log_slow_ml(&self, text: &str, total_nanos: u64, rows: u64) {
-        if total_nanos < self.slow_log.threshold_nanos() {
-            return;
-        }
-        self.metrics.slow_queries.inc();
-        self.slow_log.record(SlowQuery {
-            text: text.to_owned(),
-            total_nanos,
-            rows,
-            triples_scanned: 0,
-            plan: "(sparql-ml: no physical plan)".to_owned(),
-            profile: SpanNode::new("sparql-ml", total_nanos, rows),
-        });
     }
 
     /// Execute a plain or SPARQL-ML SELECT against the pinned snapshot.
@@ -164,77 +144,8 @@ impl ReadSession {
     /// re-parsing as well as re-planning; ML SELECTs are optimized per call
     /// (their rewriting depends on live KGMeta state) but still execute
     /// lock-free against the snapshot.
-    pub fn query(&mut self, text: &str) -> Result<MlOutcome, MlError> {
-        let wait0 = kgnet_sync::profile::thread_wait_nanos();
-        let out = self.query_inner(text);
-        self.stats.lock_wait_nanos +=
-            kgnet_sync::profile::thread_wait_nanos().saturating_sub(wait0);
-        out
-    }
-
-    fn query_inner(&mut self, text: &str) -> Result<MlOutcome, MlError> {
-        let metrics = Arc::clone(&self.metrics);
-        let _span = metrics.span("read.query");
-        let t0 = Instant::now();
-        // Fast path: only plain SELECTs are ever cached, and the key is the
-        // token stream classification is a pure function of, so a hit
-        // proves this text parses to the cached plan's query. The one
-        // exception is `contains_traingml` — `parse` applies it to *raw*
-        // text (comments included) before tokenizing — so apply the same
-        // gate first.
-        if !contains_traingml(text) {
-            if let Some(prepared) = self.cache.get(self.snapshot.generation(), text) {
-                self.hits += 1;
-                self.metrics.plan_cache_hits.inc();
-                let (rows, stats) = evaluate_prepared(&self.snapshot, &prepared)?;
-                let total = self.record_select(t0, &rows, &stats);
-                self.maybe_log_slow(
-                    text,
-                    &prepared,
-                    total,
-                    rows.len() as u64,
-                    stats.triples_scanned,
-                    None,
-                );
-                return Ok(MlOutcome::Rows(rows));
-            }
-        }
-        match parse(text)? {
-            SparqlMlOperation::PlainSelect(q) => {
-                let prepared = self.cache.prepare_insert(&self.snapshot, text, q)?;
-                self.misses += 1;
-                self.metrics.plan_cache_misses.inc();
-                let (rows, stats) = evaluate_prepared(&self.snapshot, &prepared)?;
-                let total = self.record_select(t0, &rows, &stats);
-                self.maybe_log_slow(
-                    text,
-                    &prepared,
-                    total,
-                    rows.len() as u64,
-                    stats.triples_scanned,
-                    None,
-                );
-                Ok(MlOutcome::Rows(rows))
-            }
-            SparqlMlOperation::Select(q) => {
-                let out = {
-                    let manager = witness::read(&self.manager);
-                    manager.query_select(&self.snapshot, q)
-                };
-                if let Ok(MlOutcome::Rows(rows)) = &out {
-                    let total = nanos_since(t0);
-                    self.metrics.query_latency.record(total);
-                    self.metrics.query_rows.record(rows.len() as u64);
-                    self.stats.queries += 1;
-                    self.stats.rows += rows.len() as u64;
-                    self.maybe_log_slow_ml(text, total, rows.len() as u64);
-                }
-                out
-            }
-            SparqlMlOperation::PlainUpdate(_)
-            | SparqlMlOperation::Train(_)
-            | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
-        }
+    pub fn query(&mut self, text: &str) -> Result<QueryResult, MlError> {
+        self.run(text, false).map(|(rows, _)| rows)
     }
 
     /// Execute a SELECT with per-operator profiling: the rows plus a span
@@ -246,88 +157,105 @@ impl ReadSession {
     /// planner) report a single `sparql-ml` node. Updates and `TrainGML`
     /// are rejected with [`MlError::ReadOnly`].
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, SpanNode), MlError> {
+        let (rows, profile) = self.run(text, true)?;
+        Ok((rows, profile.expect("a profiled run builds its profile")))
+    }
+
+    /// The one read dispatch behind [`query`](Self::query) and
+    /// [`query_profiled`](Self::query_profiled). Returns the rows and, when
+    /// `profiled`, the span tree.
+    fn run(
+        &mut self,
+        text: &str,
+        profiled: bool,
+    ) -> Result<(QueryResult, Option<SpanNode>), MlError> {
+        let metrics = Arc::clone(&self.metrics);
+        let _span = metrics.span(if profiled { "read.query_profiled" } else { "read.query" });
         let wait0 = kgnet_sync::profile::thread_wait_nanos();
-        let out = self.query_profiled_inner(text);
+        let t0 = Instant::now();
+        // Only plain SELECTs are ever cached, and the key is the token
+        // stream classification is a pure function of, so a hit proves this
+        // text parses to the cached plan's query. The one exception is
+        // `contains_traingml` — `parse` applies it to *raw* text (comments
+        // included) before tokenizing — so it gates the probe.
+        let cached =
+            if contains_traingml(text) { None } else { self.cache.get(self.generation(), text) };
+        let plan = match cached {
+            Some(prepared) => {
+                self.hits += 1;
+                metrics.plan_cache_hits.inc();
+                Ok(Plan::Plain(prepared))
+            }
+            None => parse(text).map_err(MlError::from).and_then(|op| match op {
+                SparqlMlOperation::PlainSelect(q) => {
+                    let prepared = self.cache.prepare_insert(&self.snapshot, text, q)?;
+                    self.misses += 1;
+                    metrics.plan_cache_misses.inc();
+                    Ok(Plan::Plain(prepared))
+                }
+                SparqlMlOperation::Select(q) => Ok(Plan::Ml(q)),
+                SparqlMlOperation::PlainUpdate(_)
+                | SparqlMlOperation::Train(_)
+                | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
+            }),
+        };
+        let executed = plan.and_then(|plan| {
+            let (rows, scanned, ops) = match &plan {
+                Plan::Plain(prepared) if profiled => {
+                    let (rows, stats, ops) = evaluate_prepared_profiled(&self.snapshot, prepared)?;
+                    (rows, stats.triples_scanned, Some(ops))
+                }
+                Plan::Plain(prepared) => {
+                    let (rows, stats) = evaluate_prepared(&self.snapshot, prepared)?;
+                    (rows, stats.triples_scanned, None)
+                }
+                Plan::Ml(q) => {
+                    (witness::read(&self.manager).query_select(&self.snapshot, q)?, 0, None)
+                }
+            };
+            Ok((plan, rows, scanned, ops))
+        });
+        let out = executed.map(|(plan, rows, scanned, ops)| {
+            let total = nanos_since(t0);
+            let n = rows.len() as u64;
+            metrics.query_latency.record(total);
+            metrics.query_rows.record(n);
+            metrics.query_triples_scanned.add(scanned);
+            self.stats.queries += 1;
+            self.stats.rows += n;
+            self.stats.triples_scanned += scanned;
+            let root = if matches!(plan, Plan::Ml(_)) { "sparql-ml" } else { "query" };
+            let profile = match ops {
+                Some(ops) => {
+                    let mut node = SpanNode::new(root, ops.total_nanos, n);
+                    node.children = ops
+                        .ops
+                        .into_iter()
+                        .map(|op| SpanNode::new(op.label, op.nanos, op.rows))
+                        .collect();
+                    Some(node)
+                }
+                None => profiled.then(|| SpanNode::new(root, total, n)),
+            };
+            if total >= self.slow_nanos {
+                metrics.slow_queries.inc();
+                self.slow_log.push(SlowQuery {
+                    text: text.to_owned(),
+                    total_nanos: total,
+                    rows: n,
+                    triples_scanned: scanned,
+                    plan: match &plan {
+                        Plan::Plain(prepared) => prepared.explain(&self.snapshot),
+                        Plan::Ml(_) => "(sparql-ml: no physical plan)".to_owned(),
+                    },
+                    profile: profile.clone().unwrap_or_else(|| SpanNode::new(root, total, n)),
+                });
+            }
+            (rows, profile)
+        });
         self.stats.lock_wait_nanos +=
             kgnet_sync::profile::thread_wait_nanos().saturating_sub(wait0);
         out
-    }
-
-    fn query_profiled_inner(&mut self, text: &str) -> Result<(QueryResult, SpanNode), MlError> {
-        let metrics = Arc::clone(&self.metrics);
-        let _span = metrics.span("read.query_profiled");
-        let t0 = Instant::now();
-        if !contains_traingml(text) {
-            if let Some(prepared) = self.cache.get(self.snapshot.generation(), text) {
-                self.hits += 1;
-                self.metrics.plan_cache_hits.inc();
-                return self.run_profiled(t0, text, &prepared);
-            }
-        }
-        match parse(text)? {
-            SparqlMlOperation::PlainSelect(q) => {
-                let prepared = self.cache.prepare_insert(&self.snapshot, text, q)?;
-                self.misses += 1;
-                self.metrics.plan_cache_misses.inc();
-                self.run_profiled(t0, text, &prepared)
-            }
-            SparqlMlOperation::Select(q) => {
-                let rows = {
-                    let manager = witness::read(&self.manager);
-                    match manager.query_select(&self.snapshot, q)? {
-                        MlOutcome::Rows(rows) => rows,
-                        other => {
-                            return Err(MlError::Sparql(SparqlError::eval(format!(
-                                "expected rows, got {other:?}"
-                            ))))
-                        }
-                    }
-                };
-                let total = nanos_since(t0);
-                self.metrics.query_latency.record(total);
-                self.metrics.query_rows.record(rows.len() as u64);
-                self.stats.queries += 1;
-                self.stats.rows += rows.len() as u64;
-                self.maybe_log_slow_ml(text, total, rows.len() as u64);
-                let node = SpanNode::new("sparql-ml", total, rows.len() as u64);
-                Ok((rows, node))
-            }
-            SparqlMlOperation::PlainUpdate(_)
-            | SparqlMlOperation::Train(_)
-            | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
-        }
-    }
-
-    fn run_profiled(
-        &mut self,
-        t0: Instant,
-        text: &str,
-        prepared: &PreparedQuery,
-    ) -> Result<(QueryResult, SpanNode), MlError> {
-        let (rows, stats, profile) = evaluate_prepared_profiled(&self.snapshot, prepared)?;
-        let total = self.record_select(t0, &rows, &stats);
-        let mut root = SpanNode::new("query", profile.total_nanos, rows.len() as u64);
-        root.children =
-            profile.ops.into_iter().map(|op| SpanNode::new(op.label, op.nanos, op.rows)).collect();
-        self.maybe_log_slow(
-            text,
-            prepared,
-            total,
-            rows.len() as u64,
-            stats.triples_scanned,
-            Some(&root),
-        );
-        Ok((rows, root))
-    }
-
-    /// Execute a SELECT and return its rows (errors on non-row outcomes).
-    pub fn sparql(&mut self, text: &str) -> Result<QueryResult, MlError> {
-        match self.query(text)? {
-            MlOutcome::Rows(rows) => Ok(rows),
-            other => {
-                Err(MlError::Sparql(SparqlError::eval(format!("expected rows, got {other:?}"))))
-            }
-        }
     }
 
     /// Query the KGMeta metadata graph (plain SPARQL over model metadata).

@@ -18,7 +18,9 @@ use kgnet_gmlaas::{
     InferenceRequest, InferenceResponse, InferenceService, ModelArtifact, ModelStore, ServiceError,
     TaskKind, TrainError, TrainRequest, TrainingManager,
 };
-use kgnet_rdf::sparql::eval::{evaluate_select, execute_update, QueryResult, UpdateStats};
+use kgnet_rdf::sparql::eval::{
+    cmp_terms, evaluate_select, execute_update, QueryResult, UpdateStats,
+};
 use kgnet_rdf::sparql::{Order, Projection, ProjectionItem, TermPattern};
 use kgnet_rdf::{RdfStore, SparqlError, Term};
 use kgnet_sampler::{meta_sample_task, SamplingScope};
@@ -196,7 +198,7 @@ impl QueryManager {
     pub fn query(&self, data: &RdfStore, text: &str) -> Result<MlOutcome, MlError> {
         match parse(text)? {
             SparqlMlOperation::PlainSelect(q) => Ok(MlOutcome::Rows(evaluate_select(data, &q)?)),
-            SparqlMlOperation::Select(q) => self.select(data, q),
+            SparqlMlOperation::Select(q) => self.select(data, &q).map(MlOutcome::Rows),
             SparqlMlOperation::PlainUpdate(_)
             | SparqlMlOperation::Train(_)
             | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
@@ -206,7 +208,7 @@ impl QueryManager {
     /// Evaluate an already-parsed SPARQL-ML SELECT through shared borrows —
     /// the read path without re-parsing, for serving layers that classify
     /// the operation themselves.
-    pub fn query_select(&self, data: &RdfStore, q: SparqlMlQuery) -> Result<MlOutcome, MlError> {
+    pub fn query_select(&self, data: &RdfStore, q: &SparqlMlQuery) -> Result<QueryResult, MlError> {
         self.select(data, q)
     }
 
@@ -216,7 +218,7 @@ impl QueryManager {
     pub fn update(&mut self, data: &mut RdfStore, text: &str) -> Result<MlOutcome, MlError> {
         match parse(text)? {
             SparqlMlOperation::PlainSelect(q) => Ok(MlOutcome::Rows(evaluate_select(data, &q)?)),
-            SparqlMlOperation::Select(q) => self.select(data, q),
+            SparqlMlOperation::Select(q) => self.select(data, &q).map(MlOutcome::Rows),
             SparqlMlOperation::PlainUpdate(u) => Ok(MlOutcome::Updated(execute_update(data, &u)?)),
             SparqlMlOperation::Train(spec) => self.train(data, spec),
             SparqlMlOperation::DeleteModels(filter) => {
@@ -344,7 +346,8 @@ impl QueryManager {
         Ok((models, plans, base_result))
     }
 
-    /// The base query, projected to also bind every UD subject/object var.
+    /// The base query, projected to also bind every UD subject/object var
+    /// and every ORDER BY key.
     fn executable_base(&self, q: &SparqlMlQuery) -> kgnet_rdf::sparql::SelectQuery {
         let mut exec = q.base.clone();
         exec.distinct = false;
@@ -374,13 +377,18 @@ impl QueryManager {
                 items.push(ProjectionItem::Var(ud.object_var.clone()));
             }
         }
+        for (v, _) in &q.base.order_by {
+            if have.insert(v.clone()) {
+                items.push(ProjectionItem::Var(v.clone()));
+            }
+        }
         exec.projection = Projection::Items(items);
         exec
     }
 
-    fn select(&self, data: &RdfStore, q: SparqlMlQuery) -> Result<MlOutcome, MlError> {
-        let (models, plans, mut result) = self.optimize(data, &q)?;
-        let rewritten = rewrite(&q, &models, &plans);
+    fn select(&self, data: &RdfStore, q: &SparqlMlQuery) -> Result<QueryResult, MlError> {
+        let (models, plans, mut result) = self.optimize(data, q)?;
+        let rewritten = rewrite(q, &models, &plans);
 
         for step in &rewritten.steps {
             let subj_col = match &step.ud.subject {
@@ -400,9 +408,25 @@ impl QueryManager {
             }
         }
 
-        // Re-apply the original solution modifiers and projection. Cells are
-        // moved out of the base rows; only a column projected more than once
-        // is cloned, for every use but its last.
+        // Re-apply the original solution modifiers and projection, in SPARQL
+        // order. ORDER BY sorts the full-width rows, so a key need not be
+        // projected, and compares with the plain evaluator's `cmp_terms`.
+        let keys: Vec<(usize, Order)> =
+            q.base.order_by.iter().filter_map(|(v, o)| result.column(v).map(|c| (c, *o))).collect();
+        if !keys.is_empty() {
+            result.rows.sort_by(|a, b| {
+                for &(c, ord) in &keys {
+                    let c = cmp_terms(a[c].as_ref(), b[c].as_ref());
+                    let c = if ord == Order::Desc { c.reverse() } else { c };
+                    if c != std::cmp::Ordering::Equal {
+                        return c;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        // Cells are moved out of the base rows; only a column projected more
+        // than once is cloned, for every use but its last.
         let final_vars = q.base.output_vars();
         let cols: Vec<usize> = final_vars.iter().filter_map(|v| result.column(v)).collect();
         let used_again: Vec<bool> =
@@ -426,24 +450,6 @@ impl QueryManager {
             let mut first = first.into_iter();
             rows.retain(|_| first.next().unwrap_or(false));
         }
-        if !q.base.order_by.is_empty() {
-            let keys: Vec<(usize, Order)> = q
-                .base
-                .order_by
-                .iter()
-                .filter_map(|(v, o)| final_vars.iter().position(|x| x == v).map(|i| (i, *o)))
-                .collect();
-            rows.sort_by(|a, b| {
-                for &(i, ord) in &keys {
-                    let c = cmp_opt_terms(a[i].as_ref(), b[i].as_ref());
-                    let c = if ord == Order::Desc { c.reverse() } else { c };
-                    if c != std::cmp::Ordering::Equal {
-                        return c;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
         let offset = q.base.offset.unwrap_or(0);
         if offset > 0 {
             rows.drain(..offset.min(rows.len()));
@@ -451,7 +457,7 @@ impl QueryManager {
         if let Some(limit) = q.base.limit {
             rows.truncate(limit);
         }
-        Ok(MlOutcome::Rows(QueryResult { vars: final_vars, rows }))
+        Ok(QueryResult { vars: final_vars, rows })
     }
 
     fn fill_node_class(
@@ -612,19 +618,6 @@ fn distinct_subject_count(result: &QueryResult, subject: &TermPattern) -> usize 
             let Some(col) = result.column(v) else { return 0 };
             result.rows.iter().filter_map(|r| r[col].as_ref()).collect::<FxHashSet<&Term>>().len()
         }
-    }
-}
-
-fn cmp_opt_terms(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => match (x.numeric(), y.numeric()) {
-            (Some(nx), Some(ny)) => nx.partial_cmp(&ny).unwrap_or(Ordering::Equal),
-            _ => x.to_string().cmp(&y.to_string()),
-        },
     }
 }
 

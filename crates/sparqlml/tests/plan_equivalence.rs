@@ -76,6 +76,8 @@ fn dictionary_and_per_binding_plans_return_the_same_rows() {
     let by_venue = format!("{all} ?paper dblp:publishedIn ?v . FILTER(?v = <{}>)", dblp::venue(1));
     let by_author = format!("{all} ?paper dblp:authoredBy {author} .");
     let ground = format!("<{paper}> dblp:title ?title .");
+    let with_year = format!("{all} ?paper dblp:yearOfPublication ?year .");
+    let by_year = " ORDER BY DESC(?year) ?title";
     let shapes = [
         // The four `ml-select` selectivities.
         ml_query("?paper ?title ?venue", "?paper", all, ""),
@@ -89,6 +91,8 @@ fn dictionary_and_per_binding_plans_return_the_same_rows() {
         // A ground subject, and a variable projected twice.
         ml_query("?title ?venue", &format!("<{paper}>"), &ground, ""),
         ml_query("?paper ?venue ?paper", "?paper", all, ""),
+        // An ORDER BY key the query does not project.
+        ml_query("?title ?venue", "?paper", &with_year, by_year),
     ];
 
     for text in &shapes {
@@ -117,6 +121,15 @@ fn dictionary_and_per_binding_plans_return_the_same_rows() {
         assert!(row[0].is_some(), "projected-twice column lost its value");
         assert_eq!(row[0], row[2]);
     }
+    // The unprojected `?year` key orders the ML rows exactly as it orders
+    // the plain query over the same pattern.
+    let plain = rows(
+        &dictionary,
+        &data,
+        &format!("{PREFIXES}SELECT ?title WHERE {{ {with_year} }}{by_year}"),
+    );
+    let titles = |r: &QueryResult| r.rows.iter().map(|row| row[0].clone()).collect::<Vec<_>>();
+    assert_eq!(titles(&rows(&dictionary, &data, &shapes[9])), titles(&plain));
 }
 
 fn plan_of(mgr: &QueryManager, data: &RdfStore, text: &str) -> RewritePlan {

@@ -109,9 +109,9 @@ fn four_readers_serve_while_training_jobs_churn() {
                 let mut session = server.read_session();
                 barrier.wait(); // all four issue their first SELECT together
                 for _ in 0..ROUNDS {
-                    let rows = session.sparql(PV_QUERY).expect("ML SELECT");
+                    let rows = session.query(PV_QUERY).expect("ML SELECT");
                     assert_eq!(rows, expected, "concurrent result diverged from serial");
-                    let count = session.sparql(COUNT_QUERY).expect("plain SELECT");
+                    let count = session.query(COUNT_QUERY).expect("plain SELECT");
                     assert_eq!(count, expected_count);
                 }
                 let stats = session.cache_stats();
@@ -132,7 +132,7 @@ fn four_readers_serve_while_training_jobs_churn() {
 
     // Readers still see the stable NC answer afterwards.
     let mut session = server.read_session();
-    assert_eq!(session.sparql(PV_QUERY).unwrap(), expected);
+    assert_eq!(session.query(PV_QUERY).unwrap(), expected);
 }
 
 #[test]
@@ -150,7 +150,7 @@ fn pinned_reader_holds_repeatable_reads_across_bulk_rewrites() {
 
     // Pin a snapshot before any write and take its full fingerprint.
     let mut session = server.read_session();
-    let count_before = session.sparql(COUNT_QUERY).unwrap();
+    let count_before = session.query(COUNT_QUERY).unwrap();
     let dump_before = session.snapshot().to_ntriples();
     let pinned_generation = session.generation();
 
@@ -197,7 +197,7 @@ fn pinned_reader_holds_repeatable_reads_across_bulk_rewrites() {
     barrier.wait();
     for _ in 0..32 {
         assert_eq!(
-            session.sparql(COUNT_QUERY).unwrap(),
+            session.query(COUNT_QUERY).unwrap(),
             count_before,
             "pinned snapshot leaked a concurrent commit"
         );
@@ -207,7 +207,7 @@ fn pinned_reader_holds_repeatable_reads_across_bulk_rewrites() {
     // After every commit has landed: the pinned view is bit-identical to
     // what it was before the first write.
     assert_eq!(session.generation(), pinned_generation);
-    assert_eq!(session.sparql(COUNT_QUERY).unwrap(), count_before);
+    assert_eq!(session.query(COUNT_QUERY).unwrap(), count_before);
     assert_eq!(session.snapshot().to_ntriples(), dump_before, "pinned snapshot mutated");
 
     // Refreshing the same session exposes the rewritten population.
@@ -215,7 +215,7 @@ fn pinned_reader_holds_repeatable_reads_across_bulk_rewrites() {
         rows.rows[0][0].as_ref().unwrap().as_int().expect("count is an int")
     };
     session.refresh();
-    let after = session.sparql(COUNT_QUERY).unwrap();
+    let after = session.query(COUNT_QUERY).unwrap();
     assert_eq!(
         as_int(&after),
         as_int(&count_before) + (ROUNDS * EXTRA_PER_ROUND) as i64,
