@@ -123,7 +123,7 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 
     // Final inference (tape-free forward).
     let ti = Instant::now();
-    let (h, z) = forward_eval(data, &relations, &ps, x, &w1_rel, w1_self, b1, &w2_rel, w2_self, b2);
+    let (h, z) = forward_eval(&relations, &ps, x, &w1_rel, w1_self, b1, &w2_rel, w2_self, b2);
     let infer_ms = ti.elapsed().as_secs_f64() * 1e3 / data.target_nodes.len().max(1) as f64;
 
     let target_logits = z.gather_rows(&data.target_nodes);
@@ -171,7 +171,6 @@ fn rgcn_layer(
 /// Tape-free forward for evaluation.
 #[allow(clippy::too_many_arguments)]
 fn forward_eval(
-    data: &NcDataset,
     relations: &[Relation],
     ps: &ParamStore,
     x: ParamId,
@@ -182,7 +181,6 @@ fn forward_eval(
     w2_self: ParamId,
     b2: ParamId,
 ) -> (Matrix, Matrix) {
-    let n = data.graph.n_nodes();
     let layer = |input: &Matrix, w_rel: &[ParamId], w_self: ParamId, b: ParamId, out_dim: usize| {
         let mut acc = input.matmul(ps.get(w_self));
         debug_assert_eq!(acc.cols(), out_dim);
@@ -199,7 +197,6 @@ fn forward_eval(
         add_bias_inplace(&mut acc, ps.get(b));
         acc
     };
-    let _ = n;
     let mut h = layer(ps.get(x), w1_rel, w1_self, b1, ps.get(w1_self).cols());
     relu_inplace(&mut h);
     let z = layer(&h, w2_rel, w2_self, b2, ps.get(w2_self).cols());

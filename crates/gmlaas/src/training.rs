@@ -43,8 +43,14 @@ pub struct TrainRequest {
 }
 
 impl TrainRequest {
-    /// A request with defaults for everything but the task.
+    /// A request with defaults for everything but the task. The sampler
+    /// scope is the paper's best per task kind (`SamplingScope::default_for`
+    /// in `kgnet-sampler`): `d2h1` for link prediction, `d1h1` otherwise.
     pub fn new(name: impl Into<String>, task: GmlTask) -> Self {
+        let sampler = match task {
+            GmlTask::LinkPrediction(_) => "d2h1",
+            GmlTask::NodeClassification(_) | GmlTask::EntitySimilarity { .. } => "d1h1",
+        };
         TrainRequest {
             name: name.into(),
             task,
@@ -52,7 +58,7 @@ impl TrainRequest {
             cfg: GnnConfig::default(),
             forced_method: None,
             split_strategy: SplitStrategy::Random,
-            sampler: "d1h1".into(),
+            sampler: sampler.into(),
         }
     }
 }

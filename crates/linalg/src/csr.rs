@@ -17,32 +17,57 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Build from COO entries `(row, col, value)`. Duplicate coordinates are
-    /// summed. Entries outside the given shape panic.
-    pub fn from_coo(n_rows: usize, n_cols: usize, mut entries: Vec<(u32, u32, f32)>) -> Self {
-        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-        let mut indptr = vec![0usize; n_rows + 1];
-        let mut indices = Vec::with_capacity(entries.len());
-        let mut values: Vec<f32> = Vec::with_capacity(entries.len());
-        let mut prev: Option<(u32, u32)> = None;
-        for &(r, c, v) in &entries {
+    /// Build from COO entries `(row, col, value)`. Entries outside the given
+    /// shape panic.
+    ///
+    /// Construction is a stable counting sort on rows, O(entries + n_rows),
+    /// followed by a stable sort of each row's columns. Duplicate
+    /// coordinates are summed left to right in input order.
+    pub fn from_coo(n_rows: usize, n_cols: usize, entries: Vec<(u32, u32, f32)>) -> Self {
+        for &(r, c, _) in &entries {
             assert!((r as usize) < n_rows, "row {r} out of bounds ({n_rows})");
             assert!((c as usize) < n_cols, "col {c} out of bounds ({n_cols})");
-            if prev == Some((r, c)) {
-                *values.last_mut().expect("merge target exists") += v;
-            } else {
-                indices.push(c);
-                values.push(v);
-                indptr[r as usize + 1] += 1;
-                prev = Some((r, c));
+        }
+        let mut indptr = offsets(n_rows, entries.iter().map(|&(r, _, _)| r));
+        // Scatter into row buckets; each bucket keeps its entries' input order.
+        let mut next = indptr[..n_rows].to_vec();
+        let mut by_row = vec![(0u32, 0.0f32); entries.len()];
+        for (r, c, v) in entries {
+            let slot = &mut next[r as usize];
+            by_row[*slot] = (c, v);
+            *slot += 1;
+        }
+        let mut indices = Vec::with_capacity(by_row.len());
+        let mut values: Vec<f32> = Vec::with_capacity(by_row.len());
+        for r in 0..n_rows {
+            let row = &mut by_row[indptr[r]..indptr[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            let start = indices.len();
+            indptr[r] = start;
+            for &(c, v) in row.iter() {
+                if indices.len() > start && indices.last() == Some(&c) {
+                    *values.last_mut().expect("merge target exists") += v;
+                } else {
+                    indices.push(c);
+                    values.push(v);
+                }
             }
         }
-        for i in 0..n_rows {
-            indptr[i + 1] += indptr[i];
-        }
-        let nbytes = indptr.capacity() * 8 + indices.capacity() * 4 + values.capacity() * 4;
-        memtrack::charge(nbytes);
-        CsrMatrix { n_rows, n_cols, indptr, indices, values }
+        indptr[n_rows] = indices.len();
+        Self::from_parts(n_rows, n_cols, indptr, indices, values)
+    }
+
+    /// Take ownership of finished CSR arrays and charge them to memtrack.
+    fn from_parts(
+        n_rows: usize,
+        n_cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        let m = CsrMatrix { n_rows, n_cols, indptr, indices, values };
+        memtrack::charge(m.nbytes());
+        m
     }
 
     /// Number of rows.
@@ -109,16 +134,24 @@ impl CsrMatrix {
         out
     }
 
-    /// Transposed copy (used to backpropagate through `spmm`).
+    /// Transposed copy (used to backpropagate through `spmm`), by counting
+    /// sort on columns in O(nnz + n_cols). Source rows are walked in order,
+    /// so every output row lists its columns ascending, as `from_coo` would.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut entries = Vec::with_capacity(self.nnz());
+        let indptr = offsets(self.n_cols, self.indices.iter().copied());
+        let mut next = indptr[..self.n_cols].to_vec();
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
         for r in 0..self.n_rows {
             let (cols, vals) = self.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
-                entries.push((c, r as u32, v));
+                let slot = &mut next[c as usize];
+                indices[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
             }
         }
-        CsrMatrix::from_coo(self.n_cols, self.n_rows, entries)
+        Self::from_parts(self.n_cols, self.n_rows, indptr, indices, values)
     }
 
     /// Dense copy (tests / tiny matrices only).
@@ -202,11 +235,22 @@ impl CsrMatrix {
     }
 }
 
+/// CSR row offsets (`n + 1` entries) from the row of every entry: a count
+/// per row, then a running sum.
+fn offsets(n: usize, rows: impl Iterator<Item = u32>) -> Vec<usize> {
+    let mut indptr = vec![0usize; n + 1];
+    for r in rows {
+        indptr[r as usize + 1] += 1;
+    }
+    for i in 0..n {
+        indptr[i + 1] += indptr[i];
+    }
+    indptr
+}
+
 impl Drop for CsrMatrix {
     fn drop(&mut self) {
-        let nbytes =
-            self.indptr.capacity() * 8 + self.indices.capacity() * 4 + self.values.capacity() * 4;
-        memtrack::discharge(nbytes);
+        memtrack::discharge(self.nbytes());
     }
 }
 
@@ -219,6 +263,90 @@ impl std::fmt::Debug for CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Parts = (Vec<usize>, Vec<u32>, Vec<u32>);
+
+    /// The raw arrays of `m`, values as bits.
+    fn parts(m: &CsrMatrix) -> Parts {
+        (m.indptr.clone(), m.indices.clone(), m.values.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// The comparison-sort construction: a stable sort of all entries by
+    /// (row, col), then duplicates summed left to right.
+    fn sorted_reference(n_rows: usize, mut entries: Vec<(u32, u32, f32)>) -> Parts {
+        entries.sort_by_key(|&(r, c, _)| (r, c));
+        let mut indptr = vec![0usize; n_rows + 1];
+        let (mut indices, mut values) = (Vec::new(), Vec::<f32>::new());
+        let mut prev = None;
+        for (r, c, v) in entries {
+            if prev == Some((r, c)) {
+                *values.last_mut().unwrap() += v;
+            } else {
+                indices.push(c);
+                values.push(v);
+                indptr[r as usize + 1] += 1;
+                prev = Some((r, c));
+            }
+        }
+        for i in 0..n_rows {
+            indptr[i + 1] += indptr[i];
+        }
+        (indptr, indices, values.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Entries folded into an `n_rows x n_cols` shape: few coordinates for
+    /// many entries, so duplicates are common, and some rows stay empty.
+    fn fold(n_rows: usize, n_cols: usize, raw: &[(u32, u32, f32)]) -> Vec<(u32, u32, f32)> {
+        raw.iter().map(|&(r, c, v)| (r % n_rows as u32, c % n_cols as u32, v)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn from_coo_matches_stable_sort_reference(
+            n_rows in 1usize..12,
+            n_cols in 1usize..12,
+            raw in proptest::collection::vec((0u32..16, 0u32..16, -2.0f32..2.0), 0..60),
+        ) {
+            let entries = fold(n_rows, n_cols, &raw);
+            let m = CsrMatrix::from_coo(n_rows, n_cols, entries.clone());
+            prop_assert_eq!(parts(&m), sorted_reference(n_rows, entries));
+        }
+
+        /// `transpose` equals the old COO round trip: entries swapped, then
+        /// rebuilt by a full sort.
+        #[test]
+        fn transpose_matches_coo_round_trip(
+            n_rows in 1usize..12,
+            n_cols in 1usize..12,
+            raw in proptest::collection::vec((0u32..16, 0u32..16, -2.0f32..2.0), 0..60),
+        ) {
+            let m = CsrMatrix::from_coo(n_rows, n_cols, fold(n_rows, n_cols, &raw));
+            let swapped = m.iter_entries().map(|(r, c, v)| (c, r, v)).collect();
+            prop_assert_eq!(parts(&m.transpose()), sorted_reference(n_cols, swapped));
+        }
+    }
+
+    #[test]
+    fn empty_shapes_build_and_transpose() {
+        let m = CsrMatrix::from_coo(0, 3, vec![]);
+        assert_eq!(parts(&m), (vec![0], vec![], vec![]));
+        assert_eq!(parts(&m.transpose()), (vec![0; 4], vec![], vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 out of bounds (2)")]
+    fn from_coo_rejects_row_out_of_bounds() {
+        CsrMatrix::from_coo(2, 2, vec![(0, 0, 1.0), (2, 0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "col 5 out of bounds (3)")]
+    fn from_coo_rejects_col_out_of_bounds() {
+        CsrMatrix::from_coo(2, 3, vec![(1, 5, 1.0)]);
+    }
 
     #[test]
     fn from_coo_sorts_and_sums_duplicates() {

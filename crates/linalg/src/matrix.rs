@@ -4,12 +4,19 @@
 //! charges its backing storage to [`crate::memtrack`] so that experiment
 //! harnesses can report training memory the way the paper does.
 //!
-//! The matmul kernels run data-parallel over row blocks of the output once
-//! the arithmetic volume crosses `PAR_MIN_FLOPS` (tiny shapes stay on the
+//! All three dense products run one row kernel, the ikj loop of
+//! [`Matrix::matmul`]. [`Matrix::matmul_nt`] transposes its right operand
+//! and [`Matrix::matmul_tn`] its left operand first, then call the same
+//! kernel. The inner loop walks an output row, so it vectorises without
+//! reassociating a sum. Each output element still adds its products in
+//! increasing `k` from +0.0, exactly the order of a naive dot product.
+//! The transposes cost O(size) against the O(size · width) product.
+//!
+//! The kernel runs data-parallel over row blocks of the output once the
+//! arithmetic volume crosses `PAR_MIN_FLOPS` (tiny shapes stay on the
 //! sequential path, so they pay no scheduling overhead). Each output row is
-//! produced by exactly one thread with the same per-row accumulation order
-//! as the sequential kernel, so parallel and sequential results — and runs
-//! on pools of any size — are bit-identical.
+//! produced by exactly one thread in that same order, so parallel and
+//! sequential results — and runs on pools of any size — are bit-identical.
 
 use crate::memtrack;
 use rayon::prelude::*;
@@ -174,7 +181,14 @@ impl Matrix {
             .for_each(|(block, chunk)| kernel(block * block_rows, chunk));
     }
 
-    /// ikj kernel for rows `r0..` of `self @ other`, writing into `out_chunk`.
+    /// The row kernel behind every dense product: ikj over rows `r0..` of
+    /// `self @ other`, writing into `out_chunk`. Output element `(i, j)`
+    /// starts at +0.0 and adds `self[i][k] * other[k][j]` for `k` in
+    /// increasing order. The inner loop runs along an output row, so it
+    /// vectorises without reassociating any sum. Terms with
+    /// `self[i][k] == 0.0` are skipped; for finite inputs that is exact,
+    /// because adding ±0.0 never changes an accumulator that starts at +0.0
+    /// (it cannot become −0.0).
     fn matmul_block(&self, other: &Matrix, r0: usize, out_chunk: &mut [f32]) {
         let n = other.cols;
         for (i, out_row) in out_chunk.chunks_mut(n).enumerate() {
@@ -191,7 +205,7 @@ impl Matrix {
         }
     }
 
-    /// `self @ other` (naive ikj kernel, row-block parallel; adequate at
+    /// `self @ other` (ikj row kernel, row-block parallel; adequate at
     /// reproduction scale).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         self.matmul_impl(other, PAR_MIN_FLOPS)
@@ -207,71 +221,28 @@ impl Matrix {
         out
     }
 
-    /// Kernel for output rows `i0..` of `selfᵀ @ other` (output row `i` is
-    /// column `i` of `self`): accumulates over `self.rows` in the same order
-    /// as the sequential loop, restricted to one column block.
-    fn matmul_tn_block(&self, other: &Matrix, i0: usize, out_chunk: &mut [f32]) {
-        let n = other.cols;
-        let i1 = i0 + out_chunk.len() / n;
-        for r in 0..self.rows {
-            let a_row = &self.row(r)[i0..i1];
-            let b_row = other.row(r);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out_chunk[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// `selfᵀ @ other`.
+    /// `selfᵀ @ other`: the row kernel over a transposed copy of `self`.
+    /// Output element `(i, j)` sums `self[k][i] * other[k][j]` in increasing
+    /// `k`, the order of a dot product down column `i`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         self.matmul_tn_impl(other, PAR_MIN_FLOPS)
     }
 
     pub(crate) fn matmul_tn_impl(&self, other: &Matrix, par_min_flops: usize) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let flops = self.rows * self.cols * other.cols;
-        Self::run_row_blocks(&mut out, flops, par_min_flops, |i0, chunk| {
-            self.matmul_tn_block(other, i0, chunk)
-        });
-        out
+        self.transpose().matmul_impl(other, par_min_flops)
     }
 
-    /// Kernel for rows `i0..` of `self @ otherᵀ`: independent dot products.
-    fn matmul_nt_block(&self, other: &Matrix, i0: usize, out_chunk: &mut [f32]) {
-        let m = other.rows;
-        for (i, out_row) in out_chunk.chunks_mut(m).enumerate() {
-            let a_row = self.row(i0 + i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-    }
-
-    /// `self @ otherᵀ`.
+    /// `self @ otherᵀ`: the row kernel against a transposed copy of `other`.
+    /// Output element `(i, j)` sums `self[i][k] * other[j][k]` in increasing
+    /// `k`, the order of the row-by-row dot product.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         self.matmul_nt_impl(other, PAR_MIN_FLOPS)
     }
 
     pub(crate) fn matmul_nt_impl(&self, other: &Matrix, par_min_flops: usize) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let flops = self.rows * self.cols * other.rows;
-        Self::run_row_blocks(&mut out, flops, par_min_flops, |i0, chunk| {
-            self.matmul_nt_block(other, i0, chunk)
-        });
-        out
+        self.matmul_impl(&other.transpose(), par_min_flops)
     }
 
     /// Transposed copy.
@@ -421,6 +392,79 @@ impl<'de> Deserialize<'de> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
+
+    /// Matrix entries for the kernel oracles: exact zeros of both signs
+    /// half the time, otherwise ordinary values or values tiny enough that
+    /// their products underflow to ±0.0.
+    fn zero_heavy() -> impl Strategy<Value = f32> {
+        prop_oneof![Just(0.0f32), Just(-0.0f32), -4.0f32..4.0, -1e-25f32..1e-25]
+    }
+
+    /// A matrix dimension, 1 a quarter of the time (1×n and n×1 shapes).
+    fn dim() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(1usize), 1usize..20, 1usize..20, 1usize..20]
+    }
+
+    /// A `rows x cols` matrix filled by cycling through `vals`.
+    fn cycled(rows: usize, cols: usize, vals: &[f32]) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| vals[(r * cols + c) % vals.len()])
+    }
+
+    /// The naive product in dot order: element `(i, j)` starts at +0.0 and
+    /// adds `a(i, k) * b(k, j)` for every `k` in increasing order, zeros
+    /// included. Returned as bits.
+    fn dot_order(
+        (rows, inner, cols): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) -> Vec<u32> {
+        let mut out = Vec::with_capacity(rows * cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                let mut acc = 0.0f32;
+                for k in 0..inner {
+                    acc += a(i, k) * b(k, j);
+                }
+                out.push(acc.to_bits());
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every dense product, sequential or forced parallel, equals the
+        /// dot-order reference bit for bit.
+        #[test]
+        fn kernels_match_dot_order_reference(
+            rows in dim(),
+            inner in dim(),
+            cols in dim(),
+            a_vals in proptest::collection::vec(zero_heavy(), 1..48),
+            b_vals in proptest::collection::vec(zero_heavy(), 1..48),
+        ) {
+            let shape = (rows, inner, cols);
+            let a = cycled(rows, inner, &a_vals);
+            let b = cycled(inner, cols, &b_vals);
+            let want = dot_order(shape, |i, k| a.get(i, k), |k, j| b.get(k, j));
+            let b_t = cycled(cols, inner, &b_vals);
+            let want_nt = dot_order(shape, |i, k| a.get(i, k), |k, j| b_t.get(j, k));
+            let a_t = cycled(inner, rows, &a_vals);
+            let want_tn = dot_order(shape, |i, k| a_t.get(k, i), |k, j| b.get(k, j));
+            for cutoff in [0, usize::MAX] {
+                prop_assert_eq!(&bits(&a.matmul_impl(&b, cutoff)), &want);
+                prop_assert_eq!(&bits(&a.matmul_nt_impl(&b_t, cutoff)), &want_nt);
+                prop_assert_eq!(&bits(&a_t.matmul_tn_impl(&b, cutoff)), &want_tn);
+            }
+        }
+    }
 
     #[test]
     fn zeros_shape_and_content() {
@@ -435,24 +479,6 @@ mod tests {
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_tn_matches_explicit_transpose() {
-        let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-        let via_tn = a.matmul_tn(&b);
-        let via_t = a.transpose().matmul(&b);
-        assert_eq!(via_tn, via_t);
-    }
-
-    #[test]
-    fn matmul_nt_matches_explicit_transpose() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Matrix::from_vec(4, 3, vec![1.0; 12]);
-        let via_nt = a.matmul_nt(&b);
-        let via_t = a.matmul(&b.transpose());
-        assert_eq!(via_nt, via_t);
     }
 
     #[test]

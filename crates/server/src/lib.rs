@@ -385,7 +385,7 @@ mod tests {
     use super::*;
     use kgnet_datagen::{generate_dblp, DblpConfig};
     use kgnet_gml::config::GnnConfig;
-    use kgnet_graph::{GmlTask, NcTask};
+    use kgnet_graph::{GmlTask, LpTask, NcTask};
     use kgnet_sparqlml::MlOutcome;
 
     fn fast_server(seed: u64) -> KgServer {
@@ -407,6 +407,23 @@ mod tests {
         );
         req.cfg = GnnConfig::fast_test();
         req
+    }
+
+    #[test]
+    fn train_request_defaults_to_the_task_kinds_sampling_scope() {
+        let tasks = [
+            nc_request("nc").task,
+            GmlTask::LinkPrediction(LpTask {
+                source_type: "https://www.dblp.org/Person".into(),
+                edge_predicate: "https://www.dblp.org/affiliatedWith".into(),
+                dest_type: "https://www.dblp.org/Affiliation".into(),
+            }),
+            GmlTask::EntitySimilarity { target_type: "https://www.dblp.org/Person".into() },
+        ];
+        for task in tasks {
+            let req = TrainRequest::new("scoped", task.clone());
+            assert_eq!(req.sampler, SamplingScope::default_for(&task).name(), "{task:?}");
+        }
     }
 
     const PV_QUERY: &str = r#"
