@@ -196,17 +196,27 @@ fn accept_loop(listener: TcpListener, state: Arc<AppState>) {
         state.metrics.http_active_connections.add(1);
         let conn_state = Arc::clone(&state);
         let spawned = thread::Builder::new().name("kgnet-http-conn".to_owned()).spawn(move || {
+            let _slot = ConnSlot(&conn_state);
             handle_connection(stream, &conn_state);
-            conn_state.active.fetch_sub(1, Ordering::SeqCst);
-            conn_state.metrics.http_active_connections.add(-1);
         });
         if spawned.is_err() {
-            state.active.fetch_sub(1, Ordering::SeqCst);
-            state.metrics.http_active_connections.add(-1);
+            drop(ConnSlot(&state));
         }
         if draining {
             break;
         }
+    }
+}
+
+/// One admitted connection's slot. Dropping it releases the slot and the
+/// active-connections gauge, so a handler that panics still frees both
+/// instead of leaving the frontend at its connection limit.
+struct ConnSlot<'a>(&'a AppState);
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::SeqCst);
+        self.0.metrics.http_active_connections.add(-1);
     }
 }
 
@@ -306,4 +316,27 @@ fn reject(state: &AppState, stream: &mut TcpStream, e: ParseError) {
         format!("{}\n", e.message()).as_bytes(),
         true,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kgnet_rdf::RdfStore;
+    use kgnet_server::ServerConfig;
+
+    #[test]
+    fn a_panicking_handler_releases_its_connection_slot() {
+        let server = Arc::new(KgServer::new(RdfStore::new(), ServerConfig::default()));
+        let state = AppState::new(server, HttpConfig::default());
+        // Admit one connection the way the accept loop does.
+        state.active.fetch_add(1, Ordering::SeqCst);
+        state.metrics.http_active_connections.add(1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = ConnSlot(&state);
+            panic!("handler panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(state.active.load(Ordering::SeqCst), 0);
+        assert_eq!(state.metrics.http_active_connections.get(), 0);
+    }
 }

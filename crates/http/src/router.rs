@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kgnet_obs::{push_json_string, Ring};
+use kgnet_obs::{push_json_escaped, push_json_string, Ring};
 use kgnet_server::metrics::ServerMetrics;
 use kgnet_server::{KgServer, SessionPool};
 use kgnet_sparqlml::MlError;
@@ -209,8 +209,14 @@ fn sparql(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
                     if j > 0 {
                         out.push(',');
                     }
+                    // A cell is its term's N-Triples rendering as a JSON
+                    // string, escaped piece by piece into the body.
                     match term {
-                        Some(t) => push_json_string(&mut out, &t.to_string()),
+                        Some(t) => {
+                            out.push('"');
+                            t.render(|piece| push_json_escaped(&mut out, piece));
+                            out.push('"');
+                        }
                         None => out.push_str("null"),
                     }
                 }

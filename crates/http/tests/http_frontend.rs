@@ -17,6 +17,7 @@ use kgnet_gmlaas::TrainRequest;
 use kgnet_graph::{GmlTask, NcTask};
 use kgnet_http::{client, Client, HttpConfig, HttpServer};
 use kgnet_obs::validate_prometheus;
+use kgnet_rdf::{RdfStore, Term};
 use kgnet_server::{JobState, KgServer, QueueConfig, ServerConfig, METRIC_CATALOG};
 use kgnet_sparqlml::ManagerConfig;
 
@@ -259,4 +260,186 @@ fn frontend_serves_queries_probes_and_traces_under_churn() {
     drain.join().expect("shutdown thread");
     assert!(client::get(addr, "/healthz").is_err(), "listener must be gone after shutdown");
     assert_eq!(server.metrics_handle().http_active_connections.get(), 0);
+}
+
+/// The cell formulas `POST /sparql` bodies were first written with, kept
+/// verbatim as the reference the wire format is pinned to: the term's
+/// `to_string()` through a literal escaper that built a new string, then a
+/// char-by-char JSON string escaper.
+mod reference {
+    use kgnet_rdf::{QueryResult, Term};
+
+    fn escape_literal(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
+    pub fn display(t: &Term) -> String {
+        match t {
+            Term::Iri(v) => format!("<{v}>"),
+            Term::Literal { lexical, datatype, lang } => {
+                let mut out = format!("\"{}\"", escape_literal(lexical));
+                if let Some(l) = lang {
+                    out.push_str(&format!("@{l}"));
+                } else if let Some(dt) = datatype {
+                    out.push_str(&format!("^^<{dt}>"));
+                }
+                out
+            }
+            Term::Blank(label) => format!("_:{label}"),
+        }
+    }
+
+    pub fn json_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// A whole `POST /sparql` answer body.
+    pub fn body(result: &QueryResult) -> String {
+        let mut out = String::from("{\"vars\":[");
+        for (i, v) in result.vars.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json_string(&mut out, v);
+        }
+        out.push_str("],\"rows\":[");
+        for (i, row) in result.rows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            for (j, term) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                match term {
+                    Some(t) => json_string(&mut out, &display(t)),
+                    None => out.push_str("null"),
+                }
+            }
+            out.push(']');
+        }
+        out.push_str("]}\n");
+        out
+    }
+}
+
+mod cell_rendering {
+    use kgnet_obs::push_json_escaped;
+    use kgnet_rdf::Term;
+    use proptest::prelude::*;
+
+    use super::reference;
+
+    /// Characters the escapers treat specially or that span several UTF-8
+    /// bytes; every C0 control is drawn besides these.
+    const SPECIAL: [char; 14] =
+        ['"', '\\', 'a', 'Z', '0', ' ', '<', '>', '@', 'é', '日', '😀', '\u{7f}', '\u{2028}'];
+
+    fn arb_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..32 + SPECIAL.len(), 0..10).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|i| if i < 32 { char::from(i as u8) } else { SPECIAL[i - 32] })
+                .collect()
+        })
+    }
+
+    fn arb_term() -> impl Strategy<Value = Term> {
+        prop_oneof![
+            arb_text().prop_map(Term::Iri),
+            arb_text().prop_map(Term::Blank),
+            (arb_text(), proptest::option::of(arb_text()), proptest::option::of(arb_text()))
+                .prop_map(|(lexical, datatype, lang)| Term::Literal { lexical, datatype, lang }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// A cell rendered piece by piece through the escaping sink equals
+        /// the reference formula, and `Display` is unchanged.
+        #[test]
+        fn rendered_cells_equal_the_reference_formula(t in arb_term()) {
+            let mut cell = String::from("\"");
+            t.render(|piece| push_json_escaped(&mut cell, piece));
+            cell.push('"');
+            let mut expected = String::new();
+            reference::json_string(&mut expected, &reference::display(&t));
+            prop_assert_eq!(&cell, &expected, "{:?}", t);
+            prop_assert_eq!(t.to_string(), reference::display(&t));
+        }
+    }
+}
+
+#[test]
+fn sparql_body_is_byte_identical_to_the_reference_formula() {
+    let objects = [
+        Term::str(""),
+        Term::str("a\"b\\c"),
+        Term::str("\u{1}\t\n\r\u{1f}"),
+        Term::str("日本 😀"),
+        Term::Literal { lexical: "chat".into(), datatype: None, lang: Some("fr".into()) },
+        Term::Literal { lexical: "x\"y".into(), datatype: Some("http://x/dt".into()), lang: None },
+        Term::int(7),
+        Term::double(-0.5),
+        Term::iri("http://x/é\"q"),
+        Term::blank("b0"),
+    ];
+    let mut store = RdfStore::new();
+    for (i, o) in objects.iter().enumerate() {
+        store.insert(Term::iri(format!("http://x/s{i}")), Term::iri("http://x/p"), o.clone());
+    }
+    // Only one subject binds ?q: the other rows carry a null cell.
+    store.insert(Term::iri("http://x/s1"), Term::iri("http://x/q"), Term::str("tab\there"));
+    let text = "SELECT ?s ?o ?q WHERE { ?s <http://x/p> ?o OPTIONAL { ?s <http://x/q> ?q } } \
+                ORDER BY ?o";
+    let expected = reference::body(&kgnet_rdf::sparql::query(&store, text).unwrap());
+
+    let server = Arc::new(KgServer::new(store, ServerConfig::default()));
+    let http = HttpServer::start(server, HttpConfig::default()).expect("bind");
+    let r = client::post(http.addr(), "/sparql", text.as_bytes()).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert_eq!(r.text(), expected);
+    // Spot-check the escaping by hand: the N-Triples escapes are escaped
+    // again for JSON, other controls become \u00xx, the rest is verbatim.
+    assert!(expected.starts_with(
+        r#"{"vars":["s","o","q"],"rows":[["<http://x/s7>","\"-0.5\"^^<http://www.w3.org/2001/XMLSchema#double>",null],"#
+    ));
+    for cell in [
+        r#""\"a\\\"b\\\\c\"""#,
+        r#""\"\u0001\\t\\n\\r\u001f\"""#,
+        r#""\"日本 😀\"""#,
+        r#""\"chat\"@fr""#,
+        r#""\"x\\\"y\"^^<http://x/dt>""#,
+        r#""<http://x/é\"q>""#,
+        r#""_:b0""#,
+        r#""\"tab\\there\"""#,
+    ] {
+        assert!(expected.contains(cell), "{cell} missing from {expected}");
+    }
+    http.shutdown();
 }

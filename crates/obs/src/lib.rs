@@ -23,8 +23,9 @@
 //!   access log, each locking through its own contention site and
 //!   counting what it evicts (model-checked).
 //! - **Exporters** — [`Registry::render_prometheus`] (text exposition
-//!   format) and [`Registry::render_json`], plus [`push_json_string`], the
-//!   one JSON string escaper every hand-written body uses.
+//!   format) and [`Registry::render_json`], plus [`push_json_string`] and
+//!   its quote-less half [`push_json_escaped`], the one JSON string
+//!   escaper every hand-written body uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +40,6 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use profile::SpanNode;
 pub use promcheck::validate_prometheus;
-pub use registry::{push_json_string, Registry};
+pub use registry::{push_json_escaped, push_json_string, Registry};
 pub use ring::Ring;
 pub use trace::{SpanGuard, SpanRecord, Tracer};

@@ -194,18 +194,40 @@ impl Registry {
 /// HTTP frontend's endpoints).
 pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_json_escaped(out, s);
     out.push('"');
+}
+
+/// Append `s` to `out` escaped for the inside of a JSON string literal
+/// (no quotes): `"`, `\`, `\n`, `\r` and `\t` get their short escapes,
+/// the other C0 controls `\u00xx`, and every run between them is copied
+/// whole. Escaping works char by char, so escaping a string's pieces in
+/// turn equals escaping their concatenation — a writer can stream a value
+/// in pieces between its own quotes.
+pub fn push_json_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -270,6 +292,39 @@ mod tests {
         let mut out = String::new();
         push_json_string(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    /// The run-based escaper against a char-by-char reference, whole and
+    /// split at every char boundary (pieces escape like their concatenation).
+    #[test]
+    fn escaped_runs_match_char_by_char_escaping_at_every_split() {
+        fn reference(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for s in ["", "plain", "é\"ü\\ß\u{1f}x\u{7f}日本", controls.as_str()] {
+            let mut whole = String::new();
+            push_json_escaped(&mut whole, s);
+            assert_eq!(whole, reference(s), "{s:?}");
+            for (cut, _) in s.char_indices() {
+                let mut pieces = String::new();
+                push_json_escaped(&mut pieces, &s[..cut]);
+                push_json_escaped(&mut pieces, &s[cut..]);
+                assert_eq!(pieces, whole, "{s:?} cut at {cut}");
+            }
+        }
     }
 
     #[test]

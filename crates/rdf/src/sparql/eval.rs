@@ -528,46 +528,131 @@ fn materialise_row(store: &RdfStore, row: &[Option<TermId>]) -> Vec<Option<Term>
 }
 
 /// Sort bindings by ORDER BY keys resolved against variable slots, so keys
-/// that are not projected still order the result.
+/// that are not projected still order the result. One [`OrderKey`] is built
+/// per distinct term in the sort columns; the comparator only compares
+/// borrowed keys.
 fn sort_bindings(
     store: &RdfStore,
-    bindings: &mut [Binding],
+    bindings: &mut Vec<Binding>,
     order_by: &[(String, Order)],
     vars: &VarTable,
 ) {
-    let keys: Vec<(usize, Order)> =
-        order_by.iter().filter_map(|(v, ord)| vars.get(v).map(|s| (s, *ord))).collect();
-    if keys.is_empty() {
+    let (slots, orders): (Vec<usize>, Vec<Order>) =
+        order_by.iter().filter_map(|(v, ord)| vars.get(v).map(|s| (s, *ord))).unzip();
+    if slots.is_empty() {
         return;
     }
-    bindings.sort_by(|a, b| {
-        for &(slot, ord) in &keys {
-            let ta = a[slot].map(|id| store.resolve(id));
-            let tb = b[slot].map(|id| store.resolve(id));
-            let c = cmp_terms(ta, tb);
-            let c = if ord == Order::Desc { c.reverse() } else { c };
-            if c != std::cmp::Ordering::Equal {
+    let mut distinct: FxHashMap<TermId, OrderKey> = FxHashMap::default();
+    for b in bindings.iter() {
+        for id in slots.iter().filter_map(|&s| b[s]) {
+            distinct.entry(id).or_insert_with(|| order_key(Some(store.resolve(id))));
+        }
+    }
+    let keys: Vec<&OrderKey> = bindings
+        .iter()
+        .flat_map(|b| slots.iter().map(|&s| b[s].map_or(&OrderKey::Unbound, |id| &distinct[&id])))
+        .collect();
+    sort_by_order_keys(bindings, &keys, &orders);
+}
+
+/// The ORDER BY key of an optional term. Keys are totally ordered by the
+/// derived [`Ord`]:
+///
+/// - **unbound** sorts first;
+/// - then **numbers** — literals whose lexical form parses as an `f64`
+///   (whatever their datatype) — by value, with −0 equal to +0, `"1"`
+///   equal to `"1.0"`, and NaN after every number (NaNs are equal);
+/// - then **text** — every other term — by its N-Triples rendering
+///   ([`Term::render`]), so IRIs, blanks and non-numeric literals compare
+///   byte-wise as `<iri>`, `_:label` and `"lexical"…`.
+///
+/// Rows with equal keys keep their enumeration order (the sorts are stable).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OrderKey {
+    /// An unbound variable.
+    Unbound,
+    /// A numeric literal's value.
+    Number(OrderedNumber),
+    /// Any other term's N-Triples rendering.
+    Text(String),
+}
+
+/// A numeric ORDER BY value, canonicalised so that the IEEE total order
+/// is the documented one: −0 is stored as +0 and every NaN as the positive
+/// quiet NaN, which sorts after +∞.
+#[derive(Debug, Clone, Copy)]
+pub struct OrderedNumber(f64);
+
+impl OrderedNumber {
+    /// Canonicalise `x` (see the type docs).
+    pub fn new(x: f64) -> Self {
+        // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+        OrderedNumber(if x.is_nan() { f64::NAN } else { x + 0.0 })
+    }
+}
+
+impl PartialEq for OrderedNumber {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for OrderedNumber {}
+
+impl PartialOrd for OrderedNumber {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrderedNumber {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The [`OrderKey`] of an optional term.
+pub fn order_key(t: Option<&Term>) -> OrderKey {
+    match t {
+        None => OrderKey::Unbound,
+        Some(t) => match t.numeric() {
+            Some(x) => OrderKey::Number(OrderedNumber::new(x)),
+            None => OrderKey::Text(t.to_string()),
+        },
+    }
+}
+
+/// The ORDER BY comparison of two optional terms: the order of their
+/// [`OrderKey`]s. Both SELECT paths sort by these keys, so they order rows
+/// identically; this pairwise form is the reference the tests sort by.
+pub fn cmp_terms(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
+    order_key(a).cmp(&order_key(b))
+}
+
+/// Stable sort of `rows` by precomputed ORDER BY keys: `keys` holds
+/// `orders.len()` keys per row, row-major, and `orders[k]` says whether
+/// column `k` sorts descending. The permutation equals that of a stable
+/// `sort_by` comparing the rows' terms with [`cmp_terms`] column by column.
+pub fn sort_by_order_keys<R, K: std::borrow::Borrow<OrderKey>>(
+    rows: &mut Vec<R>,
+    keys: &[K],
+    orders: &[Order],
+) {
+    let width = orders.len();
+    assert_eq!(keys.len(), rows.len() * width, "one key per row and sort column");
+    let mut tagged: Vec<(usize, R)> = rows.drain(..).enumerate().collect();
+    tagged.sort_by(|(a, _), (b, _)| {
+        let (ka, kb) = (&keys[a * width..][..width], &keys[b * width..][..width]);
+        for ((x, y), ord) in ka.iter().zip(kb).zip(orders) {
+            let c = x.borrow().cmp(y.borrow());
+            let c = if *ord == Order::Desc { c.reverse() } else { c };
+            if c.is_ne() {
                 return c;
             }
         }
         std::cmp::Ordering::Equal
     });
-}
-
-/// Total order over optional terms used by ORDER BY: unbound < numeric <
-/// everything else by display string. Shared with the SPARQL-ML layer so
-/// both SELECT paths order rows identically.
-pub fn cmp_terms(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => match (x.numeric(), y.numeric()) {
-            (Some(nx), Some(ny)) => nx.partial_cmp(&ny).unwrap_or(Ordering::Equal),
-            _ => x.to_string().cmp(&y.to_string()),
-        },
-    }
+    rows.extend(tagged.into_iter().map(|(_, row)| row));
 }
 
 pub(crate) fn collect_vars(group: &GroupPattern, vars: &mut VarTable) {
@@ -690,13 +775,15 @@ pub(crate) fn eval_expr(store: &RdfStore, expr: &Expr, b: &Binding, vars: &VarTa
     eval_expr_term(store, expr, b, vars).is_some_and(|v| v.truthy())
 }
 
-enum Value {
-    Term(Term),
+/// A FILTER operand: terms are borrowed from the store's dictionary or the
+/// expression's constants, never cloned.
+enum Value<'a> {
+    Term(&'a Term),
     Bool(bool),
     Unbound,
 }
 
-impl Value {
+impl Value<'_> {
     /// SPARQL effective boolean value (spec §17.2.2): booleans by value,
     /// strings by non-emptiness, numerics by non-zero (and not NaN); IRIs,
     /// blank nodes and unknown datatypes are type errors, treated as false.
@@ -729,16 +816,21 @@ fn effective_boolean_value(t: &Term) -> bool {
     }
 }
 
-fn eval_expr_term(store: &RdfStore, expr: &Expr, b: &Binding, vars: &VarTable) -> Option<Value> {
+fn eval_expr_term<'a>(
+    store: &'a RdfStore,
+    expr: &'a Expr,
+    b: &Binding,
+    vars: &VarTable,
+) -> Option<Value<'a>> {
     match expr {
         Expr::Var(v) => {
             let slot = vars.get(v)?;
             match b.get(slot).copied().flatten() {
-                Some(id) => Some(Value::Term(store.resolve(id).clone())),
+                Some(id) => Some(Value::Term(store.resolve(id))),
                 None => Some(Value::Unbound),
             }
         }
-        Expr::Const(t) => Some(Value::Term(t.clone())),
+        Expr::Const(t) => Some(Value::Term(t)),
         Expr::Bound(v) => {
             let slot = vars.get(v)?;
             Some(Value::Bool(b.get(slot).copied().flatten().is_some()))
@@ -754,7 +846,7 @@ fn eval_expr_term(store: &RdfStore, expr: &Expr, b: &Binding, vars: &VarTable) -
             let v = eval_expr_term(store, e, b, vars)?;
             match v {
                 Value::Term(t) => {
-                    let hay = match &t {
+                    let hay = match t {
                         Term::Iri(i) => i.as_str(),
                         Term::Literal { lexical, .. } => lexical.as_str(),
                         Term::Blank(l) => l.as_str(),
@@ -783,14 +875,14 @@ enum CmpOp {
     Ge,
 }
 
-fn compare(
-    store: &RdfStore,
-    l: &Expr,
-    r: &Expr,
+fn compare<'a>(
+    store: &'a RdfStore,
+    l: &'a Expr,
+    r: &'a Expr,
     b: &Binding,
     vars: &VarTable,
     op: CmpOp,
-) -> Option<Value> {
+) -> Option<Value<'a>> {
     use std::cmp::Ordering;
     let lv = eval_expr_term(store, l, b, vars)?;
     let rv = eval_expr_term(store, r, b, vars)?;
@@ -815,10 +907,10 @@ fn compare(
                 _ => {
                     // Ordering across different term kinds is a type error;
                     // same-kind terms compare textually.
-                    if std::mem::discriminant(&lt) != std::mem::discriminant(&rt) {
+                    if std::mem::discriminant(lt) != std::mem::discriminant(rt) {
                         return Some(Value::Bool(false));
                     }
-                    term_text(&lt).cmp(term_text(&rt))
+                    term_text(lt).cmp(term_text(rt))
                 }
             };
             Some(Value::Bool(match op {
@@ -1346,6 +1438,174 @@ mod tests {
         );
         assert_eq!(r.len(), 2);
         assert!(r.rows.iter().all(|row| row[1].is_some()));
+    }
+
+    #[test]
+    fn order_keys_follow_the_documented_order() {
+        let lang = Term::Literal { lexical: "b".into(), datatype: None, lang: Some("en".into()) };
+        // Ascending, with equal keys in their input order.
+        let expected = [
+            None,
+            Some(Term::str("-inf")),
+            Some(Term::int(-1)),
+            Some(Term::double(-0.0)),
+            Some(Term::int(0)),
+            Some(Term::str("1")),
+            Some(Term::str("1.0")),
+            Some(Term::int(9)),
+            Some(Term::int(10)),
+            Some(Term::str("inf")),
+            Some(Term::str("NaN")),
+            Some(Term::double(f64::NAN)),
+            Some(Term::str("")),
+            Some(Term::str("10x")),
+            Some(Term::str("5x")),
+            Some(lang),
+            // `<http://x/a/b>` < `<http://x/a>`: '/' sorts before '>'.
+            Some(Term::iri("http://x/a/b")),
+            Some(Term::iri("http://x/a")),
+            Some(Term::blank("b0")),
+        ];
+        // A shuffle that keeps each pair of equal keys (-0/0, "1"/"1.0",
+        // the two NaNs) in the expected relative order.
+        let shuffle = [18, 12, 3, 0, 10, 5, 16, 1, 13, 7, 11, 4, 17, 2, 14, 6, 9, 15, 8];
+        let mut rows: Vec<Option<Term>> = shuffle.iter().map(|&i| expected[i].clone()).collect();
+        let keys: Vec<OrderKey> = rows.iter().map(|t| order_key(t.as_ref())).collect();
+        sort_by_order_keys(&mut rows, &keys, &[Order::Asc]);
+        assert_eq!(rows, expected);
+    }
+
+    /// Rust's `sort_by` panics on a comparator that is not a total order;
+    /// a column mixing numbers, text and NaN used to trip it.
+    #[test]
+    fn order_by_over_mixed_numbers_and_text_returns_every_row() {
+        let mut st = RdfStore::new();
+        for i in 0..5_000i64 {
+            let o = match i % 4 {
+                0 => Term::int(i),
+                1 => Term::double(i as f64 / 7.0),
+                2 => Term::str(format!("{i}x")),
+                _ => Term::str("NaN"),
+            };
+            st.insert(Term::iri(format!("http://x/s{i}")), Term::iri("http://x/p"), o);
+        }
+        for dir in ["ASC", "DESC"] {
+            let text = format!("SELECT ?s ?o WHERE {{ ?s <http://x/p> ?o }} ORDER BY {dir}(?o)");
+            let r = query_both(&st, &text);
+            assert_eq!(r.len(), 5_000);
+            for pair in r.rows.windows(2) {
+                let c = cmp_terms(pair[0][1].as_ref(), pair[1][1].as_ref());
+                assert!(if dir == "ASC" { c.is_le() } else { c.is_ge() }, "{pair:?}");
+            }
+        }
+    }
+
+    mod sort_equivalence {
+        use super::*;
+        use crate::term::RDF_TYPE;
+        use proptest::prelude::*;
+
+        /// Sort-key material: unbound is drawn separately; these mix
+        /// numbers (`"1"` vs `"1.0"`, ±0, NaN, ±∞) with IRIs, blanks and
+        /// text, including text that starts with digits.
+        fn pool() -> Vec<Term> {
+            vec![
+                Term::int(1),
+                Term::str("1"),
+                Term::str("1.0"),
+                Term::double(-0.0),
+                Term::int(0),
+                Term::str("NaN"),
+                Term::double(f64::NAN),
+                Term::str("-inf"),
+                Term::int(-7),
+                Term::int(10),
+                Term::int(9),
+                Term::str("5x"),
+                Term::str("abc"),
+                Term::str(""),
+                Term::Literal { lexical: "abc".into(), datatype: None, lang: Some("en".into()) },
+                Term::Literal {
+                    lexical: "abc".into(),
+                    datatype: Some("http://x/dt".into()),
+                    lang: None,
+                },
+                Term::iri("http://x/a"),
+                Term::iri("http://x/a/b"),
+                Term::blank("b1"),
+                Term::blank("b10"),
+            ]
+        }
+
+        fn naive_sort(rows: &mut [Vec<Option<Term>>], cols: &[usize], orders: &[Order]) {
+            rows.sort_by(|a, b| {
+                for (&c, ord) in cols.iter().zip(orders) {
+                    let o = cmp_terms(a[c].as_ref(), b[c].as_ref());
+                    let o = if *ord == Order::Desc { o.reverse() } else { o };
+                    if o.is_ne() {
+                        return o;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Both keyed sorts (the evaluator's one key per distinct term,
+            /// the ML path's one key per cell) give the permutation of a
+            /// naive stable `sort_by(cmp_terms)`.
+            #[test]
+            fn keyed_sorts_match_naive_cmp_terms(
+                cells in proptest::collection::vec(
+                    (proptest::option::of(0..20usize), proptest::option::of(0..20usize)),
+                    0..48,
+                ),
+                first_desc in any::<bool>(),
+                second in proptest::option::of(any::<bool>()),
+            ) {
+                let pool = pool();
+                let mut st = RdfStore::new();
+                for (i, (a, b)) in cells.iter().enumerate() {
+                    let s = Term::iri(format!("http://x/s{i}"));
+                    st.insert(s.clone(), Term::iri(RDF_TYPE), Term::iri("http://x/Row"));
+                    for (col, cell) in [("c0", a), ("c1", b)] {
+                        if let Some(t) = cell {
+                            st.insert(s.clone(), Term::iri(format!("http://x/{col}")), pool[*t].clone());
+                        }
+                    }
+                }
+                let dir = |desc: bool| if desc { Order::Desc } else { Order::Asc };
+                let (mut cols, mut orders) = (vec![1], vec![dir(first_desc)]);
+                if let Some(desc) = second {
+                    cols.push(2);
+                    orders.push(dir(desc));
+                }
+                let base = "SELECT ?s ?c0 ?c1 WHERE { ?s a <http://x/Row> \
+                    OPTIONAL { ?s <http://x/c0> ?c0 } OPTIONAL { ?s <http://x/c1> ?c1 } }";
+                let unsorted = query_both(&st, base);
+                prop_assert_eq!(unsorted.len(), cells.len());
+                let mut naive = unsorted.rows.clone();
+                naive_sort(&mut naive, &cols, &orders);
+
+                let order_by: Vec<String> = cols
+                    .iter()
+                    .zip(&orders)
+                    .map(|(c, o)| format!("{}(?c{})", if *o == Order::Desc { "DESC" } else { "ASC" }, c - 1))
+                    .collect();
+                let sorted = query_both(&st, &format!("{base} ORDER BY {}", order_by.join(" ")));
+                prop_assert_eq!(&sorted.rows, &naive);
+
+                let mut per_cell = unsorted.rows.clone();
+                let keys: Vec<OrderKey> = per_cell
+                    .iter()
+                    .flat_map(|row| cols.iter().map(|&c| order_key(row[c].as_ref())))
+                    .collect();
+                sort_by_order_keys(&mut per_cell, &keys, &orders);
+                prop_assert_eq!(&per_cell, &naive);
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@ pub use ast::{
     TermPattern, TriplePattern, Update,
 };
 pub use eval::{
-    evaluate_prepared, evaluate_prepared_profiled, evaluate_select, evaluate_select_materialised,
-    execute, execute_update, prepare_select, query, query_with_stats, ExecOutcome, OpProfile,
-    OpTiming, PreparedQuery, QueryResult, UpdateStats,
+    cmp_terms, evaluate_prepared, evaluate_prepared_profiled, evaluate_select,
+    evaluate_select_materialised, execute, execute_update, order_key, prepare_select, query,
+    query_with_stats, sort_by_order_keys, ExecOutcome, OpProfile, OpTiming, OrderKey,
+    PreparedQuery, QueryResult, UpdateStats,
 };
 pub use parser::{parse, parse_select, Parser};
 pub use plan::{GroupPlan, PatternStep, Slot, SubPlan};

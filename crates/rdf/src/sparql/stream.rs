@@ -249,21 +249,28 @@ fn probe(slot: Slot, b: &Binding) -> Option<crate::dict::TermId> {
     }
 }
 
-/// Extend `base` with one matched triple, rejecting inconsistent repeats of
-/// the same variable within the pattern.
+/// Extend `base` with one matched triple, rejecting a triple that disagrees
+/// with `base` or repeats one variable with different values — before the
+/// binding is cloned.
 pub(crate) fn bind_match(
     base: &Binding,
     step: &PatternStep,
     (s, p, o): (crate::dict::TermId, crate::dict::TermId, crate::dict::TermId),
 ) -> Option<Binding> {
-    let mut nb = base.clone();
-    for (slot, value) in [(step.s, s), (step.p, p), (step.o, o)] {
+    let matched = [(step.s, s), (step.p, p), (step.o, o)];
+    for (i, &(slot, value)) in matched.iter().enumerate() {
         if let Slot::Var(v) = slot {
-            match nb[v] {
-                None => nb[v] = Some(value),
-                Some(existing) if existing == value => {}
-                Some(_) => return None,
+            if base[v].is_some_and(|bound| bound != value)
+                || matched[..i].iter().any(|&(other, seen)| other == slot && seen != value)
+            {
+                return None;
             }
+        }
+    }
+    let mut nb = base.clone();
+    for (slot, value) in matched {
+        if let Slot::Var(v) = slot {
+            nb[v] = Some(value);
         }
     }
     Some(nb)

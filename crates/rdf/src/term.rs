@@ -117,24 +117,66 @@ impl Term {
             _ => None,
         }
     }
+
+    /// The N-Triples rendering, emitted as `&str` pieces to `push`: `<`,
+    /// the IRI and `>`; a literal's quotes around its escaped runs (`"`,
+    /// `\`, newline, carriage return and tab are backslash-escaped), then
+    /// its `@lang` or `^^<datatype>` suffix; `_:` and a blank label. The
+    /// one rendering of terms: [`Display`](fmt::Display) writes these
+    /// pieces to a formatter, and a JSON writer can escape them straight
+    /// into its buffer without building the term's string.
+    pub fn render(&self, mut push: impl FnMut(&str)) {
+        match self {
+            Term::Iri(v) => {
+                push("<");
+                push(v);
+                push(">");
+            }
+            Term::Literal { lexical, datatype, lang } => {
+                push("\"");
+                let mut run = 0;
+                for (i, b) in lexical.bytes().enumerate() {
+                    let escaped = match b {
+                        b'"' => "\\\"",
+                        b'\\' => "\\\\",
+                        b'\n' => "\\n",
+                        b'\r' => "\\r",
+                        b'\t' => "\\t",
+                        _ => continue,
+                    };
+                    push(&lexical[run..i]);
+                    push(escaped);
+                    run = i + 1;
+                }
+                push(&lexical[run..]);
+                push("\"");
+                if let Some(l) = lang {
+                    push("@");
+                    push(l);
+                } else if let Some(dt) = datatype {
+                    push("^^<");
+                    push(dt);
+                    push(">");
+                }
+            }
+            Term::Blank(label) => {
+                push("_:");
+                push(label);
+            }
+        }
+    }
 }
 
 impl fmt::Display for Term {
-    /// N-Triples-style rendering.
+    /// N-Triples rendering (see [`Term::render`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Term::Iri(v) => write!(f, "<{v}>"),
-            Term::Literal { lexical, datatype, lang } => {
-                write!(f, "\"{}\"", escape_literal(lexical))?;
-                if let Some(l) = lang {
-                    write!(f, "@{l}")?;
-                } else if let Some(dt) = datatype {
-                    write!(f, "^^<{dt}>")?;
-                }
-                Ok(())
+        let mut result = Ok(());
+        self.render(|piece| {
+            if result.is_ok() {
+                result = f.write_str(piece);
             }
-            Term::Blank(label) => write!(f, "_:{label}"),
-        }
+        });
+        result
     }
 }
 
@@ -144,23 +186,8 @@ impl fmt::Debug for Term {
     }
 }
 
-/// Escape `"` and `\` and control characters for N-Triples output.
-pub fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Undo [`escape_literal`].
+/// Undo the literal escaping of [`Term::render`] (the N-Triples parser's
+/// half of the round trip).
 pub fn unescape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -203,8 +230,10 @@ mod tests {
 
     #[test]
     fn escape_roundtrip() {
-        let nasty = "line1\nline2\t\"quoted\" \\slash";
-        assert_eq!(unescape_literal(&escape_literal(nasty)), nasty);
+        let nasty = "line1\nline2\t\"quoted\" \\slash\r";
+        let rendered = Term::str(nasty).to_string();
+        assert_eq!(rendered, "\"line1\\nline2\\t\\\"quoted\\\" \\\\slash\\r\"");
+        assert_eq!(unescape_literal(&rendered[1..rendered.len() - 1]), nasty);
     }
 
     #[test]

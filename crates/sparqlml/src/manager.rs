@@ -19,7 +19,7 @@ use kgnet_gmlaas::{
     TaskKind, TrainError, TrainRequest, TrainingManager,
 };
 use kgnet_rdf::sparql::eval::{
-    cmp_terms, evaluate_select, execute_update, QueryResult, UpdateStats,
+    evaluate_select, execute_update, order_key, sort_by_order_keys, QueryResult, UpdateStats,
 };
 use kgnet_rdf::sparql::{Order, Projection, ProjectionItem, TermPattern};
 use kgnet_rdf::{RdfStore, SparqlError, Term};
@@ -410,20 +410,16 @@ impl QueryManager {
 
         // Re-apply the original solution modifiers and projection, in SPARQL
         // order. ORDER BY sorts the full-width rows, so a key need not be
-        // projected, and compares with the plain evaluator's `cmp_terms`.
-        let keys: Vec<(usize, Order)> =
-            q.base.order_by.iter().filter_map(|(v, o)| result.column(v).map(|c| (c, *o))).collect();
-        if !keys.is_empty() {
-            result.rows.sort_by(|a, b| {
-                for &(c, ord) in &keys {
-                    let c = cmp_terms(a[c].as_ref(), b[c].as_ref());
-                    let c = if ord == Order::Desc { c.reverse() } else { c };
-                    if c != std::cmp::Ordering::Equal {
-                        return c;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+        // projected, by the plain evaluator's `OrderKey`s, one per cell.
+        let (cols, orders): (Vec<usize>, Vec<Order>) =
+            q.base.order_by.iter().filter_map(|(v, o)| result.column(v).map(|c| (c, *o))).unzip();
+        if !cols.is_empty() {
+            let keys: Vec<_> = result
+                .rows
+                .iter()
+                .flat_map(|row| cols.iter().map(|&c| order_key(row[c].as_ref())))
+                .collect();
+            sort_by_order_keys(&mut result.rows, &keys, &orders);
         }
         // Cells are moved out of the base rows; only a column projected more
         // than once is cloned, for every use but its last.
