@@ -50,7 +50,7 @@ pub struct AccessRecord {
     pub bytes_in: u64,
     /// Response bytes written (head + body).
     pub bytes_out: u64,
-    /// First parsed byte to response flush, in nanoseconds.
+    /// From a fully parsed request to its response written, in nanoseconds.
     pub latency_nanos: u64,
 }
 

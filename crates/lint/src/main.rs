@@ -31,6 +31,13 @@
 //!   in-process by design, and a stray socket would bypass the frontend's
 //!   connection limits, access log and metrics.
 //!
+//! - **metric-once** — every metric is declared in one place. A string
+//!   literal in non-test code under `crates/` that is a whole Prometheus
+//!   metric name starting with `kgnet_` may occur only once in the
+//!   workspace, so a second hand-kept catalog cannot grow back.
+//!   `format!` patterns (`"kgnet_lock_site_{base}_acquires"`) are not
+//!   names and are not checked.
+//!
 //! A deliberate exception is waived in place with `// lint:allow(<rule>)`
 //! on the offending line or the line above. Run as
 //! `cargo run -p kgnet-lint -- --deny` (CI does) to exit non-zero on any
@@ -845,21 +852,82 @@ fn rule_obs_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: metric-once (workspace-wide)
+// ---------------------------------------------------------------------------
+
+/// The value of a plain or raw string literal token when it is a whole
+/// Prometheus metric name in the `kgnet_` namespace.
+fn metric_name_literal(tok: &Tok) -> Option<&str> {
+    if tok.kind != TokKind::Str {
+        return None;
+    }
+    let body = tok.text.strip_prefix('r').unwrap_or(&tok.text).trim_matches('#');
+    let name = body.strip_prefix('"')?.strip_suffix('"')?;
+    let rest = name.strip_prefix("kgnet_")?;
+    let is_name =
+        !rest.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':');
+    is_name.then_some(name)
+}
+
+/// Flags every occurrence of a metric-name literal after its first, across
+/// all non-test sources under `crates/`.
+fn rule_metric_once(files: &[SourceFile], out: &mut Vec<Finding>) {
+    let mut first: std::collections::HashMap<&str, (&Path, usize)> = Default::default();
+    for file in files {
+        if !path_has_component(&file.path, "crates") || is_test_path(&file.path) {
+            continue;
+        }
+        for tok in &file.toks {
+            let Some(name) = metric_name_literal(tok) else { continue };
+            if file.in_test_code(tok.line) {
+                continue;
+            }
+            match first.get(name) {
+                None => {
+                    first.insert(name, (&file.path, tok.line));
+                }
+                Some(&(path, line)) => out.push(Finding {
+                    path: file.path.clone(),
+                    line: tok.line,
+                    rule: "metric-once",
+                    message: format!(
+                        "metric `{name}` is already named at {}:{line}: declare each metric \
+                         once and read its handle, not its name",
+                        path.display()
+                    ),
+                }),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
-fn lint_source(path: PathBuf, src: &str) -> Vec<Finding> {
-    let file = SourceFile::parse(path, src);
+/// Run every rule over `sources`: the per-file rules on each file, then the
+/// workspace-wide ones across all of them.
+fn lint_sources(sources: Vec<(PathBuf, String)>) -> Vec<Finding> {
+    let files: Vec<SourceFile> =
+        sources.into_iter().map(|(path, src)| SourceFile::parse(path, &src)).collect();
+    let mut findings = Vec::new();
+    for file in &files {
+        let mut raw = Vec::new();
+        rule_sync_imports(file, &mut raw);
+        rule_safety_comment(file, &mut raw);
+        rule_lock_order(file, &mut raw);
+        rule_unwrap_on_sync(file, &mut raw);
+        rule_forbid_unsafe(file, &mut raw);
+        rule_net_boundary(file, &mut raw);
+        rule_obs_hot_path(file, &mut raw);
+        raw.retain(|f| !file.waived(f.line, f.rule));
+        findings.extend(raw);
+    }
     let mut raw = Vec::new();
-    rule_sync_imports(&file, &mut raw);
-    rule_safety_comment(&file, &mut raw);
-    rule_lock_order(&file, &mut raw);
-    rule_unwrap_on_sync(&file, &mut raw);
-    rule_forbid_unsafe(&file, &mut raw);
-    rule_net_boundary(&file, &mut raw);
-    rule_obs_hot_path(&file, &mut raw);
-    raw.retain(|f| !file.waived(f.line, f.rule));
-    raw
+    rule_metric_once(&files, &mut raw);
+    raw.retain(|f| !files.iter().any(|file| file.path == f.path && file.waived(f.line, f.rule)));
+    findings.extend(raw);
+    findings
 }
 
 fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) {
@@ -901,13 +969,12 @@ fn main() -> ExitCode {
 
     let mut files = Vec::new();
     collect_rs_files(&root, &mut files);
-    let mut findings = Vec::new();
-    let mut scanned = 0usize;
-    for path in files {
-        let Ok(src) = std::fs::read_to_string(&path) else { continue };
-        scanned += 1;
-        findings.extend(lint_source(path, &src));
-    }
+    let sources: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .filter_map(|path| std::fs::read_to_string(&path).ok().map(|src| (path, src)))
+        .collect();
+    let scanned = sources.len();
+    let mut findings = lint_sources(sources);
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
 
     for f in &findings {
@@ -935,7 +1002,7 @@ mod tests {
     use super::*;
 
     fn findings_for(path: &str, src: &str) -> Vec<Finding> {
-        lint_source(PathBuf::from(path), src)
+        lint_sources(vec![(PathBuf::from(path), src.to_owned())])
     }
 
     fn rules(found: &[Finding]) -> Vec<&'static str> {
@@ -1162,5 +1229,43 @@ mod tests {
         let in_tests =
             "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() -> Vec<u64> { vec![] }\n}\n";
         assert!(findings_for("crates/sync/src/profile.rs", in_tests).is_empty());
+    }
+
+    #[test]
+    fn metric_once_flags_a_second_literal_of_a_metric_name() {
+        let twice = "const A: &str = \"kgnet_x_total\";\nfn f(r: &R) { r.counter(\"kgnet_x_total\", \"x\"); }\n";
+        let found = findings_for("crates/server/src/metrics.rs", twice);
+        assert_eq!(rules(&found), vec!["metric-once"]);
+        assert_eq!(found[0].line, 2);
+        assert!(found[0].message.contains("crates/server/src/metrics.rs:1"));
+        // Across files, the later occurrence is flagged; raw strings count.
+        let found = lint_sources(vec![
+            (PathBuf::from("crates/server/src/a.rs"), "const A: &str = \"kgnet_y\";\n".to_owned()),
+            (PathBuf::from("crates/http/src/b.rs"), "const B: &str = r#\"kgnet_y\"#;\n".to_owned()),
+        ]);
+        assert_eq!(rules(&found), vec!["metric-once"]);
+        assert_eq!(found[0].path, PathBuf::from("crates/http/src/b.rs"));
+        // One occurrence, other namespaces and non-crate paths are fine.
+        assert!(findings_for("crates/server/src/x.rs", "const A: &str = \"kgnet_x\";\n").is_empty());
+        let other = "const A: &str = \"http_total\";\nconst B: &str = \"http_total\";\n";
+        assert!(findings_for("crates/server/src/x.rs", other).is_empty());
+        assert!(findings_for("kgnet_bench/src/x.rs", twice).is_empty());
+    }
+
+    #[test]
+    fn metric_once_ignores_test_regions() {
+        let in_mod = "const A: &str = \"kgnet_x_total\";\n#[cfg(test)]\nmod tests {\n    \
+                      const B: &str = \"kgnet_x_total\";\n}\n";
+        assert!(findings_for("crates/server/src/metrics.rs", in_mod).is_empty());
+        let twice = "const A: &str = \"kgnet_x_total\";\nconst B: &str = \"kgnet_x_total\";\n";
+        assert!(findings_for("crates/server/tests/observability.rs", twice).is_empty());
+    }
+
+    #[test]
+    fn metric_once_skips_format_patterns() {
+        let pattern =
+            "fn f(b: &str) {\n    let a = format!(\"kgnet_lock_site_{b}_acquires\");\n    \
+                       let c = format!(\"kgnet_lock_site_{b}_acquires\");\n}\n";
+        assert!(findings_for("crates/server/src/metrics.rs", pattern).is_empty());
     }
 }

@@ -9,11 +9,10 @@
 //! Four pieces:
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) collected in a
-//!   [`Registry`] — global ([`Registry::global`]) or injected per
-//!   component. Recording is lock-free (relaxed `kgnet-sync` atomics);
-//!   histograms are log-bucketed (≤6.25% relative quantile error),
-//!   mergeable, and snapshot with coherent totals under concurrent
-//!   writers (model-checked).
+//!   [`Registry`] injected per component. Recording is lock-free
+//!   (relaxed `kgnet-sync` atomics); histograms are log-bucketed
+//!   (≤6.25% relative quantile error), mergeable, and snapshot with
+//!   coherent totals under concurrent writers (model-checked).
 //! - **Tracing** ([`Tracer`], [`SpanGuard`]) — RAII spans with monotonic
 //!   ids and per-thread parent linkage, completing into a bounded ring
 //!   buffer drained by subscribers; [`SpanNode::assemble`] rebuilds span

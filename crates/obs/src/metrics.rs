@@ -24,8 +24,6 @@
 //! `crates/obs/tests/model_check.rs` explores this protocol's
 //! interleavings exhaustively.
 
-use std::time::Duration;
-
 use kgnet_sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotonically increasing counter.
@@ -161,11 +159,6 @@ impl Histogram {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Release);
         self.inflight.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Record a duration as nanoseconds.
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of recorded samples (racy point read).

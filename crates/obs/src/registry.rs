@@ -47,12 +47,6 @@ impl Registry {
         Registry::default()
     }
 
-    /// The process-global registry, for code without an injected one.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
-    }
-
     /// Get or register the counter `name`.
     ///
     /// # Panics
@@ -325,13 +319,5 @@ mod tests {
                 assert_eq!(pieces, whole, "{s:?} cut at {cut}");
             }
         }
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = Registry::global().counter("kgnet_obs_test_global_total", "test");
-        a.inc();
-        let b = Registry::global().counter("kgnet_obs_test_global_total", "test");
-        assert!(b.get() >= 1);
     }
 }

@@ -16,8 +16,7 @@ use crate::error::SparqlError;
 use crate::sparql::ast::*;
 use crate::sparql::plan::plan_group;
 use crate::sparql::stream::{
-    build_group_stream, build_group_stream_profiled, exec_group_materialised, BindingStream,
-    ExecCounters, ExecCtx, ExecStats,
+    build_group_stream, exec_group_materialised, ExecCounters, ExecCtx, ExecStats, OpTap,
 };
 use crate::store::RdfStore;
 use crate::term::{xsd, Term};
@@ -209,7 +208,7 @@ fn evaluate_streaming(
     q: &SelectQuery,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
     let (vars, plan) = prepare(store, q)?;
-    evaluate_with_plan(store, q, &vars, &plan)
+    evaluate_with_plan(store, q, &vars, &plan, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +236,19 @@ impl PreparedQuery {
     /// The store generation this plan was compiled against.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Refuse to run against a store that has moved past this plan's
+    /// generation (its ids, sub-selects and join order would be unsound).
+    fn check_fresh(&self, store: &RdfStore) -> Result<(), SparqlError> {
+        if store.generation() == self.generation {
+            return Ok(());
+        }
+        Err(SparqlError::eval(format!(
+            "stale prepared query: planned at generation {}, store is at {}",
+            self.generation,
+            store.generation()
+        )))
     }
 
     /// The parsed query the plan executes.
@@ -300,14 +312,8 @@ pub fn evaluate_prepared(
     store: &RdfStore,
     prepared: &PreparedQuery,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
-    if store.generation() != prepared.generation {
-        return Err(SparqlError::eval(format!(
-            "stale prepared query: planned at generation {}, store is at {}",
-            prepared.generation,
-            store.generation()
-        )));
-    }
-    evaluate_with_plan(store, &prepared.query, &prepared.vars, &prepared.plan)
+    prepared.check_fresh(store)?;
+    evaluate_with_plan(store, &prepared.query, &prepared.vars, &prepared.plan, None)
 }
 
 /// One operator's share of a profiled execution.
@@ -341,19 +347,16 @@ pub fn evaluate_prepared_profiled(
     store: &RdfStore,
     prepared: &PreparedQuery,
 ) -> Result<(QueryResult, ExecStats, OpProfile), SparqlError> {
-    if store.generation() != prepared.generation {
-        return Err(SparqlError::eval(format!(
-            "stale prepared query: planned at generation {}, store is at {}",
-            prepared.generation,
-            store.generation()
-        )));
-    }
-    let vars = &prepared.vars;
-    let counters = ExecCounters::default();
-    let ctx = ExecCtx { store, vars, counters: &counters };
+    prepared.check_fresh(store)?;
+    let mut taps = Vec::new();
     let t0 = std::time::Instant::now();
-    let (stream, taps) = build_group_stream_profiled(ctx, &prepared.plan, vec![None; vars.len()]);
-    let (result, stats) = consume_stream(store, &prepared.query, vars, stream, &counters)?;
+    let (result, stats) = evaluate_with_plan(
+        store,
+        &prepared.query,
+        &prepared.vars,
+        &prepared.plan,
+        Some(&mut taps),
+    )?;
     let total_nanos = t0.elapsed().as_nanos() as u64;
 
     // Taps record inclusive time and nest strictly (each wraps the one
@@ -378,28 +381,19 @@ pub fn evaluate_prepared_profiled(
     Ok((result, stats, OpProfile { total_nanos, ops }))
 }
 
-/// Run the streaming pipeline for an already-planned query.
+/// Run the streaming pipeline for an already-planned query, tapping every
+/// top-level operator into `taps` when profiling, and drain it through the
+/// projection/aggregation/modifier stage.
 fn evaluate_with_plan(
     store: &RdfStore,
     q: &SelectQuery,
     vars: &VarTable,
     plan: &crate::sparql::plan::GroupPlan,
+    taps: Option<&mut Vec<OpTap>>,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
     let counters = ExecCounters::default();
     let ctx = ExecCtx { store, vars, counters: &counters };
-    let stream = build_group_stream(ctx, plan, vec![None; vars.len()]);
-    consume_stream(store, q, vars, stream, &counters)
-}
-
-/// Drain `stream` through the projection/aggregation/modifier stage shared
-/// by the plain and profiled executions.
-fn consume_stream<'a>(
-    store: &RdfStore,
-    q: &SelectQuery,
-    vars: &VarTable,
-    mut stream: Box<dyn BindingStream + 'a>,
-    counters: &ExecCounters,
-) -> Result<(QueryResult, ExecStats), SparqlError> {
+    let mut stream = build_group_stream(ctx, plan, vec![None; vars.len()], taps);
     let out_vars = q.output_vars();
     let mut emitted = 0u64;
 

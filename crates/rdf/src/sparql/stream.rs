@@ -57,11 +57,18 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Build the streaming pipeline for `plan`, starting from `seed`.
+/// Build the streaming pipeline for `plan`, starting from `seed`. With
+/// `taps`, a [`TimedStep`] sits behind every top-level operator and its
+/// [`OpTap`] is appended there; without, the operators are chained bare
+/// and no label is built. Inner pipelines (the per-binding OPTIONAL
+/// streams) are never tapped individually — their cost lands in the
+/// optional operator's inclusive time, keeping tap accounting strictly
+/// nested.
 pub(crate) fn build_group_stream<'a>(
     ctx: ExecCtx<'a>,
     plan: &'a GroupPlan,
     seed: Binding,
+    mut taps: Option<&mut Vec<OpTap>>,
 ) -> Box<dyn BindingStream + 'a> {
     if plan.impossible {
         return Box::new(Seed { binding: None });
@@ -69,24 +76,29 @@ pub(crate) fn build_group_stream<'a>(
     let mut stream: Box<dyn BindingStream + 'a> = Box::new(Seed { binding: Some(seed) });
     if !plan.eager_filters.is_empty() {
         stream = Box::new(FilterStep { ctx, exprs: &plan.eager_filters, input: stream });
+        stream = tap(stream, taps.as_deref_mut(), || "filter(eager)".to_owned());
     }
     for step in &plan.steps {
         stream = Box::new(ScanStep { ctx, step, input: stream, cur: None });
+        stream = tap(stream, taps.as_deref_mut(), || scan_label(ctx, step));
     }
     for sub in &plan.subselects {
         stream = Box::new(SubJoin { sub, input: stream, cur: None });
+        stream = tap(stream, taps.as_deref_mut(), || "subselect join".to_owned());
     }
     for opt in &plan.optionals {
         stream = Box::new(OptionalStep { ctx, plan: opt, input: stream, cur: None });
+        stream = tap(stream, taps.as_deref_mut(), || "optional".to_owned());
     }
     if !plan.late_filters.is_empty() {
         stream = Box::new(FilterStep { ctx, exprs: &plan.late_filters, input: stream });
+        stream = tap(stream, taps, || "filter(late)".to_owned());
     }
     stream
 }
 
-/// A tap on one pipeline operator left behind by
-/// [`build_group_stream_profiled`]: the *inclusive* time spent inside the
+/// A tap on one pipeline operator left behind by a profiled
+/// [`build_group_stream`]: the *inclusive* time spent inside the
 /// operator's `next_binding` (its own work plus everything upstream of
 /// it), and the bindings it emitted. Taps are listed in pipeline order, so
 /// subtracting consecutive inclusive times yields per-operator self times.
@@ -116,52 +128,18 @@ impl BindingStream for TimedStep<'_> {
     }
 }
 
+/// Wrap `inner` in a [`TimedStep`] and record its tap when profiling;
+/// return it untouched otherwise.
 fn tap<'a>(
     inner: Box<dyn BindingStream + 'a>,
-    label: String,
-    taps: &mut Vec<OpTap>,
+    taps: Option<&mut Vec<OpTap>>,
+    label: impl FnOnce() -> String,
 ) -> Box<dyn BindingStream + 'a> {
+    let Some(taps) = taps else { return inner };
     let nanos = Rc::new(Cell::new(0));
     let rows = Rc::new(Cell::new(0));
-    taps.push(OpTap { label, nanos: nanos.clone(), rows: rows.clone() });
+    taps.push(OpTap { label: label(), nanos: nanos.clone(), rows: rows.clone() });
     Box::new(TimedStep { inner, nanos, rows })
-}
-
-/// Like [`build_group_stream`], but with a [`TimedStep`] tap behind every
-/// top-level operator. Inner pipelines (the per-binding OPTIONAL streams)
-/// are not tapped individually — their cost lands in the optional
-/// operator's inclusive time, keeping tap accounting strictly nested.
-pub(crate) fn build_group_stream_profiled<'a>(
-    ctx: ExecCtx<'a>,
-    plan: &'a GroupPlan,
-    seed: Binding,
-) -> (Box<dyn BindingStream + 'a>, Vec<OpTap>) {
-    let mut taps = Vec::new();
-    if plan.impossible {
-        return (Box::new(Seed { binding: None }), taps);
-    }
-    let mut stream: Box<dyn BindingStream + 'a> = Box::new(Seed { binding: Some(seed) });
-    if !plan.eager_filters.is_empty() {
-        stream = Box::new(FilterStep { ctx, exprs: &plan.eager_filters, input: stream });
-        stream = tap(stream, "filter(eager)".to_owned(), &mut taps);
-    }
-    for step in &plan.steps {
-        stream = Box::new(ScanStep { ctx, step, input: stream, cur: None });
-        stream = tap(stream, scan_label(ctx, step), &mut taps);
-    }
-    for sub in &plan.subselects {
-        stream = Box::new(SubJoin { sub, input: stream, cur: None });
-        stream = tap(stream, "subselect join".to_owned(), &mut taps);
-    }
-    for opt in &plan.optionals {
-        stream = Box::new(OptionalStep { ctx, plan: opt, input: stream, cur: None });
-        stream = tap(stream, "optional".to_owned(), &mut taps);
-    }
-    if !plan.late_filters.is_empty() {
-        stream = Box::new(FilterStep { ctx, exprs: &plan.late_filters, input: stream });
-        stream = tap(stream, "filter(late)".to_owned(), &mut taps);
-    }
-    (stream, taps)
 }
 
 /// Render one scan step as `scan <s> <p> <o>` with constants resolved
@@ -347,7 +325,7 @@ impl BindingStream for OptionalStep<'_> {
                 }
             }
             let b = self.input.next_binding()?;
-            let inner = build_group_stream(self.ctx, self.plan, b.clone());
+            let inner = build_group_stream(self.ctx, self.plan, b.clone(), None);
             self.cur = Some((b, inner, false));
         }
     }

@@ -309,20 +309,11 @@ pub struct Readiness {
     pub ready: bool,
 }
 
-/// The production job runner: pin a snapshot (zero lock hold), sample the
-/// task subgraph from it, train on the private subgraph inside the
-/// worker's dedicated pool with the job's cancellation flag threaded into
-/// the trainer's epoch loop, then commit as the single final step —
-/// registry insert and KGMeta registration land together under the
-/// manager write lock, with the artifact stamped by the snapshot
-/// generation it was trained against. Cancellation is observed between
-/// epochs (a raised flag ends the run within one epoch) and re-checked
-/// before the commit; until the commit the artifact exists only on the
-/// worker's stack, so a cancelled or failed job leaves both the model
-/// store and KGMeta exactly as they were.
 /// Feeds per-epoch wall times into `kgnet_train_epoch_nanos`: each
 /// [`epoch_completed`](EpochObserver::epoch_completed) records the time
 /// since the previous one (or since training start for the first epoch).
+/// Only queued jobs carry one; a `TrainGML` run through
+/// `WriteSession::execute` records no epochs.
 struct EpochTimer {
     epochs: Arc<Histogram>,
     last: kgnet_sync::Mutex<Instant>,
@@ -343,6 +334,17 @@ impl EpochObserver for EpochTimer {
     }
 }
 
+/// The production job runner: pin a snapshot (zero lock hold), sample the
+/// task subgraph from it, train on the private subgraph inside the
+/// worker's dedicated pool with the job's cancellation flag threaded into
+/// the trainer's epoch loop, then commit as the single final step —
+/// registry insert and KGMeta registration land together under the
+/// manager write lock, with the artifact stamped by the snapshot
+/// generation it was trained against. Cancellation is observed between
+/// epochs (a raised flag ends the run within one epoch) and re-checked
+/// before the commit; until the commit the artifact exists only on the
+/// worker's stack, so a cancelled or failed job leaves both the model
+/// store and KGMeta exactly as they were.
 fn train_runner(
     store: SharedStore,
     manager: Arc<RwLock<QueryManager>>,

@@ -2,6 +2,13 @@
 //! metric catalog, the [`Tracer`] behind span dumps, and the handle bundle
 //! the job queue records through.
 //!
+//! Every metric is declared exactly once, in the `declare_metrics!` list
+//! below: its field, kind, exposition name and help text. That one entry
+//! generates the `pub` handle field (documented by the help text), its
+//! registration and its [`METRIC_CATALOG`] row, so adding a metric is one
+//! entry. `kgnet-lint`'s `metric-once` rule rejects a second literal of
+//! any metric name in non-test code.
+//!
 //! Every metric the server will ever emit is registered eagerly at
 //! construction, so a scrape sees the complete catalog (with zero values)
 //! from the very first render instead of metrics popping into existence
@@ -16,183 +23,127 @@ use std::time::Instant;
 use kgnet_obs::{Counter, Gauge, Histogram, Registry, SpanGuard, Tracer};
 use kgnet_sync::atomic::{AtomicU64, Ordering};
 
-/// Every metric the server registers, as `(name, kind)` pairs in
-/// registration order. The `kgnet-server` and `kgnet-http` integration
-/// tests walk this catalog and fail when the in-process render or the
-/// `/metrics` wire scrape is missing any of it.
-pub const METRIC_CATALOG: &[(&str, &str)] = &[
-    ("kgnet_query_latency_nanos", "histogram"),
-    ("kgnet_query_rows", "histogram"),
-    ("kgnet_query_triples_scanned_total", "counter"),
-    ("kgnet_plan_cache_hits_total", "counter"),
-    ("kgnet_plan_cache_misses_total", "counter"),
-    ("kgnet_commit_latency_nanos", "histogram"),
-    ("kgnet_store_generation", "gauge"),
-    ("kgnet_retained_versions", "gauge"),
-    ("kgnet_retained_bytes", "gauge"),
-    ("kgnet_jobs_submitted_total", "counter"),
-    ("kgnet_jobs_rejected_total", "counter"),
-    ("kgnet_jobs_completed_total", "counter"),
-    ("kgnet_jobs_failed_total", "counter"),
-    ("kgnet_jobs_cancelled_total", "counter"),
-    ("kgnet_queue_depth", "gauge"),
-    ("kgnet_job_duration_nanos", "histogram"),
-    ("kgnet_train_epoch_nanos", "histogram"),
-    ("kgnet_ann_search_latency_nanos", "histogram"),
-    ("kgnet_ann_candidates_total", "counter"),
-    ("kgnet_ann_distance_computations_total", "counter"),
-    ("kgnet_lock_acquires_total", "counter"),
-    ("kgnet_lock_contended_total", "counter"),
-    ("kgnet_lock_wait_nanos_total", "counter"),
-    ("kgnet_spans_dropped_total", "counter"),
-    ("kgnet_slow_queries_total", "counter"),
-    ("kgnet_pool_global_threads", "gauge"),
-    ("kgnet_pool_global_jobs", "gauge"),
-    ("kgnet_pool_global_steals", "gauge"),
-    ("kgnet_pool_global_busy_nanos", "gauge"),
-    ("kgnet_pool_global_queue_depth", "gauge"),
-    ("kgnet_train_pool_busy_nanos_total", "counter"),
-    ("kgnet_train_pool_jobs_total", "counter"),
-    ("kgnet_train_pool_steals_total", "counter"),
-    ("kgnet_job_epochs_total", "counter"),
-    ("kgnet_job_triples_sampled_total", "counter"),
-    ("kgnet_job_lock_wait_nanos_total", "counter"),
-    ("kgnet_job_peak_mem_bytes", "histogram"),
-    ("kgnet_http_requests_total", "counter"),
-    ("kgnet_http_responses_2xx_total", "counter"),
-    ("kgnet_http_responses_3xx_total", "counter"),
-    ("kgnet_http_responses_4xx_total", "counter"),
-    ("kgnet_http_responses_5xx_total", "counter"),
-    ("kgnet_http_request_latency_nanos", "histogram"),
-    ("kgnet_http_bytes_in_total", "counter"),
-    ("kgnet_http_bytes_out_total", "counter"),
-    ("kgnet_http_active_connections", "gauge"),
-    ("kgnet_http_rejected_over_limit_total", "counter"),
-    ("kgnet_http_parse_errors_total", "counter"),
-];
-
 /// Finished spans retained by the server tracer before eviction.
 const TRACE_CAPACITY: usize = 4096;
 
-/// The metric handles the job queue records through, split out so the
-/// queue can hold them without depending on the whole server surface.
-/// The `jobs_*_total` counters are monotonic: pruning or forgetting a
-/// terminal job record never takes its outcome back out of them.
-pub struct QueueObs {
-    /// Jobs admitted by [`crate::JobQueue::submit`].
-    pub jobs_submitted: Arc<Counter>,
-    /// Submissions refused at admission (full queue, budget, shutdown).
-    pub jobs_rejected: Arc<Counter>,
-    /// Jobs that reached `Done`.
-    pub jobs_completed: Arc<Counter>,
-    /// Jobs that reached `Failed`.
-    pub jobs_failed: Arc<Counter>,
-    /// Jobs that reached `Cancelled`.
-    pub jobs_cancelled: Arc<Counter>,
-    /// Jobs currently waiting for a worker.
-    pub queue_depth: Arc<Gauge>,
-    /// Wall time from worker pickup to the terminal transition.
-    pub job_duration: Arc<Histogram>,
-    /// Busy worker-nanoseconds the dedicated training pools accumulated
-    /// while jobs ran (summed across workers and jobs).
-    pub train_pool_busy_nanos: Arc<Counter>,
-    /// Rayon-level tasks the training pools executed (batch waves, not
-    /// queue jobs).
-    pub train_pool_jobs: Arc<Counter>,
-    /// Successful steals between training-pool workers.
-    pub train_pool_steals: Arc<Counter>,
-    /// Training epochs completed across all jobs.
-    pub job_epochs: Arc<Counter>,
-    /// Triples sampled into training subgraphs across all jobs.
-    pub job_triples_sampled: Arc<Counter>,
-    /// Nanoseconds job worker threads spent waiting on contended facade
-    /// locks.
-    pub job_lock_wait_nanos: Arc<Counter>,
-    /// Peak tracked-memory delta per job, in bytes (exact for serial runs;
-    /// concurrent jobs share the process-global tracker).
-    pub job_peak_mem: Arc<Histogram>,
+/// The handle type of one metric kind.
+macro_rules! handle {
+    (counter) => { Arc<Counter> };
+    (gauge) => { Arc<Gauge> };
+    (histogram) => { Arc<Histogram> };
 }
 
-/// The server-wide metric catalog plus the tracer. One instance per
-/// [`crate::KgServer`]; sessions and the queue record through cloned
-/// handles.
-pub struct ServerMetrics {
-    registry: Arc<Registry>,
-    tracer: Tracer,
-    queue: Arc<QueueObs>,
-    /// End-to-end latency of read-session queries.
-    pub query_latency: Arc<Histogram>,
-    /// Rows returned per read-session query.
-    pub query_rows: Arc<Histogram>,
-    /// Triples pulled from index scans by read-session queries.
-    pub query_triples_scanned: Arc<Counter>,
-    /// Shared-plan-cache hits across all read sessions.
-    pub plan_cache_hits: Arc<Counter>,
-    /// Shared-plan-cache misses (parse + plan compilations).
-    pub plan_cache_misses: Arc<Counter>,
-    /// Wall time of `WriteSession::commit` publishes.
-    pub commit_latency: Arc<Histogram>,
-    /// Generation of the published store version.
-    pub store_generation: Arc<Gauge>,
-    /// MVCC versions currently retained (published + pinned).
-    pub retained_versions: Arc<Gauge>,
-    /// Approximate index bytes retained across live versions.
-    pub retained_bytes: Arc<Gauge>,
-    /// Wall time of completed training epochs.
-    pub train_epoch: Arc<Histogram>,
-    /// Latency of similarity searches served from ANN indexes.
-    pub ann_search_latency: Arc<Histogram>,
-    /// Candidate vectors considered across all ANN searches.
-    pub ann_candidates: Arc<Counter>,
-    /// Distance computations spent across all ANN searches.
-    pub ann_distance_computations: Arc<Counter>,
-    /// Facade-lock acquisitions across every profiled site (process-wide).
-    pub lock_acquires: Arc<Counter>,
-    /// Contended facade-lock acquisitions (the acquire had to wait).
-    pub lock_contended: Arc<Counter>,
-    /// Nanoseconds spent waiting on contended facade locks.
-    pub lock_wait_nanos: Arc<Counter>,
-    /// Trace spans evicted unread from the bounded ring.
-    pub spans_dropped: Arc<Counter>,
-    /// Queries that exceeded the slow-query threshold.
-    pub slow_queries: Arc<Counter>,
-    /// Worker threads in the global rayon pool.
-    pub pool_threads: Arc<Gauge>,
-    /// Jobs the global pool's workers have executed (cumulative).
-    pub pool_jobs: Arc<Gauge>,
-    /// Successful steals between global-pool workers (cumulative).
-    pub pool_steals: Arc<Gauge>,
-    /// Busy worker-nanoseconds of the global pool (cumulative).
-    pub pool_busy_nanos: Arc<Gauge>,
-    /// Jobs waiting in the global pool's injector and deques right now.
-    pub pool_queue_depth: Arc<Gauge>,
-    /// HTTP requests that reached the router (parse failures excluded).
-    pub http_requests: Arc<Counter>,
-    /// HTTP responses written, by status class.
-    pub http_responses_2xx: Arc<Counter>,
-    /// 3xx responses written by the HTTP frontend.
-    pub http_responses_3xx: Arc<Counter>,
-    /// 4xx responses written by the HTTP frontend.
-    pub http_responses_4xx: Arc<Counter>,
-    /// 5xx responses written by the HTTP frontend.
-    pub http_responses_5xx: Arc<Counter>,
-    /// Wall time from a request's first parsed byte to its response flush.
-    pub http_request_latency: Arc<Histogram>,
-    /// Request bytes (head + body) read off accepted connections.
-    pub http_bytes_in: Arc<Counter>,
-    /// Response bytes written back, headers included.
-    pub http_bytes_out: Arc<Counter>,
-    /// Connections currently accepted and not yet closed.
-    pub http_active_connections: Arc<Gauge>,
-    /// Connections refused because the connection limit was reached.
-    pub http_rejected_over_limit: Arc<Counter>,
-    /// Requests rejected by the incremental parser (malformed, oversized,
-    /// timed out mid-request).
-    pub http_parse_errors: Arc<Counter>,
-    /// Last harvested totals of the process-wide sources, so
-    /// [`refresh_system`](Self::refresh_system) bumps the aggregate
-    /// counters by delta instead of re-adding cumulative values.
-    harvest: Harvest,
+/// Declares the metric-carrying structs from one list. A plain field is
+/// passed through and becomes an argument of the generated `register`
+/// constructor. A metric entry `field: kind("name", "help")` becomes a
+/// `pub` handle field documented by `help`, a registration on the
+/// `Registry` method `kind` (structs, then entries, in list order) and a
+/// `METRIC_CATALOG` row.
+macro_rules! declare_metrics {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* $field:ident: $ty:ty,)*
+        } metrics {
+            $($metric:ident: $kind:ident($expo:literal, $help:literal),)*
+        }
+    )*) => {
+        $(
+            $(#[$meta])*
+            pub struct $name {
+                $($(#[$field_meta])* $field: $ty,)*
+                $(#[doc = $help] pub $metric: handle!($kind),)*
+            }
+
+            impl $name {
+                /// Register this struct's metrics on `r`, in list order.
+                fn register(r: &Registry $(, $field: $ty)*) -> $name {
+                    $name { $($field,)* $($metric: r.$kind($expo, $help),)* }
+                }
+            }
+        )*
+
+        /// Every metric the server registers, as `(name, kind)` pairs in
+        /// registration order. The `kgnet-server` and `kgnet-http`
+        /// integration tests walk this catalog and fail when the
+        /// in-process render or the `/metrics` wire scrape is missing any
+        /// of it.
+        pub const METRIC_CATALOG: &[(&str, &str)] = &[$($(($expo, stringify!($kind)),)*)*];
+    };
+}
+
+declare_metrics! {
+    /// The metric handles the job queue records through, split out so the
+    /// queue can hold them without depending on the whole server surface.
+    /// The `jobs_*_total` counters are monotonic: pruning or forgetting a
+    /// terminal job record never takes its outcome back out of them. The
+    /// per-job peak memory is exact for serial runs; concurrent jobs share
+    /// the process-global tracker.
+    pub struct QueueObs {
+    } metrics {
+        jobs_submitted: counter("kgnet_jobs_submitted_total", "Training jobs admitted"),
+        jobs_rejected: counter("kgnet_jobs_rejected_total", "Training submissions refused at admission"),
+        jobs_completed: counter("kgnet_jobs_completed_total", "Training jobs finished Done"),
+        jobs_failed: counter("kgnet_jobs_failed_total", "Training jobs finished Failed"),
+        jobs_cancelled: counter("kgnet_jobs_cancelled_total", "Training jobs finished Cancelled"),
+        queue_depth: gauge("kgnet_queue_depth", "Training jobs waiting for a worker"),
+        job_duration: histogram("kgnet_job_duration_nanos", "Training job wall time, pickup to terminal"),
+        train_pool_busy_nanos: counter("kgnet_train_pool_busy_nanos_total", "Busy worker-nanos of the dedicated training pools"),
+        train_pool_jobs: counter("kgnet_train_pool_jobs_total", "Rayon tasks executed by the training pools"),
+        train_pool_steals: counter("kgnet_train_pool_steals_total", "Steals between training-pool workers"),
+        job_epochs: counter("kgnet_job_epochs_total", "Training epochs completed across jobs"),
+        job_triples_sampled: counter("kgnet_job_triples_sampled_total", "Triples sampled into training subgraphs"),
+        job_lock_wait_nanos: counter("kgnet_job_lock_wait_nanos_total", "Facade-lock wait nanos on job worker threads"),
+        job_peak_mem: histogram("kgnet_job_peak_mem_bytes", "Peak tracked-memory delta per job"),
+    }
+
+    /// The server-wide metric catalog plus the tracer. One instance per
+    /// [`crate::KgServer`]; sessions and the queue record through cloned
+    /// handles.
+    pub struct ServerMetrics {
+        registry: Arc<Registry>,
+        tracer: Tracer,
+        queue: Arc<QueueObs>,
+        /// Last harvested totals of the process-wide sources, so
+        /// [`refresh_system`](Self::refresh_system) bumps the aggregate
+        /// counters by delta instead of re-adding cumulative values.
+        harvest: Harvest,
+    } metrics {
+        query_latency: histogram("kgnet_query_latency_nanos", "End-to-end read-session query latency"),
+        query_rows: histogram("kgnet_query_rows", "Rows returned per read-session query"),
+        query_triples_scanned: counter("kgnet_query_triples_scanned_total", "Triples pulled from index scans by queries"),
+        plan_cache_hits: counter("kgnet_plan_cache_hits_total", "Shared plan-cache hits"),
+        plan_cache_misses: counter("kgnet_plan_cache_misses_total", "Shared plan-cache misses"),
+        commit_latency: histogram("kgnet_commit_latency_nanos", "Write-session commit latency"),
+        store_generation: gauge("kgnet_store_generation", "Generation of the published store version"),
+        retained_versions: gauge("kgnet_retained_versions", "MVCC store versions currently retained"),
+        retained_bytes: gauge("kgnet_retained_bytes", "Approximate index bytes retained across versions"),
+        train_epoch: histogram("kgnet_train_epoch_nanos", "Wall time of completed epochs of queued training jobs"),
+        ann_search_latency: histogram("kgnet_ann_search_latency_nanos", "ANN similarity-search latency"),
+        ann_candidates: counter("kgnet_ann_candidates_total", "Candidate vectors considered by ANN searches"),
+        ann_distance_computations: counter("kgnet_ann_distance_computations_total", "Distance computations spent by ANN searches"),
+        lock_acquires: counter("kgnet_lock_acquires_total", "Facade-lock acquisitions across sites"),
+        lock_contended: counter("kgnet_lock_contended_total", "Contended facade-lock acquisitions"),
+        lock_wait_nanos: counter("kgnet_lock_wait_nanos_total", "Nanos waiting on contended facade locks"),
+        spans_dropped: counter("kgnet_spans_dropped_total", "Trace spans evicted unread from the ring"),
+        slow_queries: counter("kgnet_slow_queries_total", "Queries over the slow-query threshold"),
+        pool_threads: gauge("kgnet_pool_global_threads", "Global rayon pool worker threads"),
+        pool_jobs: gauge("kgnet_pool_global_jobs", "Jobs executed by the global pool"),
+        pool_steals: gauge("kgnet_pool_global_steals", "Steals between global-pool workers"),
+        pool_busy_nanos: gauge("kgnet_pool_global_busy_nanos", "Busy worker-nanos of the global pool"),
+        pool_queue_depth: gauge("kgnet_pool_global_queue_depth", "Jobs queued in the global pool"),
+        http_requests: counter("kgnet_http_requests_total", "HTTP requests reaching the router"),
+        http_responses_2xx: counter("kgnet_http_responses_2xx_total", "2xx responses written"),
+        http_responses_3xx: counter("kgnet_http_responses_3xx_total", "3xx responses written"),
+        http_responses_4xx: counter("kgnet_http_responses_4xx_total", "4xx responses written"),
+        http_responses_5xx: counter("kgnet_http_responses_5xx_total", "5xx responses written"),
+        http_request_latency: histogram("kgnet_http_request_latency_nanos", "HTTP time from a fully parsed request to its response written"),
+        http_bytes_in: counter("kgnet_http_bytes_in_total", "Request bytes read"),
+        http_bytes_out: counter("kgnet_http_bytes_out_total", "Response bytes written"),
+        http_active_connections: gauge("kgnet_http_active_connections", "Open HTTP connections"),
+        http_rejected_over_limit: counter("kgnet_http_rejected_over_limit_total", "Connections refused over the connection limit"),
+        http_parse_errors: counter("kgnet_http_parse_errors_total", "Requests rejected by the parser"),
+    }
 }
 
 /// Last-seen cumulative values of the process-wide instrumentation
@@ -231,132 +182,9 @@ impl ServerMetrics {
     /// embedded instances never share counters).
     pub fn new() -> ServerMetrics {
         let r = Arc::new(Registry::new());
-        let queue = Arc::new(QueueObs {
-            jobs_submitted: r.counter("kgnet_jobs_submitted_total", "Training jobs admitted"),
-            jobs_rejected: r
-                .counter("kgnet_jobs_rejected_total", "Training submissions refused at admission"),
-            jobs_completed: r.counter("kgnet_jobs_completed_total", "Training jobs finished Done"),
-            jobs_failed: r.counter("kgnet_jobs_failed_total", "Training jobs finished Failed"),
-            jobs_cancelled: r
-                .counter("kgnet_jobs_cancelled_total", "Training jobs finished Cancelled"),
-            queue_depth: r.gauge("kgnet_queue_depth", "Training jobs waiting for a worker"),
-            job_duration: r.histogram(
-                "kgnet_job_duration_nanos",
-                "Training job wall time, pickup to terminal",
-            ),
-            train_pool_busy_nanos: r.counter(
-                "kgnet_train_pool_busy_nanos_total",
-                "Busy worker-nanos of the dedicated training pools",
-            ),
-            train_pool_jobs: r.counter(
-                "kgnet_train_pool_jobs_total",
-                "Rayon tasks executed by the training pools",
-            ),
-            train_pool_steals: r
-                .counter("kgnet_train_pool_steals_total", "Steals between training-pool workers"),
-            job_epochs: r
-                .counter("kgnet_job_epochs_total", "Training epochs completed across jobs"),
-            job_triples_sampled: r.counter(
-                "kgnet_job_triples_sampled_total",
-                "Triples sampled into training subgraphs",
-            ),
-            job_lock_wait_nanos: r.counter(
-                "kgnet_job_lock_wait_nanos_total",
-                "Facade-lock wait nanos on job worker threads",
-            ),
-            job_peak_mem: r
-                .histogram("kgnet_job_peak_mem_bytes", "Peak tracked-memory delta per job"),
-        });
-        let m = ServerMetrics {
-            query_latency: r
-                .histogram("kgnet_query_latency_nanos", "End-to-end read-session query latency"),
-            query_rows: r.histogram("kgnet_query_rows", "Rows returned per read-session query"),
-            query_triples_scanned: r.counter(
-                "kgnet_query_triples_scanned_total",
-                "Triples pulled from index scans by queries",
-            ),
-            plan_cache_hits: r.counter("kgnet_plan_cache_hits_total", "Shared plan-cache hits"),
-            plan_cache_misses: r
-                .counter("kgnet_plan_cache_misses_total", "Shared plan-cache misses"),
-            commit_latency: r
-                .histogram("kgnet_commit_latency_nanos", "Write-session commit latency"),
-            store_generation: r
-                .gauge("kgnet_store_generation", "Generation of the published store version"),
-            retained_versions: r
-                .gauge("kgnet_retained_versions", "MVCC store versions currently retained"),
-            retained_bytes: r
-                .gauge("kgnet_retained_bytes", "Approximate index bytes retained across versions"),
-            train_epoch: r
-                .histogram("kgnet_train_epoch_nanos", "Wall time of completed training epochs"),
-            ann_search_latency: r
-                .histogram("kgnet_ann_search_latency_nanos", "ANN similarity-search latency"),
-            ann_candidates: r.counter(
-                "kgnet_ann_candidates_total",
-                "Candidate vectors considered by ANN searches",
-            ),
-            ann_distance_computations: r.counter(
-                "kgnet_ann_distance_computations_total",
-                "Distance computations spent by ANN searches",
-            ),
-            lock_acquires: r
-                .counter("kgnet_lock_acquires_total", "Facade-lock acquisitions across sites"),
-            lock_contended: r
-                .counter("kgnet_lock_contended_total", "Contended facade-lock acquisitions"),
-            lock_wait_nanos: r
-                .counter("kgnet_lock_wait_nanos_total", "Nanos waiting on contended facade locks"),
-            spans_dropped: r
-                .counter("kgnet_spans_dropped_total", "Trace spans evicted unread from the ring"),
-            slow_queries: r
-                .counter("kgnet_slow_queries_total", "Queries over the slow-query threshold"),
-            pool_threads: r.gauge("kgnet_pool_global_threads", "Global rayon pool worker threads"),
-            pool_jobs: r.gauge("kgnet_pool_global_jobs", "Jobs executed by the global pool"),
-            pool_steals: r.gauge("kgnet_pool_global_steals", "Steals between global-pool workers"),
-            pool_busy_nanos: r
-                .gauge("kgnet_pool_global_busy_nanos", "Busy worker-nanos of the global pool"),
-            pool_queue_depth: r
-                .gauge("kgnet_pool_global_queue_depth", "Jobs queued in the global pool"),
-            http_requests: r
-                .counter("kgnet_http_requests_total", "HTTP requests reaching the router"),
-            http_responses_2xx: r
-                .counter("kgnet_http_responses_2xx_total", "2xx responses written"),
-            http_responses_3xx: r
-                .counter("kgnet_http_responses_3xx_total", "3xx responses written"),
-            http_responses_4xx: r
-                .counter("kgnet_http_responses_4xx_total", "4xx responses written"),
-            http_responses_5xx: r
-                .counter("kgnet_http_responses_5xx_total", "5xx responses written"),
-            http_request_latency: r
-                .histogram("kgnet_http_request_latency_nanos", "HTTP request wall time"),
-            http_bytes_in: r.counter("kgnet_http_bytes_in_total", "Request bytes read"),
-            http_bytes_out: r.counter("kgnet_http_bytes_out_total", "Response bytes written"),
-            http_active_connections: r
-                .gauge("kgnet_http_active_connections", "Open HTTP connections"),
-            http_rejected_over_limit: r.counter(
-                "kgnet_http_rejected_over_limit_total",
-                "Connections refused over the connection limit",
-            ),
-            http_parse_errors: r
-                .counter("kgnet_http_parse_errors_total", "Requests rejected by the parser"),
-            harvest: Harvest::default(),
-            tracer: Tracer::new(TRACE_CAPACITY),
-            queue,
-            registry: r,
-        };
-        debug_assert_eq!(
-            {
-                let mut names = m.registry.names();
-                names.sort();
-                names
-            },
-            {
-                let mut names: Vec<String> =
-                    METRIC_CATALOG.iter().map(|(n, _)| (*n).to_owned()).collect();
-                names.sort();
-                names
-            },
-            "METRIC_CATALOG out of sync with the registered instruments"
-        );
-        m
+        let queue = Arc::new(QueueObs::register(&r));
+        let tracer = Tracer::new(TRACE_CAPACITY);
+        ServerMetrics::register(&r, Arc::clone(&r), tracer, queue, Harvest::default())
     }
 
     /// The underlying registry (for embedding extra metrics beside the
@@ -463,6 +291,19 @@ mod tests {
             );
         }
         assert_eq!(m.registry().names().len(), METRIC_CATALOG.len());
+    }
+
+    /// Pins every `# HELP`/`# TYPE` line of the exposition, in order: a
+    /// renamed, re-kinded, re-worded or reordered metric fails here.
+    #[test]
+    fn exposition_header_matches_the_golden_file() {
+        let text = ServerMetrics::new().render_prometheus();
+        let header: Vec<&str> = text.lines().filter(|l| l.starts_with("# ")).collect();
+        let golden: Vec<&str> = include_str!("../tests/exposition_header.txt").lines().collect();
+        for (i, (got, want)) in header.iter().zip(&golden).enumerate() {
+            assert_eq!(got, want, "exposition header line {}", i + 1);
+        }
+        assert_eq!(header.len(), golden.len());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Contention-tracked acquire helpers and lock wrappers.
+//! Contention-tracked acquire helpers.
 //!
 //! These functions acquire a facade lock while classifying the
 //! acquisition against a static [`SyncSite`]: a try-acquire that succeeds
@@ -110,62 +110,6 @@ pub fn write_tracked<'a, T: ?Sized>(
     guard
 }
 
-/// A mutex bound to its [`SyncSite`]: every `lock()` is tracked.
-pub struct TrackedMutex<T: ?Sized> {
-    site: &'static SyncSite,
-    inner: Mutex<T>,
-}
-
-impl<T> TrackedMutex<T> {
-    /// A new tracked mutex holding `value`, attributed to `site`.
-    pub fn new(site: &'static SyncSite, value: T) -> TrackedMutex<T> {
-        TrackedMutex { site, inner: Mutex::new(value) }
-    }
-}
-
-impl<T: ?Sized> TrackedMutex<T> {
-    /// Acquire the lock, recording the acquisition.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        lock_tracked(&self.inner, self.site)
-    }
-
-    /// The site this mutex reports under.
-    pub fn site(&self) -> &'static SyncSite {
-        self.site
-    }
-}
-
-/// A reader-writer lock bound to its [`SyncSite`]: every `read()` and
-/// `write()` is tracked.
-pub struct TrackedRwLock<T: ?Sized> {
-    site: &'static SyncSite,
-    inner: RwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// A new tracked lock holding `value`, attributed to `site`.
-    pub fn new(site: &'static SyncSite, value: T) -> TrackedRwLock<T> {
-        TrackedRwLock { site, inner: RwLock::new(value) }
-    }
-}
-
-impl<T: ?Sized> TrackedRwLock<T> {
-    /// Acquire shared read access, recording the acquisition.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        read_tracked(&self.inner, self.site)
-    }
-
-    /// Acquire exclusive write access, recording the acquisition.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        write_tracked(&self.inner, self.site)
-    }
-
-    /// The site this lock reports under.
-    pub fn site(&self) -> &'static SyncSite {
-        self.site
-    }
-}
-
 #[cfg(all(test, not(kgnet_check)))]
 mod tests {
     use super::*;
@@ -216,11 +160,11 @@ mod tests {
     #[test]
     fn tracked_wrappers_report_both_rwlock_modes() {
         static SITE: SyncSite = SyncSite::new("test.tracked.rwlock");
-        let l = TrackedRwLock::new(&SITE, vec![1, 2, 3]);
-        assert_eq!(l.read().len(), 3);
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
-        let snap = l.site().snapshot();
+        let l = RwLock::new(vec![1, 2, 3]);
+        assert_eq!(read_tracked(&l, &SITE).len(), 3);
+        write_tracked(&l, &SITE).push(4);
+        assert_eq!(read_tracked(&l, &SITE).len(), 4);
+        let snap = SITE.snapshot();
         assert_eq!(snap.acquires, 3);
         assert_eq!(snap.contended, 0);
     }

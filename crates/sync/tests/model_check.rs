@@ -27,8 +27,8 @@ use std::sync::Arc;
 use kgnet_check::{explore, Config, Report};
 use kgnet_sync::profile::SyncSite;
 use kgnet_sync::thread;
-use kgnet_sync::tracked::{read_tracked, write_tracked, TrackedMutex};
-use kgnet_sync::RwLock;
+use kgnet_sync::tracked::{lock_tracked, read_tracked, write_tracked};
+use kgnet_sync::{Mutex, RwLock};
 
 static MUTEX_SITE: SyncSite = SyncSite::new("sync.model-check.mutex");
 static READ_SITE: SyncSite = SyncSite::new("sync.model-check.read");
@@ -54,7 +54,7 @@ fn assert_coverage(suite: &str, reports: &[Report], floor: usize) {
     }
 }
 
-/// Three threads funnel through one [`TrackedMutex`]: in every
+/// Three threads funnel through one [`lock_tracked`] mutex: in every
 /// interleaving the protected data sees all three writes *and* the site's
 /// acquire counter sees all three acquisitions — profiling must never
 /// trade away an increment, and contended acquisitions can never
@@ -63,17 +63,17 @@ fn assert_coverage(suite: &str, reports: &[Report], floor: usize) {
 fn concurrent_tracked_acquires_lose_no_increments() {
     let report = explore(&cfg(), || {
         let before = MUTEX_SITE.snapshot();
-        let shared = Arc::new(TrackedMutex::new(&MUTEX_SITE, 0u64));
+        let shared = Arc::new(Mutex::new(0u64));
         let workers: Vec<_> = (0..3)
             .map(|_| {
                 let shared = shared.clone();
-                thread::spawn(move || *shared.lock() += 1)
+                thread::spawn(move || *lock_tracked(&shared, &MUTEX_SITE) += 1)
             })
             .collect();
         for w in workers {
             w.join().unwrap();
         }
-        assert_eq!(*shared.lock(), 3, "a mutex-protected write was lost");
+        assert_eq!(*lock_tracked(&shared, &MUTEX_SITE), 3, "a mutex-protected write was lost");
         let after = MUTEX_SITE.snapshot();
         // 3 worker acquisitions + the assertion's own lock above.
         assert_eq!(after.acquires - before.acquires, 4, "tracked acquisitions lost an increment");
