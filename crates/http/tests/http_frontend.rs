@@ -141,16 +141,16 @@ fn frontend_serves_queries_probes_and_traces_under_churn() {
     let done = server.wait(churn).unwrap();
     assert!(matches!(done.state, JobState::Done { .. }), "churn job failed: {done:?}");
 
-    // The satellite fix: with a 1 ns capture threshold every query is
-    // "slow", so the ML SELECT over the fresh model must now appear in
-    // the slow-query log (text-only plan) — and therefore on `/slowlog`.
+    // With a 1 ns capture threshold every query is "slow", so the ML
+    // SELECT over the fresh model must appear in the slow-query log, its
+    // plan carrying the inference step — and therefore on `/slowlog`.
     let mut conn = Client::connect(addr).unwrap();
     let r = conn.post("/sparql", PV_QUERY.as_bytes()).unwrap();
     assert_eq!(r.status, 200, "{}", r.text());
     let slowlog = conn.get("/slowlog").unwrap();
     assert_eq!(slowlog.status, 200);
     assert!(
-        slowlog.text().contains("sparql-ml: no physical plan"),
+        slowlog.text().contains("infer ?paper <"),
         "ML SELECT missing from the slow-query log: {}",
         slowlog.text()
     );

@@ -6,17 +6,21 @@
 //! binds their variables — and executed by the streaming operator pipeline
 //! in `sparql::stream`, which yields bindings one at a time so `LIMIT k`
 //! queries stop scanning after k results. A loop-based materialised executor
-//! over the same plan is kept as the reference oracle
-//! ([`evaluate_select_materialised`]).
+//! over the same plan is kept as the plain-SPARQL reference oracle
+//! ([`evaluate_select_materialised`]). SPARQL-ML SELECTs compile into the
+//! same [`PreparedQuery`] ([`prepare_select_inferring`]), so every solution
+//! modifier is implemented once, here, for both kinds of query.
+
+use std::borrow::Cow;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::dict::TermId;
 use crate::error::SparqlError;
 use crate::sparql::ast::*;
-use crate::sparql::plan::plan_group;
+use crate::sparql::plan::{plan_group, plan_inferred, GroupPlan, InferredObjects};
 use crate::sparql::stream::{
-    build_group_stream, exec_group_materialised, ExecCounters, ExecCtx, ExecStats, OpTap,
+    build_group_stream, exec_group_materialised, ExecCtx, ExecState, ExecStats, OpTap,
 };
 use crate::store::RdfStore;
 use crate::term::{xsd, Term};
@@ -124,7 +128,7 @@ pub fn query_with_stats(
     text: &str,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
     let q = crate::sparql::parser::parse_select(text)?;
-    evaluate_streaming(store, &q)
+    evaluate_prepared(store, &prepare_select(store, q)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -172,16 +176,25 @@ pub(crate) type Binding = Vec<Option<TermId>>;
 
 /// Evaluate a parsed SELECT query on the streaming pipeline.
 pub fn evaluate_select(store: &RdfStore, q: &SelectQuery) -> Result<QueryResult, SparqlError> {
-    evaluate_streaming(store, q).map(|(result, _)| result)
+    evaluate_prepared(store, &prepare_select(store, q.clone())?).map(|(result, _)| result)
 }
 
-/// Register every variable of the query in a fresh table and build the plan.
+/// Register every variable of the query and of its `inferred` patterns in a
+/// fresh table and plan the group. Filters over an inferred variable are
+/// returned instead of planned.
 fn prepare(
     store: &RdfStore,
     q: &SelectQuery,
-) -> Result<(VarTable, crate::sparql::plan::GroupPlan), SparqlError> {
+    inferred: &[(TermPattern, String)],
+) -> Result<(VarTable, GroupPlan, Vec<Expr>), SparqlError> {
     let mut vars = VarTable::default();
     collect_vars(&q.pattern, &mut vars);
+    for (subject, object) in inferred {
+        if let TermPattern::Var(v) = subject {
+            vars.slot(v);
+        }
+        vars.slot(object);
+    }
     if let Projection::Items(items) = &q.projection {
         for item in items {
             match item {
@@ -194,21 +207,26 @@ fn prepare(
             }
         }
     }
-    let plan = plan_group(store, &q.pattern, &vars, &FxHashSet::default())?;
-    Ok((vars, plan))
+    let mut pattern = Cow::Borrowed(&q.pattern);
+    let mut held = Vec::new();
+    if !inferred.is_empty() {
+        pattern.to_mut().filters.retain(|f| {
+            let mut names = Vec::new();
+            f.vars(&mut names);
+            let keep = !names.iter().any(|v| inferred.iter().any(|(_, object)| object == v));
+            if !keep {
+                held.push(f.clone());
+            }
+            keep
+        });
+    }
+    let plan = plan_group(store, &pattern, &vars, &FxHashSet::default())?;
+    Ok((vars, plan, held))
 }
 
 fn has_agg(q: &SelectQuery) -> bool {
     matches!(&q.projection, Projection::Items(items)
         if items.iter().any(|i| matches!(i, ProjectionItem::Agg { .. })))
-}
-
-fn evaluate_streaming(
-    store: &RdfStore,
-    q: &SelectQuery,
-) -> Result<(QueryResult, ExecStats), SparqlError> {
-    let (vars, plan) = prepare(store, q)?;
-    evaluate_with_plan(store, q, &vars, &plan, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +246,7 @@ fn evaluate_streaming(
 pub struct PreparedQuery {
     query: SelectQuery,
     vars: VarTable,
-    plan: crate::sparql::plan::GroupPlan,
+    plan: GroupPlan,
     generation: u64,
 }
 
@@ -302,7 +320,25 @@ impl PreparedQuery {
 /// Compile a parsed SELECT into a reusable [`PreparedQuery`] bound to the
 /// store's current generation.
 pub fn prepare_select(store: &RdfStore, query: SelectQuery) -> Result<PreparedQuery, SparqlError> {
-    let (vars, plan) = prepare(store, &query)?;
+    prepare_select_inferring(store, query, &[], |_| Vec::new())
+}
+
+/// Compile a SPARQL-ML SELECT: the data `query` joined, in order, with the
+/// `inferred` triple patterns `(subject, object variable)`, each a required
+/// pattern run after the whole group (join steps, sub-SELECTs, OPTIONALs,
+/// other filters). A FILTER mentioning an inferred variable runs after the
+/// last step. `answer` gets the planner's estimate of the rows reaching the
+/// steps and returns one [`InferredObjects`] per pattern.
+pub fn prepare_select_inferring(
+    store: &RdfStore,
+    query: SelectQuery,
+    inferred: &[(TermPattern, String)],
+    answer: impl FnOnce(f64) -> Vec<Box<dyn InferredObjects>>,
+) -> Result<PreparedQuery, SparqlError> {
+    let (vars, mut plan, held) = prepare(store, &query, inferred)?;
+    // Sub-SELECTs, OPTIONALs and filters are taken to keep every row.
+    let rows = if plan.impossible { 0.0 } else { plan.steps.iter().map(|s| s.est).product() };
+    plan_inferred(store, &mut plan, inferred, answer(rows), &vars, held, rows);
     Ok(PreparedQuery { query, vars, plan, generation: store.generation() })
 }
 
@@ -313,7 +349,7 @@ pub fn evaluate_prepared(
     prepared: &PreparedQuery,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
     prepared.check_fresh(store)?;
-    evaluate_with_plan(store, &prepared.query, &prepared.vars, &prepared.plan, None)
+    evaluate_with_plan(store, prepared, None)
 }
 
 /// One operator's share of a profiled execution.
@@ -350,13 +386,7 @@ pub fn evaluate_prepared_profiled(
     prepared.check_fresh(store)?;
     let mut taps = Vec::new();
     let t0 = std::time::Instant::now();
-    let (result, stats) = evaluate_with_plan(
-        store,
-        &prepared.query,
-        &prepared.vars,
-        &prepared.plan,
-        Some(&mut taps),
-    )?;
+    let (result, stats) = evaluate_with_plan(store, prepared, Some(&mut taps))?;
     let total_nanos = t0.elapsed().as_nanos() as u64;
 
     // Taps record inclusive time and nest strictly (each wraps the one
@@ -381,18 +411,17 @@ pub fn evaluate_prepared_profiled(
     Ok((result, stats, OpProfile { total_nanos, ops }))
 }
 
-/// Run the streaming pipeline for an already-planned query, tapping every
-/// top-level operator into `taps` when profiling, and drain it through the
+/// Run the streaming pipeline of a prepared query, tapping every top-level
+/// operator into `taps` when profiling, and drain it through the
 /// projection/aggregation/modifier stage.
 fn evaluate_with_plan(
     store: &RdfStore,
-    q: &SelectQuery,
-    vars: &VarTable,
-    plan: &crate::sparql::plan::GroupPlan,
+    prepared: &PreparedQuery,
     taps: Option<&mut Vec<OpTap>>,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
-    let counters = ExecCounters::default();
-    let ctx = ExecCtx { store, vars, counters: &counters };
+    let PreparedQuery { query: q, vars, plan, .. } = prepared;
+    let state = ExecState::default();
+    let ctx = ExecCtx { store, vars, state: &state };
     let mut stream = build_group_stream(ctx, plan, vec![None; vars.len()], taps);
     let out_vars = q.output_vars();
     let mut emitted = 0u64;
@@ -406,7 +435,7 @@ fn evaluate_with_plan(
             emitted += 1;
             acc.push(&b);
         }
-        let mut rows = vec![acc.finish(store)];
+        let mut rows = vec![acc.finish(ctx)];
         apply_offset_limit(&mut rows, q);
         rows
     } else if !q.order_by.is_empty() {
@@ -417,8 +446,8 @@ fn evaluate_with_plan(
             emitted += 1;
             bindings.push(b);
         }
-        sort_bindings(store, &mut bindings, &q.order_by, vars);
-        project_all(store, q, vars, &out_vars, &bindings)
+        sort_bindings(ctx, &mut bindings, &q.order_by);
+        project_all(ctx, q, &out_vars, &bindings)
     } else {
         // Fully streaming path: DISTINCT/OFFSET/LIMIT applied per binding,
         // and LIMIT stops pulling (and therefore scanning) early.
@@ -441,13 +470,16 @@ fn evaluate_with_plan(
             if kept <= offset {
                 continue;
             }
-            rows.push(materialise_row(store, &id_row));
+            rows.push(materialise_row(ctx, &id_row));
         }
         rows
     };
 
+    if let Some(failure) = state.failure.take() {
+        return Err(failure);
+    }
     let stats =
-        ExecStats { triples_scanned: counters.triples_scanned.get(), bindings_emitted: emitted };
+        ExecStats { triples_scanned: state.triples_scanned.get(), bindings_emitted: emitted };
     Ok((QueryResult { vars: out_vars, rows }, stats))
 }
 
@@ -462,9 +494,9 @@ pub fn evaluate_select_materialised(
     store: &RdfStore,
     q: &SelectQuery,
 ) -> Result<QueryResult, SparqlError> {
-    let (vars, plan) = prepare(store, q)?;
-    let counters = ExecCounters::default();
-    let ctx = ExecCtx { store, vars: &vars, counters: &counters };
+    let (vars, plan, _) = prepare(store, q, &[])?;
+    let state = ExecState::default();
+    let ctx = ExecCtx { store, vars: &vars, state: &state };
     let mut bindings = exec_group_materialised(ctx, &plan, vec![None; vars.len()]);
     let out_vars = q.output_vars();
 
@@ -474,27 +506,26 @@ pub fn evaluate_select_materialised(
         for b in &bindings {
             acc.push(b);
         }
-        let mut rows = vec![acc.finish(store)];
+        let mut rows = vec![acc.finish(ctx)];
         apply_offset_limit(&mut rows, q);
         rows
     } else {
         if !q.order_by.is_empty() {
-            sort_bindings(store, &mut bindings, &q.order_by, &vars);
+            sort_bindings(ctx, &mut bindings, &q.order_by);
         }
-        project_all(store, q, &vars, &out_vars, &bindings)
+        project_all(ctx, q, &out_vars, &bindings)
     };
     Ok(QueryResult { vars: out_vars, rows })
 }
 
 /// Project bindings to term rows, applying DISTINCT, OFFSET and LIMIT.
 fn project_all(
-    store: &RdfStore,
+    ctx: ExecCtx<'_>,
     q: &SelectQuery,
-    vars: &VarTable,
     out_vars: &[String],
     bindings: &[Binding],
 ) -> Vec<Vec<Option<Term>>> {
-    let slots: Vec<Option<usize>> = out_vars.iter().map(|v| vars.get(v)).collect();
+    let slots: Vec<Option<usize>> = out_vars.iter().map(|v| ctx.vars.get(v)).collect();
     let mut id_rows: Vec<Vec<Option<TermId>>> =
         bindings.iter().map(|b| slots.iter().map(|s| s.and_then(|i| b[i])).collect()).collect();
     if q.distinct {
@@ -502,7 +533,7 @@ fn project_all(
         id_rows.retain(|row| seen.insert(row.clone()));
     }
     apply_offset_limit(&mut id_rows, q);
-    id_rows.iter().map(|row| materialise_row(store, row)).collect()
+    id_rows.iter().map(|row| materialise_row(ctx, row)).collect()
 }
 
 /// Apply the OFFSET/LIMIT solution modifiers (they follow aggregation and
@@ -517,29 +548,24 @@ fn apply_offset_limit<T>(rows: &mut Vec<T>, q: &SelectQuery) {
     }
 }
 
-fn materialise_row(store: &RdfStore, row: &[Option<TermId>]) -> Vec<Option<Term>> {
-    row.iter().map(|id| id.map(|i| store.resolve(i).clone())).collect()
+fn materialise_row(ctx: ExecCtx<'_>, row: &[Option<TermId>]) -> Vec<Option<Term>> {
+    row.iter().map(|id| id.map(|i| ctx.term(i).into_owned())).collect()
 }
 
 /// Sort bindings by ORDER BY keys resolved against variable slots, so keys
 /// that are not projected still order the result. One [`OrderKey`] is built
 /// per distinct term in the sort columns; the comparator only compares
 /// borrowed keys.
-fn sort_bindings(
-    store: &RdfStore,
-    bindings: &mut Vec<Binding>,
-    order_by: &[(String, Order)],
-    vars: &VarTable,
-) {
+fn sort_bindings(ctx: ExecCtx<'_>, bindings: &mut Vec<Binding>, order_by: &[(String, Order)]) {
     let (slots, orders): (Vec<usize>, Vec<Order>) =
-        order_by.iter().filter_map(|(v, ord)| vars.get(v).map(|s| (s, *ord))).unzip();
+        order_by.iter().filter_map(|(v, ord)| ctx.vars.get(v).map(|s| (s, *ord))).unzip();
     if slots.is_empty() {
         return;
     }
     let mut distinct: FxHashMap<TermId, OrderKey> = FxHashMap::default();
     for b in bindings.iter() {
         for id in slots.iter().filter_map(|&s| b[s]) {
-            distinct.entry(id).or_insert_with(|| order_key(Some(store.resolve(id))));
+            distinct.entry(id).or_insert_with(|| order_key(Some(&ctx.term(id))));
         }
     }
     let keys: Vec<&OrderKey> = bindings
@@ -617,8 +643,8 @@ pub fn order_key(t: Option<&Term>) -> OrderKey {
 }
 
 /// The ORDER BY comparison of two optional terms: the order of their
-/// [`OrderKey`]s. Both SELECT paths sort by these keys, so they order rows
-/// identically; this pairwise form is the reference the tests sort by.
+/// [`OrderKey`]s, by which every SELECT sorts; this pairwise form is the
+/// reference the tests sort by.
 pub fn cmp_terms(a: Option<&Term>, b: Option<&Term>) -> std::cmp::Ordering {
     order_key(a).cmp(&order_key(b))
 }
@@ -743,7 +769,7 @@ impl AggAcc {
         }
     }
 
-    fn finish(self, store: &RdfStore) -> Vec<Option<Term>> {
+    fn finish(self, ctx: ExecCtx<'_>) -> Vec<Option<Term>> {
         self.states
             .iter()
             .zip(&self.slots)
@@ -752,7 +778,7 @@ impl AggAcc {
                     .first
                     .as_ref()
                     .and_then(|b| slot.and_then(|s| b[s]))
-                    .map(|id| store.resolve(id).clone()),
+                    .map(|id| ctx.term(id).into_owned()),
                 AggState::CountAll => Some(Term::int(self.total as i64)),
                 AggState::Count(n) => Some(Term::int(*n as i64)),
                 AggState::CountDistinct(set) => Some(Term::int(set.len() as i64)),
@@ -765,14 +791,15 @@ impl AggAcc {
 // Filter expressions
 // ---------------------------------------------------------------------------
 
-pub(crate) fn eval_expr(store: &RdfStore, expr: &Expr, b: &Binding, vars: &VarTable) -> bool {
-    eval_expr_term(store, expr, b, vars).is_some_and(|v| v.truthy())
+pub(crate) fn eval_expr(ctx: ExecCtx<'_>, expr: &Expr, b: &Binding) -> bool {
+    eval_expr_term(ctx, expr, b).is_some_and(|v| v.truthy())
 }
 
 /// A FILTER operand: terms are borrowed from the store's dictionary or the
-/// expression's constants, never cloned.
+/// expression's constants; only a term an inference step met outside the
+/// dictionary is cloned.
 enum Value<'a> {
-    Term(&'a Term),
+    Term(Cow<'a, Term>),
     Bool(bool),
     Unbound,
 }
@@ -810,37 +837,28 @@ fn effective_boolean_value(t: &Term) -> bool {
     }
 }
 
-fn eval_expr_term<'a>(
-    store: &'a RdfStore,
-    expr: &'a Expr,
-    b: &Binding,
-    vars: &VarTable,
-) -> Option<Value<'a>> {
+fn eval_expr_term<'a>(ctx: ExecCtx<'a>, expr: &'a Expr, b: &Binding) -> Option<Value<'a>> {
     match expr {
         Expr::Var(v) => {
-            let slot = vars.get(v)?;
+            let slot = ctx.vars.get(v)?;
             match b.get(slot).copied().flatten() {
-                Some(id) => Some(Value::Term(store.resolve(id))),
+                Some(id) => Some(Value::Term(ctx.term(id))),
                 None => Some(Value::Unbound),
             }
         }
-        Expr::Const(t) => Some(Value::Term(t)),
+        Expr::Const(t) => Some(Value::Term(Cow::Borrowed(t))),
         Expr::Bound(v) => {
-            let slot = vars.get(v)?;
+            let slot = ctx.vars.get(v)?;
             Some(Value::Bool(b.get(slot).copied().flatten().is_some()))
         }
-        Expr::Not(e) => Some(Value::Bool(!eval_expr(store, e, b, vars))),
-        Expr::And(l, r) => {
-            Some(Value::Bool(eval_expr(store, l, b, vars) && eval_expr(store, r, b, vars)))
-        }
-        Expr::Or(l, r) => {
-            Some(Value::Bool(eval_expr(store, l, b, vars) || eval_expr(store, r, b, vars)))
-        }
+        Expr::Not(e) => Some(Value::Bool(!eval_expr(ctx, e, b))),
+        Expr::And(l, r) => Some(Value::Bool(eval_expr(ctx, l, b) && eval_expr(ctx, r, b))),
+        Expr::Or(l, r) => Some(Value::Bool(eval_expr(ctx, l, b) || eval_expr(ctx, r, b))),
         Expr::Contains(e, needle) => {
-            let v = eval_expr_term(store, e, b, vars)?;
+            let v = eval_expr_term(ctx, e, b)?;
             match v {
                 Value::Term(t) => {
-                    let hay = match t {
+                    let hay = match t.as_ref() {
                         Term::Iri(i) => i.as_str(),
                         Term::Literal { lexical, .. } => lexical.as_str(),
                         Term::Blank(l) => l.as_str(),
@@ -850,12 +868,12 @@ fn eval_expr_term<'a>(
                 _ => Some(Value::Bool(false)),
             }
         }
-        Expr::Eq(l, r) => compare(store, l, r, b, vars, CmpOp::Eq),
-        Expr::Ne(l, r) => compare(store, l, r, b, vars, CmpOp::Ne),
-        Expr::Lt(l, r) => compare(store, l, r, b, vars, CmpOp::Lt),
-        Expr::Le(l, r) => compare(store, l, r, b, vars, CmpOp::Le),
-        Expr::Gt(l, r) => compare(store, l, r, b, vars, CmpOp::Gt),
-        Expr::Ge(l, r) => compare(store, l, r, b, vars, CmpOp::Ge),
+        Expr::Eq(l, r) => compare(ctx, l, r, b, CmpOp::Eq),
+        Expr::Ne(l, r) => compare(ctx, l, r, b, CmpOp::Ne),
+        Expr::Lt(l, r) => compare(ctx, l, r, b, CmpOp::Lt),
+        Expr::Le(l, r) => compare(ctx, l, r, b, CmpOp::Le),
+        Expr::Gt(l, r) => compare(ctx, l, r, b, CmpOp::Gt),
+        Expr::Ge(l, r) => compare(ctx, l, r, b, CmpOp::Ge),
     }
 }
 
@@ -870,20 +888,20 @@ enum CmpOp {
 }
 
 fn compare<'a>(
-    store: &'a RdfStore,
+    ctx: ExecCtx<'a>,
     l: &'a Expr,
     r: &'a Expr,
     b: &Binding,
-    vars: &VarTable,
     op: CmpOp,
 ) -> Option<Value<'a>> {
     use std::cmp::Ordering;
-    let lv = eval_expr_term(store, l, b, vars)?;
-    let rv = eval_expr_term(store, r, b, vars)?;
+    let lv = eval_expr_term(ctx, l, b)?;
+    let rv = eval_expr_term(ctx, r, b)?;
     let (Value::Term(lt), Value::Term(rt)) = (lv, rv) else {
         // Comparison with an unbound/boolean operand is a type error.
         return Some(Value::Bool(false));
     };
+    let (lt, rt) = (lt.as_ref(), rt.as_ref());
     match op {
         CmpOp::Eq | CmpOp::Ne => {
             // Term (in)equality: numerically when both sides are numeric
@@ -964,8 +982,8 @@ pub fn execute_update(store: &mut RdfStore, update: &Update) -> Result<UpdateSta
                 }
             }
             let plan = plan_group(store, pattern, &vars, &FxHashSet::default())?;
-            let counters = ExecCounters::default();
-            let ctx = ExecCtx { store, vars: &vars, counters: &counters };
+            let state = ExecState::default();
+            let ctx = ExecCtx { store, vars: &vars, state: &state };
             let bindings = exec_group_materialised(ctx, &plan, vec![None; vars.len()]);
             let mut to_delete = Vec::new();
             let mut to_insert = Vec::new();

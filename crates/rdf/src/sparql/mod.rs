@@ -13,10 +13,10 @@ pub use ast::{
 };
 pub use eval::{
     cmp_terms, evaluate_prepared, evaluate_prepared_profiled, evaluate_select,
-    evaluate_select_materialised, execute, execute_update, order_key, prepare_select, query,
-    query_with_stats, sort_by_order_keys, ExecOutcome, OpProfile, OpTiming, OrderKey,
-    PreparedQuery, QueryResult, UpdateStats,
+    evaluate_select_materialised, execute, execute_update, order_key, prepare_select,
+    prepare_select_inferring, query, query_with_stats, sort_by_order_keys, ExecOutcome, OpProfile,
+    OpTiming, OrderKey, PreparedQuery, QueryResult, UpdateStats,
 };
 pub use parser::{parse, parse_select, Parser};
-pub use plan::{GroupPlan, PatternStep, Slot, SubPlan};
+pub use plan::{GroupPlan, InferredObjects, PatternStep, Slot, SubPlan};
 pub use stream::{BindingStream, ExecStats};

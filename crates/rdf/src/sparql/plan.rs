@@ -10,6 +10,10 @@
 //! join against. The same plan drives both the streaming executor
 //! (`sparql::stream`) and the materialised reference executor, so the two
 //! enumerate solutions in the same order.
+//!
+//! A SPARQL-ML SELECT adds one `InferStep` per inferred triple pattern
+//! `?s ?M ?o`, run after the top-level group; every FILTER over an inferred
+//! variable runs behind the last of them.
 
 use rustc_hash::FxHashSet;
 
@@ -18,6 +22,7 @@ use crate::error::SparqlError;
 use crate::sparql::ast::{Expr, GroupPattern, TermPattern, TriplePattern};
 use crate::sparql::eval::{evaluate_select_materialised, VarTable};
 use crate::store::RdfStore;
+use crate::term::Term;
 
 /// One resolved position of a planned triple pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +61,7 @@ pub struct SubPlan {
 }
 
 /// An executable plan for one group graph pattern.
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 pub struct GroupPlan {
     /// True when a ground term of a required pattern is absent from the
     /// dictionary: the group can match nothing.
@@ -70,8 +75,11 @@ pub struct GroupPlan {
     /// OPTIONAL blocks, left-joined after the sub-SELECTs.
     pub optionals: Vec<GroupPlan>,
     /// Filters over variables only bound by optionals/sub-selects (or never
-    /// bound), applied last.
+    /// bound), applied after the OPTIONALs.
     pub late_filters: Vec<Expr>,
+    /// A SPARQL-ML SELECT's inferred patterns, joined last; only ever set
+    /// on the top-level group.
+    pub(crate) infer: Vec<InferStep>,
 }
 
 impl GroupPlan {
@@ -136,6 +144,68 @@ impl GroupPlan {
         for f in &self.late_filters {
             let _ = writeln!(out, "{pad}filter(late) {f}");
         }
+        for step in &self.infer {
+            let _ = writeln!(out, "{pad}{} (est {:.1})", step.label, step.est);
+            for f in &step.filters {
+                let _ = writeln!(out, "{pad}  filter {f}");
+            }
+        }
+    }
+}
+
+/// The objects an inferred triple pattern `?s ?M ?o` gives one subject:
+/// what a model predicts for it. `kgnet-rdf` plans and runs the pattern;
+/// the SPARQL-ML layer implements this over its inference service.
+pub trait InferredObjects: Send + Sync {
+    /// The objects inferred for `subject`, best first, or none when the
+    /// model has no prediction for it. An error aborts the query.
+    fn objects(&self, subject: &Term) -> Result<Vec<Term>, SparqlError>;
+
+    /// One line naming the model and how it is called, for EXPLAIN and
+    /// operator profiles.
+    fn describe(&self) -> String;
+}
+
+/// One inferred triple pattern, planned after the top-level group: each
+/// binding joins with the objects [`InferredObjects`] gives its subject.
+/// A subject with no objects drops its binding, like any required pattern.
+pub(crate) struct InferStep {
+    pub(crate) subject: Slot,
+    /// Slot of the object variable.
+    pub(crate) object: usize,
+    /// The filters over inferred variables, on the last step only.
+    pub(crate) filters: Vec<Expr>,
+    pub(crate) objects: Box<dyn InferredObjects>,
+    /// `infer <subject> <model and plan> ?<object>`, for EXPLAIN and
+    /// profiles.
+    pub(crate) label: String,
+    /// The planner's estimate of the bindings reaching the step.
+    pub(crate) est: f64,
+}
+
+/// Append one [`InferStep`] per `(subject, object variable)` pattern to
+/// the top-level `plan`, in order, each answered by the matching `objects`
+/// entry; the `held` filters over inferred variables go on the last. A
+/// ground subject absent from the dictionary makes the plan impossible, as
+/// in any required pattern.
+pub(crate) fn plan_inferred(
+    store: &RdfStore,
+    plan: &mut GroupPlan,
+    patterns: &[(TermPattern, String)],
+    objects: Vec<Box<dyn InferredObjects>>,
+    vars: &VarTable,
+    mut held: Vec<Expr>,
+    est: f64,
+) {
+    for (i, ((subject, object), objects)) in patterns.iter().zip(objects).enumerate() {
+        let label = format!("infer {subject} {} ?{object}", objects.describe());
+        let object = vars.get(object).expect("inferred pattern vars are registered");
+        let Some(subject) = resolve_slot(store, subject, vars) else {
+            plan.impossible = true;
+            return;
+        };
+        let filters = if i + 1 == patterns.len() { std::mem::take(&mut held) } else { Vec::new() };
+        plan.infer.push(InferStep { subject, object, filters, objects, label, est });
     }
 }
 
@@ -258,15 +328,16 @@ fn resolve_triple(
     tp: &TriplePattern,
     vars: &VarTable,
 ) -> Option<(Slot, Slot, Slot)> {
-    let slot = |t: &TermPattern| -> Option<Slot> {
-        match t {
-            TermPattern::Var(v) => {
-                Some(Slot::Var(vars.get(v).expect("pattern vars are registered")))
-            }
-            TermPattern::Ground(term) => store.lookup(term).map(Slot::Const),
-        }
-    };
+    let slot = |t: &TermPattern| resolve_slot(store, t, vars);
     Some((slot(&tp.s)?, slot(&tp.p)?, slot(&tp.o)?))
+}
+
+/// Resolve one pattern position; `None` when a ground term is not interned.
+fn resolve_slot(store: &RdfStore, t: &TermPattern, vars: &VarTable) -> Option<Slot> {
+    match t {
+        TermPattern::Var(v) => Some(Slot::Var(vars.get(v).expect("pattern vars are registered"))),
+        TermPattern::Ground(term) => store.lookup(term).map(Slot::Const),
+    }
 }
 
 /// Estimated number of matches for a pattern given already-bound variables.

@@ -6,29 +6,42 @@
 //! is materialised. The pipeline for a [`GroupPlan`] is: seed → eager
 //! filters → one `ScanStep` per join step (index nested-loop join with
 //! pushed-down filters) → sub-SELECT joins → OPTIONAL left-joins → late
-//! filters.
+//! filters → one `InferJoin` per inferred triple pattern of a SPARQL-ML
+//! SELECT, so LIMIT stops calling a model as early as it stops scanning.
 //!
 //! `exec_group_materialised` is the loop-based reference implementation of
 //! the same plan; the streaming operators must enumerate exactly the same
 //! bindings in the same order (property-tested in the conformance suite).
 
-use std::cell::Cell;
+use std::borrow::Cow;
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Instant;
 
+use rustc_hash::FxHashMap;
+
+use crate::dict::{TermDict, TermId};
+use crate::error::SparqlError;
 use crate::sparql::ast::Expr;
 use crate::sparql::eval::{eval_expr, Binding, VarTable};
-use crate::sparql::plan::{GroupPlan, PatternStep, Slot, SubPlan};
+use crate::sparql::plan::{GroupPlan, InferStep, PatternStep, Slot, SubPlan};
 use crate::store::{RdfStore, ScanIter};
+use crate::term::Term;
 
-/// Counters accumulated while executing one query.
-#[derive(Debug, Default)]
-pub struct ExecCounters {
+/// State one query execution accumulates.
+#[derive(Default)]
+pub(crate) struct ExecState {
     /// Triples pulled from store index scans.
-    pub triples_scanned: Cell<u64>,
+    pub(crate) triples_scanned: Cell<u64>,
+    /// The terms inference steps met that the store's dictionary lacks;
+    /// their ids continue past its end.
+    side: RefCell<TermDict>,
+    /// The inference failure that ended the pipeline early.
+    pub(crate) failure: RefCell<Option<SparqlError>>,
 }
 
-/// A snapshot of [`ExecCounters`] returned alongside query results.
+/// A snapshot of an execution's counters, returned alongside query results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
     /// Triples pulled from store index scans.
@@ -43,17 +56,39 @@ pub trait BindingStream {
     fn next_binding(&mut self) -> Option<Binding>;
 }
 
-/// Shared read-only execution context.
+/// Shared execution context.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
     pub(crate) store: &'a RdfStore,
     pub(crate) vars: &'a VarTable,
-    pub(crate) counters: &'a ExecCounters,
+    pub(crate) state: &'a ExecState,
 }
 
 impl<'a> ExecCtx<'a> {
     fn passes(&self, filters: &[Expr], b: &Binding) -> bool {
-        filters.iter().all(|f| eval_expr(self.store, f, b, self.vars))
+        filters.iter().all(|f| eval_expr(*self, f, b))
+    }
+
+    /// The term behind `id`: the store's, or, past the dictionary's end,
+    /// one an inference step met.
+    pub(crate) fn term(&self, id: TermId) -> Cow<'a, Term> {
+        match self.store.dict().try_resolve(id) {
+            Some(term) => Cow::Borrowed(term),
+            None => {
+                let side = TermId(id.0 - self.store.dict().len() as u32);
+                Cow::Owned(self.state.side.borrow().resolve(side).clone())
+            }
+        }
+    }
+
+    /// The id of `term`: its dictionary id, or one past the dictionary's
+    /// end that stays the same for the rest of the execution, so DISTINCT,
+    /// joins and ORDER BY see one value.
+    fn intern(&self, term: Term) -> TermId {
+        let end = self.store.dict().len() as u32;
+        self.store
+            .lookup(&term)
+            .unwrap_or_else(|| TermId(end + self.state.side.borrow_mut().intern(term).0))
     }
 }
 
@@ -92,7 +127,15 @@ pub(crate) fn build_group_stream<'a>(
     }
     if !plan.late_filters.is_empty() {
         stream = Box::new(FilterStep { ctx, exprs: &plan.late_filters, input: stream });
-        stream = tap(stream, taps, || "filter(late)".to_owned());
+        stream = tap(stream, taps.as_deref_mut(), || "filter(late)".to_owned());
+    }
+    for step in &plan.infer {
+        // Sized by the estimate, so the memo does not grow row by row.
+        let n = (step.est as usize).min(1 << 12);
+        let memo = FxHashMap::with_capacity_and_hasher(n, Default::default());
+        let objects = Vec::with_capacity(n);
+        stream = Box::new(InferJoin { ctx, step, memo, objects, input: stream, cur: None });
+        stream = tap(stream, taps.as_deref_mut(), || step.label.clone());
     }
     stream
 }
@@ -198,7 +241,7 @@ impl BindingStream for ScanStep<'_> {
         loop {
             if let Some((base, iter)) = &mut self.cur {
                 for (s, p, o) in iter.by_ref() {
-                    let counter = &self.ctx.counters.triples_scanned;
+                    let counter = &self.ctx.state.triples_scanned;
                     counter.set(counter.get() + 1);
                     if let Some(nb) = bind_match(base, self.step, (s, p, o)) {
                         if self.ctx.passes(&self.step.filters, &nb) {
@@ -331,6 +374,68 @@ impl BindingStream for OptionalStep<'_> {
     }
 }
 
+/// Joins each input binding with the objects an inference step gives its
+/// subject: one [`InferredObjects`](crate::sparql::plan::InferredObjects)
+/// call per distinct subject, remembered for the rest of the execution. An
+/// object variable the input already binds keeps only the matching object.
+/// A failed call is recorded in the execution state and ends the stream.
+struct InferJoin<'a> {
+    ctx: ExecCtx<'a>,
+    step: &'a InferStep,
+    /// Each subject seen so far, with its objects' range in `objects`.
+    memo: FxHashMap<TermId, Range<usize>>,
+    objects: Vec<TermId>,
+    input: Box<dyn BindingStream + 'a>,
+    cur: Option<(Binding, Range<usize>)>,
+}
+
+impl InferJoin<'_> {
+    /// Where the interned objects of `subject` lie in `objects`.
+    fn objects(&mut self, subject: TermId) -> Result<Range<usize>, SparqlError> {
+        if let Some(range) = self.memo.get(&subject) {
+            return Ok(range.clone());
+        }
+        let start = self.objects.len();
+        for term in self.step.objects.objects(&self.ctx.term(subject))? {
+            self.objects.push(self.ctx.intern(term));
+        }
+        self.memo.insert(subject, start..self.objects.len());
+        Ok(start..self.objects.len())
+    }
+}
+
+impl BindingStream for InferJoin<'_> {
+    fn next_binding(&mut self) -> Option<Binding> {
+        loop {
+            if let Some((base, range)) = &mut self.cur {
+                while let Some(i) = range.next() {
+                    let o = self.objects[i];
+                    if base[self.step.object].is_some_and(|bound| bound != o) {
+                        continue;
+                    }
+                    // The last object takes the input binding itself.
+                    let last = range.start == range.end;
+                    let mut nb = if last { std::mem::take(base) } else { base.clone() };
+                    nb[self.step.object] = Some(o);
+                    if self.ctx.passes(&self.step.filters, &nb) {
+                        return Some(nb);
+                    }
+                }
+                self.cur = None;
+            }
+            let b = self.input.next_binding()?;
+            let Some(subject) = probe(self.step.subject, &b) else { continue };
+            match self.objects(subject) {
+                Ok(range) => self.cur = Some((b, range)),
+                Err(e) => {
+                    self.ctx.state.failure.borrow_mut().get_or_insert(e);
+                    return None;
+                }
+            }
+        }
+    }
+}
+
 /// Loop-based reference execution of the same plan: materialises the full
 /// binding table between operators. Kept as the correctness oracle for the
 /// streaming operators.
@@ -339,6 +444,7 @@ pub(crate) fn exec_group_materialised(
     plan: &GroupPlan,
     seed: Binding,
 ) -> Vec<Binding> {
+    debug_assert!(plan.infer.is_empty(), "the materialised executor runs plain SPARQL only");
     if plan.impossible {
         return Vec::new();
     }
@@ -348,7 +454,7 @@ pub(crate) fn exec_group_materialised(
         let mut next = Vec::new();
         for b in &bindings {
             for m in ctx.store.scan_iter(probe(step.s, b), probe(step.p, b), probe(step.o, b)) {
-                let counter = &ctx.counters.triples_scanned;
+                let counter = &ctx.state.triples_scanned;
                 counter.set(counter.get() + 1);
                 if let Some(nb) = bind_match(b, step, m) {
                     if ctx.passes(&step.filters, &nb) {

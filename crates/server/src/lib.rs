@@ -33,6 +33,11 @@
 //! all. Queries keep flowing while models train and while writers commit;
 //! a cancelled or failed job leaves both untouched.
 //!
+//! A SPARQL-ML SELECT is prepared by the manager (model and plan choice
+//! from live KGMeta) under its read lock and then runs on the same
+//! streaming executor as a plain SELECT, its inference steps calling the
+//! model service as rows reach them; only plain plans are cached.
+//!
 //! Every SELECT a session runs is timed; one at or above
 //! [`ServerConfig::slow_query`] lands, with its rendered plan and span
 //! profile, in the server's slow-query log — a [`kgnet_obs::Ring`] of the

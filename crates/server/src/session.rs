@@ -13,11 +13,12 @@
 //!
 //! [`query`](ReadSession::query) and
 //! [`query_profiled`](ReadSession::query_profiled) share one dispatch that
-//! takes each step once: probe the plan cache, parse on a miss, hand a
-//! SPARQL-ML SELECT to the manager or evaluate the plain plan
-//! (operator-profiled when asked), record the latency, row and scan
-//! metrics plus the session totals, and — when the latency crosses the
-//! server's slow-query threshold — capture a [`SlowQuery`] into the
+//! takes each step once: probe the plan cache, parse on a miss, prepare
+//! the plan — a plain SELECT through the cache, a SPARQL-ML SELECT through
+//! the manager, whose inference steps run inside the same executor — then
+//! evaluate it (operator-profiled when asked), record the latency, row and
+//! scan metrics plus the session totals, and — when the latency crosses
+//! the server's slow-query threshold — capture a [`SlowQuery`] into the
 //! server's bounded slow-query [`Ring`]. Only a slow query pays for
 //! rendering its plan; a fast one pays the comparison.
 //!
@@ -42,10 +43,10 @@ use kgnet_obs::{Ring, SpanNode};
 use kgnet_sync::RwLock;
 
 use kgnet_gmlaas::{ArtifactPayload, SearchParams, ServiceError};
-use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled, PreparedQuery};
+use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled};
 use kgnet_rdf::{QueryResult, RdfStore, SharedStore, Snapshot, SparqlError, WriteTxn};
 use kgnet_sparqlml::{
-    contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation, SparqlMlQuery,
+    contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation,
 };
 
 use crate::cache::{CacheStats, SharedPlanCache};
@@ -66,8 +67,8 @@ pub struct SlowQuery {
     /// Triples scanned while evaluating.
     pub triples_scanned: u64,
     /// The rendered execution plan (operators in execution order, with
-    /// cardinality estimates and pushed filters); SPARQL-ML SELECTs, which
-    /// have no physical plan, carry a marker instead.
+    /// cardinality estimates and pushed filters; a SPARQL-ML SELECT adds an
+    /// `infer` line per user-defined predicate, naming model and plan).
     pub plan: String,
     /// The span profile of the execution: the full operator tree when the
     /// query ran under `query_profiled`, a single root span otherwise.
@@ -82,19 +83,11 @@ pub struct SessionStats {
     pub queries: u64,
     /// Result rows returned across all of them.
     pub rows: u64,
-    /// Triples scanned across all plain SELECTs (ML SELECT scan volume is
-    /// internal to the manager's rewrite and not attributed here).
+    /// Triples scanned across all of them.
     pub triples_scanned: u64,
     /// Time this session's thread spent blocked on contended facade locks
     /// inside `query`/`query_profiled` calls.
     pub lock_wait_nanos: u64,
-}
-
-/// What a read executes: a prepared plain plan, or a SPARQL-ML SELECT the
-/// manager rewrites.
-enum Plan {
-    Plain(Arc<PreparedQuery>),
-    Ml(SparqlMlQuery),
 }
 
 /// A concurrent read handle: SELECT-only execution against a pinned
@@ -141,9 +134,9 @@ impl ReadSession {
     /// training queue.
     ///
     /// Plain SELECTs run through the shared plan cache — a hit skips
-    /// re-parsing as well as re-planning; ML SELECTs are optimized per call
-    /// (their rewriting depends on live KGMeta state) but still execute
-    /// lock-free against the snapshot.
+    /// re-parsing as well as re-planning; ML SELECTs are prepared per call
+    /// (their models and plans depend on live KGMeta state) and execute
+    /// against the snapshot under the manager read lock.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, MlError> {
         self.run(text, false).map(|(rows, _)| rows)
     }
@@ -152,10 +145,10 @@ impl ReadSession {
     /// tree whose root covers the end-to-end evaluation and whose children
     /// carry per-operator *self* times and row counts, so the children's
     /// nanos sum exactly to the root's. Plain SELECTs ride the shared plan
-    /// cache like [`query`](Self::query) and are profiled operator by
-    /// operator; SPARQL-ML SELECTs (whose rewrite is opaque to the plain
-    /// planner) report a single `sparql-ml` node. Updates and `TrainGML`
-    /// are rejected with [`MlError::ReadOnly`].
+    /// cache like [`query`](Self::query); SPARQL-ML SELECTs, rooted at a
+    /// `sparql-ml` node, add one `infer` child per user-defined predicate.
+    /// Every operator is profiled. Updates and `TrainGML` are rejected with
+    /// [`MlError::ReadOnly`].
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, SpanNode), MlError> {
         let (rows, profile) = self.run(text, true)?;
         Ok((rows, profile.expect("a profiled run builds its profile")))
@@ -180,42 +173,44 @@ impl ReadSession {
         // included) before tokenizing — so it gates the probe.
         let cached =
             if contains_traingml(text) { None } else { self.cache.get(self.generation(), text) };
-        let plan = match cached {
+        // An ML SELECT's inference steps call the manager's service, so the
+        // manager read lock is held until it has executed.
+        let mut manager = None;
+        let prepared = match cached {
             Some(prepared) => {
                 self.hits += 1;
                 metrics.plan_cache_hits.inc();
-                Ok(Plan::Plain(prepared))
+                Ok(prepared)
             }
             None => parse(text).map_err(MlError::from).and_then(|op| match op {
                 SparqlMlOperation::PlainSelect(q) => {
                     let prepared = self.cache.prepare_insert(&self.snapshot, text, q)?;
                     self.misses += 1;
                     metrics.plan_cache_misses.inc();
-                    Ok(Plan::Plain(prepared))
+                    Ok(prepared)
                 }
-                SparqlMlOperation::Select(q) => Ok(Plan::Ml(q)),
+                SparqlMlOperation::Select(q) => {
+                    let manager = manager.insert(witness::read(&self.manager));
+                    Ok(Arc::new(manager.prepare_select(&self.snapshot, &q)?))
+                }
                 SparqlMlOperation::PlainUpdate(_)
                 | SparqlMlOperation::Train(_)
                 | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
             }),
         };
-        let executed = plan.and_then(|plan| {
-            let (rows, scanned, ops) = match &plan {
-                Plan::Plain(prepared) if profiled => {
-                    let (rows, stats, ops) = evaluate_prepared_profiled(&self.snapshot, prepared)?;
-                    (rows, stats.triples_scanned, Some(ops))
-                }
-                Plan::Plain(prepared) => {
-                    let (rows, stats) = evaluate_prepared(&self.snapshot, prepared)?;
-                    (rows, stats.triples_scanned, None)
-                }
-                Plan::Ml(q) => {
-                    (witness::read(&self.manager).query_select(&self.snapshot, q)?, 0, None)
-                }
+        let executed = prepared.and_then(|prepared| {
+            let (rows, stats, ops) = if profiled {
+                let (rows, stats, ops) = evaluate_prepared_profiled(&self.snapshot, &prepared)?;
+                (rows, stats, Some(ops))
+            } else {
+                let (rows, stats) = evaluate_prepared(&self.snapshot, &prepared)?;
+                (rows, stats, None)
             };
-            Ok((plan, rows, scanned, ops))
+            Ok((prepared, rows, stats.triples_scanned, ops))
         });
-        let out = executed.map(|(plan, rows, scanned, ops)| {
+        let root = if manager.is_some() { "sparql-ml" } else { "query" };
+        drop(manager);
+        let out = executed.map(|(prepared, rows, scanned, ops)| {
             let total = nanos_since(t0);
             let n = rows.len() as u64;
             metrics.query_latency.record(total);
@@ -224,7 +219,6 @@ impl ReadSession {
             self.stats.queries += 1;
             self.stats.rows += n;
             self.stats.triples_scanned += scanned;
-            let root = if matches!(plan, Plan::Ml(_)) { "sparql-ml" } else { "query" };
             let profile = match ops {
                 Some(ops) => {
                     let mut node = SpanNode::new(root, ops.total_nanos, n);
@@ -244,10 +238,7 @@ impl ReadSession {
                     total_nanos: total,
                     rows: n,
                     triples_scanned: scanned,
-                    plan: match &plan {
-                        Plan::Plain(prepared) => prepared.explain(&self.snapshot),
-                        Plan::Ml(_) => "(sparql-ml: no physical plan)".to_owned(),
-                    },
+                    plan: prepared.explain(&self.snapshot),
                     profile: profile.clone().unwrap_or_else(|| SpanNode::new(root, total, n)),
                 });
             }

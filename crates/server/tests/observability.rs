@@ -212,6 +212,64 @@ fn profiled_query_matches_plain_and_sums_to_its_root() {
 }
 
 #[test]
+fn profiled_ml_query_matches_plain_and_sums_to_its_root() {
+    // A 1 ns threshold captures every execution into the slow-query log.
+    let (kg, _) = generate_dblp(&DblpConfig::tiny(43));
+    let config = ServerConfig {
+        manager: ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() },
+        slow_query: Duration::from_nanos(1),
+        ..Default::default()
+    };
+    let server = KgServer::new(kg, config);
+    let done = server.wait(server.submit_train(nc_request("paper-venue")).unwrap()).unwrap();
+    assert!(matches!(done.state, JobState::Done { .. }), "job failed: {done:?}");
+
+    let mut session = server.read_session();
+    let q = "PREFIX dblp: <https://www.dblp.org/> PREFIX kgnet: <https://www.kgnet.com/> \
+             SELECT ?p ?t ?venue WHERE { ?p a dblp:Publication . ?p dblp:title ?t . \
+             ?p ?NodeClassifier ?venue . ?NodeClassifier a kgnet:NodeClassifier . \
+             ?NodeClassifier kgnet:TargetNode dblp:Publication . \
+             ?NodeClassifier kgnet:NodeLabel dblp:publishedIn . }";
+    let plain = session.query(q).unwrap();
+    let (rows, profile) = session.query_profiled(q).unwrap();
+    assert_eq!(rows, plain, "profiling must not change results");
+    assert!(!rows.is_empty());
+    // ML SELECTs stay out of the plan cache.
+    let stats = session.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 0));
+
+    // The inference step is one operator of the plain pipeline: the
+    // children's self times sum exactly to the root.
+    assert_eq!(profile.name, "sparql-ml");
+    assert_eq!(profile.rows, rows.len() as u64);
+    assert_eq!(
+        profile.child_nanos(),
+        profile.nanos,
+        "operator self-times must account for the whole query: {}",
+        profile.render()
+    );
+    let labels: Vec<&str> = profile.children.iter().map(|c| c.name.as_str()).collect();
+    assert!(labels.iter().any(|l| l.starts_with("scan ")), "labels: {labels:?}");
+    assert_eq!(*labels.last().unwrap(), "project");
+    let infer = profile.children.iter().find(|c| c.name.starts_with("infer ?p <")).unwrap();
+    assert_eq!(infer.rows, rows.len() as u64);
+
+    // Both runs reached the slow-query log with their physical plan, and
+    // their scans count like a plain query's.
+    let slow = server.slow_queries();
+    assert_eq!(slow.len(), 2);
+    for entry in &slow {
+        assert!(entry.plan.contains("\ninfer ?p <"), "plan: {}", entry.plan);
+        assert!(entry.plan.contains("project"), "plan: {}", entry.plan);
+        assert!(entry.triples_scanned > 0);
+    }
+    assert_eq!(slow[1].profile.name, "sparql-ml");
+    assert!(!slow[1].profile.children.is_empty());
+    let totals = session.session_stats();
+    assert_eq!(totals.triples_scanned, slow.iter().map(|e| e.triples_scanned).sum::<u64>());
+}
+
+#[test]
 fn profiled_subselect_query_sums_to_its_root() {
     // A sub-SELECT materialises its inner rows before the outer pipeline
     // joins them — the costliest shape the profiler covers, so pin that

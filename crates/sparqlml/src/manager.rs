@@ -2,16 +2,13 @@
 //!
 //! `INSERT`/`TrainGML` requests run the full KGNet pipeline — meta-sampling
 //! of `KG'`, budget-constrained training via GMLaaS, KGMeta registration.
-//! `SELECT` queries are optimized (model selection + plan selection integer
-//! programs), rewritten, executed against the RDF store, and their
-//! user-defined predicates are evaluated through the inference service's
-//! JSON boundary. `DELETE` removes models and their KGMeta metadata.
+//! `SELECT` queries are optimized (model, then plan selection integer
+//! programs) into one [`PreparedQuery`] for the plain streaming executor,
+//! whose inference steps call the inference service's JSON boundary.
+//! `DELETE` removes models and their KGMeta metadata.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::OnceLock;
 
 use kgnet_gml::config::{GmlMethodKind, GnnConfig};
 use kgnet_gmlaas::{
@@ -19,9 +16,10 @@ use kgnet_gmlaas::{
     TaskKind, TrainError, TrainRequest, TrainingManager,
 };
 use kgnet_rdf::sparql::eval::{
-    evaluate_select, execute_update, order_key, sort_by_order_keys, QueryResult, UpdateStats,
+    evaluate_prepared, evaluate_select, execute_update, prepare_select_inferring, PreparedQuery,
+    QueryResult, UpdateStats,
 };
-use kgnet_rdf::sparql::{Order, Projection, ProjectionItem, TermPattern};
+use kgnet_rdf::sparql::{InferredObjects, TermPattern};
 use kgnet_rdf::{RdfStore, SparqlError, Term};
 use kgnet_sampler::{meta_sample_task, SamplingScope};
 
@@ -78,12 +76,6 @@ impl From<SparqlError> for MlError {
 impl From<TrainError> for MlError {
     fn from(e: TrainError) -> Self {
         MlError::Train(e)
-    }
-}
-
-impl From<ServiceError> for MlError {
-    fn from(e: ServiceError) -> Self {
-        MlError::Service(e)
     }
 }
 
@@ -196,20 +188,29 @@ impl QueryManager {
     /// only, so any number of queries run concurrently against one store.
     /// Rejects every state-mutating operation with [`MlError::ReadOnly`].
     pub fn query(&self, data: &RdfStore, text: &str) -> Result<MlOutcome, MlError> {
-        match parse(text)? {
-            SparqlMlOperation::PlainSelect(q) => Ok(MlOutcome::Rows(evaluate_select(data, &q)?)),
-            SparqlMlOperation::Select(q) => self.select(data, &q).map(MlOutcome::Rows),
-            SparqlMlOperation::PlainUpdate(_)
-            | SparqlMlOperation::Train(_)
-            | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
-        }
+        self.read(data, parse(text)?)
     }
 
-    /// Evaluate an already-parsed SPARQL-ML SELECT through shared borrows —
-    /// the read path without re-parsing, for serving layers that classify
-    /// the operation themselves.
-    pub fn query_select(&self, data: &RdfStore, q: &SparqlMlQuery) -> Result<QueryResult, MlError> {
-        self.select(data, q)
+    fn read(&self, data: &RdfStore, op: SparqlMlOperation) -> Result<MlOutcome, MlError> {
+        Ok(MlOutcome::Rows(match op {
+            SparqlMlOperation::PlainSelect(q) => evaluate_select(data, &q)?,
+            SparqlMlOperation::Select(q) => evaluate_prepared(data, &self.prepare(data, &q)?.0)?.0,
+            // Every other operation writes.
+            _ => return Err(MlError::ReadOnly),
+        }))
+    }
+
+    /// Compile an already-parsed SPARQL-ML SELECT against `data` for
+    /// serving layers that classify the operation themselves: models and
+    /// plans are chosen now, and the plan runs (and explains) through
+    /// [`evaluate_prepared`] like any plain one, calling this manager's
+    /// inference service as rows reach its inference steps.
+    pub fn prepare_select(
+        &self,
+        data: &RdfStore,
+        q: &SparqlMlQuery,
+    ) -> Result<PreparedQuery, MlError> {
+        self.prepare(data, q).map(|(prepared, ..)| prepared)
     }
 
     /// The write path: INSERT-MODEL (`TrainGML`), model DELETE and plain
@@ -217,8 +218,6 @@ impl QueryManager {
     /// (KGMeta) and the store. SELECTs are delegated to the read path.
     pub fn update(&mut self, data: &mut RdfStore, text: &str) -> Result<MlOutcome, MlError> {
         match parse(text)? {
-            SparqlMlOperation::PlainSelect(q) => Ok(MlOutcome::Rows(evaluate_select(data, &q)?)),
-            SparqlMlOperation::Select(q) => self.select(data, &q).map(MlOutcome::Rows),
             SparqlMlOperation::PlainUpdate(u) => Ok(MlOutcome::Updated(execute_update(data, &u)?)),
             SparqlMlOperation::Train(spec) => self.train(data, spec),
             SparqlMlOperation::DeleteModels(filter) => {
@@ -229,6 +228,7 @@ impl QueryManager {
                 }
                 Ok(MlOutcome::DeletedModels(uris))
             }
+            op => self.read(data, op),
         }
     }
 
@@ -240,11 +240,12 @@ impl QueryManager {
         self.kgmeta.register(artifact);
     }
 
-    /// Optimize and rewrite a SPARQL-ML SELECT without executing it.
+    /// Optimize and rewrite a SPARQL-ML SELECT without executing it: the
+    /// models and plans the same query runs with.
     pub fn explain(&self, data: &RdfStore, text: &str) -> Result<RewrittenQuery, MlError> {
         match parse(text)? {
             SparqlMlOperation::Select(q) => {
-                let (models, plans, _) = self.optimize(data, &q)?;
+                let (_, models, plans) = self.prepare(data, &q)?;
                 Ok(rewrite(&q, &models, &plans))
             }
             _ => Err(MlError::Sparql(SparqlError::parse("explain expects an ML SELECT"))),
@@ -307,13 +308,15 @@ impl QueryManager {
 
     // -- SELECT ------------------------------------------------------------
 
-    /// Model + plan selection for an ML query; returns the per-predicate
-    /// model URIs, plans and the evaluated base result.
-    fn optimize(
+    /// Choose one model per user-defined predicate, then compile the query
+    /// with one inference step per predicate, its plan chosen from the
+    /// planner's estimate of the rows reaching the step. Execution and
+    /// [`explain`](Self::explain) both come through here.
+    fn prepare(
         &self,
         data: &RdfStore,
         q: &SparqlMlQuery,
-    ) -> Result<(Vec<String>, Vec<RewritePlan>, QueryResult), MlError> {
+    ) -> Result<(PreparedQuery, Vec<String>, Vec<RewritePlan>), MlError> {
         // Candidate models per predicate from KGMeta.
         let mut candidates = Vec::with_capacity(q.ud_predicates.len());
         for ud in &q.ud_predicates {
@@ -328,292 +331,115 @@ impl QueryManager {
         let models: Vec<String> =
             chosen.iter().zip(&candidates).map(|(&i, c)| c[i].uri.clone()).collect();
 
-        // Evaluate the base query with subjects projected, to count distinct
-        // bindings per predicate (the cardinalities of §IV.B.3).
-        let exec = self.executable_base(q);
-        let base_result = evaluate_select(data, &exec)?;
-        let inputs: Vec<PlanInputs> = q
-            .ud_predicates
-            .iter()
-            .zip(chosen.iter().zip(&candidates))
-            .map(|(ud, (&i, c))| PlanInputs {
-                bindings: distinct_subject_count(&base_result, &ud.subject),
-                model_cardinality: c[i].cardinality,
-                entry_bytes: self.config.entry_bytes,
-            })
-            .collect();
-        let plans = select_plans(&inputs, self.config.dict_bytes_cap);
-        Ok((models, plans, base_result))
-    }
-
-    /// The base query, projected to also bind every UD subject/object var
-    /// and every ORDER BY key.
-    fn executable_base(&self, q: &SparqlMlQuery) -> kgnet_rdf::sparql::SelectQuery {
-        let mut exec = q.base.clone();
-        exec.distinct = false;
-        exec.limit = None;
-        exec.offset = None;
-        exec.order_by.clear();
-        let mut items: Vec<ProjectionItem> = match &exec.projection {
-            Projection::All => {
-                exec.pattern.bindable_vars().into_iter().map(ProjectionItem::Var).collect()
-            }
-            Projection::Items(items) => items.clone(),
-        };
-        let mut have: FxHashSet<String> = items
-            .iter()
-            .filter_map(|i| match i {
-                ProjectionItem::Var(v) => Some(v.clone()),
-                ProjectionItem::Agg { .. } => None,
-            })
-            .collect();
-        for ud in &q.ud_predicates {
-            if let TermPattern::Var(v) = &ud.subject {
-                if have.insert(v.clone()) {
-                    items.push(ProjectionItem::Var(v.clone()));
-                }
-            }
-            if have.insert(ud.object_var.clone()) {
-                items.push(ProjectionItem::Var(ud.object_var.clone()));
-            }
-        }
-        for (v, _) in &q.base.order_by {
-            if have.insert(v.clone()) {
-                items.push(ProjectionItem::Var(v.clone()));
-            }
-        }
-        exec.projection = Projection::Items(items);
-        exec
-    }
-
-    fn select(&self, data: &RdfStore, q: &SparqlMlQuery) -> Result<QueryResult, MlError> {
-        let (models, plans, mut result) = self.optimize(data, q)?;
-        let rewritten = rewrite(q, &models, &plans);
-
-        for step in &rewritten.steps {
-            let subj_col = match &step.ud.subject {
-                TermPattern::Var(v) => result.column(v),
-                TermPattern::Ground(_) => None,
-            };
-            let obj_col = result
-                .column(&step.ud.object_var)
-                .expect("object var projected by executable_base");
-            match step.ud.task_kind {
-                TaskKind::NodeClassifier => {
-                    self.fill_node_class(&mut result, step, subj_col, obj_col)?;
-                }
-                TaskKind::LinkPredictor | TaskKind::NodeSimilarity => {
-                    self.expand_links(&mut result, step, subj_col, obj_col)?;
-                }
-            }
-        }
-
-        // Re-apply the original solution modifiers and projection, in SPARQL
-        // order. ORDER BY sorts the full-width rows, so a key need not be
-        // projected, by the plain evaluator's `OrderKey`s, one per cell.
-        let (cols, orders): (Vec<usize>, Vec<Order>) =
-            q.base.order_by.iter().filter_map(|(v, o)| result.column(v).map(|c| (c, *o))).unzip();
-        if !cols.is_empty() {
-            let keys: Vec<_> = result
-                .rows
+        let patterns: Vec<(TermPattern, String)> =
+            q.ud_predicates.iter().map(|ud| (ud.subject.clone(), ud.object_var.clone())).collect();
+        let mut plans = Vec::new();
+        let prepared = prepare_select_inferring(data, q.base.clone(), &patterns, |rows| {
+            // A ground subject binds once. A similarity model has no
+            // dictionary: it enters the choice saving no calls and taking no
+            // bytes, and is always called per binding.
+            let inputs: Vec<PlanInputs> = q
+                .ud_predicates
                 .iter()
-                .flat_map(|row| cols.iter().map(|&c| order_key(row[c].as_ref())))
+                .enumerate()
+                .map(|(p, ud)| {
+                    let cardinality = candidates[p][chosen[p]].cardinality;
+                    let (bindings, model_cardinality) = match (ud.task_kind, &ud.subject) {
+                        (TaskKind::NodeSimilarity, _) => (1, 0),
+                        (_, TermPattern::Ground(_)) => (1, cardinality),
+                        (_, TermPattern::Var(_)) => (rows.ceil() as usize, cardinality),
+                    };
+                    PlanInputs { bindings, model_cardinality, entry_bytes: self.config.entry_bytes }
+                })
                 .collect();
-            sort_by_order_keys(&mut result.rows, &keys, &orders);
-        }
-        // Cells are moved out of the base rows; only a column projected more
-        // than once is cloned, for every use but its last.
-        let final_vars = q.base.output_vars();
-        let cols: Vec<usize> = final_vars.iter().filter_map(|v| result.column(v)).collect();
-        let used_again: Vec<bool> =
-            cols.iter().enumerate().map(|(i, c)| cols[i + 1..].contains(c)).collect();
-        let mut rows: Vec<Vec<Option<Term>>> = result
-            .rows
-            .into_iter()
-            .map(|mut row| {
-                cols.iter()
-                    .zip(&used_again)
-                    .map(|(&c, &again)| if again { row[c].clone() } else { row[c].take() })
-                    .collect()
-            })
-            .collect();
-        if q.base.distinct {
-            // Term equality: the same as comparing N-Triples renderings for
-            // every term the parsers build (no literal has both a language
-            // tag and a datatype).
-            let mut seen = FxHashSet::default();
-            let first: Vec<bool> = rows.iter().map(|row| seen.insert(row.as_slice())).collect();
-            let mut first = first.into_iter();
-            rows.retain(|_| first.next().unwrap_or(false));
-        }
-        let offset = q.base.offset.unwrap_or(0);
-        if offset > 0 {
-            rows.drain(..offset.min(rows.len()));
-        }
-        if let Some(limit) = q.base.limit {
-            rows.truncate(limit);
-        }
-        Ok(QueryResult { vars: final_vars, rows })
-    }
-
-    fn fill_node_class(
-        &self,
-        result: &mut QueryResult,
-        step: &crate::rewrite::InferenceStep,
-        subj_col: Option<usize>,
-        obj_col: usize,
-    ) -> Result<(), MlError> {
-        let subject = SubjectKey::of(step, subj_col);
-        let predicted: Arc<HashMap<String, String>> = match step.plan {
-            // The artifact's own map, shared by the service: looked up in
-            // place, never copied.
-            RewritePlan::Dictionary => match self
-                .service
-                .call(&InferenceRequest::GetNodeClassDict { model: step.model_uri.clone() })?
-            {
-                InferenceResponse::NodeClassDict { predictions } => predictions,
-                _ => Arc::default(),
-            },
-            RewritePlan::PerBinding => {
-                let mut predicted = HashMap::new();
-                for iri in collect_subjects(result, &subject) {
-                    let resp = self.service.call(&InferenceRequest::GetNodeClass {
-                        model: step.model_uri.clone(),
-                        node: iri.clone(),
-                    })?;
-                    if let InferenceResponse::NodeClass { class: Some(class), .. } = resp {
-                        predicted.insert(iri, class);
-                    }
+            plans = select_plans(&inputs, self.config.dict_bytes_cap);
+            for (plan, ud) in plans.iter_mut().zip(&q.ud_predicates) {
+                if ud.task_kind == TaskKind::NodeSimilarity {
+                    *plan = RewritePlan::PerBinding;
                 }
-                Arc::new(predicted)
+            }
+            q.ud_predicates
+                .iter()
+                .zip(models.iter().zip(&plans))
+                .map(|(ud, (model, &plan))| {
+                    Box::new(Inference {
+                        service: self.service.clone(),
+                        model: model.clone(),
+                        kind: ud.task_kind,
+                        plan,
+                        k: ud.topk,
+                        dictionary: OnceLock::new(),
+                    }) as Box<dyn InferredObjects>
+                })
+                .collect()
+        })?;
+        Ok((prepared, models, plans))
+    }
+}
+
+/// One user-defined predicate answered through the inference service under
+/// its chosen plan: the Fig. 12 dictionary, fetched once on first use, or
+/// the Fig. 11 per-binding call, which the executor makes once per
+/// distinct subject. At most `k` objects are kept per subject.
+struct Inference {
+    service: InferenceService,
+    model: String,
+    kind: TaskKind,
+    plan: RewritePlan,
+    k: usize,
+    dictionary: OnceLock<InferenceResponse>,
+}
+
+impl Inference {
+    /// The call this predicate's plan makes for `node`.
+    fn request(&self, node: &str) -> InferenceRequest {
+        use {InferenceRequest as R, RewritePlan as P, TaskKind as T};
+        let (model, node, k) = (self.model.clone(), node.to_owned(), self.k);
+        match (self.kind, self.plan) {
+            (T::NodeClassifier, P::Dictionary) => R::GetNodeClassDict { model },
+            (T::NodeClassifier, P::PerBinding) => R::GetNodeClass { model, node },
+            (T::LinkPredictor, P::Dictionary) => R::GetAllTopkLinks { model, k },
+            (T::LinkPredictor, P::PerBinding) => R::GetTopkLinks { model, source: node, k },
+            (T::NodeSimilarity, _) => R::GetSimilarNodes { model, node, k },
+        }
+    }
+}
+
+impl InferredObjects for Inference {
+    fn objects(&self, subject: &Term) -> Result<Vec<Term>, SparqlError> {
+        let node = subject.as_iri().map_or_else(|| Cow::Owned(subject.to_string()), Cow::Borrowed);
+        let call = || {
+            let failed = |e: ServiceError| SparqlError::eval(format!("inference failed: {e}"));
+            self.service.call(&self.request(&node)).map_err(failed)
+        };
+        let fetched;
+        let response = match (self.plan, self.dictionary.get()) {
+            (RewritePlan::Dictionary, Some(dictionary)) => dictionary,
+            (RewritePlan::Dictionary, None) => {
+                let dictionary = call()?;
+                self.dictionary.get_or_init(|| dictionary)
+            }
+            (RewritePlan::PerBinding, _) => {
+                fetched = call()?;
+                &fetched
             }
         };
-        // Bind predictions; rows whose subject has no prediction are dropped
-        // (the inferred triple pattern did not match).
-        result.rows.retain_mut(|row| {
-            let class = subject.of_row(row).and_then(|s| predicted.get(s.as_ref()));
-            let Some(class) = class else { return false };
-            row[obj_col] = Some(Term::iri(class.clone()));
-            true
-        });
-        Ok(())
-    }
-
-    fn expand_links(
-        &self,
-        result: &mut QueryResult,
-        step: &crate::rewrite::InferenceStep,
-        subj_col: Option<usize>,
-        obj_col: usize,
-    ) -> Result<(), MlError> {
-        let subject = SubjectKey::of(step, subj_col);
-        let k = step.ud.topk;
-        let mut links: FxHashMap<String, Vec<(String, f32)>> = FxHashMap::default();
-        match (step.ud.task_kind, step.plan) {
-            (TaskKind::LinkPredictor, RewritePlan::Dictionary) => {
-                let resp = self.service.call(&InferenceRequest::GetAllTopkLinks {
-                    model: step.model_uri.clone(),
-                    k,
-                })?;
-                if let InferenceResponse::AllTopkLinks { links: l } = resp {
-                    links.extend(l);
-                }
+        use InferenceResponse as R;
+        let ranked = |links: &[(String, f32)]| {
+            links.iter().take(self.k).map(|(o, _)| Term::iri(o.as_str())).collect()
+        };
+        Ok(match response {
+            R::NodeClass { class, .. } => class.iter().map(|c| Term::iri(c.as_str())).collect(),
+            R::NodeClassDict { predictions } => {
+                predictions.get(&*node).map(|c| Term::iri(c.as_str())).into_iter().collect()
             }
-            (TaskKind::LinkPredictor, RewritePlan::PerBinding) => {
-                for iri in collect_subjects(result, &subject) {
-                    let resp = self.service.call(&InferenceRequest::GetTopkLinks {
-                        model: step.model_uri.clone(),
-                        source: iri.clone(),
-                        k,
-                    })?;
-                    if let InferenceResponse::TopkLinks { links: l, .. } = resp {
-                        links.insert(iri, l);
-                    }
-                }
-            }
-            (TaskKind::NodeSimilarity, _) => {
-                for iri in collect_subjects(result, &subject) {
-                    let resp = self.service.call(&InferenceRequest::GetSimilarNodes {
-                        model: step.model_uri.clone(),
-                        node: iri.clone(),
-                        k,
-                    })?;
-                    if let InferenceResponse::SimilarNodes { neighbors } = resp {
-                        links.insert(iri, neighbors);
-                    }
-                }
-            }
-            (TaskKind::NodeClassifier, _) => unreachable!("handled by fill_node_class"),
-        }
-
-        let mut expanded = Vec::with_capacity(result.rows.len());
-        for row in &result.rows {
-            let ranked = subject.of_row(row).and_then(|s| links.get(s.as_ref()));
-            let Some(ranked) = ranked else { continue };
-            for (dest, _score) in ranked.iter().take(k) {
-                let mut new_row = row.clone();
-                new_row[obj_col] = Some(Term::iri(dest.clone()));
-                expanded.push(new_row);
-            }
-        }
-        result.rows = expanded;
-        Ok(())
-    }
-}
-
-/// Where an inference step reads its subject: a ground term, rendered once
-/// per step, or a column of the base rows.
-enum SubjectKey<'a> {
-    Ground(Cow<'a, str>),
-    Column(Option<usize>),
-}
-
-impl<'a> SubjectKey<'a> {
-    fn of(step: &'a crate::rewrite::InferenceStep, subj_col: Option<usize>) -> Self {
-        match &step.ud.subject {
-            TermPattern::Ground(t) => SubjectKey::Ground(plain_iri(t)),
-            TermPattern::Var(_) => SubjectKey::Column(subj_col),
-        }
+            R::TopkLinks { links, .. } | R::SimilarNodes { neighbors: links } => ranked(links),
+            R::AllTopkLinks { links } => links.get(&*node).map_or_else(Vec::new, |l| ranked(l)),
+        })
     }
 
-    /// The subject of one base row, borrowed unless it is not an IRI.
-    fn of_row<'r>(&'r self, row: &'r [Option<Term>]) -> Option<Cow<'r, str>> {
-        match self {
-            SubjectKey::Ground(iri) => Some(Cow::Borrowed(iri)),
-            SubjectKey::Column(col) => row[(*col)?].as_ref().map(plain_iri),
-        }
-    }
-}
-
-/// The distinct subjects, in row order, for plans that call once per subject.
-fn collect_subjects(result: &QueryResult, subject: &SubjectKey) -> Vec<String> {
-    if let SubjectKey::Ground(iri) = subject {
-        return vec![iri.to_string()];
-    }
-    let mut seen = FxHashSet::default();
-    result
-        .rows
-        .iter()
-        .filter_map(|row| subject.of_row(row))
-        .filter(|s| seen.insert(s.clone()))
-        .map(Cow::into_owned)
-        .collect()
-}
-
-fn plain_iri(t: &Term) -> Cow<'_, str> {
-    match t {
-        Term::Iri(i) => Cow::Borrowed(i),
-        other => Cow::Owned(other.to_string()),
-    }
-}
-
-fn distinct_subject_count(result: &QueryResult, subject: &TermPattern) -> usize {
-    match subject {
-        TermPattern::Ground(_) => 1,
-        TermPattern::Var(v) => {
-            let Some(col) = result.column(v) else { return 0 };
-            result.rows.iter().filter_map(|r| r[col].as_ref()).collect::<FxHashSet<&Term>>().len()
-        }
+    fn describe(&self) -> String {
+        format!("<{}> {:?}", self.model, self.plan)
     }
 }
 

@@ -70,8 +70,8 @@ pub fn select_models(
 /// Inputs to plan selection for one predicate.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanInputs {
-    /// Distinct bindings of the predicate's subject variable in the data
-    /// (the `|?papers|` of the paper's example).
+    /// Bindings of the predicate's subject expected at its inference step
+    /// (the `|?papers|` of the paper's example): the planner's row estimate.
     pub bindings: usize,
     /// The chosen model's prediction cardinality.
     pub model_cardinality: usize,

@@ -1,11 +1,11 @@
 //! The SPARQL-ML query re-writer (paper §IV.B.3, Figs. 11/12).
 //!
-//! Rewrites a SPARQL-ML SELECT into (a) a candidate plain-SPARQL rendering
-//! with `sql:UDFS.*` calls — the textual form the paper shows — and (b) an
-//! executable plan: the stripped data query plus one inference step per
-//! user-defined predicate.
+//! Describes a SPARQL-ML SELECT as one inference step (model and plan) per
+//! user-defined predicate, plus a candidate plain-SPARQL rendering with the
+//! `sql:UDFS.*` call each step makes — the textual form the paper shows.
 
-use kgnet_rdf::sparql::{Projection, ProjectionItem, SelectQuery, TermPattern};
+use kgnet_gmlaas::TaskKind;
+use kgnet_rdf::sparql::{Projection, ProjectionItem};
 
 use crate::opt::RewritePlan;
 use crate::parser::{SparqlMlQuery, UdPredicate};
@@ -24,9 +24,7 @@ pub struct InferenceStep {
 /// A rewritten SPARQL-ML query.
 #[derive(Debug, Clone)]
 pub struct RewrittenQuery {
-    /// The executable data query (UD triples removed, no modifiers).
-    pub base: SelectQuery,
-    /// Inference steps, applied in order after the base query.
+    /// Inference steps, joined in order after the data query's patterns.
     pub steps: Vec<InferenceStep>,
     /// Candidate plain-SPARQL rendering (Figs. 11/12 style), for logging
     /// and endpoint submission.
@@ -44,17 +42,8 @@ pub fn rewrite(query: &SparqlMlQuery, models: &[String], plans: &[RewritePlan]) 
         .zip(models.iter().zip(plans))
         .map(|(ud, (m, &plan))| InferenceStep { ud: ud.clone(), model_uri: m.clone(), plan })
         .collect();
-
-    // Strip solution modifiers from the executable base: they are re-applied
-    // after the inferred columns are filled.
-    let mut base = query.base.clone();
-    base.distinct = false;
-    base.limit = None;
-    base.offset = None;
-    base.order_by.clear();
-
     let sparql = render(query, &steps);
-    RewrittenQuery { base, steps, sparql }
+    RewrittenQuery { steps, sparql }
 }
 
 /// Render the candidate SPARQL text (the Fig. 11 / Fig. 12 shapes).
@@ -77,44 +66,37 @@ fn render(query: &SparqlMlQuery, steps: &[InferenceStep]) -> String {
         }
         out.push_str(&format!(" ?{v}"));
     }
+    use {RewritePlan as P, TaskKind as T};
     for step in steps {
-        let subject = render_term(&step.ud.subject);
-        match step.plan {
-            RewritePlan::PerBinding => {
-                out.push_str(&format!(
-                    "\n  sql:UDFS.getNodeClass(<{}>, {subject}) as ?{}",
-                    step.model_uri, step.ud.object_var
-                ));
+        let (model, subject, k) = (&step.model_uri, &step.ud.subject, step.ud.topk);
+        let object = &step.ud.object_var;
+        let call = match (step.ud.task_kind, step.plan) {
+            (T::NodeClassifier | T::LinkPredictor, P::Dictionary) => {
+                format!("getKeyValue(?{object}_dic, {subject})")
             }
-            RewritePlan::Dictionary => {
-                out.push_str(&format!(
-                    "\n  sql:UDFS.getKeyValue(?{}_dic, {subject}) as ?{}",
-                    step.ud.object_var, step.ud.object_var
-                ));
-            }
-        }
+            (T::NodeClassifier, P::PerBinding) => format!("getNodeClass(<{model}>, {subject})"),
+            (T::LinkPredictor, P::PerBinding) => format!("getTopkLinks(<{model}>, {subject}, {k})"),
+            (T::NodeSimilarity, _) => format!("getSimilarNodes(<{model}>, {subject}, {k})"),
+        };
+        out.push_str(&format!("\n  sql:UDFS.{call} as ?{object}"));
     }
     out.push_str("\nWHERE {\n");
     for tp in &query.base.pattern.triples {
         out.push_str(&format!("  {tp}\n"));
     }
     for step in steps {
-        if step.plan == RewritePlan::Dictionary {
-            out.push_str(&format!(
-                "  {{ SELECT sql:UDFS.getNodeClassDict(<{}>) as ?{}_dic WHERE {{ }} }}\n",
-                step.model_uri, step.ud.object_var
-            ));
-        }
+        let (model, object, k) = (&step.model_uri, &step.ud.object_var, step.ud.topk);
+        let dictionary = match (step.ud.task_kind, step.plan) {
+            (T::NodeClassifier, P::Dictionary) => format!("getNodeClassDict(<{model}>)"),
+            (T::LinkPredictor, P::Dictionary) => format!("getAllTopkLinks(<{model}>, {k})"),
+            _ => continue,
+        };
+        out.push_str(&format!(
+            "  {{ SELECT sql:UDFS.{dictionary} as ?{object}_dic WHERE {{ }} }}\n"
+        ));
     }
     out.push('}');
     out
-}
-
-fn render_term(t: &TermPattern) -> String {
-    match t {
-        TermPattern::Var(v) => format!("?{v}"),
-        TermPattern::Ground(g) => g.to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -162,15 +144,5 @@ mod tests {
         assert!(rw.sparql.contains("sql:UDFS.getKeyValue(?venue_dic, ?paper) as ?venue"));
         assert!(rw.sparql.contains("getNodeClassDict"));
         assert!(rw.sparql.contains("{ SELECT"));
-    }
-
-    #[test]
-    fn base_query_loses_modifiers() {
-        let mut q = fig2_query();
-        q.base.limit = Some(5);
-        q.base.distinct = true;
-        let rw = rewrite(&q, &["m".into()], &[RewritePlan::Dictionary]);
-        assert_eq!(rw.base.limit, None);
-        assert!(!rw.base.distinct);
     }
 }
