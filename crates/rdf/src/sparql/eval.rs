@@ -5,8 +5,9 @@
 //! per-predicate statistics, filters pushed down to the earliest step that
 //! binds their variables — and executed by the streaming operator pipeline
 //! in `sparql::stream`, which yields bindings one at a time so `LIMIT k`
-//! queries stop scanning after k results. A loop-based materialised executor
-//! over the same plan is kept as the plain-SPARQL reference oracle
+//! queries stop scanning after k results; UPDATE WHERE runs on the same
+//! pipeline. A loop-based materialised executor over the same plan is kept
+//! only as the plain-SPARQL reference oracle
 //! ([`evaluate_select_materialised`]). SPARQL-ML SELECTs compile into the
 //! same [`PreparedQuery`] ([`prepare_select_inferring`]), so every solution
 //! modifier is implemented once, here, for both kinds of query.
@@ -170,6 +171,9 @@ impl VarTable {
 
 pub(crate) type Binding = Vec<Option<TermId>>;
 
+/// One answer row as ids, one per output column; `None` is unbound.
+pub(crate) type IdRow = Vec<Option<TermId>>;
+
 // ---------------------------------------------------------------------------
 // SELECT evaluation
 // ---------------------------------------------------------------------------
@@ -235,12 +239,13 @@ fn has_agg(q: &SelectQuery) -> bool {
 
 /// A SELECT compiled against one store snapshot: the parsed query, its
 /// variable table, and the join plan (patterns resolved to dictionary ids,
-/// sub-SELECTs materialised, join order fixed by the statistics of that
-/// snapshot).
+/// each sub-SELECT prepared the same way, join order fixed by the
+/// statistics of that snapshot). A plan holds no result rows: every
+/// execution runs each sub-SELECT once.
 ///
 /// A prepared query is only valid while the store's [`RdfStore::generation`]
-/// equals [`PreparedQuery::generation`]: ids, materialised sub-selects and
-/// the chosen join order all capture store state. [`evaluate_prepared`]
+/// equals [`PreparedQuery::generation`]: ids and the chosen join order
+/// capture store state. [`evaluate_prepared`]
 /// refuses stale plans, so caches (e.g. a server session's plan LRU) key by
 /// `(query text, generation)` and re-prepare after any write.
 pub struct PreparedQuery {
@@ -257,7 +262,7 @@ impl PreparedQuery {
     }
 
     /// Refuse to run against a store that has moved past this plan's
-    /// generation (its ids, sub-selects and join order would be unsound).
+    /// generation (its ids and join order would be unsound).
     fn check_fresh(&self, store: &RdfStore) -> Result<(), SparqlError> {
         if store.generation() == self.generation {
             return Ok(());
@@ -293,8 +298,15 @@ impl PreparedQuery {
                 store.generation()
             ));
         }
-        out.push_str(&self.plan.render(store, &self.vars));
+        self.render_into(store, 0, &mut out);
+        out
+    }
+
+    /// Append the plan, `depth` levels in, and then its projection stage.
+    pub(crate) fn render_into(&self, store: &RdfStore, depth: usize, out: &mut String) {
+        self.plan.render_into(store, &self.vars, depth, out);
         let q = &self.query;
+        out.push_str(&"  ".repeat(depth));
         out.push_str("project");
         if q.distinct {
             out.push_str(" DISTINCT");
@@ -313,7 +325,84 @@ impl PreparedQuery {
             out.push_str(&format!(" LIMIT {limit}"));
         }
         out.push('\n');
-        out
+    }
+
+    /// Run the plan on the streaming pipeline and drain it through the
+    /// projection, aggregation and solution modifiers: the answer as id
+    /// rows, and the bindings the pipeline emitted. A top-level SELECT and
+    /// each sub-SELECT run here; an id past the store's dictionary is in
+    /// `state`'s side dictionary.
+    pub(crate) fn id_rows<'a>(
+        &'a self,
+        store: &'a RdfStore,
+        state: &'a ExecState,
+        taps: Option<&mut Vec<OpTap>>,
+    ) -> (Vec<IdRow>, u64) {
+        let (q, vars) = (&self.query, &self.vars);
+        let ctx = ExecCtx { store, vars, state };
+        let mut stream = build_group_stream(ctx, &self.plan, vec![None; vars.len()], taps);
+        let mut emitted = 0u64;
+        let mut bindings = std::iter::from_fn(|| stream.next_binding()).inspect(|_| emitted += 1);
+        let rows = if has_agg(q) {
+            // Aggregation consumes the stream but accumulates incrementally:
+            // no binding table is materialised.
+            aggregate(ctx, q, bindings)
+        } else if !q.order_by.is_empty() {
+            // ORDER BY is blocking: collect, sort on binding slots (so keys
+            // need not be projected), then project.
+            let mut all = bindings.collect();
+            sort_bindings(ctx, &mut all, &q.order_by);
+            project_all(ctx, q, &all)
+        } else {
+            // Fully streaming path: DISTINCT/OFFSET/LIMIT applied per
+            // binding, and LIMIT stops pulling (and therefore scanning) early.
+            let slots: Vec<Option<usize>> = q.output_vars().iter().map(|v| vars.get(v)).collect();
+            let offset = q.offset.unwrap_or(0);
+            let mut seen: FxHashSet<IdRow> = FxHashSet::default();
+            let mut rows = Vec::new();
+            let mut kept = 0usize;
+            loop {
+                if q.limit.is_some_and(|limit| rows.len() >= limit) {
+                    break;
+                }
+                let Some(b) = bindings.next() else { break };
+                let id_row: IdRow = slots.iter().map(|s| s.and_then(|i| b[i])).collect();
+                if q.distinct && !seen.insert(id_row.clone()) {
+                    continue;
+                }
+                kept += 1;
+                if kept > offset {
+                    rows.push(id_row);
+                }
+            }
+            rows
+        };
+        (rows, emitted)
+    }
+
+    /// The answer [`Self::id_rows`] gives, from the materialised reference
+    /// executor.
+    pub(crate) fn materialised_id_rows(&self, store: &RdfStore, state: &ExecState) -> Vec<IdRow> {
+        let (q, vars) = (&self.query, &self.vars);
+        let ctx = ExecCtx { store, vars, state };
+        let mut bindings = exec_group_materialised(ctx, &self.plan, vec![None; vars.len()]);
+        if has_agg(q) {
+            return aggregate(ctx, q, &bindings);
+        }
+        if !q.order_by.is_empty() {
+            sort_bindings(ctx, &mut bindings, &q.order_by);
+        }
+        project_all(ctx, q, &bindings)
+    }
+
+    /// `rows` as terms, under the output columns.
+    fn result(&self, store: &RdfStore, state: &ExecState, rows: &[IdRow]) -> QueryResult {
+        let ctx = ExecCtx { store, vars: &self.vars, state };
+        let term = |id: &Option<TermId>| id.map(|i| ctx.term(i).into_owned());
+        QueryResult {
+            vars: self.query.output_vars(),
+            rows: rows.iter().map(|row| row.iter().map(term).collect()).collect(),
+        }
     }
 }
 
@@ -419,121 +508,60 @@ fn evaluate_with_plan(
     prepared: &PreparedQuery,
     taps: Option<&mut Vec<OpTap>>,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
-    let PreparedQuery { query: q, vars, plan, .. } = prepared;
     let state = ExecState::default();
-    let ctx = ExecCtx { store, vars, state: &state };
-    let mut stream = build_group_stream(ctx, plan, vec![None; vars.len()], taps);
-    let out_vars = q.output_vars();
-    let mut emitted = 0u64;
-
-    let rows: Vec<Vec<Option<Term>>> = if has_agg(q) {
-        // Aggregation consumes the stream but accumulates incrementally: no
-        // binding table is materialised.
-        let Projection::Items(items) = &q.projection else { unreachable!() };
-        let mut acc = AggAcc::new(items, vars);
-        while let Some(b) = stream.next_binding() {
-            emitted += 1;
-            acc.push(&b);
-        }
-        let mut rows = vec![acc.finish(ctx)];
-        apply_offset_limit(&mut rows, q);
-        rows
-    } else if !q.order_by.is_empty() {
-        // ORDER BY is blocking: collect, sort on binding slots (so keys need
-        // not be projected), then project.
-        let mut bindings = Vec::new();
-        while let Some(b) = stream.next_binding() {
-            emitted += 1;
-            bindings.push(b);
-        }
-        sort_bindings(ctx, &mut bindings, &q.order_by);
-        project_all(ctx, q, &out_vars, &bindings)
-    } else {
-        // Fully streaming path: DISTINCT/OFFSET/LIMIT applied per binding,
-        // and LIMIT stops pulling (and therefore scanning) early.
-        let slots: Vec<Option<usize>> = out_vars.iter().map(|v| vars.get(v)).collect();
-        let offset = q.offset.unwrap_or(0);
-        let mut seen: FxHashSet<Vec<Option<TermId>>> = FxHashSet::default();
-        let mut rows = Vec::new();
-        let mut kept = 0usize;
-        loop {
-            if q.limit.is_some_and(|limit| rows.len() >= limit) {
-                break;
-            }
-            let Some(b) = stream.next_binding() else { break };
-            emitted += 1;
-            let id_row: Vec<Option<TermId>> = slots.iter().map(|s| s.and_then(|i| b[i])).collect();
-            if q.distinct && !seen.insert(id_row.clone()) {
-                continue;
-            }
-            kept += 1;
-            if kept <= offset {
-                continue;
-            }
-            rows.push(materialise_row(ctx, &id_row));
-        }
-        rows
-    };
-
+    let (rows, emitted) = prepared.id_rows(store, &state, taps);
     if let Some(failure) = state.failure.take() {
         return Err(failure);
     }
     let stats =
         ExecStats { triples_scanned: state.triples_scanned.get(), bindings_emitted: emitted };
-    Ok((QueryResult { vars: out_vars, rows }, stats))
+    Ok((prepared.result(store, &state, &rows), stats))
 }
 
 /// Evaluate a parsed SELECT query on the materialised reference executor.
 ///
 /// Runs the same plan as [`evaluate_select`] but with full binding tables
-/// between operators, enumerating solutions in the same order. Kept as the
-/// correctness oracle for the streaming pipeline (see the equivalence
-/// property test in the conformance suite); production call sites should
-/// use [`evaluate_select`].
+/// between operators, enumerating solutions in the same order. Kept only as
+/// the correctness oracle for the streaming pipeline (see the equivalence
+/// property test in the conformance suite): no production path calls it.
 pub fn evaluate_select_materialised(
     store: &RdfStore,
     q: &SelectQuery,
 ) -> Result<QueryResult, SparqlError> {
-    let (vars, plan, _) = prepare(store, q, &[])?;
+    let prepared = prepare_select(store, q.clone())?;
     let state = ExecState::default();
-    let ctx = ExecCtx { store, vars: &vars, state: &state };
-    let mut bindings = exec_group_materialised(ctx, &plan, vec![None; vars.len()]);
-    let out_vars = q.output_vars();
-
-    let rows = if has_agg(q) {
-        let Projection::Items(items) = &q.projection else { unreachable!() };
-        let mut acc = AggAcc::new(items, &vars);
-        for b in &bindings {
-            acc.push(b);
-        }
-        let mut rows = vec![acc.finish(ctx)];
-        apply_offset_limit(&mut rows, q);
-        rows
-    } else {
-        if !q.order_by.is_empty() {
-            sort_bindings(ctx, &mut bindings, &q.order_by);
-        }
-        project_all(ctx, q, &out_vars, &bindings)
-    };
-    Ok(QueryResult { vars: out_vars, rows })
+    let rows = prepared.materialised_id_rows(store, &state);
+    Ok(prepared.result(store, &state, &rows))
 }
 
-/// Project bindings to term rows, applying DISTINCT, OFFSET and LIMIT.
-fn project_all(
+/// The one row of an aggregate query over `bindings`, under OFFSET and
+/// LIMIT.
+fn aggregate<B: std::borrow::Borrow<Binding>>(
     ctx: ExecCtx<'_>,
     q: &SelectQuery,
-    out_vars: &[String],
-    bindings: &[Binding],
-) -> Vec<Vec<Option<Term>>> {
-    let slots: Vec<Option<usize>> = out_vars.iter().map(|v| ctx.vars.get(v)).collect();
-    let mut id_rows: Vec<Vec<Option<TermId>>> =
+    bindings: impl IntoIterator<Item = B>,
+) -> Vec<IdRow> {
+    let Projection::Items(items) = &q.projection else { unreachable!() };
+    let mut acc = AggAcc::new(items, ctx.vars);
+    for b in bindings {
+        acc.push(b.borrow());
+    }
+    let mut rows = vec![acc.finish(ctx)];
+    apply_offset_limit(&mut rows, q);
+    rows
+}
+
+/// Project bindings to id rows, applying DISTINCT, OFFSET and LIMIT.
+fn project_all(ctx: ExecCtx<'_>, q: &SelectQuery, bindings: &[Binding]) -> Vec<IdRow> {
+    let slots: Vec<Option<usize>> = q.output_vars().iter().map(|v| ctx.vars.get(v)).collect();
+    let mut id_rows: Vec<IdRow> =
         bindings.iter().map(|b| slots.iter().map(|s| s.and_then(|i| b[i])).collect()).collect();
     if q.distinct {
-        let mut seen: FxHashSet<Vec<Option<TermId>>> = FxHashSet::default();
+        let mut seen: FxHashSet<IdRow> = FxHashSet::default();
         id_rows.retain(|row| seen.insert(row.clone()));
     }
     apply_offset_limit(&mut id_rows, q);
-    id_rows.iter().map(|row| materialise_row(ctx, row)).collect()
+    id_rows
 }
 
 /// Apply the OFFSET/LIMIT solution modifiers (they follow aggregation and
@@ -546,10 +574,6 @@ fn apply_offset_limit<T>(rows: &mut Vec<T>, q: &SelectQuery) {
     if let Some(limit) = q.limit {
         rows.truncate(limit);
     }
-}
-
-fn materialise_row(ctx: ExecCtx<'_>, row: &[Option<TermId>]) -> Vec<Option<Term>> {
-    row.iter().map(|id| id.map(|i| ctx.term(i).into_owned())).collect()
 }
 
 /// Sort bindings by ORDER BY keys resolved against variable slots, so keys
@@ -769,19 +793,21 @@ impl AggAcc {
         }
     }
 
-    fn finish(self, ctx: ExecCtx<'_>) -> Vec<Option<Term>> {
+    /// The aggregated row; a count gets its id from `ctx`'s dictionaries.
+    fn finish(self, ctx: ExecCtx<'_>) -> IdRow {
         self.states
             .iter()
             .zip(&self.slots)
-            .map(|(state, slot)| match state {
-                AggState::Var => self
-                    .first
-                    .as_ref()
-                    .and_then(|b| slot.and_then(|s| b[s]))
-                    .map(|id| ctx.term(id).into_owned()),
-                AggState::CountAll => Some(Term::int(self.total as i64)),
-                AggState::Count(n) => Some(Term::int(*n as i64)),
-                AggState::CountDistinct(set) => Some(Term::int(set.len() as i64)),
+            .map(|(state, slot)| {
+                let n = match state {
+                    AggState::Var => {
+                        return self.first.as_ref().and_then(|b| slot.and_then(|s| b[s]))
+                    }
+                    AggState::CountAll => self.total,
+                    AggState::Count(n) => *n,
+                    AggState::CountDistinct(set) => set.len(),
+                };
+                Some(ctx.intern(Term::int(n as i64)))
             })
             .collect()
     }
@@ -982,21 +1008,14 @@ pub fn execute_update(store: &mut RdfStore, update: &Update) -> Result<UpdateSta
                 }
             }
             let plan = plan_group(store, pattern, &vars, &FxHashSet::default())?;
-            let state = ExecState::default();
-            let ctx = ExecCtx { store, vars: &vars, state: &state };
-            let bindings = exec_group_materialised(ctx, &plan, vec![None; vars.len()]);
-            let mut to_delete = Vec::new();
-            let mut to_insert = Vec::new();
-            for b in &bindings {
-                for tp in delete {
-                    if let Some(t) = instantiate(store, tp, b, &vars) {
-                        to_delete.push(t);
-                    }
-                }
-                for tp in insert {
-                    if let Some(t) = instantiate(store, tp, b, &vars) {
-                        to_insert.push(t);
-                    }
+            let (mut to_delete, mut to_insert) = (Vec::new(), Vec::new());
+            {
+                let state = ExecState::default();
+                let ctx = ExecCtx { store, vars: &vars, state: &state };
+                let mut stream = build_group_stream(ctx, &plan, vec![None; vars.len()], None);
+                while let Some(b) = stream.next_binding() {
+                    to_delete.extend(delete.iter().filter_map(|tp| instantiate(ctx, tp, &b)));
+                    to_insert.extend(insert.iter().filter_map(|tp| instantiate(ctx, tp, &b)));
                 }
             }
             for (s, p, o) in to_delete {
@@ -1021,18 +1040,13 @@ fn ground_triple(tp: &TriplePattern) -> Result<(Term, Term, Term), SparqlError> 
     Ok((get(&tp.s)?, get(&tp.p)?, get(&tp.o)?))
 }
 
-fn instantiate(
-    store: &RdfStore,
-    tp: &TriplePattern,
-    b: &Binding,
-    vars: &VarTable,
-) -> Option<(Term, Term, Term)> {
+fn instantiate(ctx: ExecCtx<'_>, tp: &TriplePattern, b: &Binding) -> Option<(Term, Term, Term)> {
     let get = |t: &TermPattern| -> Option<Term> {
         match t {
             TermPattern::Ground(term) => Some(term.clone()),
             TermPattern::Var(v) => {
-                let slot = vars.get(v)?;
-                b.get(slot).copied().flatten().map(|id| store.resolve(id).clone())
+                let slot = ctx.vars.get(v)?;
+                b.get(slot).copied().flatten().map(|id| ctx.term(id).into_owned())
             }
         }
     };
@@ -1091,11 +1105,12 @@ mod tests {
         let prepared = prepare_select(&st, q).unwrap();
         let explain = prepared.explain(&st);
         let lines: Vec<&str> = explain.lines().collect();
-        // Two required scans with estimates, then subselect, optional
-        // (indented child scan), late filter, and the projection footer.
-        assert_eq!(lines.iter().filter(|l| l.trim_start().starts_with("scan ")).count(), 3);
+        // Two required scans with estimates, then subselect (its own plan
+        // indented beneath it), optional (indented child scan), late filter,
+        // and the projection footer.
+        assert_eq!(lines.iter().filter(|l| l.trim_start().starts_with("scan ")).count(), 4);
         assert!(explain.contains("(est "), "estimates missing:\n{explain}");
-        assert!(explain.contains("subselect join [?p] (3 rows materialised)"), "{explain}");
+        assert!(explain.contains("subselect join [?p]"), "{explain}");
         assert!(lines.contains(&"optional"), "{explain}");
         assert!(
             lines.iter().any(|l| l.starts_with("  scan ") && l.contains("<http://x/cites>")),
@@ -1450,6 +1465,66 @@ mod tests {
         );
         assert_eq!(r.len(), 2);
         assert!(r.rows.iter().all(|row| row[1].is_some()));
+    }
+
+    #[test]
+    fn subselect_count_reaches_the_outer_query() {
+        let mut st = RdfStore::new();
+        execute(
+            &mut st,
+            "PREFIX x: <http://x/> INSERT DATA { x:a x:p x:b . x:a x:p x:c . x:d x:q x:e }",
+        )
+        .unwrap();
+        let r = query_both(
+            &st,
+            "PREFIX x: <http://x/> SELECT ?d ?n WHERE { ?d x:q ?e .
+               { SELECT (COUNT(?o) AS ?n) WHERE { ?s x:p ?o } } }",
+        );
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.rows[0][0].as_ref().unwrap().as_iri(), Some("http://x/d"));
+        assert_eq!(r.rows[0][1], Some(Term::int(2)));
+    }
+
+    #[test]
+    fn subselect_scans_are_counted() {
+        let st = store_with_papers();
+        // Three `a x:Publication` triples outside, three `x:year` inside.
+        let (r, stats) = query_with_stats(
+            &st,
+            "PREFIX x: <http://x/> SELECT ?p WHERE { ?p a x:Publication .
+               { SELECT ?p WHERE { ?p x:year ?y } } }",
+        )
+        .unwrap();
+        assert_eq!(r.len(), 3);
+        assert_eq!(stats.triples_scanned, 6);
+    }
+
+    #[test]
+    fn optional_subselect_runs_once_per_execution() {
+        let st = store_with_papers();
+        // Three outer bindings re-seed the OPTIONAL; the sub-SELECT's two
+        // `x:cites` triples are scanned once, not once per binding.
+        let (r, stats) = query_with_stats(
+            &st,
+            "PREFIX x: <http://x/> SELECT ?p ?q WHERE { ?p a x:Publication .
+               OPTIONAL { { SELECT ?p ?q WHERE { ?p x:cites ?q } } } }",
+        )
+        .unwrap();
+        assert_eq!(r.len(), 3);
+        assert_eq!(stats.triples_scanned, 3 + 2);
+    }
+
+    #[test]
+    fn update_template_takes_a_subselect_count() {
+        let mut st = store_with_papers();
+        execute(
+            &mut st,
+            "PREFIX x: <http://x/> INSERT { x:a1 x:papers ?n } WHERE {
+               { SELECT (COUNT(*) AS ?n) WHERE { ?p a x:Publication } } }",
+        )
+        .unwrap();
+        let r = query(&st, "PREFIX x: <http://x/> SELECT ?n WHERE { x:a1 x:papers ?n }").unwrap();
+        assert_eq!(r.rows, vec![vec![Some(Term::int(3))]]);
     }
 
     #[test]

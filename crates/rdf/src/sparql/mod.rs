@@ -4,8 +4,8 @@ pub mod ast;
 pub mod eval;
 pub mod lexer;
 pub mod parser;
-pub mod plan;
-pub mod stream;
+mod plan;
+mod stream;
 
 pub use ast::{
     Aggregate, Expr, GroupPattern, Operation, Order, Projection, ProjectionItem, SelectQuery,
@@ -18,5 +18,5 @@ pub use eval::{
     OpTiming, OrderKey, PreparedQuery, QueryResult, UpdateStats,
 };
 pub use parser::{parse, parse_select, Parser};
-pub use plan::{GroupPlan, InferredObjects, PatternStep, Slot, SubPlan};
-pub use stream::{BindingStream, ExecStats};
+pub use plan::InferredObjects;
+pub use stream::ExecStats;

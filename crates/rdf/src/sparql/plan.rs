@@ -5,11 +5,11 @@
 //! variable table, greedily reordered by cardinality estimates fed by the
 //! store's real per-predicate statistics ([`RdfStore::predicate_stats`]),
 //! with each FILTER pushed down to the earliest join step that binds all of
-//! its variables. Sub-SELECTs are evaluated once at plan time (they are
-//! blocking anyway) and stored as materialised id rows for the executors to
-//! join against. The same plan drives both the streaming executor
-//! (`sparql::stream`) and the materialised reference executor, so the two
-//! enumerate solutions in the same order.
+//! its variables. A sub-SELECT is planned, not run: its [`SubPlan`] holds
+//! its own prepared form, which the executor runs once per execution. The
+//! streaming executor (`sparql::stream`) runs every plan in production; the
+//! materialised executor runs the same plans only as its test oracle, and
+//! the two enumerate solutions in the same order.
 //!
 //! A SPARQL-ML SELECT adds one `InferStep` per inferred triple pattern
 //! `?s ?M ?o`, run after the top-level group; every FILTER over an inferred
@@ -20,13 +20,13 @@ use rustc_hash::FxHashSet;
 use crate::dict::TermId;
 use crate::error::SparqlError;
 use crate::sparql::ast::{Expr, GroupPattern, TermPattern, TriplePattern};
-use crate::sparql::eval::{evaluate_select_materialised, VarTable};
+use crate::sparql::eval::{prepare_select, PreparedQuery, VarTable};
 use crate::store::RdfStore;
 use crate::term::Term;
 
 /// One resolved position of a planned triple pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
+pub(crate) enum Slot {
     /// A variable, identified by its slot in the binding vector.
     Var(usize),
     /// A ground term resolved to its dictionary id.
@@ -36,47 +36,45 @@ pub enum Slot {
 /// One join step: a resolved triple pattern, the filters that become
 /// evaluable once it binds its variables, and the planner's estimate.
 #[derive(Debug, Clone)]
-pub struct PatternStep {
+pub(crate) struct PatternStep {
     /// Subject position.
-    pub s: Slot,
+    pub(crate) s: Slot,
     /// Predicate position.
-    pub p: Slot,
+    pub(crate) p: Slot,
     /// Object position.
-    pub o: Slot,
+    pub(crate) o: Slot,
     /// Filters pushed down to run right after this step.
-    pub filters: Vec<Expr>,
+    pub(crate) filters: Vec<Expr>,
     /// Estimated matches when this step was chosen (diagnostics).
-    pub est: f64,
+    pub(crate) est: f64,
 }
 
-/// A sub-SELECT materialised at plan time, ready for hash/nested joining.
-#[derive(Debug, Clone)]
-pub struct SubPlan {
+/// A sub-SELECT, planned with its own variable table. The executor runs
+/// it once per execution, on first use, and joins its answer like a step.
+pub(crate) struct SubPlan {
     /// Binding slots of the sub-select's output columns.
-    pub slots: Vec<usize>,
-    /// Result rows as interned ids. `None` marks an unbound value or a term
-    /// absent from the dictionary (e.g. a computed aggregate), which joins
-    /// like an unbound value.
-    pub rows: Vec<Vec<Option<TermId>>>,
+    pub(crate) slots: Vec<usize>,
+    /// The sub-SELECT's own prepared form: variables, plan and modifiers.
+    pub(crate) select: PreparedQuery,
 }
 
 /// An executable plan for one group graph pattern.
 #[derive(Default)]
-pub struct GroupPlan {
+pub(crate) struct GroupPlan {
     /// True when a ground term of a required pattern is absent from the
     /// dictionary: the group can match nothing.
-    pub impossible: bool,
+    pub(crate) impossible: bool,
     /// Filters evaluable from the seed binding alone.
-    pub eager_filters: Vec<Expr>,
+    pub(crate) eager_filters: Vec<Expr>,
     /// Ordered join steps.
-    pub steps: Vec<PatternStep>,
-    /// Materialised sub-SELECTs, joined after the required steps.
-    pub subselects: Vec<SubPlan>,
+    pub(crate) steps: Vec<PatternStep>,
+    /// Sub-SELECTs, joined after the required steps.
+    pub(crate) subselects: Vec<SubPlan>,
     /// OPTIONAL blocks, left-joined after the sub-SELECTs.
-    pub optionals: Vec<GroupPlan>,
+    pub(crate) optionals: Vec<GroupPlan>,
     /// Filters over variables only bound by optionals/sub-selects (or never
     /// bound), applied after the OPTIONALs.
-    pub late_filters: Vec<Expr>,
+    pub(crate) late_filters: Vec<Expr>,
     /// A SPARQL-ML SELECT's inferred patterns, joined last; only ever set
     /// on the top-level group.
     pub(crate) infer: Vec<InferStep>,
@@ -84,21 +82,22 @@ pub struct GroupPlan {
 
 impl GroupPlan {
     /// Total number of join steps, including nested optionals.
-    pub fn n_steps(&self) -> usize {
+    pub(crate) fn n_steps(&self) -> usize {
         self.steps.len() + self.optionals.iter().map(GroupPlan::n_steps).sum::<usize>()
     }
 
-    /// Render the plan as indented EXPLAIN-style text: one line per
-    /// operator in execution order, constants resolved through `store`'s
-    /// dictionary, variables shown by name, planner estimates attached to
-    /// every scan. Nested OPTIONAL plans indent one level.
-    pub(crate) fn render(&self, store: &RdfStore, vars: &VarTable) -> String {
-        let mut out = String::new();
-        self.render_into(store, vars, 0, &mut out);
-        out
-    }
-
-    fn render_into(&self, store: &RdfStore, vars: &VarTable, depth: usize, out: &mut String) {
+    /// Append the plan as indented EXPLAIN-style text, `depth` levels in:
+    /// one line per operator in execution order, constants resolved
+    /// through `store`'s dictionary, variables shown by name, planner
+    /// estimates attached to every scan. Nested OPTIONAL plans and
+    /// sub-SELECTs indent one level.
+    pub(crate) fn render_into(
+        &self,
+        store: &RdfStore,
+        vars: &VarTable,
+        depth: usize,
+        out: &mut String,
+    ) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
         if self.impossible {
@@ -130,12 +129,8 @@ impl GroupPlan {
         }
         for sub in &self.subselects {
             let cols: Vec<String> = sub.slots.iter().map(|&s| slot(Slot::Var(s))).collect();
-            let _ = writeln!(
-                out,
-                "{pad}subselect join [{}] ({} rows materialised)",
-                cols.join(" "),
-                sub.rows.len()
-            );
+            let _ = writeln!(out, "{pad}subselect join [{}]", cols.join(" "));
+            sub.select.render_into(store, depth + 1, out);
         }
         for opt in &self.optionals {
             let _ = writeln!(out, "{pad}optional");
@@ -269,26 +264,16 @@ pub(crate) fn plan_group(
         plan.steps.push(step);
     }
 
-    // Sub-selects: evaluate once now and intern the rows for joining (the
-    // previous engine also materialised them; note this means LIMIT on the
-    // outer query does not short-circuit the sub-select — a streaming
-    // sub-join is a noted follow-up).
+    // Sub-selects: planned now, run by the executor once per execution.
+    // An outer LIMIT does not stop one: it runs to completion on first use.
     for sub in &group.subselects {
-        let result = evaluate_select_materialised(store, sub)?;
-        let slots: Vec<usize> = result
-            .vars
+        let slots: Vec<usize> = sub
+            .output_vars()
             .iter()
             .map(|v| vars.get(v).expect("sub-select output vars are registered"))
             .collect();
-        let rows = result
-            .rows
-            .iter()
-            .map(|row| row.iter().map(|t| t.as_ref().and_then(|t| store.lookup(t))).collect())
-            .collect();
-        for &slot in &slots {
-            bound.insert(slot);
-        }
-        plan.subselects.push(SubPlan { slots, rows });
+        bound.extend(&slots);
+        plan.subselects.push(SubPlan { slots, select: prepare_select(store, sub.clone())? });
     }
 
     // Optionals: planned with everything bound so far; their bindable vars

@@ -7,11 +7,14 @@
 //! filters → one `ScanStep` per join step (index nested-loop join with
 //! pushed-down filters) → sub-SELECT joins → OPTIONAL left-joins → late
 //! filters → one `InferJoin` per inferred triple pattern of a SPARQL-ML
-//! SELECT, so LIMIT stops calling a model as early as it stops scanning.
+//! SELECT, so LIMIT stops calling a model as early as it stops scanning. A
+//! sub-SELECT runs on this same pipeline, once per execution, when its join
+//! first sees a binding. Every SELECT and UPDATE WHERE runs here.
 //!
 //! `exec_group_materialised` is the loop-based reference implementation of
-//! the same plan; the streaming operators must enumerate exactly the same
-//! bindings in the same order (property-tested in the conformance suite).
+//! the same plan, used only as the test oracle; the streaming operators
+//! must enumerate exactly the same bindings in the same order
+//! (property-tested in the conformance suite).
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
@@ -24,7 +27,7 @@ use rustc_hash::FxHashMap;
 use crate::dict::{TermDict, TermId};
 use crate::error::SparqlError;
 use crate::sparql::ast::Expr;
-use crate::sparql::eval::{eval_expr, Binding, VarTable};
+use crate::sparql::eval::{eval_expr, Binding, IdRow, VarTable};
 use crate::sparql::plan::{GroupPlan, InferStep, PatternStep, Slot, SubPlan};
 use crate::store::{RdfStore, ScanIter};
 use crate::term::Term;
@@ -34,9 +37,11 @@ use crate::term::Term;
 pub(crate) struct ExecState {
     /// Triples pulled from store index scans.
     pub(crate) triples_scanned: Cell<u64>,
-    /// The terms inference steps met that the store's dictionary lacks;
-    /// their ids continue past its end.
+    /// The terms inference steps and aggregates made that the store's
+    /// dictionary lacks; their ids continue past its end.
     side: RefCell<TermDict>,
+    /// Each sub-SELECT's answer, by the address of its [`SubPlan`].
+    subs: RefCell<FxHashMap<usize, Rc<Vec<IdRow>>>>,
     /// The inference failure that ended the pipeline early.
     pub(crate) failure: RefCell<Option<SparqlError>>,
 }
@@ -44,14 +49,15 @@ pub(crate) struct ExecState {
 /// A snapshot of an execution's counters, returned alongside query results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Triples pulled from store index scans.
+    /// Triples pulled from store index scans, those of sub-SELECTs
+    /// included (each runs once per execution).
     pub triples_scanned: u64,
     /// Bindings emitted by the root of the operator pipeline.
     pub bindings_emitted: u64,
 }
 
 /// A pull-based stream of bindings.
-pub trait BindingStream {
+pub(crate) trait BindingStream {
     /// The next binding, or `None` when exhausted.
     fn next_binding(&mut self) -> Option<Binding>;
 }
@@ -84,11 +90,24 @@ impl<'a> ExecCtx<'a> {
     /// The id of `term`: its dictionary id, or one past the dictionary's
     /// end that stays the same for the rest of the execution, so DISTINCT,
     /// joins and ORDER BY see one value.
-    fn intern(&self, term: Term) -> TermId {
+    pub(crate) fn intern(&self, term: Term) -> TermId {
         let end = self.store.dict().len() as u32;
         self.store
             .lookup(&term)
             .unwrap_or_else(|| TermId(end + self.state.side.borrow_mut().intern(term).0))
+    }
+
+    /// The answer of `sub`: run on first use, then remembered for the rest
+    /// of the execution, so an OPTIONAL that re-seeds its pipeline per
+    /// binding does not run it again.
+    fn sub_rows(&self, sub: &SubPlan) -> Rc<Vec<IdRow>> {
+        let key = sub as *const SubPlan as usize;
+        let known = self.state.subs.borrow().get(&key).cloned();
+        known.unwrap_or_else(|| {
+            let rows = Rc::new(sub.select.id_rows(self.store, self.state, None).0);
+            self.state.subs.borrow_mut().insert(key, rows.clone());
+            rows
+        })
     }
 }
 
@@ -118,7 +137,7 @@ pub(crate) fn build_group_stream<'a>(
         stream = tap(stream, taps.as_deref_mut(), || scan_label(ctx, step));
     }
     for sub in &plan.subselects {
-        stream = Box::new(SubJoin { sub, input: stream, cur: None });
+        stream = Box::new(SubJoin { ctx, sub, rows: None, input: stream, cur: None });
         stream = tap(stream, taps.as_deref_mut(), || "subselect join".to_owned());
     }
     for opt in &plan.optionals {
@@ -297,9 +316,12 @@ pub(crate) fn bind_match(
     Some(nb)
 }
 
-/// Nested-loop join of input bindings against a materialised sub-SELECT.
+/// Nested-loop join of input bindings against a sub-SELECT's answer, which
+/// the first input binding fetches.
 struct SubJoin<'a> {
+    ctx: ExecCtx<'a>,
     sub: &'a SubPlan,
+    rows: Option<Rc<Vec<IdRow>>>,
     input: Box<dyn BindingStream + 'a>,
     cur: Option<(Binding, usize)>,
 }
@@ -307,9 +329,8 @@ struct SubJoin<'a> {
 impl BindingStream for SubJoin<'_> {
     fn next_binding(&mut self) -> Option<Binding> {
         loop {
-            if let Some((base, next_row)) = &mut self.cur {
-                while *next_row < self.sub.rows.len() {
-                    let row = &self.sub.rows[*next_row];
+            if let (Some((base, next_row)), Some(rows)) = (&mut self.cur, &self.rows) {
+                while let Some(row) = rows.get(*next_row) {
                     *next_row += 1;
                     if let Some(nb) = merge_sub_row(base, self.sub, row) {
                         return Some(nb);
@@ -318,29 +339,28 @@ impl BindingStream for SubJoin<'_> {
                 self.cur = None;
             }
             let b = self.input.next_binding()?;
+            self.rows.get_or_insert_with(|| self.ctx.sub_rows(self.sub));
             self.cur = Some((b, 0));
         }
     }
 }
 
-/// Merge one sub-select row into a binding; `None` on a join mismatch. Rows
-/// may carry `None` values (unbound, or terms outside the dictionary), which
-/// join like unbound values.
+/// Merge one sub-select row into a binding; `None` on a join mismatch,
+/// rejected before the binding is cloned. A `None` value is unbound and
+/// joins with anything: the outer binding keeps its value.
 pub(crate) fn merge_sub_row(
     base: &Binding,
     sub: &SubPlan,
-    row: &[Option<crate::dict::TermId>],
+    row: &[Option<TermId>],
 ) -> Option<Binding> {
+    for (&slot, &id) in sub.slots.iter().zip(row) {
+        if base[slot].zip(id).is_some_and(|(x, y)| x != y) {
+            return None;
+        }
+    }
     let mut nb = base.clone();
     for (&slot, &id) in sub.slots.iter().zip(row) {
-        match (nb[slot], id) {
-            (None, v) => nb[slot] = v,
-            // An unbound row value is compatible with anything: the outer
-            // binding keeps its value.
-            (Some(_), None) => {}
-            (Some(x), Some(y)) if x == y => {}
-            (Some(_), Some(_)) => return None,
-        }
+        nb[slot] = nb[slot].or(id);
     }
     Some(nb)
 }
@@ -437,8 +457,8 @@ impl BindingStream for InferJoin<'_> {
 }
 
 /// Loop-based reference execution of the same plan: materialises the full
-/// binding table between operators. Kept as the correctness oracle for the
-/// streaming operators.
+/// binding table between operators, and runs each sub-SELECT anew on its
+/// own. Kept only as the correctness oracle for the streaming operators.
 pub(crate) fn exec_group_materialised(
     ctx: ExecCtx<'_>,
     plan: &GroupPlan,
@@ -469,9 +489,10 @@ pub(crate) fn exec_group_materialised(
         }
     }
     for sub in &plan.subselects {
+        let rows = sub.select.materialised_id_rows(ctx.store, ctx.state);
         let mut next = Vec::new();
         for b in &bindings {
-            for row in &sub.rows {
+            for row in &rows {
                 if let Some(nb) = merge_sub_row(b, sub, row) {
                     next.push(nb);
                 }

@@ -1,7 +1,8 @@
 //! The server-wide shared LRU cache of prepared SPARQL plans.
 //!
 //! Planning a SELECT re-resolves every ground term, re-reads predicate
-//! statistics and re-materialises sub-selects; for the repeated parametric
+//! statistics and re-plans sub-selects (a plan holds no rows: each
+//! execution runs its sub-selects once); for the repeated parametric
 //! queries of an OLTP-style workload that work is identical run after run —
 //! and identical *across sessions*, so one [`SharedPlanCache`] hangs off
 //! the server and every [`ReadSession`](crate::ReadSession) consults it. A

@@ -187,11 +187,15 @@ fn limit_short_circuits_on_generated_dblp() {
 // ---------------------------------------------------------------------------
 
 mod evaluator_equivalence {
+    use std::collections::BTreeSet;
+
     use kgnet::rdf::sparql::ast::{
-        Expr, GroupPattern, Order, Projection, ProjectionItem, SelectQuery, TermPattern,
-        TriplePattern,
+        Aggregate, Expr, GroupPattern, Order, Projection, ProjectionItem, SelectQuery, TermPattern,
+        TriplePattern, Update,
     };
-    use kgnet::rdf::sparql::{evaluate_select, evaluate_select_materialised};
+    use kgnet::rdf::sparql::{
+        evaluate_select, evaluate_select_materialised, execute_update, UpdateStats,
+    };
     use kgnet::rdf::{RdfStore, Term};
     use proptest::prelude::*;
     use proptest::strategy::Just;
@@ -259,45 +263,73 @@ mod evaluator_equivalence {
         ]
     }
 
-    fn arb_query() -> impl Strategy<Value = SelectQuery> {
-        let pattern = (
+    fn arb_order() -> impl Strategy<Value = Vec<(String, Order)>> {
+        proptest::option::of((0..4usize, any::<bool>())).prop_map(|order| {
+            order
+                .map(|(v, desc)| (VARS[v].to_owned(), if desc { Order::Desc } else { Order::Asc }))
+                .into_iter()
+                .collect()
+        })
+    }
+
+    /// A sub-SELECT over one or two triples: its bindable variables, or one
+    /// COUNT (over `*` or a variable, under a fresh alias or one the outer
+    /// pattern may bind), with random DISTINCT, ORDER BY, LIMIT and OFFSET.
+    fn arb_subselect() -> impl Strategy<Value = SelectQuery> {
+        (
+            proptest::collection::vec(arb_triple(), 1..=2),
+            proptest::option::of((proptest::option::of(0..4usize), 0..5usize)),
+            any::<bool>(),
+            arb_order(),
+            (proptest::option::of(0..4usize), proptest::option::of(0..3usize)),
+        )
+            .prop_map(|(triples, count, distinct, order_by, (limit, offset))| {
+                let pattern = GroupPattern { triples, ..Default::default() };
+                let projection = Projection::Items(match count {
+                    Some((var, alias)) => vec![ProjectionItem::Agg {
+                        agg: match var {
+                            Some(v) => Aggregate::CountVar { var: VARS[v].to_owned(), distinct },
+                            None => Aggregate::CountAll,
+                        },
+                        alias: ["n", "a", "b", "c", "d"][alias].to_owned(),
+                    }],
+                    None => pattern.bindable_vars().into_iter().map(ProjectionItem::Var).collect(),
+                });
+                SelectQuery { distinct, projection, pattern, order_by, limit, offset }
+            })
+    }
+
+    /// A group: one to three triples, up to two filters, an optional OPTIONAL
+    /// (one triple or a sub-SELECT) and an optional sub-SELECT.
+    fn arb_pattern() -> impl Strategy<Value = GroupPattern> {
+        let optional = prop_oneof![
+            arb_triple().prop_map(|t| GroupPattern { triples: vec![t], ..Default::default() }),
+            arb_subselect()
+                .prop_map(|sub| GroupPattern { subselects: vec![sub], ..Default::default() }),
+        ];
+        (
             proptest::collection::vec(arb_triple(), 1..=3),
             proptest::collection::vec(arb_filter(), 0..=2),
-            proptest::option::of(arb_triple()),
-            proptest::option::of(proptest::collection::vec(arb_triple(), 1..=2)),
+            proptest::option::of(optional),
+            proptest::option::of(arb_subselect()),
         )
-            .prop_map(|(triples, filters, optional, subselect)| {
-                let optionals = optional
-                    .map(|t| GroupPattern { triples: vec![t], ..Default::default() })
-                    .into_iter()
-                    .collect();
-                let subselects = subselect
-                    .map(|triples| {
-                        let vars = GroupPattern { triples: triples.clone(), ..Default::default() }
-                            .bindable_vars();
-                        SelectQuery {
-                            distinct: false,
-                            projection: Projection::Items(
-                                vars.into_iter().map(ProjectionItem::Var).collect(),
-                            ),
-                            pattern: GroupPattern { triples, ..Default::default() },
-                            order_by: vec![],
-                            limit: None,
-                            offset: None,
-                        }
-                    })
-                    .into_iter()
-                    .collect();
-                GroupPattern { triples, filters, optionals, subselects }
-            });
+            .prop_map(|(triples, filters, optional, subselect)| GroupPattern {
+                triples,
+                filters,
+                optionals: optional.into_iter().collect(),
+                subselects: subselect.into_iter().collect(),
+            })
+    }
+
+    fn arb_query() -> impl Strategy<Value = SelectQuery> {
         (
-            pattern,
+            arb_pattern(),
             any::<bool>(),
             proptest::option::of(0..4usize),
-            proptest::option::of((0..4usize, any::<bool>())),
+            arb_order(),
             (proptest::option::of(0..6usize), proptest::option::of(0..3usize)),
         )
-            .prop_map(|(pattern, distinct, proj, order, (limit, offset))| SelectQuery {
+            .prop_map(|(pattern, distinct, proj, order_by, (limit, offset))| SelectQuery {
                 distinct,
                 projection: match proj {
                     // Project one variable, or everything.
@@ -305,15 +337,35 @@ mod evaluator_equivalence {
                     None => Projection::All,
                 },
                 pattern,
-                order_by: order
-                    .map(|(v, desc)| {
-                        (VARS[v].to_owned(), if desc { Order::Desc } else { Order::Asc })
-                    })
-                    .into_iter()
-                    .collect(),
+                order_by,
                 limit,
                 offset,
             })
+    }
+
+    /// A `DELETE { … } INSERT { … } WHERE { pattern }` with at least one
+    /// template triple; the first goes to DELETE, to INSERT or to both (so
+    /// the order of deletion and insertion shows).
+    fn arb_modify() -> impl Strategy<Value = Update> {
+        (
+            (arb_triple(), 0..3usize),
+            proptest::collection::vec(arb_triple(), 0..=1),
+            proptest::collection::vec(arb_triple(), 0..=1),
+            arb_pattern(),
+        )
+            .prop_map(|((first, into), mut delete, mut insert, pattern)| {
+                if into != 1 {
+                    delete.push(first.clone());
+                }
+                if into != 0 {
+                    insert.push(first);
+                }
+                Update::Modify { delete, insert, pattern }
+            })
+    }
+
+    fn triples(st: &RdfStore) -> BTreeSet<String> {
+        st.to_ntriples().lines().map(str::to_owned).collect()
     }
 
     proptest! {
@@ -334,6 +386,50 @@ mod evaluator_equivalence {
                 }
                 (s, m) => prop_assert!(false, "evaluator outcomes diverge: {s:?} vs {m:?}"),
             }
+        }
+
+        /// A streamed `Modify` leaves the store the reference does: the
+        /// materialised executor's `SELECT * WHERE pattern` rows instantiate
+        /// the templates, deletions first, on a clone of the store.
+        #[test]
+        fn streamed_modify_matches_reference(store in arb_store(), update in arb_modify()) {
+            let Update::Modify { delete, insert, pattern } = &update else { unreachable!() };
+            let select = SelectQuery {
+                distinct: false,
+                projection: Projection::All,
+                pattern: pattern.clone(),
+                order_by: vec![],
+                limit: None,
+                offset: None,
+            };
+            let rows = evaluate_select_materialised(&store, &select).unwrap();
+            let instances = |templates: &[TriplePattern]| -> Vec<(Term, Term, Term)> {
+                let mut out = Vec::new();
+                for row in &rows.rows {
+                    let get = |t: &TermPattern| match t {
+                        TermPattern::Ground(term) => Some(term.clone()),
+                        TermPattern::Var(v) => rows.column(v).and_then(|i| row[i].clone()),
+                    };
+                    for tp in templates {
+                        if let (Some(s), Some(p), Some(o)) = (get(&tp.s), get(&tp.p), get(&tp.o)) {
+                            out.push((s, p, o));
+                        }
+                    }
+                }
+                out
+            };
+            let mut expected = store.clone();
+            let mut stats = UpdateStats::default();
+            for (s, p, o) in instances(delete) {
+                stats.deleted += usize::from(expected.remove(&s, &p, &o));
+            }
+            for (s, p, o) in instances(insert) {
+                stats.inserted += usize::from(expected.insert(s, p, o));
+            }
+
+            let mut actual = store.clone();
+            prop_assert_eq!(execute_update(&mut actual, &update).unwrap(), stats);
+            prop_assert_eq!(triples(&actual), triples(&expected));
         }
     }
 }
