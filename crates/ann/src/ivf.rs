@@ -28,7 +28,7 @@ impl IvfIndex {
     /// few Lloyd iterations, like FAISS's coarse quantiser training).
     ///
     /// The dominant O(n·cells·dim) phase — nearest-centroid assignment —
-    /// runs data-parallel on the work-stealing pool once the table is
+    /// runs data-parallel on the batch pool once the table is
     /// large enough, as a pure per-vector map with an order-preserving
     /// collect. The O(n·dim) centroid accumulation stays a single
     /// sequential fold in vector index order, so the index is

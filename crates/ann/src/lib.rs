@@ -23,7 +23,7 @@
 //!
 //! All three indexes implement the common [`AnnIndex`] trait and search
 //! any [`Vectors`] source. Index construction is data-parallel on the
-//! vendored work-stealing pool: every parallel phase is a pure,
+//! vendored batch pool: every parallel phase is a pure,
 //! order-preserving map, so builds are bit-identical on any
 //! `RAYON_NUM_THREADS` — the same guarantee `kgnet-linalg` kernels give.
 
@@ -54,7 +54,7 @@ pub use stats::{CountingVectors, SearchStats};
 pub use vectors::{VectorTable, Vectors};
 
 /// Candidate count below which scoring loops stay sequential (scoring a
-/// handful of vectors is cheaper than fork/join scheduling). Shared by
+/// handful of vectors is cheaper than handing a batch to the pool). Shared by
 /// every index in this crate.
 pub(crate) const PAR_MIN_CANDIDATES: usize = 2048;
 

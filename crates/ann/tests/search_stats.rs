@@ -13,7 +13,7 @@ use kgnet_ann::{
 
 /// Big enough to push the exact/PQ scoring loops onto the parallel path
 /// (PAR_MIN_CANDIDATES = 2048), so the atomic counting is exercised under
-/// real fork/join scheduling.
+/// real parallel scheduling on the pool.
 const N: usize = 2_500;
 const DIM: usize = 16;
 

@@ -14,7 +14,7 @@
 //!   uses to respect time/memory budgets.
 //!
 //! The sampling-based trainers are data-parallel: per-batch gradient tapes
-//! fan out over the vendored `rayon` work-stealing pool in fixed-width
+//! fan out over the vendored `rayon` batch pool in fixed-width
 //! waves and reduce deterministically in batch order (see [`par`]), so a
 //! fixed seed reproduces identical results on any `RAYON_NUM_THREADS`.
 

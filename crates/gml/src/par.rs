@@ -4,7 +4,7 @@
 //! train in *waves*: up to [`GRAD_WAVE`] mini-batches are prepared
 //! sequentially (so every random draw comes from the trainer's single seeded
 //! RNG stream), their gradient tapes are evaluated concurrently on the
-//! work-stealing pool, and the resulting gradients are averaged in batch
+//! batch pool, and the resulting gradients are averaged in batch
 //! order into one synchronous optimizer step.
 //!
 //! Determinism contract: nothing here depends on the pool size. The wave

@@ -48,18 +48,24 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Run `train` once on a 1-thread pool and once on a 4-thread pool, and
-/// require the returned buffers to be bit-identical.
+/// Run `train` on a 1-thread pool, then on 2- and 4-thread pools, and
+/// require the returned buffers to be bit-identical. Two threads is the
+/// training queue's default pool size.
 fn assert_pools_agree<T: Send>(
     train: impl Fn() -> T + Sync + Send,
     logits: impl Fn(&T) -> &[f32],
     what: &str,
 ) {
     let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let multi = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
     let a = single.install(&train);
-    let b = multi.install(&train);
-    assert!(bits(logits(&a)) == bits(logits(&b)), "{what}: 1-thread vs 4-thread outputs differ");
+    for threads in [2, 4] {
+        let multi = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let b = multi.install(&train);
+        assert!(
+            bits(logits(&a)) == bits(logits(&b)),
+            "{what}: 1-thread vs {threads}-thread outputs differ"
+        );
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! [`build_ivf`](EmbeddingStore::build_ivf),
 //! [`build_hnsw`](EmbeddingStore::build_hnsw) and
 //! [`build_pq`](EmbeddingStore::build_pq). All index construction is
-//! deterministic-parallel on the work-stealing pool (bit-identical on any
+//! deterministic-parallel on the batch pool (bit-identical on any
 //! `RAYON_NUM_THREADS`), and every search tie-breaks deterministically on
 //! (score, then key), so results are stable across runs and pool sizes.
 
@@ -172,7 +172,7 @@ impl EmbeddingStore {
     }
 
     /// Build an HNSW graph index. Construction is wave-parallel on the
-    /// work-stealing pool and bit-identical on any pool size; levels are
+    /// batch pool and bit-identical on any pool size; levels are
     /// assigned deterministically from the config seed.
     pub fn build_hnsw(&mut self, cfg: &HnswConfig) {
         if self.is_empty() {

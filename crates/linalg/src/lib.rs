@@ -13,8 +13,8 @@
 //! element sums its products in the naive dot-product order. CSR
 //! construction (`from_coo`, `transpose`) is a counting sort, with no
 //! comparison sort over all entries. The dense kernel and CSR `spmm` are
-//! data-parallel over output-row blocks on the vendored `rayon`
-//! work-stealing pool (sized by `RAYON_NUM_THREADS`), with a sequential
+//! data-parallel over output-row blocks on the vendored `rayon` batch
+//! pool (sized by `RAYON_NUM_THREADS`), with a sequential
 //! cutoff for small shapes. Each output element keeps one accumulation
 //! order, so results are bit-identical on pools of any size.
 

@@ -25,12 +25,13 @@ use serde::ser::{SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
 
 /// Arithmetic volume (multiply-adds) below which the matmul/spmm kernels
-/// stay sequential: at this size the work is cheaper than fork/join
-/// scheduling. Shared with [`crate::csr::CsrMatrix::spmm`].
+/// stay sequential: at this size the work is cheaper than handing a batch
+/// to the pool. Shared with [`crate::csr::CsrMatrix::spmm`].
 pub(crate) const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// Number of output-row blocks to split a parallel kernel into, per worker
-/// thread; >1 lets work stealing rebalance rows of uneven cost.
+/// thread; >1 lets a thread that finishes early claim the blocks others
+/// have not started, which evens out rows of uneven cost.
 pub(crate) const PAR_PIECES_PER_THREAD: usize = 4;
 
 /// Pairwise (block) summation of `f(x)` over `xs`: splits in half down to a

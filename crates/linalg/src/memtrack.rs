@@ -94,6 +94,7 @@ pub fn fmt_bytes(bytes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::prelude::*;
 
     #[test]
     fn charge_discharge_roundtrip() {
@@ -135,14 +136,12 @@ mod tests {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let ok = (0..50).any(|_| {
             let before = live_bytes();
-            pool.scope(|s| {
-                for _ in 0..64 {
-                    s.spawn(|_| {
-                        charge(4096);
-                        std::hint::spin_loop();
-                        discharge(4096);
-                    });
-                }
+            pool.install(|| {
+                (0..64usize).into_par_iter().for_each(|_| {
+                    charge(4096);
+                    std::hint::spin_loop();
+                    discharge(4096);
+                });
             });
             live_bytes() == before
         });
@@ -151,13 +150,11 @@ mod tests {
         // discharging a large buffer mid-scope could otherwise mask the peak.
         let peaked = (0..50).any(|_| {
             let scope = MemScope::begin();
-            pool.scope(|s| {
-                for _ in 0..8 {
-                    s.spawn(|_| {
-                        charge(10_000);
-                        discharge(10_000);
-                    });
-                }
+            pool.install(|| {
+                (0..8usize).into_par_iter().for_each(|_| {
+                    charge(10_000);
+                    discharge(10_000);
+                });
             });
             scope.peak_delta() >= 10_000
         });

@@ -90,7 +90,6 @@ declare_metrics! {
         job_duration: histogram("kgnet_job_duration_nanos", "Training job wall time, pickup to terminal"),
         train_pool_busy_nanos: counter("kgnet_train_pool_busy_nanos_total", "Busy worker-nanos of the dedicated training pools"),
         train_pool_jobs: counter("kgnet_train_pool_jobs_total", "Rayon tasks executed by the training pools"),
-        train_pool_steals: counter("kgnet_train_pool_steals_total", "Steals between training-pool workers"),
         job_epochs: counter("kgnet_job_epochs_total", "Training epochs completed across jobs"),
         job_triples_sampled: counter("kgnet_job_triples_sampled_total", "Triples sampled into training subgraphs"),
         job_lock_wait_nanos: counter("kgnet_job_lock_wait_nanos_total", "Facade-lock wait nanos on job worker threads"),
@@ -129,7 +128,6 @@ declare_metrics! {
         slow_queries: counter("kgnet_slow_queries_total", "Queries over the slow-query threshold"),
         pool_threads: gauge("kgnet_pool_global_threads", "Global rayon pool worker threads"),
         pool_jobs: gauge("kgnet_pool_global_jobs", "Jobs executed by the global pool"),
-        pool_steals: gauge("kgnet_pool_global_steals", "Steals between global-pool workers"),
         pool_busy_nanos: gauge("kgnet_pool_global_busy_nanos", "Busy worker-nanos of the global pool"),
         pool_queue_depth: gauge("kgnet_pool_global_queue_depth", "Jobs queued in the global pool"),
         http_requests: counter("kgnet_http_requests_total", "HTTP requests reaching the router"),
@@ -239,10 +237,8 @@ impl ServerMetrics {
         let pool = rayon::global_pool_stats();
         self.pool_threads.set(i64::try_from(pool.n_threads).unwrap_or(i64::MAX));
         self.pool_jobs.set(i64::try_from(pool.jobs_executed).unwrap_or(i64::MAX));
-        self.pool_steals.set(i64::try_from(pool.steals).unwrap_or(i64::MAX));
         self.pool_busy_nanos.set(i64::try_from(pool.busy_nanos).unwrap_or(i64::MAX));
-        let queued = pool.injector_depth.saturating_add(pool.deque_depth);
-        self.pool_queue_depth.set(i64::try_from(queued).unwrap_or(i64::MAX));
+        self.pool_queue_depth.set(i64::try_from(pool.queue_depth).unwrap_or(i64::MAX));
     }
 
     /// Render the full catalog in the Prometheus text exposition format.

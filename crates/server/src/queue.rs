@@ -125,9 +125,7 @@ pub struct ResourceUsage {
     pub lock_wait_nanos: u64,
     /// Threads in the job's dedicated training pool.
     pub pool_threads: u64,
-    /// Work-stealing events inside the dedicated pool during the job.
-    pub pool_steals: u64,
-    /// Tasks the dedicated pool executed during the job (nested fan-out).
+    /// Batch items the dedicated pool's workers ran during the job.
     pub pool_jobs: u64,
 }
 
@@ -686,7 +684,6 @@ fn worker_loop(shared: &Shared, runner: &Arc<JobRunner>, training_threads: usize
             peak_mem_delta_bytes: mem.peak_delta() as u64,
             lock_wait_nanos: kgnet_sync::profile::thread_wait_nanos().saturating_sub(wait_before),
             pool_threads: pool_after.n_threads as u64,
-            pool_steals: pool_after.steals.saturating_sub(pool_before.steals),
             pool_jobs: pool_after.jobs_executed.saturating_sub(pool_before.jobs_executed),
         };
         let terminal = match outcome {
@@ -698,7 +695,6 @@ fn worker_loop(shared: &Shared, runner: &Arc<JobRunner>, training_threads: usize
             obs.job_duration.record(usage.wall_nanos);
             obs.train_pool_busy_nanos.add(usage.busy_nanos);
             obs.train_pool_jobs.add(usage.pool_jobs);
-            obs.train_pool_steals.add(usage.pool_steals);
             obs.job_epochs.add(usage.epochs);
             obs.job_triples_sampled.add(usage.triples_sampled);
             obs.job_lock_wait_nanos.add(usage.lock_wait_nanos);

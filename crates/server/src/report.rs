@@ -45,19 +45,17 @@ pub(crate) fn render(server: &KgServer) -> String {
     let _ = writeln!(out, "\n-- thread pools --");
     let _ = writeln!(
         out,
-        "global  : {} threads, {} jobs, {} steals, utilization {:.1}%, queue depth {}",
+        "global  : {} threads, {} jobs, utilization {:.1}%, queue depth {}",
         global.n_threads,
         global.jobs_executed,
-        global.steals,
         100.0 * global.utilization(),
-        global.injector_depth + global.deque_depth,
+        global.queue_depth,
     );
     let queue_obs = server.metrics.queue_obs();
     let _ = writeln!(
         out,
-        "training: {} pool jobs, {} steals, {:.3} ms busy across finished jobs",
+        "training: {} pool jobs, {:.3} ms busy across finished jobs",
         queue_obs.train_pool_jobs.get(),
-        queue_obs.train_pool_steals.get(),
         ms(queue_obs.train_pool_busy_nanos.get()),
     );
 
