@@ -26,7 +26,6 @@ use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 
 use crate::format::{AnnFile, AnnFileWriter, FormatError};
 use crate::index::{AnnIndex, SearchParams};
@@ -46,7 +45,7 @@ const SEQ_PHASE: usize = 1024;
 const WAVE: usize = 256;
 
 /// HNSW build-time tunables.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HnswConfig {
     /// Maximum links per node on layers above 0 (layer 0 keeps `2m`).
     pub m: usize,
@@ -67,14 +66,14 @@ impl Default for HnswConfig {
 
 /// One layer's adjacency in CSR form: node `i`'s links are
 /// `links[offsets[i]..offsets[i+1]]` (empty for nodes below this layer).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Layer {
     offsets: Vec<u32>,
     links: Vec<u32>,
 }
 
 /// A built HNSW graph index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HnswIndex {
     m: usize,
     ef_search: usize,
@@ -536,7 +535,7 @@ mod tests {
         let multi = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let a = single.install(|| HnswIndex::build(&t, Metric::L2, &cfg));
         let b = multi.install(|| HnswIndex::build(&t, Metric::L2, &cfg));
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The common [`AnnIndex`] contract, the exact-scan reference search, and
-//! the serializable [`AnyIndex`] dispatch enum.
+//! the [`AnyIndex`] dispatch enum.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::hnsw::HnswIndex;
 use crate::ivf::IvfIndex;
@@ -15,7 +14,7 @@ use crate::PAR_MIN_CANDIDATES;
 /// Per-query tunables. A zero means "use the index's build-time default",
 /// so `SearchParams::default()` always does something sensible on any
 /// index kind; fields irrelevant to an index are ignored.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SearchParams {
     /// IVF: number of coarse cells to probe.
     pub nprobe: usize,
@@ -134,9 +133,9 @@ pub fn search_exact_with_stats(
     )
 }
 
-/// A built index of any family — the serializable sum type the embedding
+/// A built index of any family — the sum type the embedding
 /// store holds and the persistence file round-trips.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum AnyIndex {
     /// Inverted-file coarse index.
     Ivf(IvfIndex),

@@ -6,7 +6,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::format::{AnnFile, AnnFileWriter, FormatError};
 use crate::index::{sort_hits, AnnIndex, SearchParams};
@@ -16,7 +15,7 @@ use crate::vectors::Vectors;
 use crate::PAR_MIN_CANDIDATES;
 
 /// An inverted-file coarse index (k-means cells + posting lists).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IvfIndex {
     centroids: Vec<Vec<f32>>,
     lists: Vec<Vec<u32>>,
@@ -74,21 +73,6 @@ impl IvfIndex {
     /// Number of coarse cells.
     pub fn n_cells(&self) -> usize {
         self.centroids.len()
-    }
-
-    /// Reassemble an index from its raw parts — the migration hook for
-    /// reading the pre-`kgnet-ann` JSON layout (`{centroids, lists}` with
-    /// the vector count implied by the surrounding store). Entries out of
-    /// `0..len` are rejected.
-    pub fn from_parts(
-        centroids: Vec<Vec<f32>>,
-        lists: Vec<Vec<u32>>,
-        len: usize,
-    ) -> Option<IvfIndex> {
-        if lists.len() != centroids.len() || lists.iter().flatten().any(|&id| id as usize >= len) {
-            return None;
-        }
-        Some(IvfIndex { centroids, lists, len })
     }
 
     /// Persist into `w` under the `index.` section prefix.
@@ -281,7 +265,7 @@ mod tests {
         let multi = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let a = single.install(|| IvfIndex::build(&t, 32, 4, 7));
         let b = multi.install(|| IvfIndex::build(&t, 32, 4, 7));
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Similarity metrics shared by every index and the embedding store.
 
 use kgnet_linalg::kernels;
-use serde::{Deserialize, Serialize};
 
 /// Similarity metric. Scores are "larger = closer" for every variant;
 /// [`Metric::distance`] gives the negated, "smaller = closer" view the
 /// graph traversals use. The two are exact negations of each other, so an
 /// index that ranks by distance and an exact scan that ranks by score can
 /// never disagree on ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Negative Euclidean distance (larger = closer).
     L2,

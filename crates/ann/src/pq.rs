@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::format::{AnnFile, AnnFileWriter, FormatError};
 use crate::index::{sort_hits, AnnIndex, SearchParams};
@@ -29,7 +28,7 @@ use crate::vectors::Vectors;
 use crate::PAR_MIN_CANDIDATES;
 
 /// PQ build-time tunables.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PqConfig {
     /// Requested number of sub-quantizers. The build uses the largest
     /// divisor of the vector width that does not exceed this, so every
@@ -57,7 +56,7 @@ impl Default for PqConfig {
 }
 
 /// A trained product-quantization index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PqIndex {
     dim: usize,
     m: usize,
@@ -457,7 +456,7 @@ mod tests {
         let multi = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let a = single.install(|| PqIndex::build(&t, &cfg));
         let b = multi.install(|| PqIndex::build(&t, &cfg));
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

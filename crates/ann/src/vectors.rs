@@ -6,11 +6,6 @@
 use std::sync::Arc;
 
 use memmap2::Mmap;
-use serde::{
-    de::{Deserializer, Error as DeError},
-    ser::Serializer,
-    Content, Deserialize, Serialize,
-};
 
 use crate::view;
 use crate::AnnError;
@@ -167,57 +162,6 @@ impl std::fmt::Debug for VectorTable {
     }
 }
 
-impl Serialize for VectorTable {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Wire form: {"dim": d, "rows": [[...], ...]} — self-describing so
-        // an empty table keeps its width through a JSON round-trip.
-        let rows = self
-            .iter_rows()
-            .take(self.rows)
-            .map(|r| Content::Seq(r.iter().map(|&x| Content::F64(x as f64)).collect()))
-            .collect();
-        serializer.serialize_content(Content::Map(vec![
-            ("dim".to_owned(), Content::U64(self.dim as u64)),
-            ("rows".to_owned(), Content::Seq(rows)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for VectorTable {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let content = deserializer.deserialize_content()?;
-        let dim = match content.get("dim") {
-            Some(Content::U64(d)) => *d as usize,
-            Some(Content::I64(d)) if *d >= 0 => *d as usize,
-            _ => return Err(D::Error::custom("VectorTable: missing or invalid `dim`")),
-        };
-        let Some(Content::Seq(rows)) = content.get("rows") else {
-            return Err(D::Error::custom("VectorTable: missing `rows` sequence"));
-        };
-        let mut table = VectorTable::new(dim);
-        for row in rows {
-            let Content::Seq(vals) = row else {
-                return Err(D::Error::custom("VectorTable: row is not a sequence"));
-            };
-            let mut v = Vec::with_capacity(vals.len());
-            for x in vals {
-                match x {
-                    Content::F64(f) => v.push(*f as f32),
-                    Content::I64(i) => v.push(*i as f32),
-                    Content::U64(u) => v.push(*u as f32),
-                    other => {
-                        return Err(D::Error::custom(format!(
-                            "VectorTable: non-numeric entry {other:?}"
-                        )))
-                    }
-                }
-            }
-            table.push(&v).map_err(D::Error::custom)?;
-        }
-        Ok(table)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,22 +183,5 @@ mod tests {
         let err = t.push(&[1.0, 2.0]).unwrap_err();
         assert!(matches!(err, AnnError::DimensionMismatch { expected: 4, got: 2 }));
         assert_eq!(t.len(), 0, "failed push must not grow the table");
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_dim_of_empty_table() {
-        let t = VectorTable::new(7);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: VectorTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.dim(), 7);
-        assert_eq!(back.len(), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_rows() {
-        let t = VectorTable::from_rows(2, &[vec![1.5, -2.0], vec![0.25, 8.0]]).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: VectorTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -1,9 +1,7 @@
 //! Training configuration and reports shared by all GML methods.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a supported GML method (the paper's Fig. 5/6 lists).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GmlMethodKind {
     /// Full-batch spectral GCN.
     Gcn,
@@ -72,7 +70,7 @@ impl std::fmt::Display for GmlMethodKind {
 
 /// Hyper-parameters for the GNN/KGE trainers. Defaults follow the paper's
 /// "OGB default configurations" spirit, scaled to the reproduction size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GnnConfig {
     /// Hidden/embedding width.
     pub hidden: usize,
@@ -130,7 +128,7 @@ impl GnnConfig {
 }
 
 /// Everything the platform records about one training run (feeds KGMeta).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// The trained method.
     pub method: GmlMethodKind,

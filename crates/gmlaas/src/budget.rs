@@ -1,9 +1,7 @@
 //! Task budgets (the `Task Budget` JSON of Fig. 8).
 
-use serde::{Deserialize, Serialize};
-
 /// What the selector optimises among budget-feasible methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
     /// Maximise the expected model quality (the paper's `ModelScore`).
     #[default]
@@ -15,7 +13,7 @@ pub enum Priority {
 }
 
 /// Resource envelope a training request must respect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TaskBudget {
     /// Peak-memory cap in bytes (`MaxMemory`).
     pub max_memory_bytes: Option<usize>,

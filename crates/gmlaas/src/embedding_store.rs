@@ -16,11 +16,6 @@
 
 use std::path::Path;
 
-use serde::{
-    de::{Deserializer, Error as DeError},
-    from_content, Content, Deserialize, Serialize,
-};
-
 pub use kgnet_ann::{AnnError, HnswConfig, Metric, PqConfig, SearchParams, SearchStats};
 
 use kgnet_ann::{
@@ -30,69 +25,13 @@ use kgnet_ann::{
 };
 
 /// A keyed vector store with exact and approximate search.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EmbeddingStore {
     dim: usize,
     metric: Metric,
     keys: Vec<String>,
     vectors: VectorTable,
     index: Option<AnyIndex>,
-}
-
-// Deserialization is hand-written so the pre-`kgnet-ann` JSON layout —
-// `vectors` as a bare row sequence and a flat-IVF `ivf` field instead of
-// the tagged `index` — keeps loading: old `ModelStore` directories fall
-// back to whole-artifact JSON, and that promise covers their wire shape.
-impl<'de> Deserialize<'de> for EmbeddingStore {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let content = deserializer.deserialize_content()?;
-        let field = |name: &str| {
-            content
-                .get(name)
-                .cloned()
-                .ok_or_else(|| D::Error::custom(format!("EmbeddingStore: missing `{name}`")))
-        };
-        let dim: usize = from_content(field("dim")?).map_err(D::Error::custom)?;
-        let metric: Metric = from_content(field("metric")?).map_err(D::Error::custom)?;
-        let keys: Vec<String> = from_content(field("keys")?).map_err(D::Error::custom)?;
-        let vectors = match field("vectors")? {
-            // Legacy layout: a plain sequence of rows (width from `dim`).
-            Content::Seq(rows) => {
-                let rows: Vec<Vec<f32>> =
-                    from_content(Content::Seq(rows)).map_err(D::Error::custom)?;
-                VectorTable::from_rows(dim, &rows).map_err(D::Error::custom)?
-            }
-            table => from_content::<VectorTable>(table).map_err(D::Error::custom)?,
-        };
-        let index = match content.get("index") {
-            Some(Content::Null) | None => match content.get("ivf") {
-                // Legacy layout: an untagged flat-IVF index.
-                Some(ivf @ Content::Map(_)) => {
-                    let centroids: Vec<Vec<f32>> =
-                        from_content(field_of(ivf, "centroids").map_err(D::Error::custom)?)
-                            .map_err(D::Error::custom)?;
-                    let lists: Vec<Vec<u32>> =
-                        from_content(field_of(ivf, "lists").map_err(D::Error::custom)?)
-                            .map_err(D::Error::custom)?;
-                    let ivf =
-                        IvfIndex::from_parts(centroids, lists, keys.len()).ok_or_else(|| {
-                            D::Error::custom("EmbeddingStore: legacy ivf index is inconsistent")
-                        })?;
-                    Some(AnyIndex::Ivf(ivf))
-                }
-                _ => None,
-            },
-            Some(index) => from_content(index.clone()).map_err(D::Error::custom)?,
-        };
-        if vectors.len() != keys.len() {
-            return Err(D::Error::custom("EmbeddingStore: key/vector counts disagree"));
-        }
-        Ok(EmbeddingStore { dim, metric, keys, vectors, index })
-    }
-}
-
-fn field_of(content: &Content, name: &str) -> Result<Content, String> {
-    content.get(name).cloned().ok_or_else(|| format!("missing `{name}` in legacy ivf index"))
 }
 
 impl EmbeddingStore {
@@ -466,48 +405,11 @@ mod tests {
                 }
             }
             assert_eq!(
-                serde_json::to_string(&a).unwrap(),
-                serde_json::to_string(&b).unwrap(),
+                format!("{:?}", a.index),
+                format!("{:?}", b.index),
                 "builder {build} diverged across pool sizes"
             );
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut store = filled_store(10, 4, 6);
-        store.build_ivf(2, 2, 1);
-        let json = serde_json::to_string(&store).unwrap();
-        let back: EmbeddingStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 10);
-        let q = store.get("e3").unwrap().to_vec();
-        assert_eq!(store.search(&q, 3, 2), back.search(&q, 3, 2));
-    }
-
-    #[test]
-    fn legacy_json_layout_still_deserializes() {
-        // The pre-`kgnet-ann` wire shape: `vectors` as a bare row sequence
-        // and an untagged flat-IVF `ivf` field. Old ModelStore directories
-        // fall back to whole-artifact JSON, so this must keep parsing.
-        let legacy = r#"{"dim":2,"metric":"L2","keys":["a","b","c"],
-            "vectors":[[1.0,0.0],[0.0,1.0],[1.0,1.0]],
-            "ivf":{"centroids":[[1.0,0.5],[0.0,1.0]],"lists":[[0,2],[1]]}}"#;
-        let store: EmbeddingStore = serde_json::from_str(legacy).unwrap();
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.dim(), 2);
-        assert_eq!(store.index_kind(), Some("ivf"));
-        assert_eq!(store.search(&[1.0, 0.0], 1, 2)[0].0, "a");
-
-        let no_index = r#"{"dim":2,"metric":"Cosine","keys":["x"],
-            "vectors":[[0.5,0.5]],"ivf":null}"#;
-        let store: EmbeddingStore = serde_json::from_str(no_index).unwrap();
-        assert_eq!((store.len(), store.index_kind()), (1, None));
-
-        // A corrupt legacy index (posting id past the table) is rejected
-        // rather than loaded into a panic-at-search-time store.
-        let bad = r#"{"dim":1,"metric":"L2","keys":["a"],"vectors":[[1.0]],
-            "ivf":{"centroids":[[1.0]],"lists":[[7]]}}"#;
-        assert!(serde_json::from_str::<EmbeddingStore>(bad).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 
 pub mod budget;
+mod codec;
 pub mod embedding_store;
 pub mod ip;
 pub mod model_store;

@@ -1,28 +1,26 @@
 //! Trained-model artifacts and the model registry (the paper's "Models &
 //! Embeddings" store of Fig. 3).
 //!
-//! Persistence routes embedding payloads through the `kgnet-ann` binary
-//! columnar format: [`ModelStore::save_dir`] writes a NodeSimilarity
-//! artifact as a small metadata JSON plus a checksummed `.ann` file, and
-//! [`ModelStore::load_dir`] memory-maps the `.ann` back so the restored
-//! store serves searches zero-copy. JSON stays the format for metadata
-//! and the fallback reader for directories written before the binary
-//! format existed (their full-JSON artifacts still load unchanged).
+//! [`ModelStore::save_dir`] writes each artifact's metadata as JSON (the
+//! `codec` module's hand-written encoding) and a NodeSimilarity artifact's
+//! embeddings as a checksummed `.ann` sidecar in the `kgnet-ann` binary
+//! columnar format; [`ModelStore::load_dir`] memory-maps the sidecar back
+//! so the restored store serves searches zero-copy.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use kgnet_sync::RwLock;
-use serde::{Deserialize, Serialize};
 
 use kgnet_gml::config::{GmlMethodKind, TrainReport};
 
+use crate::codec::{read_artifact, write_artifact};
 use crate::embedding_store::EmbeddingStore;
 use crate::service::InferenceResponse;
 
 /// Task-type tag stored on an artifact (mirrors the `kgnet:` model classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// `kgnet:NodeClassifier`.
     NodeClassifier,
@@ -33,7 +31,7 @@ pub enum TaskKind {
 }
 
 /// The task-specific payload of a trained model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ArtifactPayload {
     /// Node classifier: target IRI -> predicted class IRI.
     NodeClassifier {
@@ -54,7 +52,7 @@ pub enum ArtifactPayload {
 }
 
 /// A trained model with its KGMeta-relevant metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelArtifact {
     /// Unique model URI (minted by the training manager).
     pub uri: String,
@@ -118,11 +116,10 @@ impl ModelStore {
     /// Register a model, replacing any previous artifact under its URI.
     pub fn insert(&self, artifact: ModelArtifact) -> Arc<ModelArtifact> {
         let dict_wire_len = match &artifact.payload {
-            ArtifactPayload::NodeClassifier { predictions } => {
-                let response =
-                    InferenceResponse::NodeClassDict { predictions: Arc::clone(predictions) };
-                serde_json::to_string(&response).ok().map(|json| json.len())
-            }
+            ArtifactPayload::NodeClassifier { predictions } => Some(
+                InferenceResponse::NodeClassDict { predictions: Arc::clone(predictions) }
+                    .wire_len(),
+            ),
             _ => None,
         };
         let arc = Arc::new(artifact);
@@ -161,56 +158,32 @@ impl ModelStore {
         self.inner.read().is_empty()
     }
 
-    /// Persist every artifact under `dir`: `<sanitised-uri>.json` for
-    /// metadata and non-embedding payloads, plus `<sanitised-uri>.ann`
-    /// (the binary columnar format) for NodeSimilarity embedding stores —
-    /// whose JSON then carries only an empty stub store.
+    /// Persist every artifact under `dir`: `<sanitised-uri>.json` for its
+    /// metadata and non-embedding payload, plus `<sanitised-uri>.ann`
+    /// (the binary columnar format) for a non-empty NodeSimilarity
+    /// embedding store, whose vector count the JSON records.
     pub fn save_dir(&self, dir: &Path) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
         let guard = self.inner.read();
         for Registered { artifact, .. } in guard.values() {
             let name = sanitise(&artifact.uri);
-            let json_path = dir.join(format!("{name}.json"));
             let ann_path = dir.join(format!("{name}.ann"));
-            let json = match &artifact.payload {
+            match &artifact.payload {
                 ArtifactPayload::NodeSimilarity { store } if !store.is_empty() => {
                     store.save_binary(&ann_path).map_err(|e| {
                         std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
                     })?;
-                    // Metadata-only stub: the embedding payload lives in
-                    // the sidecar (fields cloned individually so the big
-                    // payload is never copied just to be dropped).
-                    let stub = ModelArtifact {
-                        uri: artifact.uri.clone(),
-                        task_kind: artifact.task_kind,
-                        target_type: artifact.target_type.clone(),
-                        label_predicate: artifact.label_predicate.clone(),
-                        destination_type: artifact.destination_type.clone(),
-                        method: artifact.method,
-                        report: artifact.report.clone(),
-                        sampler: artifact.sampler.clone(),
-                        cardinality: artifact.cardinality,
-                        trained_generation: artifact.trained_generation,
-                        payload: ArtifactPayload::NodeSimilarity {
-                            store: EmbeddingStore::new(store.dim(), store.metric()),
-                        },
-                    };
-                    serde_json::to_string(&stub)
                 }
-                _ => {
-                    // No sidecar for this artifact: drop any stale one a
-                    // previous save of the same URI left behind, so a
-                    // later load cannot resurrect replaced embeddings.
-                    match std::fs::remove_file(&ann_path) {
-                        Ok(()) => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                        Err(e) => return Err(e),
-                    }
-                    serde_json::to_string(artifact.as_ref())
-                }
-            };
-            let json = json.map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            std::fs::write(json_path, json)?;
+                // No sidecar for this artifact: drop any stale one a
+                // previous save of the same URI left behind, so a later
+                // load cannot resurrect replaced embeddings.
+                _ => match std::fs::remove_file(&ann_path) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => return Err(e),
+                },
+            }
+            std::fs::write(dir.join(format!("{name}.json")), write_artifact(artifact))?;
         }
         Ok(guard.len())
     }
@@ -220,9 +193,9 @@ impl ModelStore {
     /// and reported in the returned [`LoadReport`] instead of aborting
     /// the whole directory load; every healthy artifact still loads.
     ///
-    /// A NodeSimilarity artifact whose sibling `.ann` file exists gets
-    /// its embedding store memory-mapped from it; full-JSON artifacts
-    /// (the pre-binary layout) load through the JSON fallback unchanged.
+    /// A NodeSimilarity artifact whose JSON records vectors gets its
+    /// embedding store memory-mapped from the sibling `.ann` file, which
+    /// must exist and hold that many vectors.
     pub fn load_dir(&self, dir: &Path) -> std::io::Result<LoadReport> {
         let mut report = LoadReport::default();
         for entry in std::fs::read_dir(dir)? {
@@ -230,23 +203,24 @@ impl ModelStore {
             if path.extension().is_none_or(|e| e != "json") {
                 continue;
             }
-            let mut artifact: ModelArtifact = match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|json| serde_json::from_str(&json).map_err(|e| e.to_string()))
-            {
-                Ok(a) => a,
+            let read = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+            let (mut artifact, vectors) = match read.and_then(|json| read_artifact(&json)) {
+                Ok(read) => read,
                 Err(e) => {
                     report.skipped.push((path, e));
                     continue;
                 }
             };
-            let ann_path = path.with_extension("ann");
-            if matches!(artifact.payload, ArtifactPayload::NodeSimilarity { .. })
-                && ann_path.exists()
-            {
+            if vectors > 0 {
+                let ann_path = path.with_extension("ann");
                 match EmbeddingStore::load_binary(&ann_path) {
-                    Ok(store) => {
+                    Ok(store) if store.len() == vectors => {
                         artifact.payload = ArtifactPayload::NodeSimilarity { store };
+                    }
+                    Ok(store) => {
+                        let e = format!("holds {} vectors, the metadata {vectors}", store.len());
+                        report.skipped.push((ann_path, e));
+                        continue;
                     }
                     Err(e) => {
                         report.skipped.push((ann_path, e.to_string()));
@@ -482,23 +456,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A diverged run's NaN loss and a NaN link score are written as
+    /// `null` and read back as NaN, so the artifact still loads.
     #[test]
-    fn full_json_artifacts_load_as_fallback() {
-        // Simulate a directory written before the binary format: the whole
-        // artifact, embedding store included, serialized as one JSON file.
-        let dir = std::env::temp_dir().join(format!("kgnet-models-old-{}", std::process::id()));
+    fn non_finite_floats_survive_a_save_and_load() {
+        let dir = std::env::temp_dir().join(format!("kgnet-models-nan-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let artifact = similarity_artifact("http://kgnet/legacy", 40, 7);
-        let json = serde_json::to_string(&artifact).unwrap();
-        std::fs::write(dir.join("legacy.json"), json).unwrap();
+        let mut nc = dummy_artifact("http://kgnet/nan");
+        nc.report.loss_curve = vec![0.5, f32::NAN, f32::INFINITY];
+        nc.report.mrr = f64::NAN;
+        let mut lp = dummy_artifact("http://kgnet/lp");
+        lp.task_kind = TaskKind::LinkPredictor;
+        lp.destination_type = Some("http://x/Venue".into());
+        let links =
+            vec![("http://x/v1".to_owned(), 0.25f32), ("http://x/v\"2".to_owned(), f32::NAN)];
+        lp.payload = ArtifactPayload::LinkPredictor {
+            topk: [("http://x/p1".to_owned(), links), ("http://x/p2".to_owned(), vec![])].into(),
+        };
+        let store = ModelStore::new();
+        store.insert(nc);
+        store.insert(lp);
+        store.save_dir(&dir).unwrap();
 
         let restored = ModelStore::new();
         let report = restored.load_dir(&dir).unwrap();
-        assert_eq!((report.loaded, report.skipped.len()), (1, 0));
-        let m = restored.get("http://kgnet/legacy").unwrap();
-        let ArtifactPayload::NodeSimilarity { store } = &m.payload else { panic!("wrong payload") };
-        assert_eq!(store.len(), 40);
+        assert_eq!((report.loaded, report.skipped), (2, vec![]));
+        let curve = &restored.get("http://kgnet/nan").unwrap().report.loss_curve;
+        assert_eq!(curve[0], 0.5);
+        assert!(curve[1].is_nan() && curve[2].is_nan(), "{curve:?}");
+        assert!(restored.get("http://kgnet/nan").unwrap().report.mrr.is_nan());
+        let lp = restored.get("http://kgnet/lp").unwrap();
+        assert_eq!(lp.destination_type.as_deref(), Some("http://x/Venue"));
+        let ArtifactPayload::LinkPredictor { topk } = &lp.payload else { panic!("payload kind") };
+        assert_eq!(topk.len(), 2);
+        assert_eq!(topk["http://x/p1"][0], ("http://x/v1".to_owned(), 0.25));
+        assert_eq!(topk["http://x/p1"][1].0, "http://x/v\"2");
+        assert!(topk["http://x/p1"][1].1.is_nan());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A similarity artifact whose sidecar is gone, or holds a different
+    /// number of vectors than its metadata records, is skipped and
+    /// reported rather than loaded as an empty model.
+    #[test]
+    fn missing_or_mismatched_sidecars_are_skipped_and_reported() {
+        let dir = std::env::temp_dir().join(format!("kgnet-models-side-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ModelStore::new();
+        store.insert(similarity_artifact("http://kgnet/gone", 20, 3));
+        store.insert(similarity_artifact("http://kgnet/swapped", 20, 4));
+        store.save_dir(&dir).unwrap();
+        let sidecar = |uri: &str| dir.join(format!("{}.ann", sanitise(uri)));
+        std::fs::remove_file(sidecar("http://kgnet/gone")).unwrap();
+        let ArtifactPayload::NodeSimilarity { store: other } =
+            similarity_artifact("http://kgnet/other", 25, 5).payload
+        else {
+            unreachable!()
+        };
+        other.save_binary(&sidecar("http://kgnet/swapped")).unwrap();
+
+        let restored = ModelStore::new();
+        let report = restored.load_dir(&dir).unwrap();
+        assert_eq!(report.loaded, 0);
+        let mut skipped: Vec<_> = report.skipped.iter().map(|(path, _)| path.clone()).collect();
+        skipped.sort();
+        assert_eq!(skipped, vec![sidecar("http://kgnet/gone"), sidecar("http://kgnet/swapped")]);
+        assert!(restored.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,29 +2,29 @@
 //!
 //! In the paper, the RDF engine's UDFs reach trained models through HTTP
 //! calls into GMLaaS, and the number of such calls is exactly what the
-//! SPARQL-ML query optimizer minimises (Figs. 11/12). This module keeps that
-//! objective observable in-process: the service counts calls, and each call
-//! serialises its request once and its response once, only to count their
-//! JSON bytes. The typed request is served and the typed response returned
-//! directly; both types round-trip through JSON unchanged (see the tests),
-//! so the counts are exactly what an HTTP client would send and receive.
+//! SPARQL-ML optimizer minimises (Figs. 11/12). This module keeps that
+//! objective observable in-process: the service counts calls, and the JSON
+//! bytes of each request and response, through their `wire_len`, which
+//! counts the bytes of their JSON encoding without building it. The
+//! typed request is served and the typed response returned directly, so
+//! the counts are what an HTTP client would send and receive.
 //!
 //! The Fig. 12 Dictionary response is the exception on both counts: it
 //! shares the artifact's prediction map (an `Arc` clone, not a copy), and
 //! its wire size is the length [`ModelStore::insert`] cached when the model
-//! was registered, so a call neither copies nor serialises the map.
+//! was registered, so a call neither copies nor walks the map.
 
 use kgnet_sync::atomic::{AtomicUsize, Ordering};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use kgnet_obs::{push_json_string, ByteCount, JsonSink};
 
+use crate::codec::{push_key, push_links, push_map, push_tag};
 use crate::model_store::{ArtifactPayload, ModelStore, Registered};
 
 /// A request to the inference service (one "HTTP call").
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-#[serde(tag = "op")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InferenceRequest {
     /// Fig. 11 per-instance call: class of one node.
     GetNodeClass {
@@ -66,8 +66,7 @@ pub enum InferenceRequest {
 }
 
 /// A JSON response from the inference service.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-#[serde(tag = "kind")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InferenceResponse {
     /// Class of a single node (absent when the model cannot infer it).
     NodeClass {
@@ -100,15 +99,94 @@ pub enum InferenceResponse {
     },
 }
 
-/// Service-level errors (serialised like HTTP error responses).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+impl InferenceRequest {
+    /// Bytes of this request's JSON encoding: the tag `"op"` (the variant
+    /// name) first, then the fields in declaration order.
+    pub fn wire_len(&self) -> usize {
+        let (op, model, node, k) = match self {
+            InferenceRequest::GetNodeClass { model, node } => {
+                ("GetNodeClass", model, Some(("node", node)), None)
+            }
+            InferenceRequest::GetNodeClassDict { model } => ("GetNodeClassDict", model, None, None),
+            InferenceRequest::GetTopkLinks { model, source, k } => {
+                ("GetTopkLinks", model, Some(("source", source)), Some(k))
+            }
+            InferenceRequest::GetAllTopkLinks { model, k } => {
+                ("GetAllTopkLinks", model, None, Some(k))
+            }
+            InferenceRequest::GetSimilarNodes { model, node, k } => {
+                ("GetSimilarNodes", model, Some(("node", node)), Some(k))
+            }
+        };
+        let out = &mut ByteCount::default();
+        push_tag(out, "op", op);
+        push_key(out, "model");
+        push_json_string(out, model);
+        if let Some((key, node)) = node {
+            push_key(out, key);
+            push_json_string(out, node);
+        }
+        if let Some(k) = k {
+            push_key(out, "k");
+            out.push_fmt(format_args!("{k}"));
+        }
+        out.push_str("}");
+        out.0
+    }
+}
+
+impl InferenceResponse {
+    /// Bytes of this response's JSON encoding: the tag `"kind"` (the
+    /// variant name) first, then the fields in declaration order; a map
+    /// is an object, a link a `["entity",score]` pair.
+    pub fn wire_len(&self) -> usize {
+        let out = &mut ByteCount::default();
+        match self {
+            InferenceResponse::NodeClass { node, class } => {
+                push_tag(out, "kind", "NodeClass");
+                push_key(out, "node");
+                push_json_string(out, node);
+                push_key(out, "class");
+                match class {
+                    Some(class) => push_json_string(out, class),
+                    None => out.push_str("null"),
+                }
+            }
+            InferenceResponse::NodeClassDict { predictions } => {
+                push_tag(out, "kind", "NodeClassDict");
+                push_key(out, "predictions");
+                push_map(out, predictions.iter(), |out, class| push_json_string(out, class));
+            }
+            InferenceResponse::TopkLinks { source, links } => {
+                push_tag(out, "kind", "TopkLinks");
+                push_key(out, "source");
+                push_json_string(out, source);
+                push_key(out, "links");
+                push_links(out, links);
+            }
+            InferenceResponse::AllTopkLinks { links } => {
+                push_tag(out, "kind", "AllTopkLinks");
+                push_key(out, "links");
+                push_map(out, links.iter(), |out, links| push_links(out, links));
+            }
+            InferenceResponse::SimilarNodes { neighbors } => {
+                push_tag(out, "kind", "SimilarNodes");
+                push_key(out, "neighbors");
+                push_links(out, neighbors);
+            }
+        }
+        out.push_str("}");
+        out.0
+    }
+}
+
+/// Service-level errors (the HTTP error responses).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
     /// Unknown model URI.
     ModelNotFound(String),
     /// Request not applicable to the model's task kind.
     WrongTask(String),
-    /// Serialisation failure (malformed payload).
-    Codec(String),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -116,7 +194,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::ModelNotFound(uri) => write!(f, "model not found: {uri}"),
             ServiceError::WrongTask(msg) => write!(f, "wrong task: {msg}"),
-            ServiceError::Codec(msg) => write!(f, "codec error: {msg}"),
         }
     }
 }
@@ -179,26 +256,19 @@ impl InferenceService {
     /// size of the request and of the response are counted, and the
     /// caller's request is served directly.
     pub fn call(&self, request: &InferenceRequest) -> Result<InferenceResponse, ServiceError> {
-        let wire_req =
-            serde_json::to_string(request).map_err(|e| ServiceError::Codec(e.to_string()))?;
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(wire_req.len(), Ordering::Relaxed);
+        self.bytes_in.fetch_add(request.wire_len(), Ordering::Relaxed);
 
         let mut cached_len = None;
         let response = self.handle(request, &mut cached_len)?;
 
-        let wire_len = match cached_len {
-            Some(len) => len,
-            None => serde_json::to_string(&response)
-                .map_err(|e| ServiceError::Codec(e.to_string()))?
-                .len(),
-        };
+        let wire_len = cached_len.unwrap_or_else(|| response.wire_len());
         self.bytes_out.fetch_add(wire_len, Ordering::Relaxed);
         Ok(response)
     }
 
     /// Serve `request`. A response whose wire length the registry cached
-    /// reports it through `cached_len`, so `call` need not serialise it.
+    /// reports it through `cached_len`, so `call` need not count it.
     fn handle(
         &self,
         request: &InferenceRequest,
@@ -391,7 +461,7 @@ mod tests {
         let bytes_out_of_one_call = || {
             svc.reset_stats();
             let resp = svc.call(&req).unwrap();
-            (svc.stats().bytes_out, serde_json::to_string(&resp).unwrap().len(), dict(&resp).len())
+            (svc.stats().bytes_out, resp.wire_len(), dict(&resp).len())
         };
         let (counted, serialised, entries) = bytes_out_of_one_call();
         assert_eq!((counted, entries), (serialised, 2));
@@ -404,7 +474,7 @@ mod tests {
         assert!(svc.models().remove(&uri));
         svc.reset_stats();
         assert!(matches!(svc.call(&req), Err(ServiceError::ModelNotFound(_))));
-        let expected_in = serde_json::to_string(&req).unwrap().len();
+        let expected_in = req.wire_len();
         assert_eq!(svc.stats(), ServiceStats { calls: 1, bytes_in: expected_in, bytes_out: 0 });
     }
 
@@ -433,45 +503,82 @@ mod tests {
         );
     }
 
-    /// Every request and response variant survives `to_string` → `from_str`
-    /// unchanged, so `call` can serve the typed values directly and still
-    /// count the bytes an HTTP client would exchange.
+    /// `wire_len` counts exactly the bytes of each variant's JSON encoding:
+    /// the golden texts are what the serde-based encoder wrote before it was
+    /// replaced (a multi-entry map in key order; its length is order-free).
     #[test]
-    fn every_variant_roundtrips_through_json() {
+    fn every_variant_has_its_golden_wire_len() {
         let model = "https://www.kgnet.com/model/x".to_owned();
         let requests = [
-            InferenceRequest::GetNodeClass { model: model.clone(), node: "http://x/p\"1".into() },
-            InferenceRequest::GetNodeClassDict { model: model.clone() },
-            InferenceRequest::GetTopkLinks { model: model.clone(), source: "s".into(), k: 3 },
-            InferenceRequest::GetAllTopkLinks { model: model.clone(), k: 0 },
-            InferenceRequest::GetSimilarNodes { model, node: "Zürich 😀".into(), k: 10 },
+            (
+                InferenceRequest::GetNodeClass {
+                    model: model.clone(),
+                    node: "http://x/p\"1".into(),
+                },
+                r#"{"op":"GetNodeClass","model":"https://www.kgnet.com/model/x","node":"http://x/p\"1"}"#,
+            ),
+            (
+                InferenceRequest::GetNodeClassDict { model: model.clone() },
+                r#"{"op":"GetNodeClassDict","model":"https://www.kgnet.com/model/x"}"#,
+            ),
+            (
+                InferenceRequest::GetTopkLinks { model: model.clone(), source: "s".into(), k: 3 },
+                r#"{"op":"GetTopkLinks","model":"https://www.kgnet.com/model/x","source":"s","k":3}"#,
+            ),
+            (
+                InferenceRequest::GetAllTopkLinks { model: model.clone(), k: 0 },
+                r#"{"op":"GetAllTopkLinks","model":"https://www.kgnet.com/model/x","k":0}"#,
+            ),
+            (
+                InferenceRequest::GetSimilarNodes { model, node: "Zürich 😀".into(), k: 10 },
+                r#"{"op":"GetSimilarNodes","model":"https://www.kgnet.com/model/x","node":"Zürich 😀","k":10}"#,
+            ),
         ];
-        for req in requests {
-            let json = serde_json::to_string(&req).unwrap();
-            assert_eq!(serde_json::from_str::<InferenceRequest>(&json).unwrap(), req, "{json}");
+        for (req, golden) in requests {
+            assert_eq!(req.wire_len(), golden.len(), "{golden}");
         }
         let links = vec![("http://x/d1".to_owned(), 0.1f32), ("d2".to_owned(), -3.5e-7)];
         let responses = [
-            InferenceResponse::NodeClass { node: "n".into(), class: Some("c".into()) },
-            InferenceResponse::NodeClass { node: "n".into(), class: None },
-            InferenceResponse::NodeClassDict {
-                predictions: Arc::new(
-                    [("p1".to_owned(), "v1".to_owned()), ("p\n2".into(), "ü".into())]
+            (
+                InferenceResponse::NodeClass { node: "n".into(), class: Some("c".into()) },
+                r#"{"kind":"NodeClass","node":"n","class":"c"}"#,
+            ),
+            (
+                InferenceResponse::NodeClass { node: "n".into(), class: None },
+                r#"{"kind":"NodeClass","node":"n","class":null}"#,
+            ),
+            (
+                InferenceResponse::NodeClassDict {
+                    predictions: Arc::new(
+                        [("p1".to_owned(), "v1".to_owned()), ("p\n2".into(), "ü".into())]
+                            .into_iter()
+                            .collect(),
+                    ),
+                },
+                r#"{"kind":"NodeClassDict","predictions":{"p\n2":"ü","p1":"v1"}}"#,
+            ),
+            (
+                InferenceResponse::TopkLinks {
+                    source: "s".into(),
+                    links: vec![("http://x/d1".to_owned(), 0.1f32), ("d2".to_owned(), f32::NAN)],
+                },
+                r#"{"kind":"TopkLinks","source":"s","links":[["http://x/d1",0.10000000149011612],["d2",null]]}"#,
+            ),
+            (
+                InferenceResponse::AllTopkLinks {
+                    links: [("s".to_owned(), links.clone()), ("t".to_owned(), vec![])]
                         .into_iter()
                         .collect(),
-                ),
-            },
-            InferenceResponse::TopkLinks { source: "s".into(), links: links.clone() },
-            InferenceResponse::AllTopkLinks {
-                links: [("s".to_owned(), links.clone()), ("t".to_owned(), vec![])]
-                    .into_iter()
-                    .collect(),
-            },
-            InferenceResponse::SimilarNodes { neighbors: links },
+                },
+                r#"{"kind":"AllTopkLinks","links":{"s":[["http://x/d1",0.10000000149011612],["d2",-3.4999999343199306e-7]],"t":[]}}"#,
+            ),
+            (
+                InferenceResponse::SimilarNodes { neighbors: links },
+                r#"{"kind":"SimilarNodes","neighbors":[["http://x/d1",0.10000000149011612],["d2",-3.4999999343199306e-7]]}"#,
+            ),
         ];
-        for resp in responses {
-            let json = serde_json::to_string(&resp).unwrap();
-            assert_eq!(serde_json::from_str::<InferenceResponse>(&json).unwrap(), resp, "{json}");
+        for (resp, golden) in responses {
+            assert_eq!(resp.wire_len(), golden.len(), "{golden}");
         }
     }
 
@@ -487,8 +594,8 @@ mod tests {
             let resp = svc.call(&req).unwrap();
             let stats = svc.stats();
             assert_eq!(stats.calls, 1);
-            assert_eq!(stats.bytes_in, serde_json::to_string(&req).unwrap().len());
-            assert_eq!(stats.bytes_out, serde_json::to_string(&resp).unwrap().len());
+            assert_eq!(stats.bytes_in, req.wire_len());
+            assert_eq!(stats.bytes_out, resp.wire_len());
         }
     }
 
@@ -500,8 +607,7 @@ mod tests {
         let wrong = InferenceRequest::GetAllTopkLinks { model: uri, k: 2 };
         assert!(matches!(svc.call(&missing), Err(ServiceError::ModelNotFound(_))));
         assert!(matches!(svc.call(&wrong), Err(ServiceError::WrongTask(_))));
-        let expected_in = serde_json::to_string(&missing).unwrap().len()
-            + serde_json::to_string(&wrong).unwrap().len();
+        let expected_in = missing.wire_len() + wrong.wire_len();
         assert_eq!(svc.stats(), ServiceStats { calls: 2, bytes_in: expected_in, bytes_out: 0 });
     }
 

@@ -16,7 +16,7 @@
 //! | `GET /traces` | Drained span trees, tags included |
 //! | `GET /accesslog` | The bounded access-log ring |
 //! | `POST /sparql` | SPARQL / SPARQL-ML SELECT (body = query text) |
-//! | `POST /similar` | ANN similarity: `{"model","node","k"}` |
+//! | `POST /similar` | ANN similarity: `{"model","node","k"}` (JSON or the relaxed TrainGML dialect) |
 //!
 //! Design, deliberately boring: a blocking accept loop hands each
 //! connection to its own thread, capped by

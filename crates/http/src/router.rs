@@ -233,7 +233,7 @@ fn similar(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return (400, TEXT, b"body is not UTF-8\n".to_vec());
     };
-    let Ok(value) = serde_json::from_str::<serde_json::Value>(text) else {
+    let Ok(value) = kgnet_obs::json::parse(text, |_| None) else {
         return (400, TEXT, b"body is not valid JSON\n".to_vec());
     };
     let (Some(model), Some(node)) =

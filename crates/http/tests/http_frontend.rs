@@ -141,10 +141,30 @@ fn frontend_serves_queries_probes_and_traces_under_churn() {
     let done = server.wait(churn).unwrap();
     assert!(matches!(done.state, JobState::Done { .. }), "churn job failed: {done:?}");
 
+    let mut conn = Client::connect(addr).unwrap();
+
+    // `/similar` decodes `\u` escapes, takes the paper's relaxed dialect,
+    // and answers 400 to a body that does not parse or lacks a field.
+    let plain = format!("{{\"model\":\"{sim_model}\",\"node\":\"{probe_node}\",\"k\":3}}");
+    let escaped_node: String = probe_node.chars().map(|c| format!("\\u{:04x}", c as u32)).collect();
+    let escaped = format!("{{\"model\":\"{sim_model}\",\"node\":\"{escaped_node}\",\"k\":3}}");
+    let relaxed = format!("{{model: '{sim_model}', node: '{probe_node}', k: 3}}");
+    let expected = conn.post("/similar", plain.as_bytes()).unwrap().text();
+    assert!(expected.contains("\"node\":"), "{expected}");
+    for body in [escaped, relaxed] {
+        let r = conn.post("/similar", body.as_bytes()).unwrap();
+        assert_eq!((r.status, r.text()), (200, expected.clone()), "{body}");
+    }
+    let missing_node = format!("{{\"model\":\"{sim_model}\"}}");
+    for body in
+        ["{\"model\": ", "[1, 2]", missing_node.as_str(), r#"{"model":"m","node":"\ud800"}"#]
+    {
+        assert_eq!(conn.post("/similar", body.as_bytes()).unwrap().status, 400, "{body}");
+    }
+
     // With a 1 ns capture threshold every query is "slow", so the ML
     // SELECT over the fresh model must appear in the slow-query log, its
     // plan carrying the inference step — and therefore on `/slowlog`.
-    let mut conn = Client::connect(addr).unwrap();
     let r = conn.post("/sparql", PV_QUERY.as_bytes()).unwrap();
     assert_eq!(r.status, 200, "{}", r.text());
     let slowlog = conn.get("/slowlog").unwrap();

@@ -20,9 +20,6 @@
 
 use crate::memtrack;
 use rayon::prelude::*;
-use serde::de::{self, Deserializer};
-use serde::ser::{SerializeStruct, Serializer};
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic volume (multiply-adds) below which the matmul/spmm kernels
 /// stay sequential: at this size the work is cheaper than handing a batch
@@ -364,32 +361,6 @@ impl PartialEq for Matrix {
     }
 }
 
-impl Serialize for Matrix {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Matrix", 3)?;
-        st.serialize_field("rows", &self.rows)?;
-        st.serialize_field("cols", &self.cols)?;
-        st.serialize_field("data", &self.data)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Matrix {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            rows: usize,
-            cols: usize,
-            data: Vec<f32>,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        if raw.data.len() != raw.rows * raw.cols {
-            return Err(de::Error::custom("matrix buffer size mismatch"));
-        }
-        Ok(Matrix::from_vec(raw.rows, raw.cols, raw.data))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,14 +483,6 @@ mod tests {
             charged && crate::memtrack::live_bytes() == before
         });
         assert!(ok, "memtrack never observed a balanced charge/discharge");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
-        let json = serde_json::to_string(&a).unwrap();
-        let b: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

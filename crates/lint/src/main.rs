@@ -37,6 +37,13 @@
 //!   workspace, so a second hand-kept catalog cannot grow back.
 //!   `format!` patterns (`"kgnet_lock_site_{base}_acquires"`) are not
 //!   names and are not checked.
+//! - **reference-only** — the materialised reference executor
+//!   (`evaluate_select_materialised`, `exec_group_materialised`) is an
+//!   oracle, not a production path. In non-test code under `crates/` its
+//!   names may appear only in `crates/rdf/src/sparql/{eval,stream}.rs`,
+//!   plus a `pub use` re-export (which keeps it reachable for tests and
+//!   the benchmark's frozen oracle); every read, sub-SELECT and UPDATE
+//!   WHERE runs on the streaming executor.
 //!
 //! A deliberate exception is waived in place with `// lint:allow(<rule>)`
 //! on the offending line or the line above. Run as
@@ -852,6 +859,60 @@ fn rule_obs_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: reference-only
+// ---------------------------------------------------------------------------
+
+/// The materialised reference executor's entry points.
+const REFERENCE_ONLY: &[&str] = &["evaluate_select_materialised", "exec_group_materialised"];
+
+fn is_reference_home(path: &Path) -> bool {
+    let p = path.to_string_lossy().replace('\\', "/");
+    p.ends_with("crates/rdf/src/sparql/eval.rs") || p.ends_with("crates/rdf/src/sparql/stream.rs")
+}
+
+fn rule_reference_only(file: &SourceFile, out: &mut Vec<Finding>) {
+    if !path_has_component(&file.path, "crates")
+        || is_test_path(&file.path)
+        || is_reference_home(&file.path)
+    {
+        return;
+    }
+    let code = file.code();
+    let mut in_pub_use = false;
+    for (i, t) in code.iter().enumerate() {
+        match t.text.as_str() {
+            // `pub use` or `pub(...) use`: a re-export runs nothing.
+            "use" => {
+                let before = |n: usize| i.checked_sub(n).map(|j| code[j].text.as_str());
+                in_pub_use = before(1) == Some("pub")
+                    || (before(1) == Some(")") && before(4) == Some("pub"));
+                continue;
+            }
+            ";" => in_pub_use = false,
+            _ => {}
+        }
+        if t.kind != TokKind::Ident
+            || in_pub_use
+            || !REFERENCE_ONLY.contains(&t.text.as_str())
+            || file.in_test_code(t.line)
+        {
+            continue;
+        }
+        out.push(Finding {
+            path: file.path.clone(),
+            line: t.line,
+            rule: "reference-only",
+            message: format!(
+                "`{}` is the materialised reference executor: only tests (and its home, \
+                 `crates/rdf/src/sparql/{{eval,stream}}.rs`) may use it; production code runs \
+                 the streaming executor",
+                t.text
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: metric-once (workspace-wide)
 // ---------------------------------------------------------------------------
 
@@ -920,6 +981,7 @@ fn lint_sources(sources: Vec<(PathBuf, String)>) -> Vec<Finding> {
         rule_forbid_unsafe(file, &mut raw);
         rule_net_boundary(file, &mut raw);
         rule_obs_hot_path(file, &mut raw);
+        rule_reference_only(file, &mut raw);
         raw.retain(|f| !file.waived(f.line, f.rule));
         findings.extend(raw);
     }
@@ -1267,5 +1329,43 @@ mod tests {
             "fn f(b: &str) {\n    let a = format!(\"kgnet_lock_site_{b}_acquires\");\n    \
                        let c = format!(\"kgnet_lock_site_{b}_acquires\");\n}\n";
         assert!(findings_for("crates/server/src/metrics.rs", pattern).is_empty());
+    }
+
+    #[test]
+    fn reference_only_flags_the_reference_executor_outside_its_home() {
+        let call = "fn f(s: &S, q: &Q) {\n    let rows = evaluate_select_materialised(s, q);\n}\n";
+        let found = findings_for("crates/server/src/session.rs", call);
+        assert_eq!(rules(&found), vec!["reference-only"]);
+        assert_eq!(found[0].line, 2);
+        let path = "fn f() { kgnet_rdf::sparql::exec_group_materialised(c, p, b); }\n";
+        assert_eq!(
+            rules(&findings_for("crates/sparqlml/src/manager.rs", path)),
+            vec!["reference-only"]
+        );
+        // A private import counts; so does its use.
+        let import = "use kgnet_rdf::sparql::evaluate_select_materialised as oracle;\n";
+        assert_eq!(
+            rules(&findings_for("crates/rdf/src/sparql/plan.rs", import)),
+            vec!["reference-only"]
+        );
+        // Its home files, a `pub use` re-export, and mentions in comments or
+        // strings are fine.
+        assert!(findings_for("crates/rdf/src/sparql/eval.rs", call).is_empty());
+        assert!(findings_for("crates/rdf/src/sparql/stream.rs", path).is_empty());
+        let reexport = "pub use eval::{\n    evaluate_select_materialised, execute,\n};\n\
+                        pub(crate) use stream::exec_group_materialised;\n";
+        assert!(findings_for("crates/rdf/src/sparql/mod.rs", reexport).is_empty());
+        let mention = "// evaluate_select_materialised is the oracle\nconst A: &str = \"exec_group_materialised\";\n";
+        assert!(findings_for("crates/rdf/src/sparql/plan.rs", mention).is_empty());
+    }
+
+    #[test]
+    fn reference_only_ignores_tests_and_paths_outside_crates() {
+        let call = "fn f(s: &S, q: &Q) {\n    let rows = evaluate_select_materialised(s, q);\n}\n";
+        let in_mod = format!("pub fn g() {{}}\n#[cfg(test)]\nmod tests {{\n{call}}}\n");
+        assert!(findings_for("crates/rdf/src/sparql/plan.rs", &in_mod).is_empty());
+        assert!(findings_for("tests/sparql_conformance.rs", call).is_empty());
+        assert!(findings_for("crates/rdf/tests/stream.rs", call).is_empty());
+        assert!(findings_for("kgnet_bench/src/oracle.rs", call).is_empty());
     }
 }

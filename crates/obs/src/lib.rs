@@ -6,7 +6,7 @@
 //! checks in the `kgnet-server` and `kgnet-http` integration tests) reads
 //! from.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! - **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) collected in a
 //!   [`Registry`] injected per component. Recording is lock-free
@@ -22,13 +22,17 @@
 //!   access log, each locking through its own contention site and
 //!   counting what it evicts (model-checked).
 //! - **Exporters** — [`Registry::render_prometheus`] (text exposition
-//!   format) and [`Registry::render_json`], plus [`push_json_string`] and
-//!   its quote-less half [`push_json_escaped`], the one JSON string
-//!   escaper every hand-written body uses.
+//!   format) and [`Registry::render_json`].
+//! - **JSON** ([`mod@json`]) — the workspace's one JSON codec: the parser
+//!   [`json::parse`] (the paper's relaxed dialect, a superset of JSON)
+//!   and the writers [`push_json_string`], its quote-less half
+//!   [`push_json_escaped`] and [`push_json_f64`], which write text or,
+//!   into a [`ByteCount`], only count it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod promcheck;
@@ -36,9 +40,10 @@ pub mod registry;
 pub mod ring;
 pub mod trace;
 
+pub use json::{push_json_escaped, push_json_f64, push_json_string, ByteCount, JsonSink};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use profile::SpanNode;
 pub use promcheck::validate_prometheus;
-pub use registry::{push_json_escaped, push_json_string, Registry};
+pub use registry::Registry;
 pub use ring::Ring;
 pub use trace::{SpanGuard, SpanRecord, Tracer};

@@ -14,7 +14,6 @@ pub mod kgmeta;
 pub mod manager;
 pub mod opt;
 pub mod parser;
-pub mod relaxed_json;
 pub mod rewrite;
 
 pub use kgmeta::{KgMeta, ModelFilter, ModelInfo};

@@ -19,7 +19,6 @@ use kgnet_rdf::sparql::{Operation, SelectQuery, TermPattern, TriplePattern, Upda
 use kgnet_rdf::{SparqlError, Term};
 
 use crate::kgmeta::{vocab, ModelFilter};
-use crate::relaxed_json;
 
 /// A user-defined predicate occurrence inside a SELECT query.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,14 +260,15 @@ fn parse_traingml(input: &str) -> Result<SparqlMlOperation, SparqlError> {
         .ok_or_else(|| SparqlError::parse("TrainGML missing '('"))?;
     let arg = balanced_parens(input, open)
         .ok_or_else(|| SparqlError::parse("TrainGML argument not balanced"))?;
-    let json = relaxed_json::parse(arg.trim(), &prefixes)
+    let namespace = |prefix: &str| prefixes.get(prefix).map(String::as_str);
+    let json = kgnet_obs::json::parse(arg.trim(), namespace)
         .map_err(|e| SparqlError::parse(format!("TrainGML JSON: {e}")))?;
 
     let name = json.get("Name").and_then(|v| v.as_str()).unwrap_or("unnamed-model").to_owned();
     let task_obj = json
         .get("GML-Task")
         .or_else(|| json.get("GMLTask"))
-        .and_then(|v| v.as_object())
+        .filter(|v| v.as_object().is_some())
         .ok_or_else(|| SparqlError::parse("TrainGML: missing GML-Task object"))?;
     let get_s = |key: &str| -> Option<String> {
         task_obj.get(key).and_then(|v| v.as_str()).map(str::to_owned)
@@ -487,6 +487,24 @@ mod tests {
         assert_eq!(spec.sampler.as_deref(), Some("d2h1"));
         assert_eq!(spec.hyperparams.get("Epochs"), Some(&25.0));
         assert!(matches!(spec.task, GmlTask::LinkPrediction(_)));
+    }
+
+    #[test]
+    fn traingml_strings_decode_their_escapes() {
+        let op = parse(
+            r#"PREFIX dblp: <https://www.dblp.org/>
+               PREFIX kgnet: <https://www.kgnet.com/>
+               INSERT INTO <kgnet> { ?s ?p ?o } WHERE { SELECT * FROM kgnet.TrainGML(
+                 {Name: 'a\tb',
+                  GML-Task:{ TaskType: kgnet:NodeSimilarity, TargetNode: 'dblp:Person\u00e9'}})}"#,
+        )
+        .unwrap();
+        let SparqlMlOperation::Train(spec) = op else { panic!("expected train") };
+        assert_eq!(spec.name, "a\tb");
+        assert_eq!(
+            spec.task,
+            GmlTask::EntitySimilarity { target_type: "dblp:Person\u{e9}".into() }
+        );
     }
 
     #[test]
