@@ -1,13 +1,15 @@
 //! Reproduces the §IV.B.3 rewrite-plan comparison (Figs. 11 vs 12): the
 //! per-binding plan issues one HTTP call per paper while the dictionary
 //! plan issues exactly one. Measures calls, bytes and wall time as the
-//! number of query bindings grows.
+//! number of query bindings grows. Each run is serial: one store and one
+//! query manager, so the counters see only the measured query.
 
 use std::time::Instant;
 
-use kgnet_core::{GnnConfig, KgNet, ManagerConfig, MlOutcome};
 use kgnet_datagen::{generate_dblp, DblpConfig};
-use kgnet_sparqlml::RewritePlan;
+use kgnet_gml::config::GnnConfig;
+use kgnet_rdf::RdfStore;
+use kgnet_sparqlml::{ManagerConfig, MlOutcome, QueryManager, RewritePlan};
 
 const TRAIN: &str = r#"
     PREFIX dblp: <https://www.dblp.org/>
@@ -28,14 +30,25 @@ const QUERY: &str = r#"
       ?NodeClassifier kgnet:TargetNode dblp:Publication .
       ?NodeClassifier kgnet:NodeLabel dblp:publishedIn . }"#;
 
-fn run(platform: &mut KgNet, n_papers: usize) -> (usize, usize, f64, usize) {
-    platform.reset_inference_stats();
+/// Train the model on `kg`, check the plan the optimizer picks, then time
+/// the query and read the inference counters.
+fn run(
+    mut kg: RdfStore,
+    config: ManagerConfig,
+    plan: RewritePlan,
+    n_papers: usize,
+) -> (usize, usize, f64, usize) {
+    let mut manager = QueryManager::new(config);
+    manager.execute(&mut kg, TRAIN).expect("train");
+    let explain = manager.explain(&kg, QUERY).expect("explain");
+    assert_eq!(explain.steps[0].plan, plan);
+    manager.service().reset_stats();
     let t0 = Instant::now();
-    let out = platform.execute(QUERY).expect("query");
+    let out = manager.query(&kg, QUERY).expect("query");
     let elapsed = t0.elapsed().as_secs_f64();
     let MlOutcome::Rows(rows) = out else { panic!("expected rows") };
     assert_eq!(rows.len(), n_papers, "every paper should receive a venue");
-    let stats = platform.manager().service().stats();
+    let stats = manager.service().stats();
     (stats.calls, stats.bytes_out, elapsed, rows.len())
 }
 
@@ -55,11 +68,8 @@ fn main() {
             default_cfg: GnnConfig { epochs: 10, ..GnnConfig::fast_test() },
             ..Default::default()
         };
-        let mut platform = KgNet::with_graph_and_config(kg, mgr_cfg.clone());
-        platform.execute(TRAIN).expect("train");
-        let explain = platform.explain(QUERY).expect("explain");
-        assert_eq!(explain.steps[0].plan, RewritePlan::Dictionary);
-        let (calls, bytes, time, rows) = run(&mut platform, n_papers);
+        let (calls, bytes, time, rows) =
+            run(kg, mgr_cfg.clone(), RewritePlan::Dictionary, n_papers);
         println!(
             "{:<10} {:<12} {:>10} {:>12} {:>10.1} {:>8}",
             n_papers,
@@ -73,11 +83,7 @@ fn main() {
         // Per-binding plan: forced by capping the dictionary memory to zero.
         mgr_cfg.dict_bytes_cap = Some(0);
         let (kg2, _) = generate_dblp(&cfg);
-        let mut platform = KgNet::with_graph_and_config(kg2, mgr_cfg);
-        platform.execute(TRAIN).expect("train");
-        let explain = platform.explain(QUERY).expect("explain");
-        assert_eq!(explain.steps[0].plan, RewritePlan::PerBinding);
-        let (calls, bytes, time, rows) = run(&mut platform, n_papers);
+        let (calls, bytes, time, rows) = run(kg2, mgr_cfg, RewritePlan::PerBinding, n_papers);
         println!(
             "{:<10} {:<12} {:>10} {:>12} {:>10.1} {:>8}",
             n_papers,

@@ -5,22 +5,23 @@
 use std::time::Instant;
 
 use kgnet_bench::BenchEnv;
-use kgnet_core::{GnnConfig, KgNet, ManagerConfig, MlOutcome};
 use kgnet_datagen::{generate_dblp, DblpConfig};
+use kgnet_gml::config::GnnConfig;
+use kgnet_sparqlml::{ManagerConfig, MlOutcome, QueryManager};
 
 fn main() {
     let env = BenchEnv::from_env();
     let cfg = DblpConfig::small(env.seed);
-    let (kg, _) = generate_dblp(&cfg);
-    let mgr_cfg = ManagerConfig {
+    let (mut kg, _) = generate_dblp(&cfg);
+    let mut manager = QueryManager::new(ManagerConfig {
         default_cfg: GnnConfig { epochs: env.epochs, ..GnnConfig::default() },
         ..Default::default()
-    };
-    let mut platform = KgNet::with_graph_and_config(kg, mgr_cfg);
+    });
 
     eprintln!("[similarity] training entity embeddings (TransE over DBLP-sim)...");
-    let out = platform
+    let out = manager
         .execute(
+            &mut kg,
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
                INSERT INTO <kgnet> { ?s ?p ?o } WHERE { SELECT * FROM kgnet.TrainGML(
@@ -33,7 +34,7 @@ fn main() {
 
     // Query top-10 similar papers for 50 probes through SPARQL-ML.
     let mut total_rows = 0usize;
-    platform.reset_inference_stats();
+    manager.service().reset_stats();
     let t0 = Instant::now();
     for i in 0..50 {
         let q = format!(
@@ -45,13 +46,13 @@ fn main() {
                  ?Sim kgnet:TargetNode dblp:Publication .
                  ?Sim kgnet:TopK-Links 10 . }}"#
         );
-        let MlOutcome::Rows(rows) = platform.execute(&q).expect("similarity query") else {
+        let MlOutcome::Rows(rows) = manager.query(&kg, &q).expect("similarity query") else {
             panic!("expected rows")
         };
         total_rows += rows.len();
     }
     let elapsed = t0.elapsed().as_secs_f64();
-    let stats = platform.manager().service().stats();
+    let stats = manager.service().stats();
     println!(
         "50 similarity queries: {} result rows, {} service calls, {:.1} ms total",
         total_rows,

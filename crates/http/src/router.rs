@@ -252,6 +252,10 @@ fn similar(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
                 }
                 out.push_str("{\"node\":");
                 push_json_string(&mut out, uri);
+                // JSON has no NaN or infinity: a non-finite score (a NaN or
+                // infinite embedding component) is `null`, as in
+                // `push_json_f64`. Finite scores keep the f32's own text.
+                let score = if score.is_finite() { score.to_string() } else { "null".into() };
                 out.push_str(&format!(",\"score\":{score}}}"));
             }
             out.push_str("]\n");

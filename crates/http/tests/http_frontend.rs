@@ -416,6 +416,65 @@ mod cell_rendering {
 }
 
 #[test]
+fn similar_writes_non_finite_scores_as_null() {
+    use kgnet_gml::config::{GmlMethodKind, TrainReport};
+    use kgnet_gmlaas::{ArtifactPayload, EmbeddingStore, Metric, ModelArtifact, TaskKind};
+
+    // Served artifacts need not be trained Cosine models: a Dot model with
+    // a NaN component scores NaN, an L2 model with an infinite one -inf.
+    let server = Arc::new(KgServer::new(RdfStore::new(), ServerConfig::default()));
+    for (uri, metric, a) in [
+        ("http://x/dot", Metric::Dot, [f32::NAN, 1.0]),
+        ("http://x/l2", Metric::L2, [f32::INFINITY, 0.0]),
+    ] {
+        let mut store = EmbeddingStore::new(2, metric);
+        store.add("http://x/a", a.to_vec()).unwrap();
+        store.add("http://x/b", vec![1.0, 1.0]).unwrap();
+        store.add("http://x/c", vec![0.5, 0.25]).unwrap();
+        let artifact = ModelArtifact {
+            uri: uri.into(),
+            task_kind: TaskKind::NodeSimilarity,
+            target_type: "http://x/Paper".into(),
+            label_predicate: String::new(),
+            destination_type: None,
+            method: GmlMethodKind::TransE,
+            report: TrainReport {
+                method: GmlMethodKind::TransE,
+                train_time_s: 0.0,
+                peak_mem_bytes: 0,
+                test_metric: 0.0,
+                valid_metric: 0.0,
+                mrr: 0.0,
+                loss_curve: Vec::new(),
+                n_nodes: 3,
+                n_edges: 0,
+                inference_time_ms: 0.0,
+            },
+            sampler: "d1h1".into(),
+            cardinality: 3,
+            trained_generation: 0,
+            payload: ArtifactPayload::NodeSimilarity { store },
+        };
+        server.manager().read().trainer().model_store().insert(artifact);
+    }
+    let http = HttpServer::start(server, HttpConfig::default()).expect("bind");
+    let mut conn = Client::connect(http.addr()).unwrap();
+    for (model, finite) in
+        [("http://x/dot", "\"score\":2}"), ("http://x/l2", "\"score\":-0.9013878}")]
+    {
+        let body = format!("{{\"model\":\"{model}\",\"node\":\"http://x/b\",\"k\":3}}");
+        let r = conn.post("/similar", body.as_bytes()).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        let text = r.text();
+        let hits = kgnet_obs::json::parse(&text, |_| None).expect("the body is JSON");
+        assert_eq!(hits.as_array().map(|a| a.len()), Some(3), "{text}");
+        assert!(text.contains("\"score\":null"), "{text}");
+        assert!(text.contains(finite), "finite scores keep their f32 text: {text}");
+    }
+    http.shutdown();
+}
+
+#[test]
 fn sparql_body_is_byte_identical_to_the_reference_formula() {
     let objects = [
         Term::str(""),

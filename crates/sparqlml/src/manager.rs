@@ -114,7 +114,7 @@ pub enum MlOutcome {
 }
 
 /// Tuning knobs of the query manager.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ManagerConfig {
     /// Default training hyper-parameters.
     pub default_cfg: GnnConfig,
@@ -122,20 +122,12 @@ pub struct ManagerConfig {
     pub max_inference_ms: Option<f64>,
     /// Optional cap on total dictionary bytes for plan selection.
     pub dict_bytes_cap: Option<usize>,
-    /// Estimated bytes per dictionary entry.
-    pub entry_bytes: usize,
 }
 
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            default_cfg: GnnConfig::default(),
-            max_inference_ms: None,
-            dict_bytes_cap: None,
-            entry_bytes: 96,
-        }
-    }
-}
+/// Estimated bytes per dictionary entry (one node URI and its prediction),
+/// the plan optimiser's per-entry cost against
+/// [`ManagerConfig::dict_bytes_cap`].
+const DICT_ENTRY_BYTES: usize = 96;
 
 /// The SPARQL-ML query manager.
 pub struct QueryManager {
@@ -259,6 +251,39 @@ impl QueryManager {
         data: &RdfStore,
         spec: crate::parser::TrainGmlSpec,
     ) -> Result<MlOutcome, MlError> {
+        // Hyper-parameters are checked before sampling: out-of-range values
+        // would panic a trainer (a zero batch size) or train a degenerate
+        // model, and both happen under the caller's manager lock.
+        let mut cfg = self.config.default_cfg.clone();
+        for (key, &value) in &spec.hyperparams {
+            let invalid = |rule: &str| {
+                MlError::Sparql(SparqlError::parse(format!(
+                    "TrainGML Hyperparams: `{key}` must be {rule}, got {value}"
+                )))
+            };
+            let whole = |min: f64| {
+                let ok = value.fract() == 0.0 && value >= min;
+                ok.then_some(value as usize)
+                    .ok_or_else(|| invalid(&format!("a whole number >= {min}")))
+            };
+            let lr = value as f32;
+            match key.as_str() {
+                "Epochs" => cfg.epochs = whole(1.0)?,
+                "Hidden" => cfg.hidden = whole(1.0)?,
+                "BatchSize" => cfg.batch_size = whole(1.0)?,
+                "Negatives" => cfg.negatives = whole(1.0)?,
+                "Seed" => cfg.seed = whole(0.0)? as u64,
+                "LR" | "LearningRate" if lr.is_finite() && lr > 0.0 => cfg.lr = lr,
+                "LR" | "LearningRate" => return Err(invalid("finite and > 0")),
+                "Dropout" if (0.0..1.0).contains(&value) => cfg.dropout = value as f32,
+                "Dropout" => return Err(invalid("in [0, 1)")),
+                _ => {
+                    return Err(MlError::Sparql(SparqlError::parse(format!(
+                        "TrainGML Hyperparams: unknown key `{key}`"
+                    ))))
+                }
+            }
+        }
         let scope = spec
             .sampler
             .as_deref()
@@ -266,19 +291,6 @@ impl QueryManager {
             .unwrap_or_else(|| SamplingScope::default_for(&spec.task));
         let sampled = meta_sample_task(data, &spec.task, scope);
 
-        let mut cfg = self.config.default_cfg.clone();
-        for (key, value) in &spec.hyperparams {
-            match key.as_str() {
-                "Epochs" => cfg.epochs = *value as usize,
-                "Hidden" => cfg.hidden = *value as usize,
-                "LR" | "LearningRate" => cfg.lr = *value as f32,
-                "Dropout" => cfg.dropout = *value as f32,
-                "BatchSize" => cfg.batch_size = *value as usize,
-                "Negatives" => cfg.negatives = *value as usize,
-                "Seed" => cfg.seed = *value as u64,
-                _ => {}
-            }
-        }
         let req = TrainRequest {
             name: spec.name.clone(),
             task: spec.task.clone(),
@@ -349,7 +361,7 @@ impl QueryManager {
                         (_, TermPattern::Ground(_)) => (1, cardinality),
                         (_, TermPattern::Var(_)) => (rows.ceil() as usize, cardinality),
                     };
-                    PlanInputs { bindings, model_cardinality, entry_bytes: self.config.entry_bytes }
+                    PlanInputs { bindings, model_cardinality, entry_bytes: DICT_ENTRY_BYTES }
                 })
                 .collect();
             plans = select_plans(&inputs, self.config.dict_bytes_cap);
@@ -578,6 +590,41 @@ mod tests {
         assert!(matches!(err, MlError::Train(TrainError::EmptyTask)), "unexpected error: {err}");
         assert!(mgr.kgmeta().is_empty(), "failed training must not touch KGMeta");
         assert!(mgr.trainer().model_store().is_empty(), "failed training must not register models");
+    }
+
+    #[test]
+    fn out_of_range_hyperparams_are_rejected_before_training() {
+        let (mut data, _) = generate_dblp(&DblpConfig::tiny(45));
+        let mut mgr = manager();
+        let cases = [
+            ("BatchSize: 0", "BatchSize"),
+            ("Hidden: 0", "Hidden"),
+            ("Epochs: 0", "Epochs"),
+            ("Epochs: 2.5", "Epochs"),
+            ("Negatives: -1", "Negatives"),
+            ("Seed: -1", "Seed"),
+            ("LR: 0", "LR"),
+            ("LearningRate: -0.1", "LearningRate"),
+            ("Dropout: 1", "Dropout"),
+            ("Epoch: 5", "Epoch"),
+        ];
+        for (hyperparams, key) in cases {
+            let text = format!(
+                r#"PREFIX dblp: <https://www.dblp.org/>
+                   PREFIX kgnet: <https://www.kgnet.com/>
+                   INSERT INTO <kgnet> {{ ?s ?p ?o }} WHERE {{ SELECT * FROM kgnet.TrainGML(
+                     {{Name: 'bad', GML-Task:{{ TaskType: kgnet:NodeClassifier,
+                        TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn}},
+                      Method: 'ShadowSAINT', Hyperparams: {{{hyperparams}}}}})}}"#
+            );
+            match mgr.execute(&mut data, &text) {
+                Err(e @ MlError::Sparql(_)) => {
+                    assert!(e.to_string().contains(&format!("`{key}`")), "{hyperparams}: {e}")
+                }
+                other => panic!("{hyperparams}: expected a rejection, got {other:?}"),
+            }
+        }
+        assert!(mgr.kgmeta().is_empty(), "a rejected request must not register a model");
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Link prediction through SPARQL-ML: train a MorsE author→affiliation
 //! model (the paper's Fig. 15 task) and ask for top-k predicted links with
-//! the Fig. 10 query.
+//! the Fig. 10 query, through `KgServer`'s write and read sessions.
 //!
 //! Run with: `cargo run --release --example author_affiliation`
 
 use kgnet::datagen::{generate_dblp, DblpConfig};
-use kgnet::{GnnConfig, KgNet, ManagerConfig, MlOutcome};
+use kgnet::server::{KgServer, ServerConfig};
+use kgnet::sparqlml::{ManagerConfig, MlOutcome};
+use kgnet::GnnConfig;
 
 fn main() {
     let (kg, truth) = generate_dblp(&DblpConfig::small(33));
-    let config = ManagerConfig {
+    let manager = ManagerConfig {
         default_cfg: GnnConfig { epochs: 40, ..GnnConfig::default() },
         ..Default::default()
     };
-    let mut platform = KgNet::with_graph_and_config(kg, config);
+    let server = KgServer::new(kg, ServerConfig { manager, ..Default::default() });
 
     // Train with the d2h1 sampler the paper found best for link prediction.
-    let out = platform
+    let mut writer = server.write_session();
+    let out = writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -29,6 +32,7 @@ fn main() {
                   Method: 'MorsE', Sampler: 'd2h1'})}"#,
         )
         .expect("training failed");
+    writer.commit();
     let MlOutcome::Trained(model) = out else { panic!("expected trained model") };
     println!(
         "Trained {} (sampler {}): Hits@10 {:.1}% on held-out affiliation links\n",
@@ -38,8 +42,9 @@ fn main() {
     );
 
     // Fig. 10: predict affiliation links for authors.
-    let MlOutcome::Rows(rows) = platform
-        .execute(
+    let rows = server
+        .read_session()
+        .query(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
                SELECT ?author ?affiliation
@@ -52,10 +57,7 @@ fn main() {
                  ?LinkPredictor kgnet:TopK-Links 3 .
                } LIMIT 9"#,
         )
-        .expect("query failed")
-    else {
-        panic!("expected rows")
-    };
+        .expect("query failed");
     println!("Top-3 predicted affiliations per author (first 3 authors):\n{}", rows.to_table());
 
     // Sanity: compare the first author's top-1 against the generator truth.

@@ -1,12 +1,15 @@
 //! The ES (entity-similarity) task of Table I: train entity embeddings,
 //! index them in the FAISS-style embedding store, and ask for the nearest
-//! papers of a probe — both through the public API and through SPARQL-ML.
+//! papers of a probe — both through the public API and through SPARQL-ML
+//! on a `KgServer`.
 //!
 //! Run with: `cargo run --release --example entity_similarity`
 
 use kgnet::datagen::{generate_dblp, DblpConfig};
 use kgnet::gmlaas::{EmbeddingStore, Metric};
-use kgnet::{GnnConfig, KgNet, ManagerConfig, MlOutcome};
+use kgnet::server::{KgServer, ServerConfig};
+use kgnet::sparqlml::ManagerConfig;
+use kgnet::GnnConfig;
 
 fn main() {
     // Direct embedding-store usage (exact vs IVF approximate search).
@@ -33,12 +36,13 @@ fn main() {
 
     // Through the platform: a NodeSimilarity model over papers.
     let (kg, _) = generate_dblp(&DblpConfig::small(11));
-    let config = ManagerConfig {
+    let manager = ManagerConfig {
         default_cfg: GnnConfig { epochs: 25, ..GnnConfig::default() },
         ..Default::default()
     };
-    let mut platform = KgNet::with_graph_and_config(kg, config);
-    platform
+    let server = KgServer::new(kg, ServerConfig { manager, ..Default::default() });
+    let mut writer = server.write_session();
+    writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -48,9 +52,11 @@ fn main() {
                              TargetNode: dblp:Publication }})}"#,
         )
         .expect("training failed");
+    writer.commit();
 
-    let MlOutcome::Rows(rows) = platform
-        .execute(
+    let rows = server
+        .read_session()
+        .query(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
                SELECT ?similar WHERE {
@@ -59,9 +65,6 @@ fn main() {
                  ?Sim kgnet:TargetNode dblp:Publication .
                  ?Sim kgnet:TopK-Links 5 . }"#,
         )
-        .expect("query failed")
-    else {
-        panic!("expected rows")
-    };
+        .expect("query failed");
     println!("Papers most similar to paper0 (TransE embedding space):\n{}", rows.to_table());
 }

@@ -1,23 +1,27 @@
 //! A tour of the SPARQL-ML language: plain SPARQL, TrainGML INSERT, the
 //! optimizer's EXPLAIN (Fig. 11 vs Fig. 12 candidate rewrites), KGMeta
-//! introspection with plain SPARQL, and model DELETE (Fig. 9).
+//! introspection with plain SPARQL, and model DELETE (Fig. 9) — each
+//! through the `KgServer` handle a deployment serves.
 //!
 //! Run with: `cargo run --release --example sparqlml_tour`
 
 use kgnet::datagen::{generate_dblp, DblpConfig};
-use kgnet::{GnnConfig, KgNet, ManagerConfig, MlOutcome};
+use kgnet::server::{KgServer, ServerConfig};
+use kgnet::sparqlml::{ManagerConfig, MlOutcome};
+use kgnet::GnnConfig;
 
 fn main() {
     let (kg, _) = generate_dblp(&DblpConfig::small(3));
-    let config = ManagerConfig {
+    let manager = ManagerConfig {
         default_cfg: GnnConfig { epochs: 15, ..GnnConfig::default() },
         ..Default::default()
     };
-    let mut platform = KgNet::with_graph_and_config(kg, config);
+    let server = KgServer::new(kg, ServerConfig { manager, ..Default::default() });
 
     // --- 1. Plain SPARQL works untouched.
-    let rows = platform
-        .sparql(
+    let rows = server
+        .read_session()
+        .query(
             "PREFIX dblp: <https://www.dblp.org/>
              SELECT (COUNT(*) AS ?papers) WHERE { ?p a dblp:Publication }",
         )
@@ -25,7 +29,8 @@ fn main() {
     println!("1. Plain SPARQL:\n{}", rows.to_table());
 
     // --- 2. Train a model (Fig. 8).
-    let out = platform
+    let mut writer = server.write_session();
+    let out = writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -37,6 +42,7 @@ fn main() {
                   Task Budget:{ MaxMemory:2GB, MaxTime:10m, Priority:ModelScore }})}"#,
         )
         .unwrap();
+    writer.commit();
     if let MlOutcome::Trained(m) = out {
         println!(
             "2. Trained: {} via {} (accuracy {:.1}%)\n",
@@ -47,7 +53,8 @@ fn main() {
     }
 
     // --- 3. KGMeta is an RDF graph: inspect it with SPARQL (Fig. 7).
-    let meta = platform
+    let mut session = server.read_session();
+    let meta = session
         .sparql_kgmeta(
             "PREFIX kgnet: <https://www.kgnet.com/>
              SELECT ?model ?acc ?time ?card WHERE {
@@ -70,23 +77,23 @@ fn main() {
           ?NodeClassifier a kgnet:NodeClassifier .
           ?NodeClassifier kgnet:TargetNode dblp:Publication .
           ?NodeClassifier kgnet:NodeLabel dblp:publishedIn . }"#;
-    let rewritten = platform.explain(QUERY).unwrap();
+    let rewritten = server.manager().read().explain(session.snapshot(), QUERY).unwrap();
     println!(
         "4. Chosen plan: {:?}; candidate SPARQL:\n{}\n",
         rewritten.steps[0].plan, rewritten.sparql
     );
 
     // --- 5. Execute the ML SELECT.
-    if let MlOutcome::Rows(rows) = platform.execute(QUERY).unwrap() {
-        println!(
-            "5. {} rows inferred with {} service call(s)\n",
-            rows.len(),
-            platform.inference_calls()
-        );
-    }
+    let rows = session.query(QUERY).unwrap();
+    println!(
+        "5. {} rows inferred with {} service call(s)\n",
+        rows.len(),
+        server.manager().read().service().stats().calls
+    );
 
     // --- 6. DELETE the model (Fig. 9).
-    let out = platform
+    let mut writer = server.write_session();
+    let out = writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -96,11 +103,12 @@ fn main() {
                  ?m kgnet:NodeLabel dblp:publishedIn . }"#,
         )
         .unwrap();
+    writer.commit();
     if let MlOutcome::DeletedModels(uris) = out {
         println!(
             "6. Deleted {} model(s); KGMeta now has {} triples",
             uris.len(),
-            platform.manager().kgmeta().len()
+            server.manager().read().kgmeta().len()
         );
     }
 }

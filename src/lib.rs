@@ -8,13 +8,18 @@
 //! metadata graph, and an evaluation harness regenerating every table and
 //! figure of the paper on schema-faithful synthetic KGs.
 //!
-//! Start with [`KgNet`] (re-exported from `kgnet-core`); see the `examples/`
-//! directory for end-to-end walkthroughs and `crates/bench` for the
-//! experiment harness.
+//! Start with [`server::KgServer`], the one platform handle: read sessions
+//! for plain and SPARQL-ML SELECTs, write sessions for updates, `TrainGML`
+//! and model DELETE, and a background training queue; [`http::HttpServer`]
+//! puts it on the wire. See the `examples/` directory for end-to-end
+//! walkthroughs and `crates/bench` for the experiment harness.
 
 #![forbid(unsafe_code)]
 
-pub use kgnet_core::*;
+// Task and training-configuration types, named at the root for callers
+// that build training requests.
+pub use kgnet_gml::config::{GmlMethodKind, GnnConfig};
+pub use kgnet_graph::{GmlTask, LpTask, NcTask};
 
 /// The RDF engine: terms, triple store, SPARQL subset.
 pub use kgnet_rdf as rdf;

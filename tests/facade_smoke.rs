@@ -1,11 +1,13 @@
 //! Facade smoke test: every layer re-export resolves through the `kgnet`
-//! root crate, and the assembled platform round-trips a tiny DBLP graph.
+//! root crate, and a `KgServer` round-trips a tiny DBLP graph.
 
 use kgnet::datagen::{generate_dblp, DblpConfig};
 use kgnet::gml::config::GmlMethodKind;
-use kgnet::graph::NcTask;
+use kgnet::graph::{kg_stats, NcTask};
 use kgnet::rdf::{query, RdfStore, Term};
-use kgnet::{GnnConfig, KgNet, ManagerConfig};
+use kgnet::server::{KgServer, ServerConfig};
+use kgnet::sparqlml::ManagerConfig;
+use kgnet::GnnConfig;
 
 #[test]
 fn layer_reexports_resolve() {
@@ -42,17 +44,18 @@ fn facade_round_trips_tiny_dblp_graph() {
     let n_triples = kg.len();
     assert!(n_triples > 0, "generator must emit triples");
 
-    let config = ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() };
-    let platform = KgNet::with_graph_and_config(kg, config);
+    let manager = ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() };
+    let server = KgServer::new(kg, ServerConfig { manager, ..Default::default() });
+    let mut session = server.read_session();
 
     // The loaded graph is exactly what the generator produced.
-    assert_eq!(platform.data().len(), n_triples);
-    let stats = platform.stats();
+    assert_eq!(session.snapshot().len(), n_triples);
+    let stats = kg_stats(session.snapshot());
     assert_eq!(stats.n_triples, n_triples);
 
-    // And it is queryable end to end through the facade.
-    let rows = platform
-        .sparql(
+    // And it is queryable end to end through the server.
+    let rows = session
+        .query(
             "PREFIX dblp: <https://www.dblp.org/> \
              SELECT (COUNT(*) AS ?n) WHERE { ?p a dblp:Publication }",
         )

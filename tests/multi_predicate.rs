@@ -4,13 +4,16 @@
 //! model per predicate and the executor joins both inferences.
 
 use kgnet::datagen::{generate_dblp, DblpConfig};
-use kgnet::{GnnConfig, KgNet, ManagerConfig, MlOutcome};
+use kgnet::server::{KgServer, ServerConfig};
+use kgnet::sparqlml::ManagerConfig;
+use kgnet::GnnConfig;
 
-fn trained_platform() -> KgNet {
+fn trained_server() -> KgServer {
     let (kg, _) = generate_dblp(&DblpConfig::tiny(301));
-    let config = ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() };
-    let mut platform = KgNet::with_graph_and_config(kg, config);
-    platform
+    let manager = ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() };
+    let server = KgServer::new(kg, ServerConfig { manager, ..Default::default() });
+    let mut writer = server.write_session();
+    writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -20,7 +23,7 @@ fn trained_platform() -> KgNet {
                   Method: 'GCN'})}"#,
         )
         .expect("NC training");
-    platform
+    writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -31,7 +34,8 @@ fn trained_platform() -> KgNet {
                   Method: 'MorsE', Sampler: 'd2h1', Hyperparams: {Epochs: 8}})}"#,
         )
         .expect("LP training");
-    platform
+    writer.commit();
+    server
 }
 
 const TWO_PRED: &str = r#"
@@ -52,18 +56,19 @@ const TWO_PRED: &str = r#"
 
 #[test]
 fn two_predicates_in_one_query() {
-    let mut platform = trained_platform();
-    platform.reset_inference_stats();
+    let server = trained_server();
+    server.manager().read().service().reset_stats();
 
     // The base data join: papers x their authors.
-    let base = platform
-        .sparql(
+    let mut session = server.read_session();
+    let base = session
+        .query(
             "PREFIX dblp: <https://www.dblp.org/>
              SELECT ?paper ?author WHERE { ?paper a dblp:Publication . ?paper dblp:authoredBy ?author }",
         )
         .unwrap();
 
-    let MlOutcome::Rows(rows) = platform.execute(TWO_PRED).unwrap() else { panic!("rows") };
+    let rows = session.query(TWO_PRED).unwrap();
     // Every (paper, author) pair expands into top-2 affiliations, with one
     // venue per paper.
     assert_eq!(rows.len(), base.len() * 2, "top-2 expansion of the base join");
@@ -73,13 +78,14 @@ fn two_predicates_in_one_query() {
         assert!(row[3].as_ref().unwrap().as_iri().unwrap().contains("org/aff"));
     }
     // Both predicates served by dictionary-style plans: exactly 2 calls.
-    assert_eq!(platform.inference_calls(), 2);
+    assert_eq!(server.manager().read().service().stats().calls, 2);
 }
 
 #[test]
 fn explain_reports_both_steps() {
-    let platform = trained_platform();
-    let rewritten = platform.explain(TWO_PRED).unwrap();
+    let server = trained_server();
+    let session = server.read_session();
+    let rewritten = server.manager().read().explain(session.snapshot(), TWO_PRED).unwrap();
     assert_eq!(rewritten.steps.len(), 2);
     let vars: Vec<&str> = rewritten.steps.iter().map(|s| s.ud.var.as_str()).collect();
     assert!(vars.contains(&"NC") && vars.contains(&"LP"));
@@ -88,14 +94,15 @@ fn explain_reports_both_steps() {
 #[test]
 fn inference_time_bound_can_make_selection_infeasible() {
     let (kg, _) = generate_dblp(&DblpConfig::tiny(303));
-    let config = ManagerConfig {
+    let manager = ManagerConfig {
         default_cfg: GnnConfig::fast_test(),
         // Impossible bound: no model can answer in 0 ms.
         max_inference_ms: Some(0.0),
         ..Default::default()
     };
-    let mut platform = KgNet::with_graph_and_config(kg, config);
-    platform
+    let server = KgServer::new(kg, ServerConfig { manager, ..Default::default() });
+    let mut writer = server.write_session();
+    writer
         .execute(
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>
@@ -105,7 +112,8 @@ fn inference_time_bound_can_make_selection_infeasible() {
                   Method: 'GCN'})}"#,
         )
         .expect("training");
-    let err = platform.execute(
+    writer.commit();
+    let err = server.read_session().query(
         r#"PREFIX dblp: <https://www.dblp.org/>
            PREFIX kgnet: <https://www.kgnet.com/>
            SELECT ?p ?v WHERE {

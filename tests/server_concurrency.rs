@@ -10,7 +10,8 @@ use std::sync::{Arc, Barrier};
 use kgnet::datagen::{generate_dblp, DblpConfig};
 use kgnet::gmlaas::TrainRequest;
 use kgnet::server::{JobState, KgServer, ServerConfig};
-use kgnet::{GmlMethodKind, GmlTask, GnnConfig, KgNet, LpTask, ManagerConfig, NcTask};
+use kgnet::sparqlml::{ManagerConfig, MlOutcome, QueryManager};
+use kgnet::{GmlMethodKind, GmlTask, GnnConfig, LpTask, NcTask};
 
 const PV_QUERY: &str = r#"
     PREFIX dblp: <https://www.dblp.org/>
@@ -75,13 +76,18 @@ fn lp_request(name: &str) -> TrainRequest {
 
 #[test]
 fn four_readers_serve_while_training_jobs_churn() {
-    // Serial baseline on an identical graph (the generator is seeded).
-    let (kg, _) = generate_dblp(&DblpConfig::tiny(41));
-    let mut baseline = KgNet::with_graph_and_config(kg, fast_config());
-    baseline.execute(TRAIN_NC).unwrap();
-    let expected = baseline.sparql(PV_QUERY).unwrap();
+    // Serial baseline on an identical graph (the generator is seeded): one
+    // unversioned store and one query manager, no sessions or plan cache.
+    let (mut kg, _) = generate_dblp(&DblpConfig::tiny(41));
+    let mut baseline = QueryManager::new(fast_config());
+    baseline.execute(&mut kg, TRAIN_NC).unwrap();
+    let select = |text| match baseline.query(&kg, text).unwrap() {
+        MlOutcome::Rows(rows) => rows,
+        other => panic!("expected rows, got {other:?}"),
+    };
+    let expected = select(PV_QUERY);
     assert_eq!(expected.len(), 60);
-    let expected_count = baseline.sparql(COUNT_QUERY).unwrap();
+    let expected_count = select(COUNT_QUERY);
 
     // Concurrent server over the same graph: the NC model arrives through
     // the job queue, not through an exclusive execute().
