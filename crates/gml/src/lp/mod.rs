@@ -93,6 +93,8 @@ pub(crate) fn finish_lp(
     let eval = |idx: &[u32]| -> (f64, f64) {
         rank_edges(data, idx, |s| match src_pos(s) {
             Some(p) => scores.row(p).to_vec(),
+            // No score row: every candidate ties, so the true one ranks
+            // mid-list.
             None => vec![0.0; data.destinations.len()],
         })
     };

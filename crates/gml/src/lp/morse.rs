@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn hits_metric_sanity() {
-        let ranks = vec![Rank(1), Rank(11)];
+        let ranks = vec![Rank(1.0), Rank(11.0)];
         assert_eq!(hits_at(10, &ranks), 0.5);
     }
 }

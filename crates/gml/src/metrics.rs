@@ -52,16 +52,22 @@ pub fn macro_f1(pred: &[usize], truth: &[u32], n_classes: usize) -> f64 {
 }
 
 /// Ranking outcome for one query: the 1-based rank of the true item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rank(pub usize);
+/// Fractional when the true item ties with other candidates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rank(pub f64);
 
 /// 1-based rank of the true candidate among scores (higher score = better).
-/// Ties count optimistically at the smallest rank among equals, matching the
-/// common "optimistic" convention.
+/// Ties take the mean of the ranks they span, so a scorer that cannot tell
+/// candidates apart ranks the true one in the middle, not first. A NaN
+/// score for the true candidate ranks last.
 pub fn rank_of(true_idx: usize, scores: &[f32]) -> Rank {
     let target = scores[true_idx];
+    if target.is_nan() {
+        return Rank(scores.len() as f64);
+    }
     let better = scores.iter().filter(|&&s| s > target).count();
-    Rank(better + 1)
+    let tied = scores.iter().filter(|&&s| s == target).count();
+    Rank(better as f64 + (tied as f64 + 1.0) / 2.0)
 }
 
 /// Mean reciprocal rank.
@@ -69,7 +75,7 @@ pub fn mrr(ranks: &[Rank]) -> f64 {
     if ranks.is_empty() {
         return 0.0;
     }
-    ranks.iter().map(|r| 1.0 / r.0 as f64).sum::<f64>() / ranks.len() as f64
+    ranks.iter().map(|r| 1.0 / r.0).sum::<f64>() / ranks.len() as f64
 }
 
 /// Fraction of queries whose true item ranks in the top `k`.
@@ -77,7 +83,7 @@ pub fn hits_at(k: usize, ranks: &[Rank]) -> f64 {
     if ranks.is_empty() {
         return 0.0;
     }
-    ranks.iter().filter(|r| r.0 <= k).count() as f64 / ranks.len() as f64
+    ranks.iter().filter(|r| r.0 <= k as f64).count() as f64 / ranks.len() as f64
 }
 
 #[cfg(test)]
@@ -101,18 +107,38 @@ mod tests {
     #[test]
     fn rank_and_mrr_and_hits() {
         let scores = vec![0.1, 0.9, 0.5, 0.7];
-        assert_eq!(rank_of(1, &scores), Rank(1));
-        assert_eq!(rank_of(2, &scores), Rank(3));
-        assert_eq!(rank_of(0, &scores), Rank(4));
-        let ranks = vec![Rank(1), Rank(3), Rank(12)];
+        assert_eq!(rank_of(1, &scores), Rank(1.0));
+        assert_eq!(rank_of(2, &scores), Rank(3.0));
+        assert_eq!(rank_of(0, &scores), Rank(4.0));
+        let ranks = vec![Rank(1.0), Rank(3.0), Rank(12.0)];
         assert!((mrr(&ranks) - (1.0 + 1.0 / 3.0 + 1.0 / 12.0) / 3.0).abs() < 1e-12);
         assert!((hits_at(10, &ranks) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(hits_at(1, &ranks), 1.0 / 3.0);
     }
 
     #[test]
-    fn rank_ties_are_optimistic() {
-        let scores = vec![0.5, 0.5, 0.5];
-        assert_eq!(rank_of(1, &scores), Rank(1));
+    fn rank_ties_take_the_mean_rank() {
+        assert_eq!(rank_of(1, &[0.5, 0.5, 0.5]), Rank(2.0));
+        assert_eq!(rank_of(0, &[0.5, 0.9, 0.5, 0.1]), Rank(2.5));
+    }
+
+    #[test]
+    fn constant_scorer_ranks_mid_list() {
+        // 40 candidates, all scored 0: the true one sits mid-list, so a
+        // scorer that knows nothing earns no hit in the top 10.
+        let scores = vec![0.0f32; 40];
+        let ranks: Vec<Rank> = (0..40).map(|i| rank_of(i, &scores)).collect();
+        assert!(ranks.iter().all(|&r| r == Rank(20.5)));
+        assert_eq!(hits_at(10, &ranks), 0.0);
+        assert!(mrr(&ranks) < 0.05);
+    }
+
+    #[test]
+    fn nan_target_ranks_last() {
+        let scores = vec![0.3, f32::NAN, 0.1, 0.2];
+        assert_eq!(rank_of(1, &scores), Rank(4.0));
+        assert_eq!(hits_at(1, &[rank_of(0, &[f32::NAN, 0.0])]), 0.0);
+        // A NaN elsewhere never outranks a number.
+        assert_eq!(rank_of(0, &scores), Rank(1.0));
     }
 }

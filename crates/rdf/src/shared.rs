@@ -10,6 +10,12 @@
 //! privately on a copy-on-write clone and publish it as one atomic pointer
 //! swap. The [`RdfStore::generation`] epoch doubles as the version id.
 //!
+//! A commit copies what it changes, not the store: the clone `begin` makes
+//! shares every index shard and the frozen part of the term dictionary
+//! with the published version (see [`RdfStore`]), and the transaction
+//! deep-copies only the shards it touches. Freeing a superseded version,
+//! which falls to whoever drops its last pin, is as small.
+//!
 //! Writers are serialised by an internal gate (one pending version at a
 //! time, so no committed change can be lost), but a writer holding the gate
 //! never blocks snapshot acquisition: the `RwLock` is only touched for the
@@ -297,14 +303,15 @@ impl SharedStore {
         out
     }
 
-    /// The current version id (momentary read lock).
+    /// The current version id, read under the momentary `current` read
+    /// lock: no snapshot is pinned, so the retention tracker is untouched.
     pub fn generation(&self) -> u64 {
-        self.snapshot().generation()
+        read_tracked(&self.current, &CURRENT_SITE).generation()
     }
 
-    /// Triple count of the current version (momentary read lock).
+    /// Triple count of the current version (momentary read lock, no pin).
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        read_tracked(&self.current, &CURRENT_SITE).len()
     }
 
     /// True when the current version holds no triples.
@@ -358,7 +365,11 @@ impl WriteTxn {
     /// mutations; every snapshot pinned before sees none of them.
     pub fn commit(self) -> u64 {
         let generation = self.pending.generation();
-        *write_tracked(&self.current, &CURRENT_SITE) = Arc::new(self.pending);
+        let next = Arc::new(self.pending);
+        let previous = std::mem::replace(&mut *write_tracked(&self.current, &CURRENT_SITE), next);
+        // Drop the superseded version after the write lock is released, so
+        // readers pinning the new one never wait on its shards being freed.
+        drop(previous);
         generation
     }
 
@@ -380,6 +391,7 @@ impl std::fmt::Debug for WriteTxn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::TermId;
     use crate::term::Term;
     use proptest::prelude::*;
 
@@ -443,6 +455,47 @@ mod tests {
         let fresh = shared.snapshot();
         assert_eq!(fresh.len(), 50);
         assert!(fresh.generation() > generation);
+    }
+
+    #[test]
+    fn pinned_dictionary_is_frozen_across_folds() {
+        let shared = SharedStore::new(RdfStore::new());
+        shared.commit(|st| {
+            for i in 0..100u32 {
+                st.insert(iri(&format!("base{i}")), iri("p"), iri(&format!("o{}", i % 7)));
+            }
+        });
+        let pin = shared.snapshot();
+        let len = pin.dict().len();
+        let terms: Vec<Term> = pin.dict().iter().map(|(_, t)| t.clone()).collect();
+        let dump = pin.to_ntriples();
+
+        // 3 000 fresh terms in commits of 20: the dictionary folds on the way.
+        for batch in 0..150u32 {
+            shared.commit(|st| {
+                for j in 0..20u32 {
+                    st.insert(iri(&format!("new{batch}_{j}")), iri("p"), iri("o0"));
+                }
+            });
+        }
+
+        assert_eq!(pin.dict().len(), len);
+        for (i, term) in terms.iter().enumerate() {
+            assert_eq!(pin.resolve(TermId(i as u32)), term);
+        }
+        assert_eq!(pin.dict().try_resolve(TermId(len as u32)), None);
+        assert_eq!(pin.to_ntriples(), dump);
+        let fresh = shared.snapshot();
+        assert!(!fresh.dict().shares_frozen_with(pin.dict()), "no fold happened");
+        assert_eq!(fresh.dict().len(), len + 3_000);
+        for batch in 0..150u32 {
+            for j in 0..20u32 {
+                let term = iri(&format!("new{batch}_{j}"));
+                let id = fresh.lookup(&term).expect("a committed term is visible");
+                assert_eq!(fresh.resolve(id), &term);
+                assert_eq!(pin.lookup(&term), None);
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //!
 //! # Copy-on-write interior
 //!
-//! Each index is split into `SHARDS` B-tree shards keyed by the tuple's
-//! first component, every shard behind its own [`Arc`]. Cloning a store is
-//! therefore O(shards): the clone shares every shard (and the term
-//! dictionary) with the original until one side mutates, at which point only
-//! the touched shard is deep-copied ([`Arc::make_mut`]). This is what makes
+//! Each index is split into `SHARDS` = 1024 B-tree shards keyed by the
+//! tuple's first component, every shard behind its own [`Arc`]. Cloning a
+//! store copies those pointers, the small recent part of the term
+//! dictionary (its frozen part is shared, see [`TermDict`]) and the
+//! statistics cache. After that the clone shares every shard with the
+//! original until one side mutates, and then only the touched shard is
+//! deep-copied ([`Arc::make_mut`]). A commit of `n` triples therefore copies
+//! at most `3n` shards: an SPO or OSP shard holds ~1/1024 of its index, a
+//! POS shard the whole range of the predicates it holds. This is what makes
 //! MVCC snapshots cheap: a writer clones the current version, mutates its
 //! private copy shard-by-shard, and publishes the result atomically while
 //! readers keep scanning the old shards (see `shared.rs`).
@@ -19,10 +23,11 @@
 //! Because a shard holds every tuple whose first component hashes to it,
 //! bound-first-component scans (`S??`, `?P?`, `??O` and their refinements)
 //! stay single-shard range walks; only the unconstrained `???` scan pays a
-//! k-way merge across shards to preserve global SPO order.
+//! heap merge across shards to preserve global SPO order.
 
-use std::collections::{btree_set, BTreeSet};
-use std::iter::Peekable;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{btree_set, BTreeSet, BinaryHeap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -39,7 +44,7 @@ pub type Triple = (TermId, TermId, TermId);
 pub type PatternSlot = Option<TermId>;
 
 /// Number of copy-on-write B-tree shards per index.
-const SHARDS: usize = 16;
+const SHARDS: usize = 1024;
 const SHARD_MASK: u32 = SHARDS as u32 - 1;
 
 /// Cached index statistics for one predicate, used by the query planner to
@@ -54,21 +59,24 @@ pub struct PredicateStats {
     pub distinct_objects: usize,
 }
 
-/// Lazily computed per-predicate statistics, invalidated wholesale whenever
-/// the store mutates (tracked by a generation counter).
-#[derive(Debug, Default)]
-struct StatsCache {
-    generation: u64,
-    by_pred: FxHashMap<u32, PredicateStats>,
-}
+/// One index entry: a triple's ids in its index's own order.
+type Entry = (u32, u32, u32);
 
 /// One index ordering as copy-on-write B-tree shards, partitioned by the
 /// first tuple component (`first & SHARD_MASK`). Tuples sharing a first
 /// component live in one shard, so fixing the first component keeps range
 /// scans single-shard.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct ShardedIndex {
-    shards: [Arc<BTreeSet<(u32, u32, u32)>>; SHARDS],
+    shards: Box<[Arc<BTreeSet<Entry>>]>,
+}
+
+impl Default for ShardedIndex {
+    /// Every shard starts as a clone of one shared empty set.
+    fn default() -> Self {
+        let empty = Arc::new(BTreeSet::new());
+        ShardedIndex { shards: (0..SHARDS).map(|_| Arc::clone(&empty)).collect() }
+    }
 }
 
 impl ShardedIndex {
@@ -114,65 +122,76 @@ impl ShardedIndex {
 
     /// Every tuple across all shards in global sort order (k-way merge).
     fn iter_merged(&self) -> MergeIter<'_> {
-        MergeIter { heads: self.shards.iter().map(|s| s.iter().peekable()).collect() }
+        let mut shards = Vec::new();
+        let mut heap = BinaryHeap::new();
+        for shard in self.shards.iter() {
+            let mut it = shard.iter();
+            if let Some(&t) = it.next() {
+                heap.push(Reverse((t, shards.len())));
+                shards.push(it);
+            }
+        }
+        MergeIter { shards, heap }
     }
 }
 
 /// K-way merge over the sorted shards of one index, restoring global tuple
-/// order for unconstrained scans. With [`SHARDS`] = 16 heads the linear
-/// min-scan per item beats a binary heap on constant factors.
+/// order for unconstrained scans: a min-heap holds each non-empty shard's
+/// next tuple, so each item costs O(log shards).
 struct MergeIter<'a> {
-    heads: Vec<Peekable<btree_set::Iter<'a, (u32, u32, u32)>>>,
+    shards: Vec<btree_set::Iter<'a, Entry>>,
+    /// `(next tuple, index into shards)` per shard not yet drained.
+    heap: BinaryHeap<Reverse<(Entry, usize)>>,
 }
 
 impl Iterator for MergeIter<'_> {
-    type Item = (u32, u32, u32);
+    type Item = Entry;
 
-    fn next(&mut self) -> Option<(u32, u32, u32)> {
-        let mut best: Option<(usize, (u32, u32, u32))> = None;
-        for (i, head) in self.heads.iter_mut().enumerate() {
-            if let Some(&&t) = head.peek() {
-                if best.is_none_or(|(_, b)| t < b) {
-                    best = Some((i, t));
-                }
+    fn next(&mut self) -> Option<Entry> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((t, i)) = *top;
+        match self.shards[i].next() {
+            Some(&next) => *top = Reverse((next, i)),
+            None => {
+                PeekMut::pop(top);
             }
         }
-        let (i, t) = best?;
-        self.heads[i].next();
         Some(t)
     }
 }
 
 /// An in-memory RDF store with SPO, POS and OSP indexes.
 ///
-/// `Clone` is cheap (copy-on-write): the clone shares the term dictionary
-/// and all index shards until either side mutates. The statistics cache is
-/// *not* shared between clones — each version computes its own on demand —
-/// so a pinned old snapshot and the current version never thrash one cache.
+/// `Clone` is cheap (copy-on-write): the clone shares the term dictionary's
+/// frozen part and all index shards until either side mutates. It copies
+/// the statistics cache, so a version starts with its parent's statistics;
+/// a mutation drops only the entry of the predicate it touches. The two
+/// caches are separate afterwards, so a pinned old snapshot and the current
+/// version never thrash one cache.
 #[derive(Default)]
 pub struct RdfStore {
-    dict: Arc<TermDict>,
+    dict: TermDict,
     spo: ShardedIndex,
     pos: ShardedIndex,
     osp: ShardedIndex,
     /// Triple count, maintained incrementally (shards make summing O(k)).
     triples: usize,
-    /// Bumped on every successful insert/remove; stats cached per generation.
+    /// Bumped on every successful insert/remove: the MVCC version id.
     generation: u64,
-    stats: Mutex<StatsCache>,
+    /// Per-predicate statistics computed so far, valid for this version.
+    stats: Mutex<FxHashMap<u32, PredicateStats>>,
 }
 
 impl Clone for RdfStore {
     fn clone(&self) -> Self {
         RdfStore {
-            dict: Arc::clone(&self.dict),
+            dict: self.dict.clone(),
             spo: self.spo.clone(),
             pos: self.pos.clone(),
             osp: self.osp.clone(),
             triples: self.triples,
             generation: self.generation,
-            // Fresh, empty cache: stats are recomputed lazily per version.
-            stats: Mutex::new(StatsCache::default()),
+            stats: Mutex::new(self.stats.lock().clone()),
         }
     }
 }
@@ -189,14 +208,8 @@ impl RdfStore {
     }
 
     /// Intern a term without asserting any triple.
-    ///
-    /// Looking up an already-interned term never copies the shared
-    /// dictionary; only a genuinely new term pays the copy-on-write.
     pub fn intern(&mut self, term: Term) -> TermId {
-        if let Some(id) = self.dict.get(&term) {
-            return id;
-        }
-        Arc::make_mut(&mut self.dict).intern(term)
+        self.dict.intern(term)
     }
 
     /// Look up an already-interned term.
@@ -225,6 +238,7 @@ impl RdfStore {
             self.osp.insert((o.0, s.0, p.0));
             self.triples += 1;
             self.generation += 1;
+            self.stats.get_mut().remove(&p.0);
         }
         added
     }
@@ -245,6 +259,7 @@ impl RdfStore {
             self.osp.remove(&(o.0, s.0, p.0));
             self.triples -= 1;
             self.generation += 1;
+            self.stats.get_mut().remove(&p.0);
         }
         removed
     }
@@ -268,8 +283,8 @@ impl RdfStore {
 
     /// Coarse index-memory estimate for this version: every triple is held
     /// as three `(u32, u32, u32)` entries (SPO/POS/OSP), doubled for B-tree
-    /// node overhead. The term dictionary is shared between versions and is
-    /// deliberately not counted.
+    /// node overhead. The term dictionary is mostly shared between versions
+    /// (its frozen part) and is deliberately not counted.
     pub fn approx_bytes(&self) -> usize {
         self.triples * 3 * std::mem::size_of::<(u32, u32, u32)>() * 2
     }
@@ -338,18 +353,17 @@ impl RdfStore {
     /// subject/object counts, i.e. the fan-outs the join planner divides by
     /// when a variable position is already bound.
     ///
-    /// Computed on first request per predicate and cached; the cache is
-    /// invalidated wholesale when the store mutates. Each store version
-    /// (snapshot) owns its cache, so stats are effectively snapshot-keyed.
+    /// Computed on first request per predicate and cached. Each store
+    /// version (snapshot) owns its cache, so stats are snapshot-keyed; a
+    /// clone inherits its parent's entries, and inserting or removing a
+    /// triple drops only its predicate's entry.
     pub fn predicate_stats(&self, p: TermId) -> PredicateStats {
         // Non-poisoning facade mutex: a reader that panics (e.g. a
         // cancelled training job sharing the store) cannot wedge the cache.
-        let mut cache = self.stats.lock();
-        if cache.generation != self.generation {
-            cache.by_pred.clear();
-            cache.generation = self.generation;
-        }
-        if let Some(&stats) = cache.by_pred.get(&p.0) {
+        // It is not held during the walk, so a clone (a writer's `begin`)
+        // never waits on a reader's computation; two readers may compute
+        // one predicate at once and store the same answer.
+        if let Some(&stats) = self.stats.lock().get(&p.0) {
             return stats;
         }
         // POS range for p is sorted by object: distinct objects fall out of
@@ -366,7 +380,7 @@ impl RdfStore {
             subjects.insert(s);
         }
         stats.distinct_subjects = subjects.len();
-        cache.by_pred.insert(p.0, stats);
+        self.stats.lock().insert(p.0, stats);
         stats
     }
 
@@ -395,7 +409,7 @@ impl RdfStore {
         // run-length distincts never collide across shards; one global sort
         // restores ascending order.
         let mut out = Vec::new();
-        for shard in &self.pos.shards {
+        for shard in self.pos.shards.iter() {
             let mut last: Option<u32> = None;
             for &(p, _, _) in shard.iter() {
                 if last != Some(p) {
@@ -438,7 +452,7 @@ enum ScanInner<'a> {
     Pos(btree_set::Range<'a, (u32, u32, u32)>),
     /// OSP-ordered range: tuples are `(o, s, p)`.
     Osp(btree_set::Range<'a, (u32, u32, u32)>),
-    /// Unconstrained scan: k-way merge across the SPO shards.
+    /// Unconstrained scan: heap merge across the SPO shards.
     Full(MergeIter<'a>),
 }
 
@@ -586,6 +600,54 @@ mod tests {
         assert!(!clone.contains(&iri("p1"), &iri("cites"), &iri("p2")));
     }
 
+    /// Shards of `a` that are not the very allocation `b` holds.
+    fn shards_differing(a: &RdfStore, b: &RdfStore) -> usize {
+        [(&a.spo, &b.spo), (&a.pos, &b.pos), (&a.osp, &b.osp)]
+            .iter()
+            .flat_map(|(x, y)| x.shards.iter().zip(y.shards.iter()))
+            .filter(|(x, y)| !Arc::ptr_eq(x, y))
+            .count()
+    }
+
+    #[test]
+    fn small_commit_copies_only_touched_shards_and_no_dictionary() {
+        let mut base = RdfStore::new();
+        for i in 0..10_000u32 {
+            base.insert(
+                iri(&format!("s{}", i / 5)),
+                iri(&format!("q{}", i % 5)),
+                iri(&format!("o{i}")),
+            );
+        }
+        let mut clone = base.clone();
+        assert_eq!(shards_differing(&clone, &base), 0);
+        for i in 0..20u32 {
+            clone.insert(iri(&format!("fresh{i}")), iri("q0"), iri("o7"));
+        }
+        assert!(clone.dict().shares_frozen_with(base.dict()), "the commit copied the dictionary");
+        let copied = shards_differing(&clone, &base);
+        assert!(copied <= 3 * 20, "{copied} shards copied for 20 triples");
+        assert_eq!(base.len(), 10_000);
+        assert_eq!(base.lookup(&iri("fresh0")), None);
+        assert_eq!(clone.len(), 10_020);
+    }
+
+    #[test]
+    fn full_scan_over_every_shard_is_in_global_spo_order() {
+        let mut st = RdfStore::new();
+        for i in 0..4_000u32 {
+            st.insert(
+                iri(&format!("s{i}")),
+                iri(&format!("q{}", i % 3)),
+                iri(&format!("o{}", i % 11)),
+            );
+        }
+        assert!(st.spo.shards.iter().all(|s| !s.is_empty()), "some shard stayed empty");
+        let merged: Vec<Triple> = st.iter().collect();
+        assert_eq!(merged.len(), st.len());
+        assert!(merged.windows(2).all(|w| w[0] < w[1]), "merge is out of order");
+    }
+
     #[test]
     fn predicate_stats_counts_and_invalidates() {
         let mut st = small_store();
@@ -625,5 +687,54 @@ mod tests {
         let text = st.to_ntriples();
         assert_eq!(text.lines().count(), 5);
         assert!(text.contains("<http://x/p1> <http://x/cites> <http://x/p2> ."));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Statistics a clone inherits stay right: after random inserts and
+        /// removes on a clone of a store whose cache is full, every
+        /// predicate's (possibly cached) stats equal those of an uncached
+        /// store holding the same triples.
+        #[test]
+        fn inherited_stats_match_an_uncached_store(
+            base_triples in proptest::collection::vec((0..12u8, 0..4u8, 0..12u8), 1..60),
+            ops in proptest::collection::vec(
+                (0..12u8, 0..5u8, 0..12u8, proptest::prelude::any::<bool>()), 1..40),
+        ) {
+            let t = |s: u8, p: u8, o: u8| {
+                (iri(&format!("s{s}")), iri(&format!("q{p}")), iri(&format!("s{o}")))
+            };
+            let mut base = RdfStore::new();
+            for &(s, p, o) in &base_triples {
+                let (s, p, o) = t(s, p, o);
+                base.insert(s, p, o);
+            }
+            for p in base.predicates() {
+                base.predicate_stats(p);
+            }
+            let mut clone = base.clone();
+            for &(s, p, o, insert) in &ops {
+                let (s, p, o) = t(s, p, o);
+                if insert {
+                    clone.insert(s, p, o);
+                } else {
+                    clone.remove(&s, &p, &o);
+                }
+            }
+            let mut uncached = RdfStore::new();
+            for (s, p, o) in clone.iter() {
+                let [s, p, o] = [s, p, o].map(|id| clone.resolve(id).clone());
+                uncached.insert(s, p, o);
+            }
+            for q in 0..5u8 {
+                let term = iri(&format!("q{q}"));
+                let expected =
+                    uncached.lookup(&term).map(|p| uncached.predicate_stats(p)).unwrap_or_default();
+                if let Some(p) = clone.lookup(&term) {
+                    proptest::prop_assert_eq!(clone.predicate_stats(p), expected, "q{}", q);
+                }
+            }
+        }
     }
 }
