@@ -6,21 +6,19 @@
 use std::path::Path;
 
 use crate::format::{AnnFile, AnnFileWriter, FormatError};
-use crate::hnsw::HnswIndex;
-use crate::index::AnyIndex;
 use crate::ivf::IvfIndex;
 use crate::metric::Metric;
-use crate::pq::PqIndex;
 use crate::vectors::{VectorTable, Vectors};
 use crate::AnnError;
 
 /// Artifact-kind tag of an embedding store file.
 pub const KIND_EMBEDDING_STORE: u32 = 1;
 
+/// Index tags of the `meta` section. Tags 2 and 3 are retired (files from
+/// before the HNSW and PQ indexes were deleted carry them) and must not be
+/// reused: such files are rejected as an unknown tag, not misread.
 const INDEX_NONE: u32 = 0;
 const INDEX_IVF: u32 = 1;
-const INDEX_HNSW: u32 = 2;
-const INDEX_PQ: u32 = 3;
 
 /// The contents of a persisted embedding artifact: everything an
 /// embedding store needs to serve searches.
@@ -34,7 +32,7 @@ pub struct EmbeddingFileContents {
     /// The vector matrix — memory-mapped (zero-copy) after a load.
     pub vectors: VectorTable,
     /// The built index, if one was persisted.
-    pub index: Option<AnyIndex>,
+    pub index: Option<IvfIndex>,
 }
 
 impl EmbeddingFileContents {
@@ -64,26 +62,18 @@ pub struct EmbeddingFileView<'a> {
     /// The vector matrix.
     pub vectors: &'a VectorTable,
     /// The built index, if any.
-    pub index: Option<&'a AnyIndex>,
+    pub index: Option<&'a IvfIndex>,
 }
 
 /// Persist an embedding artifact to `path` in the binary columnar format.
 pub fn save_embedding_file(path: &Path, c: EmbeddingFileView<'_>) -> Result<(), AnnError> {
     let mut w = AnnFileWriter::new(KIND_EMBEDDING_STORE);
-    let index_tag = match c.index {
-        None => INDEX_NONE,
-        Some(AnyIndex::Ivf(_)) => INDEX_IVF,
-        Some(AnyIndex::Hnsw(_)) => INDEX_HNSW,
-        Some(AnyIndex::Pq(_)) => INDEX_PQ,
-    };
+    let index_tag = if c.index.is_some() { INDEX_IVF } else { INDEX_NONE };
     w.put_u32s("meta", &[c.dim as u32, c.metric.code(), c.keys.len() as u32, index_tag]);
     w.put_strings("keys", c.keys);
     w.put_f32s("vectors", c.vectors.flat());
-    match c.index {
-        None => {}
-        Some(AnyIndex::Ivf(i)) => i.put_sections(&mut w),
-        Some(AnyIndex::Hnsw(i)) => i.put_sections(&mut w),
-        Some(AnyIndex::Pq(i)) => i.put_sections(&mut w),
+    if let Some(i) = c.index {
+        i.put_sections(&mut w);
     }
     w.write_to(path)?;
     Ok(())
@@ -128,33 +118,20 @@ pub fn load_embedding_file(path: &Path) -> Result<EmbeddingFileContents, AnnErro
     }
     let index = match meta[3] {
         INDEX_NONE => None,
-        INDEX_IVF => Some(AnyIndex::Ivf(IvfIndex::from_file(&f)?)),
-        INDEX_HNSW => Some(AnyIndex::Hnsw(HnswIndex::from_file(&f)?)),
-        INDEX_PQ => Some(AnyIndex::Pq(PqIndex::from_file(&f)?)),
+        INDEX_IVF => Some(IvfIndex::from_file(&f, dim, n)?),
         other => {
             return Err(AnnError::Format(FormatError::Malformed(format!(
                 "unknown index tag {other}"
             ))))
         }
     };
-    if let Some(ix) = &index {
-        use crate::index::AnnIndex;
-        if ix.len() != n {
-            return Err(AnnError::Format(FormatError::Malformed(format!(
-                "index covers {} vectors but the table holds {n}",
-                ix.len()
-            ))));
-        }
-    }
     Ok(EmbeddingFileContents { dim, metric, keys, vectors, index })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hnsw::HnswConfig;
-    use crate::index::{search_exact, AnnIndex, SearchParams};
-    use crate::pq::PqConfig;
+    use crate::index::search_exact;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -192,16 +169,15 @@ mod tests {
     fn mapped_load_serves_searches_identical_to_owned() {
         let path = temp_path("identical");
         let mut c = sample_contents(600, 12, 2);
-        let hnsw = HnswIndex::build(&c.vectors, c.metric, &HnswConfig::default());
-        c.index = Some(AnyIndex::Hnsw(hnsw));
+        c.index = Some(IvfIndex::build(&c.vectors, 24, 4, 9));
         save_embedding_file(&path, c.as_view()).unwrap();
         let back = load_embedding_file(&path).unwrap();
         let (orig, loaded) = (c.index.as_ref().unwrap(), back.index.as_ref().unwrap());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
             let q: Vec<f32> = (0..12).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let a = orig.search(&c.vectors, c.metric, &q, 7, &SearchParams::default());
-            let b = loaded.search(&back.vectors, back.metric, &q, 7, &SearchParams::default());
+            let a = orig.search(&c.vectors, c.metric, &q, 7, 3);
+            let b = loaded.search(&back.vectors, back.metric, &q, 7, 3);
             assert_eq!(a, b, "mapped search diverged from in-memory search");
             assert_eq!(
                 search_exact(&c.vectors, c.metric, &q, 7),
@@ -212,64 +188,39 @@ mod tests {
     }
 
     #[test]
-    fn pq_roundtrips_with_exact_scores() {
-        let path = temp_path("pq");
-        let mut c = sample_contents(400, 8, 4);
-        c.index = Some(AnyIndex::Pq(PqIndex::build(
-            &c.vectors,
-            &PqConfig { ks: 16, ..Default::default() },
-        )));
-        save_embedding_file(&path, c.as_view()).unwrap();
-        let back = load_embedding_file(&path).unwrap();
-        let q = c.vectors.vector(17).to_vec();
-        let a = c.index.as_ref().unwrap().search(&c.vectors, c.metric, &q, 5, &Default::default());
-        let b = back.index.as_ref().unwrap().search(
-            &back.vectors,
-            back.metric,
-            &q,
-            5,
-            &Default::default(),
-        );
-        assert_eq!(a, b);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn out_of_range_ivf_entries_are_rejected_at_load() {
-        // A structurally valid, checksummed file whose posting lists point
-        // past the vector table must fail at load, not panic at search.
+    fn malformed_index_sections_are_rejected_at_load() {
+        // Structurally valid, checksummed files over a 2-vector, 2-d table
+        // whose index is wrong must fail at load, not panic or mislead at
+        // search. Each row: index tag, params (cells, width, len),
+        // centroids, list offsets, list entries, expected reason.
+        type Case = (u32, [u32; 3], &'static [f32], &'static [u32], &'static [u32], &'static str);
+        let cases: [Case; 7] = [
+            (1, [1, 2, 2], &[0.5, 0.5], &[0, 2], &[0, 9], "out of range"),
+            (1, [1, 3, 2], &[0.5, 0.5, 0.5], &[0, 2], &[0, 1], "width 3"),
+            (1, [1, 2, 2], &[0.5, 0.5], &[0, 1], &[0], "miss 1 of 2"),
+            (1, [0, 2, 2], &[], &[0], &[], "miss 2 of 2"),
+            (1, [1, 2, 2], &[0.5, 0.5], &[0, 2], &[0, 0], "id 0 twice"),
+            (2, [1, 2, 2], &[0.5, 0.5], &[0, 2], &[0, 1], "unknown index tag 2"),
+            (3, [1, 2, 2], &[0.5, 0.5], &[0, 2], &[0, 1], "unknown index tag 3"),
+        ];
         let path = temp_path("badivf");
-        let mut w = AnnFileWriter::new(KIND_EMBEDDING_STORE);
-        w.put_u32s("meta", &[2, Metric::L2.code(), 2, 1]);
-        w.put_strings("keys", &["a".into(), "b".into()]);
-        w.put_f32s("vectors", &[0.0, 0.0, 1.0, 1.0]);
-        w.put_u32s("index.params", &[1, 2, 2]);
-        w.put_f32s("index.centroids", &[0.5, 0.5]);
-        w.put_u32s("index.list_offsets", &[0, 2]);
-        w.put_u32s("index.list_entries", &[0, 9]); // id 9 of a 2-vector table
-        w.write_to(&path).unwrap();
-        match load_embedding_file(&path).map(|_| ()) {
-            Err(AnnError::Format(FormatError::Malformed(m))) => {
-                assert!(m.contains("out of range"), "unexpected reason: {m}")
+        for (tag, params, centroids, offsets, entries, reason) in cases {
+            let mut w = AnnFileWriter::new(KIND_EMBEDDING_STORE);
+            w.put_u32s("meta", &[2, Metric::L2.code(), 2, tag]);
+            w.put_strings("keys", &["a".into(), "b".into()]);
+            w.put_f32s("vectors", &[0.0, 0.0, 1.0, 1.0]);
+            w.put_u32s("index.params", &params);
+            w.put_f32s("index.centroids", centroids);
+            w.put_u32s("index.list_offsets", offsets);
+            w.put_u32s("index.list_entries", entries);
+            w.write_to(&path).unwrap();
+            match load_embedding_file(&path).map(|_| ()) {
+                Err(AnnError::Format(FormatError::Malformed(m))) => {
+                    assert!(m.contains(reason), "expected `{reason}`, got: {m}")
+                }
+                other => panic!("malformed index (`{reason}`) accepted: {other:?}"),
             }
-            other => panic!("out-of-range posting entry accepted: {other:?}"),
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn ivf_roundtrips() {
-        let path = temp_path("ivf");
-        let mut c = sample_contents(300, 6, 5);
-        c.index = Some(AnyIndex::Ivf(IvfIndex::build(&c.vectors, 12, 4, 9)));
-        save_embedding_file(&path, c.as_view()).unwrap();
-        let back = load_embedding_file(&path).unwrap();
-        let q = c.vectors.vector(200).to_vec();
-        let params = SearchParams::with_nprobe(3);
-        assert_eq!(
-            c.index.as_ref().unwrap().search(&c.vectors, c.metric, &q, 9, &params),
-            back.index.as_ref().unwrap().search(&back.vectors, back.metric, &q, 9, &params),
-        );
         let _ = std::fs::remove_file(&path);
     }
 }

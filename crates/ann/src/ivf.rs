@@ -1,5 +1,5 @@
 //! The inverted-file coarse index: k-means cells plus posting lists
-//! (FAISS's `IndexIVFFlat` shape), relocated from the embedding store.
+//! (FAISS's `IndexIVFFlat` shape).
 
 use kgnet_linalg::kernels;
 use rand::rngs::StdRng;
@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use crate::format::{AnnFile, AnnFileWriter, FormatError};
-use crate::index::{sort_hits, AnnIndex, SearchParams};
+use crate::index::sort_hits;
 use crate::metric::Metric;
 use crate::stats::{CountingVectors, SearchStats};
 use crate::vectors::Vectors;
@@ -70,9 +70,75 @@ impl IvfIndex {
         IvfIndex { centroids, lists, len: n }
     }
 
-    /// Number of coarse cells.
-    pub fn n_cells(&self) -> usize {
-        self.centroids.len()
+    /// Number of vectors the index was built over.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the index covers no vectors.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Approximate top-`k` ids for `query`: probe the `nprobe` nearest
+    /// cells and score their posting lists under `metric` against `vectors`
+    /// (the table the index was built over). Hits are sorted by score
+    /// descending, ties by ascending id, and carry exact [`Metric::score`]
+    /// values, so they compare directly with
+    /// [`search_exact`](crate::search_exact).
+    ///
+    /// Large probe sets fan the per-list scans out over the pool; the
+    /// collect is order-preserving (cells in probe order, entries in list
+    /// order), so both paths produce the same candidate sequence.
+    pub fn search(
+        &self,
+        vectors: &dyn Vectors,
+        metric: Metric,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> Vec<(u32, f32)> {
+        if self.centroids.is_empty() {
+            return Vec::new();
+        }
+        let mut cells: Vec<(usize, f32)> =
+            self.centroids.iter().enumerate().map(|(i, c)| (i, kernels::l2_sq(query, c))).collect();
+        cells.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+        let probed: Vec<&Vec<u32>> =
+            cells.iter().take(nprobe.max(1)).map(|&(cell, _)| &self.lists[cell]).collect();
+        let total: usize = probed.iter().map(|l| l.len()).sum();
+        let score_list = |list: &&Vec<u32>| -> Vec<(u32, f32)> {
+            list.iter().map(|&i| (i, metric.score(query, vectors.vector(i)))).collect()
+        };
+        let per_cell: Vec<Vec<(u32, f32)>> = if total >= PAR_MIN_CANDIDATES {
+            probed.par_iter().map(score_list).collect()
+        } else {
+            probed.iter().map(score_list).collect()
+        };
+        let mut scored: Vec<(u32, f32)> = per_cell.into_iter().flatten().collect();
+        sort_hits(&mut scored);
+        scored.truncate(k);
+        scored
+    }
+
+    /// Like [`search`](IvfIndex::search), also returning what the search
+    /// cost. Candidates are the posting-list entries of the probed cells,
+    /// counted through a [`CountingVectors`] wrapper; the coarse scan
+    /// additionally scores every centroid without touching a raw vector,
+    /// so it counts as distance work but not as candidates.
+    pub fn search_with_stats(
+        &self,
+        vectors: &dyn Vectors,
+        metric: Metric,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> (Vec<(u32, f32)>, SearchStats) {
+        let counting = CountingVectors::new(vectors);
+        let hits = self.search(&counting, metric, query, k, nprobe);
+        let scored = counting.accesses();
+        let coarse = self.centroids.len() as u64;
+        (hits, SearchStats { candidates: scored, distance_computations: scored + coarse })
     }
 
     /// Persist into `w` under the `index.` section prefix.
@@ -92,13 +158,30 @@ impl IvfIndex {
         w.put_u32s("index.list_entries", &entries);
     }
 
-    /// Load from the `index.` sections of a persisted file.
-    pub(crate) fn from_file(f: &AnnFile) -> Result<IvfIndex, FormatError> {
+    /// Load from the `index.` sections of a persisted file whose vector
+    /// table holds `table_len` vectors of width `table_dim`. Rejects, as
+    /// `Malformed`, an index over a different count or width, and posting
+    /// lists that do not hold every id in `0..table_len` exactly once.
+    pub(crate) fn from_file(
+        f: &AnnFile,
+        table_dim: usize,
+        table_len: usize,
+    ) -> Result<IvfIndex, FormatError> {
         let params = f.u32s("index.params")?;
         if params.len() != 3 {
             return Err(FormatError::Malformed("ivf params section has wrong arity".into()));
         }
         let (cells, dim, len) = (params[0] as usize, params[1] as usize, params[2] as usize);
+        if len != table_len {
+            return Err(FormatError::Malformed(format!(
+                "index covers {len} vectors but the table holds {table_len}"
+            )));
+        }
+        if cells > 0 && dim != table_dim {
+            return Err(FormatError::Malformed(format!(
+                "ivf centroid width {dim} disagrees with vector width {table_dim}"
+            )));
+        }
         let flat = f.f32s("index.centroids")?;
         if flat.len() != cells * dim {
             return Err(FormatError::Malformed("ivf centroid section size mismatch".into()));
@@ -113,6 +196,18 @@ impl IvfIndex {
         }
         if entries.iter().any(|&id| id as usize >= len) {
             return Err(FormatError::Malformed("ivf posting-list entry id out of range".into()));
+        }
+        let mut seen = vec![false; len];
+        if let Some(id) =
+            entries.iter().find(|&&id| std::mem::replace(&mut seen[id as usize], true))
+        {
+            return Err(FormatError::Malformed(format!("ivf posting lists hold id {id} twice")));
+        }
+        if entries.len() != len {
+            return Err(FormatError::Malformed(format!(
+                "ivf posting lists miss {} of {len} ids",
+                len - entries.len()
+            )));
         }
         let mut lists = Vec::with_capacity(cells);
         for wnd in offsets.windows(2) {
@@ -157,69 +252,6 @@ fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
     best
 }
 
-impl AnnIndex for IvfIndex {
-    fn kind(&self) -> &'static str {
-        "ivf"
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Probe the `nprobe` nearest cells and score their posting lists.
-    /// Large probe sets fan the per-list scans out over the pool; the
-    /// collect is order-preserving (cells in probe order, entries in list
-    /// order), so both paths produce the same candidate sequence.
-    fn search(
-        &self,
-        vectors: &dyn Vectors,
-        metric: Metric,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> Vec<(u32, f32)> {
-        if self.centroids.is_empty() {
-            return Vec::new();
-        }
-        let mut cells: Vec<(usize, f32)> =
-            self.centroids.iter().enumerate().map(|(i, c)| (i, kernels::l2_sq(query, c))).collect();
-        cells.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let probed: Vec<&Vec<u32>> =
-            cells.iter().take(params.nprobe.max(1)).map(|&(cell, _)| &self.lists[cell]).collect();
-        let total: usize = probed.iter().map(|l| l.len()).sum();
-        let score_list = |list: &&Vec<u32>| -> Vec<(u32, f32)> {
-            list.iter().map(|&i| (i, metric.score(query, vectors.vector(i)))).collect()
-        };
-        let per_cell: Vec<Vec<(u32, f32)>> = if total >= PAR_MIN_CANDIDATES {
-            probed.par_iter().map(score_list).collect()
-        } else {
-            probed.iter().map(score_list).collect()
-        };
-        let mut scored: Vec<(u32, f32)> = per_cell.into_iter().flatten().collect();
-        sort_hits(&mut scored);
-        scored.truncate(k);
-        scored
-    }
-
-    /// Candidates are the posting-list entries of the probed cells; the
-    /// coarse scan additionally scores every centroid without touching a
-    /// raw vector, so it counts as distance work but not as candidates.
-    fn search_with_stats(
-        &self,
-        vectors: &dyn Vectors,
-        metric: Metric,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> (Vec<(u32, f32)>, SearchStats) {
-        let counting = CountingVectors::new(vectors);
-        let hits = self.search(&counting, metric, query, k, params);
-        let scored = counting.accesses();
-        let coarse = if self.centroids.is_empty() { 0 } else { self.centroids.len() as u64 };
-        (hits, SearchStats { candidates: scored, distance_computations: scored + coarse })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,11 +279,8 @@ mod tests {
             let q: Vec<f32> = (0..16).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let exact: Vec<u32> =
                 search_exact(&t, Metric::L2, &q, 10).into_iter().map(|(i, _)| i).collect();
-            let approx: Vec<u32> = index
-                .search(&t, Metric::L2, &q, 10, &SearchParams::with_nprobe(4))
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
+            let approx: Vec<u32> =
+                index.search(&t, Metric::L2, &q, 10, 4).into_iter().map(|(i, _)| i).collect();
             total += exact.len();
             hits += exact.iter().filter(|i| approx.contains(i)).count();
         }
@@ -273,6 +302,6 @@ mod tests {
         let t = VectorTable::new(4);
         let index = IvfIndex::build(&t, 8, 3, 1);
         assert!(index.is_empty());
-        assert!(index.search(&t, Metric::L2, &[0.0; 4], 3, &SearchParams::default()).is_empty());
+        assert!(index.search(&t, Metric::L2, &[0.0; 4], 3, 4).is_empty());
     }
 }

@@ -1,14 +1,13 @@
 //! Per-search instrumentation: [`SearchStats`] tallies and the
 //! [`CountingVectors`] adapter that counts raw-vector accesses.
 //!
-//! Every index scores candidates by fetching rows through the [`Vectors`]
+//! Every search scores candidates by fetching rows through the [`Vectors`]
 //! trait, so wrapping the table in a counting adapter measures exactly how
 //! many raw-vector distance computations a search performed — with no
-//! changes to the search code itself. Index families that also do distance
-//! work *without* touching raw vectors (IVF's coarse-centroid scan, PQ's
-//! ADC table build and code scan) override
-//! [`AnnIndex::search_with_stats`](crate::AnnIndex::search_with_stats) to
-//! fold that work in.
+//! changes to the search code itself. IVF also scores its coarse centroids
+//! without touching a raw vector;
+//! [`IvfIndex::search_with_stats`](crate::IvfIndex::search_with_stats)
+//! folds that work in.
 
 use kgnet_sync::atomic::{AtomicU64, Ordering};
 
@@ -19,12 +18,10 @@ use crate::vectors::Vectors;
 /// evaluations were spent considering them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Stored vectors considered as result candidates (scored in any
-    /// form — raw, or through PQ codes).
+    /// Stored vectors considered (scored) as result candidates.
     pub candidates: u64,
     /// Total distance/score evaluations, including work that never
-    /// touches a raw vector: IVF coarse-centroid scoring, PQ
-    /// query-to-centroid table construction and per-code ADC sums.
+    /// touches a raw vector: IVF coarse-centroid scoring.
     pub distance_computations: u64,
 }
 

@@ -4,25 +4,34 @@
 //!
 //! The store is a thin key-management layer over the `kgnet-ann`
 //! subsystem: vectors live in a flat [`VectorTable`] (owned, or zero-copy
-//! over a memory-mapped artifact after [`EmbeddingStore::load_binary`]),
-//! and approximate search goes through any of the three [`AnnIndex`]
-//! families — exact scan, IVF, HNSW or product quantization — built by
-//! [`build_ivf`](EmbeddingStore::build_ivf),
-//! [`build_hnsw`](EmbeddingStore::build_hnsw) and
-//! [`build_pq`](EmbeddingStore::build_pq). All index construction is
+//! over a memory-mapped artifact after [`EmbeddingStore::load_binary`]).
+//! Searches run on an [`IvfIndex`] once [`build_ivf`](EmbeddingStore::build_ivf)
+//! has built one, and on the exact scan otherwise. Training builds every
+//! served store's index with [`served_ivf_cells`], and both serving paths
+//! probe [`SERVED_NPROBE`] cells. Index construction is
 //! deterministic-parallel on the batch pool (bit-identical on any
 //! `RAYON_NUM_THREADS`), and every search tie-breaks deterministically on
 //! (score, then key), so results are stable across runs and pool sizes.
 
 use std::path::Path;
 
-pub use kgnet_ann::{AnnError, HnswConfig, Metric, PqConfig, SearchParams, SearchStats};
+pub use kgnet_ann::{AnnError, Metric, SearchStats};
 
 use kgnet_ann::{
     load_embedding_file, save_embedding_file, search_exact as ann_search_exact,
-    search_exact_with_stats as ann_search_exact_with_stats, AnnIndex, AnyIndex, EmbeddingFileView,
-    HnswIndex, IvfIndex, PqIndex, VectorTable, Vectors,
+    search_exact_with_stats as ann_search_exact_with_stats, EmbeddingFileView, IvfIndex,
+    VectorTable, Vectors,
 };
+
+/// IVF cells a served similarity search probes: the `nprobe` of
+/// `GetSimilarNodes` and of `POST /similar`.
+pub const SERVED_NPROBE: usize = 4;
+
+/// IVF cell count training builds for a served store of `cardinality`
+/// vectors: one cell per 16 vectors, at least 1 and at most 256.
+pub fn served_ivf_cells(cardinality: usize) -> usize {
+    (cardinality / 16).clamp(1, 256)
+}
 
 /// A keyed vector store with exact and approximate search.
 #[derive(Debug, Clone)]
@@ -31,7 +40,7 @@ pub struct EmbeddingStore {
     metric: Metric,
     keys: Vec<String>,
     vectors: VectorTable,
-    index: Option<AnyIndex>,
+    index: Option<IvfIndex>,
 }
 
 impl EmbeddingStore {
@@ -66,10 +75,10 @@ impl EmbeddingStore {
         self.metric
     }
 
-    /// Family of the currently built index (`"ivf"`, `"hnsw"`, `"pq"`),
-    /// or `None` when searches fall back to the exact scan.
-    pub fn index_kind(&self) -> Option<&'static str> {
-        self.index.as_ref().map(AnnIndex::kind)
+    /// True when an IVF index is built; otherwise searches fall back to
+    /// the exact scan.
+    pub fn is_indexed(&self) -> bool {
+        self.index.is_some()
     }
 
     /// Add one keyed vector. Rejects width mismatches (which would
@@ -107,64 +116,32 @@ impl EmbeddingStore {
         if self.is_empty() {
             return;
         }
-        self.index = Some(AnyIndex::Ivf(IvfIndex::build(&self.vectors, n_cells, iterations, seed)));
+        self.index = Some(IvfIndex::build(&self.vectors, n_cells, iterations, seed));
     }
 
-    /// Build an HNSW graph index. Construction is wave-parallel on the
-    /// batch pool and bit-identical on any pool size; levels are
-    /// assigned deterministically from the config seed.
-    pub fn build_hnsw(&mut self, cfg: &HnswConfig) {
-        if self.is_empty() {
-            return;
-        }
-        self.index = Some(AnyIndex::Hnsw(HnswIndex::build(&self.vectors, self.metric, cfg)));
-    }
-
-    /// Train a product-quantization index (k-means sub-codebooks,
-    /// asymmetric distance computation, refine-over-raw-vectors).
-    /// Bit-identical on any pool size.
-    pub fn build_pq(&mut self, cfg: &PqConfig) {
-        if self.is_empty() {
-            return;
-        }
-        self.index = Some(AnyIndex::Pq(PqIndex::build(&self.vectors, cfg)));
-    }
-
-    /// Approximate top-k search through the built index, probing `nprobe`
-    /// cells when that index is IVF (other families use their build-time
-    /// defaults — see [`EmbeddingStore::search_with`] for full control).
-    /// Falls back to exact search when no index is built.
+    /// Approximate top-k search through the built IVF index, probing
+    /// `nprobe` cells. Falls back to exact search when no index is built.
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<(String, f32)> {
-        self.search_with(query, k, &SearchParams::with_nprobe(nprobe))
-    }
-
-    /// Approximate top-k search with explicit per-query tunables.
-    pub fn search_with(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> Vec<(String, f32)> {
         assert_eq!(query.len(), self.dim, "query width mismatch");
         match &self.index {
             None => self.search_exact(query, k),
-            Some(ix) => self.to_keyed(ix.search(&self.vectors, self.metric, query, k, params)),
+            Some(ix) => self.to_keyed(ix.search(&self.vectors, self.metric, query, k, nprobe)),
         }
     }
 
-    /// [`search_with`](EmbeddingStore::search_with) plus what the search
-    /// cost — candidate counts and distance-computation tallies the
-    /// serving layer folds into its metrics.
+    /// [`search`](EmbeddingStore::search) plus what the search cost —
+    /// candidate counts and distance-computation tallies the serving layer
+    /// folds into its metrics.
     pub fn search_with_stats(
         &self,
         query: &[f32],
         k: usize,
-        params: &SearchParams,
+        nprobe: usize,
     ) -> (Vec<(String, f32)>, SearchStats) {
         assert_eq!(query.len(), self.dim, "query width mismatch");
         let (hits, stats) = match &self.index {
             None => ann_search_exact_with_stats(&self.vectors, self.metric, query, k),
-            Some(ix) => ix.search_with_stats(&self.vectors, self.metric, query, k, params),
+            Some(ix) => ix.search_with_stats(&self.vectors, self.metric, query, k, nprobe),
         };
         (self.to_keyed(hits), stats)
     }
@@ -252,15 +229,14 @@ mod tests {
         let mut store = filled_store(300, 8, 17);
         let q = store.get("e42").unwrap().to_vec();
         // No index: the exact fallback scores every stored vector.
-        let (hits, stats) = store.search_with_stats(&q, 5, &SearchParams::default());
-        assert_eq!(hits, store.search_with(&q, 5, &SearchParams::default()));
+        let (hits, stats) = store.search_with_stats(&q, 5, SERVED_NPROBE);
+        assert_eq!(hits, store.search(&q, 5, SERVED_NPROBE));
         assert_eq!(stats.candidates, 300);
         assert_eq!(stats.distance_computations, 300);
         // IVF: fewer candidates than the table, coarse scan on top.
         store.build_ivf(10, 4, 9);
-        let params = SearchParams::with_nprobe(2);
-        let (hits, stats) = store.search_with_stats(&q, 5, &params);
-        assert_eq!(hits, store.search_with(&q, 5, &params));
+        let (hits, stats) = store.search_with_stats(&q, 5, 2);
+        assert_eq!(hits, store.search(&q, 5, 2));
         assert!(stats.candidates > 0 && stats.candidates < 300);
         assert_eq!(stats.distance_computations, stats.candidates + 10);
     }
@@ -318,44 +294,20 @@ mod tests {
     fn ivf_recall_at_10_is_high() {
         let mut store = filled_store(400, 16, 2);
         store.build_ivf(16, 5, 3);
-        assert_eq!(store.index_kind(), Some("ivf"));
+        assert!(store.is_indexed());
         let r = recall(&store, 20, 16, 4, 4);
         assert!(r > 0.6, "IVF recall too low: {r}");
     }
 
     #[test]
-    fn hnsw_recall_at_10_beats_point_nine() {
-        let mut store = filled_store(1500, 16, 12);
-        store.build_hnsw(&HnswConfig::default());
-        assert_eq!(store.index_kind(), Some("hnsw"));
-        let r = recall(&store, 20, 16, 13, 4);
-        assert!(r >= 0.9, "HNSW recall too low: {r}");
-    }
-
-    #[test]
-    fn pq_recall_at_10_beats_point_nine() {
-        let mut store = filled_store(1500, 16, 14);
-        store.build_pq(&PqConfig { ks: 64, ..Default::default() });
-        assert_eq!(store.index_kind(), Some("pq"));
-        let r = recall(&store, 20, 16, 15, 4);
-        assert!(r >= 0.9, "PQ recall too low: {r}");
-    }
-
-    #[test]
     fn adding_invalidates_index() {
-        for build in [0usize, 1, 2] {
-            let mut store = filled_store(20, 4, 5);
-            match build {
-                0 => store.build_ivf(4, 3, 1),
-                1 => store.build_hnsw(&HnswConfig::default()),
-                _ => store.build_pq(&PqConfig::default()),
-            }
-            store.add("new", vec![0.0; 4]).unwrap();
-            assert_eq!(store.index_kind(), None);
-            // Falls back to exact search and must find the new key.
-            let hits = store.search(&[0.0; 4], 1, 2);
-            assert_eq!(hits[0].0, "new");
-        }
+        let mut store = filled_store(20, 4, 5);
+        store.build_ivf(4, 3, 1);
+        store.add("new", vec![0.0; 4]).unwrap();
+        assert!(!store.is_indexed());
+        // Falls back to exact search and must find the new key.
+        let hits = store.search(&[0.0; 4], 1, 2);
+        assert_eq!(hits[0].0, "new");
     }
 
     #[test]
@@ -380,56 +332,30 @@ mod tests {
 
     #[test]
     fn builds_are_deterministic_across_pool_sizes() {
-        // 3000 vectors crosses the parallel cutoff for all three builders:
-        // each must produce the same index (centroids/graph/codebooks
-        // bit-for-bit) on one thread and on four.
+        // 3000 vectors crosses the parallel cutoff of the IVF build: it must
+        // produce the same centroids and posting lists bit-for-bit on one
+        // thread and on four.
         let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let multi = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        for build in [0usize, 1, 2] {
-            let mut a = filled_store(3000, 8, 9);
-            let mut b = filled_store(3000, 8, 9);
-            match build {
-                0 => {
-                    single.install(|| a.build_ivf(32, 4, 7));
-                    multi.install(|| b.build_ivf(32, 4, 7));
-                }
-                1 => {
-                    let cfg = HnswConfig { ef_construction: 48, ..Default::default() };
-                    single.install(|| a.build_hnsw(&cfg));
-                    multi.install(|| b.build_hnsw(&cfg));
-                }
-                _ => {
-                    let cfg = PqConfig { ks: 32, ..Default::default() };
-                    single.install(|| a.build_pq(&cfg));
-                    multi.install(|| b.build_pq(&cfg));
-                }
-            }
-            assert_eq!(
-                format!("{:?}", a.index),
-                format!("{:?}", b.index),
-                "builder {build} diverged across pool sizes"
-            );
-        }
+        let mut a = filled_store(3000, 8, 9);
+        let mut b = filled_store(3000, 8, 9);
+        single.install(|| a.build_ivf(32, 4, 7));
+        multi.install(|| b.build_ivf(32, 4, 7));
+        assert_eq!(format!("{:?}", a.index), format!("{:?}", b.index));
     }
 
     #[test]
     fn binary_roundtrip_serves_identical_searches() {
         let path = std::env::temp_dir().join(format!("kgnet-embstore-{}.ann", std::process::id()));
-        for build in [0usize, 1, 2] {
-            let mut store = filled_store(500, 8, 20 + build as u64);
-            match build {
-                0 => store.build_ivf(16, 4, 2),
-                1 => store.build_hnsw(&HnswConfig::default()),
-                _ => store.build_pq(&PqConfig { ks: 32, ..Default::default() }),
-            }
-            store.save_binary(&path).unwrap();
-            let back = EmbeddingStore::load_binary(&path).unwrap();
-            assert_eq!(back.len(), store.len());
-            assert_eq!(back.index_kind(), store.index_kind());
-            let q = store.get("e123").unwrap().to_vec();
-            assert_eq!(store.search(&q, 10, 4), back.search(&q, 10, 4));
-            assert_eq!(store.search_exact(&q, 10), back.search_exact(&q, 10));
-        }
+        let mut store = filled_store(500, 8, 20);
+        store.build_ivf(16, 4, 2);
+        store.save_binary(&path).unwrap();
+        let back = EmbeddingStore::load_binary(&path).unwrap();
+        assert_eq!(back.len(), store.len());
+        assert!(back.is_indexed());
+        let q = store.get("e123").unwrap().to_vec();
+        assert_eq!(store.search(&q, 10, 4), back.search(&q, 10, 4));
+        assert_eq!(store.search_exact(&q, 10), back.search_exact(&q, 10));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -20,7 +20,7 @@ pub mod service;
 pub mod training;
 
 pub use budget::{Priority, TaskBudget};
-pub use embedding_store::{AnnError, EmbeddingStore, HnswConfig, Metric, PqConfig, SearchParams};
+pub use embedding_store::{served_ivf_cells, AnnError, EmbeddingStore, Metric, SERVED_NPROBE};
 pub use ip::{solve, IntegerProgram, IpSolution};
 pub use model_store::{ArtifactPayload, LoadReport, ModelArtifact, ModelStore, TaskKind};
 pub use selector::{select_method, Candidate, SelectionTrace};

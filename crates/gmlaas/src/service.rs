@@ -21,6 +21,7 @@ use std::sync::Arc;
 use kgnet_obs::{push_json_string, ByteCount, JsonSink};
 
 use crate::codec::{push_key, push_links, push_map, push_tag};
+use crate::embedding_store::SERVED_NPROBE;
 use crate::model_store::{ArtifactPayload, ModelStore, Registered};
 
 /// A request to the inference service (one "HTTP call").
@@ -338,7 +339,9 @@ impl InferenceService {
                             return Ok(InferenceResponse::SimilarNodes { neighbors: vec![] });
                         };
                         let q = query.to_vec();
-                        Ok(InferenceResponse::SimilarNodes { neighbors: store.search(&q, *k, 4) })
+                        Ok(InferenceResponse::SimilarNodes {
+                            neighbors: store.search(&q, *k, SERVED_NPROBE),
+                        })
                     }
                     _ => Err(ServiceError::WrongTask(format!("{model} is not a similarity model"))),
                 }

@@ -16,7 +16,7 @@ use kgnet_graph::{transform, GmlTask, SplitRatios, SplitStrategy};
 use kgnet_rdf::RdfStore;
 
 use crate::budget::TaskBudget;
-use crate::embedding_store::{EmbeddingStore, Metric};
+use crate::embedding_store::{served_ivf_cells, EmbeddingStore, Metric};
 use crate::model_store::{ArtifactPayload, ModelArtifact, ModelStore, TaskKind};
 use crate::selector::{select_method, SelectionTrace};
 
@@ -308,7 +308,7 @@ impl TrainingManager {
         if cardinality == 0 {
             return Err(TrainError::EmptyTask);
         }
-        store.build_ivf((cardinality / 16).clamp(1, 256), 4, req.cfg.seed);
+        store.build_ivf(served_ivf_cells(cardinality), 4, req.cfg.seed);
 
         let artifact = ModelArtifact {
             uri: self.mint_uri("sim", GmlMethodKind::TransE, &req.name),
@@ -408,7 +408,7 @@ mod tests {
                 assert!(!store.is_empty());
                 let key = v::paper(0);
                 let q = store.get(&key).unwrap().to_vec();
-                let hits = store.search(&q, 3, 4);
+                let hits = store.search(&q, 3, crate::SERVED_NPROBE);
                 assert_eq!(hits[0].0, key);
             }
             other => panic!("unexpected payload {other:?}"),

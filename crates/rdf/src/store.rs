@@ -563,7 +563,8 @@ mod tests {
 
     #[test]
     fn full_scan_merges_shards_in_global_spo_order() {
-        // Enough triples that every shard is populated.
+        // 100 distinct subjects land in 100 distinct SPO shards (the other
+        // 924 stay empty), so the merge has many shards to interleave.
         let mut st = RdfStore::new();
         for i in 0..100u32 {
             st.insert(iri(&format!("s{i}")), iri(&format!("q{}", i % 7)), iri(&format!("o{i}")));

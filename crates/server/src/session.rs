@@ -42,7 +42,7 @@ use std::time::Instant;
 use kgnet_obs::{Ring, SpanNode};
 use kgnet_sync::RwLock;
 
-use kgnet_gmlaas::{ArtifactPayload, SearchParams, ServiceError};
+use kgnet_gmlaas::{ArtifactPayload, ServiceError, SERVED_NPROBE};
 use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled};
 use kgnet_rdf::{QueryResult, RdfStore, SharedStore, Snapshot, SparqlError, WriteTxn};
 use kgnet_sparqlml::{
@@ -286,7 +286,7 @@ impl ReadSession {
         let q = query.to_vec();
         let _span = self.metrics.span("read.similar_nodes");
         let t0 = Instant::now();
-        let (hits, stats) = store.search_with_stats(&q, k, &SearchParams::with_nprobe(4));
+        let (hits, stats) = store.search_with_stats(&q, k, SERVED_NPROBE);
         self.metrics.ann_search_latency.record(nanos_since(t0));
         self.metrics.ann_candidates.add(stats.candidates);
         self.metrics.ann_distance_computations.add(stats.distance_computations);

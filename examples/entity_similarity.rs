@@ -27,13 +27,6 @@ fn main() {
     let probe = store.get("e100").unwrap().to_vec();
     println!("IVF search around e100: {:?}\n", store.search(&probe, 4, 4));
 
-    // The same store behind the other ANN families: an HNSW graph and a
-    // product-quantization codebook (see `kgnet::ann` for the tunables).
-    store.build_hnsw(&kgnet::ann::HnswConfig::default());
-    println!("HNSW search around e100: {:?}\n", store.search(&probe, 4, 4));
-    store.build_pq(&kgnet::ann::PqConfig { ks: 64, ..Default::default() });
-    println!("PQ search around e100:   {:?}\n", store.search(&probe, 4, 4));
-
     // Through the platform: a NodeSimilarity model over papers.
     let (kg, _) = generate_dblp(&DblpConfig::small(11));
     let manager = ManagerConfig {
