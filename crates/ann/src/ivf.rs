@@ -255,47 +255,7 @@ fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::search_exact;
     use crate::vectors::VectorTable;
-    use rand::Rng;
-
-    fn random_table(n: usize, dim: usize, seed: u64) -> VectorTable {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = VectorTable::new(dim);
-        for _ in 0..n {
-            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            t.push(&v).unwrap();
-        }
-        t
-    }
-
-    #[test]
-    fn recall_at_10_beats_threshold() {
-        let t = random_table(400, 16, 2);
-        let index = IvfIndex::build(&t, 16, 5, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let (mut hits, mut total) = (0usize, 0usize);
-        for _ in 0..20 {
-            let q: Vec<f32> = (0..16).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let exact: Vec<u32> =
-                search_exact(&t, Metric::L2, &q, 10).into_iter().map(|(i, _)| i).collect();
-            let approx: Vec<u32> =
-                index.search(&t, Metric::L2, &q, 10, 4).into_iter().map(|(i, _)| i).collect();
-            total += exact.len();
-            hits += exact.iter().filter(|i| approx.contains(i)).count();
-        }
-        assert!(hits as f64 / total as f64 > 0.6, "IVF recall too low");
-    }
-
-    #[test]
-    fn build_is_identical_across_pool_sizes() {
-        let t = random_table(3000, 8, 9);
-        let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let multi = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let a = single.install(|| IvfIndex::build(&t, 32, 4, 7));
-        let b = multi.install(|| IvfIndex::build(&t, 32, 4, 7));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
 
     #[test]
     fn empty_table_builds_empty_index() {

@@ -38,8 +38,8 @@ fn run(
     plan: RewritePlan,
     n_papers: usize,
 ) -> (usize, usize, f64, usize) {
-    let mut manager = QueryManager::new(config);
-    manager.execute(&mut kg, TRAIN).expect("train");
+    let manager = QueryManager::new(config);
+    manager.update(&mut kg, TRAIN).expect("train");
     let explain = manager.explain(&kg, QUERY).expect("explain");
     assert_eq!(explain.steps[0].plan, plan);
     manager.service().reset_stats();

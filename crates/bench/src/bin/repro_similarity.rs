@@ -13,14 +13,14 @@ fn main() {
     let env = BenchEnv::from_env();
     let cfg = DblpConfig::small(env.seed);
     let (mut kg, _) = generate_dblp(&cfg);
-    let mut manager = QueryManager::new(ManagerConfig {
+    let manager = QueryManager::new(ManagerConfig {
         default_cfg: GnnConfig { epochs: env.epochs, ..GnnConfig::default() },
         ..Default::default()
     });
 
     eprintln!("[similarity] training entity embeddings (TransE over DBLP-sim)...");
     let out = manager
-        .execute(
+        .update(
             &mut kg,
             r#"PREFIX dblp: <https://www.dblp.org/>
                PREFIX kgnet: <https://www.kgnet.com/>

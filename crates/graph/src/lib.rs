@@ -18,7 +18,7 @@ pub use split::{community_split, random_split, Split, SplitRatios, SplitStrategy
 pub use stats::{kg_stats, KgStats};
 pub use transform::{
     extract_lp_edges, extract_nc_labels, transform, GmlTask, LpEdges, LpTask, NcLabels, NcTask,
-    TransformStats,
+    TransformStats, KGNET_NS,
 };
 
 #[cfg(test)]

@@ -31,6 +31,11 @@ pub struct LpTask {
     pub dest_type: String,
 }
 
+/// The `kgnet:` namespace. KGMeta, the graph of trained-model metadata,
+/// uses only predicates in it (and `rdf:type` with a class in it), which
+/// is what keeps it apart from the data it is stored with.
+pub const KGNET_NS: &str = "https://www.kgnet.com/";
+
 /// A GML task, as encoded in SPARQL-ML queries and KGMeta.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GmlTask {

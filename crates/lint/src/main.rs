@@ -13,9 +13,6 @@
 //!   the deterministic model checker.
 //! - **safety-comment** — every `unsafe` token is preceded by a
 //!   `// SAFETY:` comment (or a `# Safety` doc section), vendor included.
-//! - **lock-order** — in `kgnet-server`, the fixed order is *writer gate
-//!   first, manager second*: opening a write transaction while a manager
-//!   guard is live is flagged.
 //! - **unwrap-on-sync** — `.unwrap()` directly on lock/channel/join results
 //!   (`lock()`, zero-arg `read()`/`write()`, `recv()`, `join()`) in
 //!   non-test code; the facade's non-poisoning locks make these
@@ -507,24 +504,6 @@ fn matches(code: &[&Tok], from: usize, texts: &[&str]) -> bool {
     texts.iter().enumerate().all(|(k, want)| code.get(from + k).is_some_and(|t| t.text == *want))
 }
 
-/// Index of the `)` closing the `(` at `open`, if balanced.
-fn matching_paren(code: &[&Tok], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in code.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Rule: safety-comment
 // ---------------------------------------------------------------------------
@@ -608,74 +587,6 @@ fn has_safety_doc(file: &SourceFile, line: usize) -> bool {
         l -= 1;
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// Rule: lock-order (kgnet-server only)
-// ---------------------------------------------------------------------------
-
-fn rule_lock_order(file: &SourceFile, out: &mut Vec<Finding>) {
-    let p = file.path.to_string_lossy().replace('\\', "/");
-    if !p.contains("crates/server/src/") || is_test_path(&file.path) {
-        return;
-    }
-    let code = file.code();
-    // Live manager guards: (brace depth at acquisition, bound?).
-    // A `let`-bound guard lives until its block closes; a temporary dies at
-    // the end of the statement (`;`).
-    let mut depth = 0usize;
-    let mut guards: Vec<(usize, bool)> = Vec::new();
-    // Was there a `let` since the last statement boundary?
-    let mut let_in_stmt = false;
-    for (i, t) in code.iter().enumerate() {
-        if file.in_test_code(t.line) {
-            continue;
-        }
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth = depth.saturating_sub(1);
-                guards.retain(|&(d, _)| d <= depth);
-            }
-            ";" => {
-                guards.retain(|&(_, bound)| bound);
-                let_in_stmt = false;
-            }
-            "let" => let_in_stmt = true,
-            _ => {}
-        }
-        // Manager guard acquisition: `witness :: read|write (`.
-        if t.text == "witness"
-            && matches(&code, i + 1, &["::"])
-            && code.get(i + 2).is_some_and(|x| x.text == "read" || x.text == "write")
-            && code.get(i + 3).is_some_and(|x| x.text == "(")
-        {
-            // `witness::read(..).method()` consumes the guard as a
-            // temporary — it dies at the end of the statement even when the
-            // statement is a `let`. Only a directly-bound guard outlives it.
-            let chained = matching_paren(&code, i + 3)
-                .and_then(|close| code.get(close + 1))
-                .is_some_and(|x| x.text == ".");
-            guards.push((depth, let_in_stmt && !chained));
-        }
-        // Writer-gate acquisition while a guard is live.
-        let takes_gate = (t.text == "begin" || t.text == "write_session")
-            && code.get(i + 1).is_some_and(|x| x.text == "(")
-            && i > 0
-            && code[i - 1].text == ".";
-        if takes_gate && !guards.is_empty() {
-            out.push(Finding {
-                path: file.path.clone(),
-                line: t.line,
-                rule: "lock-order",
-                message: format!(
-                    "`{}()` acquires the writer gate while a manager guard is live — the fixed \
-                     order is writer gate first, manager second",
-                    t.text
-                ),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -976,7 +887,6 @@ fn lint_sources(sources: Vec<(PathBuf, String)>) -> Vec<Finding> {
         let mut raw = Vec::new();
         rule_sync_imports(file, &mut raw);
         rule_safety_comment(file, &mut raw);
-        rule_lock_order(file, &mut raw);
         rule_unwrap_on_sync(file, &mut raw);
         rule_forbid_unsafe(file, &mut raw);
         rule_net_boundary(file, &mut raw);
@@ -1140,20 +1050,6 @@ mod tests {
         assert!(findings_for("crates/ann/src/x.rs", pair).is_empty());
         let doc = "/// Reads a byte.\n///\n/// # Safety\n/// `p` must be valid.\npub unsafe fn f(p: *const u8) -> u8 { *p }\n";
         assert!(findings_for("crates/ann/src/x.rs", doc).is_empty());
-    }
-
-    #[test]
-    fn lock_order_flags_gate_under_let_bound_manager_guard() {
-        let bad = "fn f(&self) {\n    let m = witness::read(&self.manager);\n    let txn = self.store.begin();\n}\n";
-        assert_eq!(rules(&findings_for("crates/server/src/x.rs", bad)), vec!["lock-order"]);
-        // Scoped guard released before the gate: fine.
-        let good = "fn f(&self) {\n    let v = {\n        let m = witness::read(&self.manager);\n        m.len()\n    };\n    let txn = self.store.begin();\n}\n";
-        assert!(findings_for("crates/server/src/x.rs", good).is_empty());
-        // Temporary guard dies at the statement end.
-        let temp = "fn f(&self) {\n    let n = witness::read(&self.manager).len();\n    let txn = self.store.begin();\n}\n";
-        assert!(findings_for("crates/server/src/x.rs", temp).is_empty());
-        // Outside kgnet-server the rule does not apply.
-        assert!(findings_for("crates/rdf/src/x.rs", bad).is_empty());
     }
 
     #[test]

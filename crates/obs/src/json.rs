@@ -627,29 +627,22 @@ mod tests {
 
     #[test]
     fn string_parsing_is_linear_in_input_size() {
-        let min_parse_time = |doc: &str| {
-            (0..3)
-                .map(|_| {
-                    let start = std::time::Instant::now();
-                    let v = strict(std::hint::black_box(doc)).unwrap();
-                    std::hint::black_box(v);
-                    start.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-        let sizes = [64 << 10, 128 << 10, 256 << 10, 512 << 10];
-        let times: Vec<_> =
-            sizes.iter().map(|&n| min_parse_time(&string_heavy_document(n))).collect();
-        for (pair, size) in times.windows(2).zip(&sizes[1..]) {
-            let ratio = pair[1].as_secs_f64() / pair[0].as_secs_f64().max(1e-9);
-            assert!(ratio < 4.0, "doubling to {size} B cost {ratio:.2}x: {times:?}");
+        // Over an 8x range a linear parser costs ~8x and a quadratic one
+        // ~64x. Single doublings are not checked: a quadratic parser's ~4x
+        // per doubling is within what machine load alone does to one ratio
+        // of sub-millisecond timings. Each size keeps its fastest of seven
+        // runs, taken in turns so that load hits both sizes alike.
+        let docs = [string_heavy_document(64 << 10), string_heavy_document(512 << 10)];
+        let mut best = [std::time::Duration::MAX; 2];
+        for _ in 0..7 {
+            for (doc, best) in docs.iter().zip(&mut best) {
+                let start = std::time::Instant::now();
+                std::hint::black_box(strict(std::hint::black_box(doc)).unwrap());
+                *best = (*best).min(start.elapsed());
+            }
         }
-        // A quadratic parser costs ~4x per doubling, close to the bound
-        // above; over the whole 8x range it costs ~64x against a linear
-        // parser's ~8x.
-        let overall = times[3].as_secs_f64() / times[0].as_secs_f64().max(1e-9);
-        assert!(overall < 16.0, "8x the input cost {overall:.2}x: {times:?}");
+        let overall = best[1].as_secs_f64() / best[0].as_secs_f64().max(1e-9);
+        assert!(overall < 16.0, "8x the input cost {overall:.2}x: {best:?}");
     }
 
     #[test]

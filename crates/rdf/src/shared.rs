@@ -229,11 +229,18 @@ impl SharedStore {
 
     /// Pin the current version. One `Arc` clone under a momentary read
     /// lock; after that the snapshot holds no lock whatsoever.
+    ///
+    /// The pin is registered before the read lock is released, so a commit
+    /// that supersedes this version finishes after the pin is counted:
+    /// [`retained_versions`](Self::retained_versions) called once a commit
+    /// has returned lists every version a snapshot still holds.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = Arc::clone(&read_tracked(&self.current, &CURRENT_SITE));
-        let generation = inner.generation();
-        let approx_bytes = inner.approx_bytes();
-        lock_tracked(&self.tracker, &TRACKER_SITE).pin(generation, approx_bytes);
+        let (inner, generation, approx_bytes) = {
+            let current = read_tracked(&self.current, &CURRENT_SITE);
+            let (generation, approx_bytes) = (current.generation(), current.approx_bytes());
+            lock_tracked(&self.tracker, &TRACKER_SITE).pin(generation, approx_bytes);
+            (Arc::clone(&current), generation, approx_bytes)
+        };
         Snapshot {
             inner,
             _pin: Some(VersionPin { tracker: Arc::clone(&self.tracker), generation, approx_bytes }),
@@ -246,8 +253,8 @@ impl SharedStore {
     /// version appears exactly while at least one [`Snapshot`] pins it, and
     /// vanishes when the last pin drops.
     pub fn retained_versions(&self) -> Vec<RetainedVersion> {
-        // Read `current` before locking the tracker — the two locks are
-        // never held together anywhere in this module.
+        // Read `current` before locking the tracker; the one place both
+        // are held, `snapshot`, takes them in the same order.
         let (current_generation, current_bytes) = {
             let cur = read_tracked(&self.current, &CURRENT_SITE);
             (cur.generation(), cur.approx_bytes())

@@ -21,7 +21,7 @@
 
 use rustc_hash::FxHashSet;
 
-use kgnet_graph::GmlTask;
+use kgnet_graph::{GmlTask, KGNET_NS};
 use kgnet_rdf::term::RDF_TYPE;
 use kgnet_rdf::{RdfStore, Term, TermId};
 
@@ -110,9 +110,12 @@ pub struct SampledSubgraph {
 /// from a seed (following `scope.direction`), plus the `rdf:type` triple of
 /// every included node (the transformer needs node types). Literal-object
 /// triples of visited subjects are preserved (the transformer strips them,
-/// mirroring the paper's pipeline).
+/// mirroring the paper's pipeline). Edges whose predicate is in the
+/// `kgnet:` namespace are KGMeta, model metadata stored beside the data,
+/// and are never followed or copied.
 pub fn meta_sample(store: &RdfStore, seeds: &[TermId], scope: SamplingScope) -> SampledSubgraph {
     let rdf_type = store.lookup(&Term::iri(RDF_TYPE));
+    let is_kgmeta = |p: TermId| store.resolve(p).as_iri().is_some_and(|p| p.starts_with(KGNET_NS));
     let mut out = RdfStore::new();
     let mut visited: FxHashSet<TermId> = seeds.iter().copied().collect();
     let mut frontier: Vec<TermId> = seeds.to_vec();
@@ -126,7 +129,7 @@ pub fn meta_sample(store: &RdfStore, seeds: &[TermId], scope: SamplingScope) -> 
             scratch.clear();
             store.scan(Some(node), None, None, &mut scratch);
             for &(s, p, o) in &scratch {
-                if Some(p) == rdf_type {
+                if Some(p) == rdf_type || is_kgmeta(p) {
                     continue; // types are added for all included nodes below
                 }
                 copy_triple(store, &mut out, s, p, o);
@@ -140,7 +143,7 @@ pub fn meta_sample(store: &RdfStore, seeds: &[TermId], scope: SamplingScope) -> 
                 scratch.clear();
                 store.scan(None, None, Some(node), &mut scratch);
                 for &(s, p, o) in &scratch {
-                    if Some(p) == rdf_type {
+                    if Some(p) == rdf_type || is_kgmeta(p) {
                         continue;
                     }
                     copy_triple(store, &mut out, s, p, o);

@@ -11,32 +11,39 @@
 //!
 //! ```text
 //!   client threads                      KgServer
-//!   ┌────────────┐ pin+query ┌────────────────────────────────┐
-//!   │ ReadSession├──────────►│ SharedStore (versioned Arcs)   │ N readers,
-//!   │  Snapshot  │           │   snapshot() ──► frozen vN     │ zero locks
-//!   └────────────┘           │   begin()/commit ─► publish vN+1│
-//!   ┌────────────┐  execute  │ SharedPlanCache ((query, vN))  │
-//!   │WriteSession├──────────►│ QueryManager (RwLock)          │
-//!   │  WriteTxn  │ commit/   │   KGMeta · InferenceService    │
-//!   └────────────┘  abort    └───────────────┬────────────────┘
-//!   submit_train ──► JobQueue ──► workers ───┘ register on success
+//!   ┌────────────┐ pin+query ┌─────────────────────────────────┐
+//!   │ ReadSession├──────────►│ SharedStore (versioned Arcs)    │ N readers,
+//!   │  Snapshot  │           │   data + KGMeta triples         │ zero locks
+//!   └────────────┘           │   snapshot() ──► frozen vN      │
+//!   ┌────────────┐  execute  │   begin()/commit ─► publish vN+1│
+//!   │WriteSession├──────────►│ SharedPlanCache ((query, vN))   │
+//!   │  WriteTxn  │ commit/   │ QueryManager · InferenceService │
+//!   └────────────┘  abort    │ ModelStore · RetiredModels      │
+//!                            └───────────────▲─────────────────┘
+//!   submit_train ──► JobQueue ──► workers ───┘ publish: one commit
 //!                    (admission)   (pin snapshot, train, commit)
 //! ```
 //!
+//! KGMeta, the trained-model metadata, is ordinary triples in the served
+//! graph, so it rides the MVCC versions with the data: a reader finds the
+//! models of the version it pinned, and a model registration or DELETE
+//! commits or aborts with the rest of its write.
+//!
 //! Training jobs pin a snapshot with zero lock hold, sample their task
 //! subgraph from it, train on the private copy inside a dedicated thread
-//! pool — polling the job's cancellation flag between epochs — and commit
-//! in one cheap final step under the manager write lock: the artifact
-//! (stamped with the generation it was trained against) lands in the
-//! lock-free-to-readers [`ModelStore`](kgnet_gmlaas::ModelStore) and its
-//! KGMeta registration adds a few metadata triples, together or not at
-//! all. Queries keep flowing while models train and while writers commit;
-//! a cancelled or failed job leaves both untouched.
+//! pool — polling the job's cancellation flag between epochs — and publish
+//! in one final commit: the artifact (stamped with the generation it was
+//! trained against) lands in the
+//! [`ModelStore`](kgnet_gmlaas::ModelStore) registry, then its KGMeta
+//! triples are committed like any data write. Queries keep flowing while
+//! models train and while writers commit; a cancelled or failed job leaves
+//! both untouched. A deleted model's artifact stays in the registry until
+//! no retained version lists the model ([`RetiredModels`]).
 //!
 //! A SPARQL-ML SELECT is prepared by the manager (model and plan choice
-//! from live KGMeta) under its read lock and then runs on the same
-//! streaming executor as a plain SELECT, its inference steps calling the
-//! model service as rows reach them; only plain plans are cached.
+//! from the pinned version's KGMeta) and then runs on the same streaming
+//! executor as a plain SELECT, its inference steps calling the model
+//! service as rows reach them; only plain plans are cached.
 //!
 //! Every SELECT a session runs is timed; one at or above
 //! [`ServerConfig::slow_query`] lands, with its rendered plan and span
@@ -52,8 +59,8 @@ pub mod metrics;
 pub mod pool;
 pub mod queue;
 mod report;
+pub mod retire;
 pub mod session;
-mod witness;
 
 pub use cache::{CacheStats, SharedPlanCache};
 pub use metrics::{QueueObs, ServerMetrics, METRIC_CATALOG};
@@ -62,6 +69,7 @@ pub use queue::{
     AdmissionError, JobId, JobInfo, JobOutcome, JobQueue, JobRunner, JobState, QueueConfig,
     ResourceUsage, UsageProbe,
 };
+pub use retire::RetiredModels;
 pub use session::{ReadSession, SessionStats, SlowQuery, WriteSession};
 
 use kgnet_sync::atomic::Ordering;
@@ -76,7 +84,7 @@ use kgnet_gml::control::{EpochObserver, PairObserver, TrainControl};
 use kgnet_gmlaas::{TrainError, TrainRequest, TrainingManager};
 use kgnet_rdf::{RdfStore, SharedStore};
 use kgnet_sampler::{meta_sample_task, SamplingScope};
-use kgnet_sparqlml::{ManagerConfig, QueryManager};
+use kgnet_sparqlml::{kgmeta, ManagerConfig, QueryManager};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -119,6 +127,7 @@ static SLOW_LOG_SITE: SyncSite = SyncSite::new("server.slow_log");
 pub struct KgServer {
     store: SharedStore,
     manager: Arc<RwLock<QueryManager>>,
+    retired: Arc<RetiredModels>,
     queue: JobQueue,
     plan_cache: Arc<SharedPlanCache>,
     metrics: Arc<ServerMetrics>,
@@ -130,15 +139,18 @@ impl KgServer {
     /// Serve a knowledge graph with custom configuration.
     pub fn new(data: RdfStore, config: ServerConfig) -> Self {
         let store = SharedStore::new(data);
-        let manager = Arc::new(RwLock::new(QueryManager::new(config.manager)));
+        let manager = QueryManager::new(config.manager);
+        let trainer = manager.trainer().clone();
+        let retired = Arc::new(RetiredModels::new(trainer.model_store().clone()));
         let metrics = Arc::new(ServerMetrics::new());
         metrics.store_generation.set(store.generation() as i64);
-        let trainer = witness::read(&manager).trainer().clone();
-        let runner = train_runner(store.clone(), manager.clone(), trainer, Arc::clone(&metrics));
+        let runner =
+            train_runner(store.clone(), trainer, Arc::clone(&retired), Arc::clone(&metrics));
         let queue = JobQueue::with_metrics(config.queue, runner, metrics.queue_obs());
         KgServer {
             store,
-            manager,
+            manager: Arc::new(RwLock::new(manager)),
+            retired,
             queue,
             plan_cache: Arc::new(SharedPlanCache::new(PLAN_CACHE_CAPACITY)),
             metrics,
@@ -158,9 +170,10 @@ impl KgServer {
         &self.store
     }
 
-    /// The shared query manager (advanced use: KGMeta inspection, service
-    /// statistics). Lock order when combining with an open write
-    /// transaction: transaction (writer gate) first, manager second.
+    /// The shared query manager (advanced use: `explain`, service
+    /// statistics, the model registry). Every [`QueryManager`] method takes
+    /// `&self` and nothing takes this lock for writing; the `RwLock`
+    /// remains only because the benchmark harness calls `.read()` on it.
     pub fn manager(&self) -> Arc<RwLock<QueryManager>> {
         self.manager.clone()
     }
@@ -198,9 +211,14 @@ impl KgServer {
     /// version. Blocks while another write session is open (writers are
     /// serialised); never blocks or is blocked by readers. Call
     /// [`WriteSession::commit`] to publish — dropping the session discards
-    /// its data mutations.
+    /// its data mutations and the models it trained.
     pub fn write_session(&self) -> WriteSession {
-        WriteSession::new(self.store.clone(), self.manager.clone(), Arc::clone(&self.metrics))
+        WriteSession::new(
+            self.store.clone(),
+            self.manager.clone(),
+            Arc::clone(&self.retired),
+            Arc::clone(&self.metrics),
+        )
     }
 
     /// The server's metric catalog, with the store gauges (generation,
@@ -342,25 +360,28 @@ impl EpochObserver for EpochTimer {
 /// The production job runner: pin a snapshot (zero lock hold), sample the
 /// task subgraph from it, train on the private subgraph inside the
 /// worker's dedicated pool with the job's cancellation flag threaded into
-/// the trainer's epoch loop, then commit as the single final step —
-/// registry insert and KGMeta registration land together under the
-/// manager write lock, with the artifact stamped by the snapshot
-/// generation it was trained against. Cancellation is observed between
-/// epochs (a raised flag ends the run within one epoch) and re-checked
-/// before the commit; until the commit the artifact exists only on the
-/// worker's stack, so a cancelled or failed job leaves both the model
-/// store and KGMeta exactly as they were.
+/// the trainer's epoch loop, then publish as the single final step — the
+/// artifact, stamped with the snapshot generation it was trained against,
+/// enters the registry and its KGMeta triples are committed through the
+/// writer gate like any data write, after which retired artifacts are
+/// swept. Cancellation is observed between epochs (a raised flag ends the
+/// run within one epoch) and re-checked before the commit; until then the
+/// artifact exists only on the worker's stack, so a cancelled or failed
+/// job leaves both the model store and KGMeta exactly as they were.
 fn train_runner(
     store: SharedStore,
-    manager: Arc<RwLock<QueryManager>>,
     trainer: TrainingManager,
+    retired: Arc<RetiredModels>,
     metrics: Arc<ServerMetrics>,
 ) -> Arc<JobRunner> {
     Arc::new(move |req, cancel, probe| {
         let scope = SamplingScope::parse(&req.sampler)
             .unwrap_or_else(|| SamplingScope::default_for(&req.task));
-        let snapshot = store.snapshot();
-        let sampled = meta_sample_task(&snapshot, &req.task, scope);
+        // The pin is released once sampled, so it never holds back a sweep.
+        let (sampled, generation) = {
+            let snapshot = store.snapshot();
+            (meta_sample_task(&snapshot, &req.task, scope), snapshot.generation())
+        };
         probe.add_triples_sampled(sampled.store.len() as u64);
         if cancel.load(Ordering::SeqCst) {
             return JobOutcome::Cancelled;
@@ -379,10 +400,10 @@ fn train_runner(
         if cancel.load(Ordering::SeqCst) {
             return JobOutcome::Cancelled;
         }
-        artifact.trained_generation = snapshot.generation();
-        let mut guard = witness::write(&manager);
-        let artifact = trainer.model_store().insert(artifact);
-        guard.register_artifact(&artifact);
+        artifact.trained_generation = generation;
+        let mut txn = store.begin();
+        let artifact = kgmeta::publish(trainer.model_store(), txn.store_mut(), artifact);
+        retired.commit(&store, txn, Vec::new());
         JobOutcome::Done(artifact.uri.clone())
     })
 }
@@ -457,7 +478,7 @@ mod tests {
         assert_eq!(rows.len(), 60);
         // KGMeta visible through the session.
         let meta = session
-            .sparql_kgmeta(
+            .query(
                 "PREFIX kgnet: <https://www.kgnet.com/>
                  SELECT ?m WHERE { ?m a kgnet:NodeClassifier }",
             )
@@ -483,9 +504,9 @@ mod tests {
         let artifact = manager.read().trainer().model_store().get(model_uri).unwrap();
         assert_eq!(artifact.trained_generation, trained_against);
         // The stamp is queryable through KGMeta (Fig. 7 metadata).
-        let session = server.read_session();
+        let mut session = server.read_session();
         let rows = session
-            .sparql_kgmeta(
+            .query(
                 "PREFIX kgnet: <https://www.kgnet.com/>
                  SELECT ?m ?g WHERE { ?m kgnet:TrainedGeneration ?g }",
             )
@@ -598,32 +619,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn lock_order_witness_panics_on_manager_before_gate() {
-        // Wrong order on purpose: a (witnessed) manager guard is live when
-        // the thread asks for the writer gate. The debug witness must turn
-        // this latent AB–BA deadlock into an immediate panic.
-        let server = fast_server(59);
-        let manager = server.manager();
-        let guard = crate::witness::read(&manager);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drop(server.write_session());
-        }));
-        drop(guard);
-        let Err(payload) = result else { panic!("gate-under-manager acquisition must panic") };
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-            .unwrap_or_default();
-        assert!(msg.contains("lock-order violation"), "unexpected panic: {msg}");
-        // The correct order still works on this very thread.
-        let mut writer = server.write_session();
-        writer.execute("INSERT DATA { <http://x/a> <http://x/p> <http://x/b> }").unwrap();
-        writer.commit();
-    }
-
-    #[test]
     fn retained_versions_surface_session_pins() {
         let server = fast_server(61);
         let base = server.store().generation();
@@ -656,12 +651,9 @@ mod tests {
 
         let (kg, _) = generate_dblp(&DblpConfig::tiny(53));
         let store = SharedStore::new(kg);
-        let manager = Arc::new(RwLock::new(QueryManager::new(ManagerConfig {
-            default_cfg: GnnConfig::fast_test(),
-            ..Default::default()
-        })));
-        let trainer = manager.read().trainer().clone();
-        let real = train_runner(store, manager, trainer.clone(), Arc::new(ServerMetrics::new()));
+        let trainer = QueryManager::new(ManagerConfig::default()).trainer().clone();
+        let retired = Arc::new(RetiredModels::new(trainer.model_store().clone()));
+        let real = train_runner(store, trainer.clone(), retired, Arc::new(ServerMetrics::new()));
         let (started_tx, started_rx) = mpsc::channel();
         let (proceed_tx, proceed_rx) = mpsc::channel::<()>();
         let proceed = Mutex::new(proceed_rx);
@@ -770,5 +762,111 @@ mod tests {
         assert!(matches!(out, MlOutcome::Trained(_)));
         let mut session = server.read_session();
         assert_eq!(session.query(PV_QUERY).unwrap().len(), 60);
+    }
+
+    const DELETE_NC: &str = r#"PREFIX dblp: <https://www.dblp.org/>
+        PREFIX kgnet: <https://www.kgnet.com/>
+        DELETE { ?m ?p ?o } WHERE {
+          ?m a kgnet:NodeClassifier . ?m kgnet:TargetNode dblp:Publication . }"#;
+
+    /// A completed queued NC job's model URI.
+    fn trained_nc(server: &KgServer) -> String {
+        let id = server.submit_train(nc_request("paper-venue")).unwrap();
+        match server.wait(id).unwrap().state {
+            JobState::Done { model_uri } => model_uri,
+            other => panic!("job failed: {other:?}"),
+        }
+    }
+
+    fn registered(server: &KgServer, uri: &str) -> bool {
+        server.manager().read().trainer().model_store().get(uri).is_some()
+    }
+
+    #[test]
+    fn pinned_reader_keeps_a_deleted_model_until_its_pin_drops() {
+        let server = fast_server(41);
+        // A version from before the model was trained never lists it, so
+        // this pin does not hold the artifact back.
+        let _before_training = server.read_session();
+        let uri = trained_nc(&server);
+        let mut pinned = server.read_session();
+        let before = pinned.query(PV_QUERY).unwrap();
+        assert_eq!(before.len(), 60);
+
+        let mut writer = server.write_session();
+        let out = writer.execute(DELETE_NC).unwrap();
+        assert!(matches!(&out, MlOutcome::DeletedModels(uris) if *uris == [uri.clone()]));
+        writer.commit();
+
+        // The pinned version still lists the model, so its artifact stays
+        // and the answer is the same; a new session finds no model.
+        assert_eq!(pinned.query(PV_QUERY).unwrap(), before);
+        let err = server.read_session().query(PV_QUERY).unwrap_err();
+        assert!(matches!(err, kgnet_sparqlml::MlError::NoModel(_)), "{err}");
+        assert!(registered(&server, &uri));
+
+        // Dropping the pin frees nothing by itself; the next commit sweeps.
+        drop(pinned);
+        assert!(registered(&server, &uri));
+        server.write_session().commit();
+        assert!(!registered(&server, &uri), "the artifact outlived every version listing it");
+    }
+
+    #[test]
+    fn aborted_model_writes_leave_registry_and_kgmeta_unchanged() {
+        let server = fast_server(43);
+        let uri = trained_nc(&server);
+        let state = || {
+            let mut uris = server.manager().read().trainer().model_store().uris();
+            uris.sort();
+            (server.store().snapshot().to_ntriples(), uris)
+        };
+        let before = state();
+        let train = r#"PREFIX dblp: <https://www.dblp.org/>
+            PREFIX kgnet: <https://www.kgnet.com/>
+            INSERT INTO <kgnet> { ?s ?p ?o } WHERE { SELECT * FROM kgnet.TrainGML(
+              {Name: 'doomed', GML-Task:{ TaskType: kgnet:NodeClassifier,
+                 TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn},
+               Method: 'GCN'})}"#;
+        for abort in [true, false] {
+            let mut writer = server.write_session();
+            let Ok(MlOutcome::Trained(summary)) = writer.execute(train) else {
+                panic!("TrainGML failed")
+            };
+            assert!(registered(&server, &summary.model_uri));
+            if abort {
+                writer.abort();
+            } else {
+                drop(writer);
+            }
+            assert_eq!(state(), before, "TrainGML left a trace (abort: {abort})");
+
+            let mut writer = server.write_session();
+            let out = writer.execute(DELETE_NC).unwrap();
+            assert!(matches!(&out, MlOutcome::DeletedModels(uris) if *uris == [uri.clone()]));
+            if abort {
+                writer.abort();
+            } else {
+                drop(writer);
+            }
+            assert_eq!(state(), before, "DELETE left a trace (abort: {abort})");
+            assert_eq!(server.read_session().query(PV_QUERY).unwrap().len(), 60);
+        }
+    }
+
+    #[test]
+    fn a_queued_model_is_seen_only_after_refresh() {
+        let server = fast_server(47);
+        let mut session = server.read_session();
+        trained_nc(&server);
+        let listed = "PREFIX kgnet: <https://www.kgnet.com/> \
+                      SELECT ?m WHERE { ?m a kgnet:NodeClassifier }";
+        let err = session.query(PV_QUERY).unwrap_err();
+        assert!(matches!(err, kgnet_sparqlml::MlError::NoModel(_)), "{err}");
+        assert!(session.query(listed).unwrap().is_empty());
+
+        session.refresh();
+        assert_eq!(session.query(PV_QUERY).unwrap().len(), 60);
+        assert_eq!(session.query(listed).unwrap().len(), 1);
     }
 }

@@ -5,7 +5,10 @@
 //! version with zero store locks held — concurrent writers commit new
 //! versions without ever blocking it, and the session's results are
 //! repeatable until it chooses to [`refresh`](ReadSession::refresh) onto
-//! the latest version. Plans come from the server-wide
+//! the latest version. That holds for ML answers too: KGMeta is triples
+//! in the same version, so the models a query chooses are the pinned
+//! version's, and a deleted model's artifact outlives every pin that can
+//! still see it. Plans come from the server-wide
 //! [`SharedPlanCache`], keyed by the lexer's token stream and the pinned
 //! snapshot's generation, so a query planned by any session serves all
 //! sessions on the same version; each session keeps its own hit/miss
@@ -27,31 +30,40 @@
 //! [`commit`](WriteSession::commit); [`abort`](WriteSession::abort) (or
 //! just dropping the session) discards the pending version and no reader
 //! ever sees it. Writers are serialised against each other by the store's
-//! writer gate but never block readers. One caveat is inherited from the
-//! manager: SPARQL-ML *model* operations (`TrainGML`, model DELETE) act on
-//! the shared model registry and KGMeta immediately, not transactionally —
-//! only *data* triples ride the commit/abort cycle.
+//! writer gate but never block readers. SPARQL-ML *model* operations ride
+//! the same cycle: a `TrainGML` writes its model's KGMeta triples into the
+//! pending version (its artifact enters the registry at once, and leaves
+//! it again if the session aborts), and a model DELETE removes them there,
+//! its artifacts retired at the committed generation (see
+//! [`RetiredModels`]).
 //!
-//! Lock order is fixed — *writer gate, then manager* — everywhere in this
-//! crate, which rules out lock-order deadlocks between sessions and
-//! training jobs.
+//! The query manager holds no mutable state, so nothing takes its lock for
+//! writing: it is read-locked while an ML SELECT is prepared (not while it
+//! runs), while a write session's operation runs, and to look up an
+//! artifact.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use kgnet_obs::{Ring, SpanNode};
+use kgnet_sync::profile::SyncSite;
+use kgnet_sync::tracked::read_tracked;
 use kgnet_sync::RwLock;
 
 use kgnet_gmlaas::{ArtifactPayload, ServiceError, SERVED_NPROBE};
 use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled};
-use kgnet_rdf::{QueryResult, RdfStore, SharedStore, Snapshot, SparqlError, WriteTxn};
+use kgnet_rdf::{QueryResult, RdfStore, SharedStore, Snapshot, WriteTxn};
 use kgnet_sparqlml::{
     contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation,
 };
 
 use crate::cache::{CacheStats, SharedPlanCache};
 use crate::metrics::{nanos_since, ServerMetrics};
-use crate::witness;
+use crate::retire::RetiredModels;
+
+/// Contention profile of query-manager acquisitions (ML SELECT prepare,
+/// write-session operations, artifact lookups). All are shared.
+static MANAGER_SITE: SyncSite = SyncSite::new("server.manager.read");
 
 /// One query that crossed the slow threshold, captured with everything a
 /// postmortem needs: what ran, how long, how much it touched, and the plan
@@ -135,8 +147,10 @@ impl ReadSession {
     ///
     /// Plain SELECTs run through the shared plan cache — a hit skips
     /// re-parsing as well as re-planning; ML SELECTs are prepared per call
-    /// (their models and plans depend on live KGMeta state) and execute
-    /// against the snapshot under the manager read lock.
+    /// (models and plans from the snapshot's KGMeta) and execute against
+    /// the snapshot with no lock held. KGMeta itself is queried like any
+    /// data: `SELECT ?m WHERE { ?m a kgnet:NodeClassifier }` lists the
+    /// models of the pinned version.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, MlError> {
         self.run(text, false).map(|(rows, _)| rows)
     }
@@ -173,9 +187,7 @@ impl ReadSession {
         // included) before tokenizing — so it gates the probe.
         let cached =
             if contains_traingml(text) { None } else { self.cache.get(self.generation(), text) };
-        // An ML SELECT's inference steps call the manager's service, so the
-        // manager read lock is held until it has executed.
-        let mut manager = None;
+        let mut ml = false;
         let prepared = match cached {
             Some(prepared) => {
                 self.hits += 1;
@@ -190,7 +202,8 @@ impl ReadSession {
                     Ok(prepared)
                 }
                 SparqlMlOperation::Select(q) => {
-                    let manager = manager.insert(witness::read(&self.manager));
+                    ml = true;
+                    let manager = read_tracked(&self.manager, &MANAGER_SITE);
                     Ok(Arc::new(manager.prepare_select(&self.snapshot, &q)?))
                 }
                 SparqlMlOperation::PlainUpdate(_)
@@ -208,8 +221,7 @@ impl ReadSession {
             };
             Ok((prepared, rows, stats.triples_scanned, ops))
         });
-        let root = if manager.is_some() { "sparql-ml" } else { "query" };
-        drop(manager);
+        let root = if ml { "sparql-ml" } else { "query" };
         let out = executed.map(|(prepared, rows, scanned, ops)| {
             let total = nanos_since(t0);
             let n = rows.len() as u64;
@@ -249,31 +261,22 @@ impl ReadSession {
         out
     }
 
-    /// Query the KGMeta metadata graph (plain SPARQL over model metadata).
-    /// KGMeta is *live* manager state, not part of the pinned data
-    /// snapshot: models registered after this session opened are visible.
-    pub fn sparql_kgmeta(&self, text: &str) -> Result<QueryResult, SparqlError> {
-        let q = kgnet_rdf::sparql::parse_select(text)?;
-        let manager = witness::read(&self.manager);
-        kgnet_rdf::sparql::evaluate_select(manager.kgmeta().store(), &q)
-    }
-
     /// Top-k entity-similarity search against a trained NodeSimilarity
     /// model, served without touching the data store at all: the manager
     /// read lock is held only long enough to clone the artifact's `Arc`
-    /// out of the lock-free-to-readers model registry, then the search
-    /// runs against that shared immutable ANN index — concurrent readers
-    /// and writers never wait on it.
+    /// out of the model registry, then the search runs against that shared
+    /// immutable ANN index — concurrent readers and writers never wait on
+    /// it. The model is looked up by URI in the registry, not in the
+    /// pinned version's KGMeta: a model trained after the pin is found,
+    /// and one whose DELETE has been swept is not.
     pub fn similar_nodes(
         &self,
         model_uri: &str,
         node: &str,
         k: usize,
     ) -> Result<Vec<(String, f32)>, MlError> {
-        let artifact = {
-            let manager = witness::read(&self.manager);
-            manager.trainer().model_store().get(model_uri)
-        };
+        let artifact =
+            read_tracked(&self.manager, &MANAGER_SITE).trainer().model_store().get(model_uri);
         let Some(artifact) = artifact else {
             return Err(MlError::Service(ServiceError::ModelNotFound(model_uri.to_owned())));
         };
@@ -335,38 +338,63 @@ impl ReadSession {
 ///
 /// Nothing is visible to readers until [`commit`](Self::commit) publishes
 /// the version atomically; [`abort`](Self::abort) — or simply dropping the
-/// session — discards every pending data mutation. Opening a second write
-/// session blocks until the first commits or aborts (writers are
-/// serialised), but readers are never blocked either way.
+/// session — discards every pending mutation, KGMeta included, and removes
+/// the artifacts of the models it trained from the registry. Opening a
+/// second write session blocks until the first commits or aborts (writers
+/// are serialised), but readers are never blocked either way.
 pub struct WriteSession {
     txn: WriteTxn,
+    store: SharedStore,
     manager: Arc<RwLock<QueryManager>>,
+    models: ModelWrites,
     metrics: Arc<ServerMetrics>,
+}
+
+/// The models a write session trained and deleted, settled when it ends:
+/// on commit the deleted ones are retired, on abort (this type's `Drop`)
+/// the trained ones leave the registry.
+struct ModelWrites {
+    retired: Arc<RetiredModels>,
+    trained: Vec<String>,
+    deleted: Vec<String>,
+}
+
+impl Drop for ModelWrites {
+    fn drop(&mut self) {
+        for uri in &self.trained {
+            self.retired.registry().remove(uri);
+        }
+    }
 }
 
 impl WriteSession {
     pub(crate) fn new(
         store: SharedStore,
         manager: Arc<RwLock<QueryManager>>,
+        retired: Arc<RetiredModels>,
         metrics: Arc<ServerMetrics>,
     ) -> Self {
-        // The one writer-gate acquisition in this crate: the lock-order
-        // witness rejects it if this thread already holds a manager guard.
-        witness::assert_manager_not_held("WriteSession::new");
-        WriteSession { txn: store.begin(), manager, metrics }
+        let models = ModelWrites { retired, trained: Vec::new(), deleted: Vec::new() };
+        WriteSession { txn: store.begin(), store, manager, models, metrics }
     }
 
-    /// Execute any SPARQL-ML operation against the pending version. Data
-    /// mutations stay private until [`commit`](Self::commit); reads through
-    /// this session see them immediately (read-your-writes). Note that a
-    /// `TrainGML` here trains *synchronously while holding the manager
-    /// write lock* and registers its model at once (model registry and
-    /// KGMeta are not transactional); concurrent serving should submit
-    /// training through the server's job queue instead.
+    /// Execute any SPARQL-ML operation against the pending version. Its
+    /// mutations, KGMeta included, stay private until
+    /// [`commit`](Self::commit); reads through this session see them
+    /// immediately (read-your-writes). A `TrainGML` here trains
+    /// *synchronously while this session holds the writer gate*, so
+    /// concurrent serving should submit training through the server's job
+    /// queue instead.
     pub fn execute(&mut self, text: &str) -> Result<MlOutcome, MlError> {
         let _span = self.metrics.span("write.execute");
-        let mut manager = witness::write(&self.manager);
-        manager.update(self.txn.store_mut(), text)
+        let manager = read_tracked(&self.manager, &MANAGER_SITE);
+        let out = manager.update(self.txn.store_mut(), text);
+        match &out {
+            Ok(MlOutcome::Trained(summary)) => self.models.trained.push(summary.model_uri.clone()),
+            Ok(MlOutcome::DeletedModels(uris)) => self.models.deleted.extend(uris.iter().cloned()),
+            _ => {}
+        }
+        out
     }
 
     /// Run a closure with exclusive access to the pending version (bulk
@@ -388,20 +416,23 @@ impl WriteSession {
 
     /// Atomically publish the pending version; every snapshot pinned from
     /// now on sees all of this session's mutations, snapshots pinned
-    /// earlier see none. Returns the committed generation.
+    /// earlier see none. The models this session deleted are retired at
+    /// the committed generation, and every retired artifact no retained
+    /// version lists is swept. Returns the committed generation.
     pub fn commit(self) -> u64 {
-        let _span = self.metrics.span("write.commit");
+        let WriteSession { txn, store, mut models, metrics, .. } = self;
+        let _span = metrics.span("write.commit");
         let t0 = Instant::now();
-        let generation = self.txn.commit();
-        self.metrics.commit_latency.record(nanos_since(t0));
-        self.metrics.store_generation.set(generation as i64);
+        models.trained.clear();
+        let generation = models.retired.commit(&store, txn, std::mem::take(&mut models.deleted));
+        metrics.commit_latency.record(nanos_since(t0));
+        metrics.store_generation.set(generation as i64);
         generation
     }
 
     /// Discard the pending version: readers never observe any of this
-    /// session's data mutations. Equivalent to dropping the session;
-    /// spelled out for call sites that want the intent visible.
-    pub fn abort(self) {
-        self.txn.abort();
-    }
+    /// session's mutations, and the models it trained leave the registry.
+    /// Equivalent to dropping the session; spelled out for call sites that
+    /// want the intent visible.
+    pub fn abort(self) {}
 }

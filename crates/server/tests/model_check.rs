@@ -1,6 +1,7 @@
 //! Deterministic model-check suites for the serving layer: the training
-//! queue's cancel-vs-complete race and the shared plan cache under a
-//! concurrent generation bump.
+//! queue's cancel-vs-complete race, the shared plan cache under a
+//! concurrent generation bump, and KGMeta readers against model DELETE and
+//! registration commits.
 //!
 //! Compiled only under `--cfg kgnet_check`: the `kgnet-sync` facade then
 //! routes every lock and atomic inside [`QueueState`]'s mutex and
@@ -19,9 +20,13 @@
 use std::sync::Arc;
 
 use kgnet_check::{explore, Config, Report};
+use kgnet_gml::config::{GmlMethodKind, TrainReport};
+use kgnet_gmlaas::{ArtifactPayload, ModelArtifact, ModelStore, TaskKind};
 use kgnet_rdf::{RdfStore, SharedStore, Term};
 use kgnet_server::cache::SharedPlanCache;
 use kgnet_server::queue::{JobState, QueueState};
+use kgnet_server::RetiredModels;
+use kgnet_sparqlml::{kgmeta, ModelFilter};
 use kgnet_sync::atomic::Ordering;
 use kgnet_sync::{thread, Mutex};
 
@@ -186,4 +191,91 @@ fn plan_cache_never_serves_stale_generation() {
         }
     });
     assert_coverage("server/plan-cache-vs-bump", &[report], 1_000);
+}
+
+fn nc_model(uri: &str) -> ModelArtifact {
+    ModelArtifact {
+        uri: uri.to_owned(),
+        task_kind: TaskKind::NodeClassifier,
+        target_type: "http://kgnet/T".into(),
+        label_predicate: "http://kgnet/p".into(),
+        destination_type: None,
+        method: GmlMethodKind::Gcn,
+        report: TrainReport {
+            method: GmlMethodKind::Gcn,
+            train_time_s: 0.0,
+            peak_mem_bytes: 0,
+            test_metric: 0.5,
+            valid_metric: 0.5,
+            mrr: 0.0,
+            loss_curve: Vec::new(),
+            n_nodes: 1,
+            n_edges: 1,
+            inference_time_ms: 0.0,
+        },
+        sampler: "d1h1".into(),
+        cardinality: 1,
+        trained_generation: 0,
+        payload: ArtifactPayload::NodeClassifier { predictions: Default::default() },
+    }
+}
+
+/// A reader (pin, `find_models` on the pinned version, registry lookup)
+/// races a model DELETE's commit and sweep and a training job's
+/// registration, each committing the way `WriteSession::commit` and the
+/// job runner do. In no schedule does a model the reader's KGMeta lists
+/// miss its artifact; once both writers are done and the pin is gone, the
+/// next commit has swept the deleted artifact and kept the registered one.
+#[test]
+fn kgmeta_listed_models_never_miss_their_artifact() {
+    const OLD: &str = "http://kgnet/model/old";
+    const NEW: &str = "http://kgnet/model/new";
+    let report = explore(&cfg(), || {
+        let store = SharedStore::new(seed_store());
+        let registry = ModelStore::new();
+        let retired = Arc::new(RetiredModels::new(registry.clone()));
+        let mut old = nc_model(OLD);
+        old.trained_generation = store.generation();
+        store.commit(|st| kgmeta::publish(&registry, st, old));
+
+        let deleter = {
+            let (store, retired) = (store.clone(), Arc::clone(&retired));
+            thread::spawn(move || {
+                let mut txn = store.begin();
+                kgmeta::unregister(txn.store_mut(), OLD);
+                retired.commit(&store, txn, vec![OLD.to_owned()]);
+            })
+        };
+        let registrar = {
+            let (store, retired, registry) =
+                (store.clone(), Arc::clone(&retired), registry.clone());
+            thread::spawn(move || {
+                let mut new = nc_model(NEW);
+                new.trained_generation = store.snapshot().generation();
+                let mut txn = store.begin();
+                kgmeta::publish(&registry, txn.store_mut(), new);
+                retired.commit(&store, txn, Vec::new());
+            })
+        };
+
+        let snapshot = store.snapshot();
+        for model in kgmeta::find_models(&snapshot, &ModelFilter::default()) {
+            assert!(
+                registry.get(&model.uri).is_some(),
+                "{} is listed at generation {} but its artifact is gone",
+                model.uri,
+                snapshot.generation()
+            );
+        }
+        drop(snapshot);
+        deleter.join().unwrap();
+        registrar.join().unwrap();
+
+        retired.commit(&store, store.begin(), Vec::new());
+        assert!(registry.get(OLD).is_none(), "the deleted artifact outlived every pin");
+        assert!(registry.get(NEW).is_some(), "the registered artifact was lost");
+        let listed = kgmeta::find_models(&store.snapshot(), &ModelFilter::default());
+        assert_eq!(listed.iter().map(|m| m.uri.as_str()).collect::<Vec<_>>(), [NEW]);
+    });
+    assert_coverage("server/kgmeta-reader-vs-delete-and-register", &[report], 1_000);
 }

@@ -1,21 +1,32 @@
-//! KGMeta: the RDF graph of trained-model metadata (paper Fig. 7) and its
-//! governor.
+//! KGMeta: the RDF graph of trained-model metadata (paper Fig. 7).
 //!
-//! Every trained model is described by triples in a dedicated RDF graph —
-//! model class (`kgnet:NodeClassifier` / `kgnet:LinkPredictor` /
-//! `kgnet:NodeSimilarity`), target/label types, accuracy, inference time,
-//! cardinality, method, sampler and budget — interlinked with the data KG
-//! through `kgnet:HasGMLTask` on the target node type. The SPARQL-ML query
-//! optimizer reads its statistics through ordinary SPARQL.
+//! Every trained model is described by triples in the served graph itself,
+//! next to the data it was trained on: model class (`kgnet:NodeClassifier`
+//! / `kgnet:LinkPredictor` / `kgnet:NodeSimilarity`), target/label types,
+//! accuracy, inference time, cardinality, method, sampler and budget,
+//! interlinked with the data KG through `kgnet:HasGMLTask` on the target
+//! node type. The SPARQL-ML query optimizer reads its statistics through
+//! ordinary SPARQL against the snapshot it serves, so the models a query
+//! sees are those of its store version, and a registration or DELETE
+//! commits and aborts with the data.
+//!
+//! Every KGMeta triple has a predicate in the `kgnet:` namespace, or is an
+//! `rdf:type` whose class is in it. Only [`register`] (through
+//! [`publish`]) and [`unregister`] write them; the query manager refuses a
+//! plain update that would, and the meta-sampler never copies one into
+//! `KG'`.
 
-use kgnet_gmlaas::{ModelArtifact, TaskKind};
+use std::sync::Arc;
+
+use kgnet_gmlaas::{ModelArtifact, ModelStore, TaskKind};
+use kgnet_rdf::sparql::{TermPattern, TriplePattern, Update};
 use kgnet_rdf::term::RDF_TYPE;
 use kgnet_rdf::{RdfStore, Term};
 
 /// The `kgnet:` vocabulary (IRIs used by KGMeta and SPARQL-ML).
 pub mod vocab {
     /// Namespace base.
-    pub const NS: &str = "https://www.kgnet.com/";
+    pub const NS: &str = kgnet_graph::KGNET_NS;
 
     /// Node classifier model class.
     pub const NODE_CLASSIFIER: &str = "https://www.kgnet.com/NodeClassifier";
@@ -93,144 +104,129 @@ pub struct ModelFilter {
     pub destination_type: Option<String>,
 }
 
-/// The KGMeta governor: maintains the metadata graph.
-#[derive(Default)]
-pub struct KgMeta {
-    store: RdfStore,
+/// Describe a trained model in `store` (Fig. 7 shape).
+pub fn register(store: &mut RdfStore, artifact: &ModelArtifact) {
+    let m = Term::iri(artifact.uri.clone());
+    let mut insert = |predicate: &str, object: Term| {
+        store.insert(m.clone(), Term::iri(predicate), object);
+    };
+    insert(RDF_TYPE, Term::iri(vocab::class_of(artifact.task_kind)));
+    let target = || Term::iri(artifact.target_type.clone());
+    let label = || Term::iri(artifact.label_predicate.clone());
+    match artifact.task_kind {
+        TaskKind::NodeClassifier => {
+            insert(vocab::TARGET_NODE, target());
+            insert(vocab::NODE_LABEL, label());
+        }
+        TaskKind::LinkPredictor => {
+            insert(vocab::SOURCE_NODE, target());
+            if let Some(dest) = &artifact.destination_type {
+                insert(vocab::DESTINATION_NODE, Term::iri(dest.clone()));
+            }
+            insert(vocab::NODE_LABEL, label());
+        }
+        TaskKind::NodeSimilarity => insert(vocab::TARGET_NODE, target()),
+    }
+    insert(vocab::MODEL_ACCURACY, Term::double(artifact.accuracy()));
+    insert(vocab::INFERENCE_TIME, Term::double(artifact.inference_time_ms()));
+    insert(vocab::MODEL_CARDINALITY, Term::int(artifact.cardinality as i64));
+    insert(vocab::GML_METHOD, Term::str(artifact.method.name()));
+    insert(vocab::SAMPLER, Term::str(artifact.sampler.clone()));
+    insert(vocab::TRAINING_TIME, Term::double(artifact.report.train_time_s));
+    insert(vocab::TRAINING_MEMORY, Term::int(artifact.report.peak_mem_bytes as i64));
+    insert(vocab::TRAINED_GENERATION, Term::int(artifact.trained_generation as i64));
+    // Interlink with the data KG: the target type advertises the task.
+    store.insert(target(), Term::iri(vocab::HAS_GML_TASK), m);
 }
 
-impl KgMeta {
-    /// Empty KGMeta graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Put a trained model into service: insert it into the registry, then
+/// describe it in `store`, the version being written. The artifact is in
+/// the registry before any reader can find it in KGMeta.
+pub fn publish(
+    registry: &ModelStore,
+    store: &mut RdfStore,
+    artifact: ModelArtifact,
+) -> Arc<ModelArtifact> {
+    let artifact = registry.insert(artifact);
+    register(store, &artifact);
+    artifact
+}
 
-    /// Read access to the underlying RDF graph (for SPARQL).
-    pub fn store(&self) -> &RdfStore {
-        &self.store
+/// Remove every triple about a model URI from `store` (including
+/// interlinks). Returns the number of triples removed.
+pub fn unregister(store: &mut RdfStore, uri: &str) -> usize {
+    let Some(id) = store.lookup(&Term::iri(uri)) else { return 0 };
+    let mut doomed = store.matches(Some(id), None, None);
+    doomed.extend(store.matches(None, None, Some(id)));
+    let n = doomed.len();
+    for (s, p, o) in doomed {
+        let (s, p, o) =
+            (store.resolve(s).clone(), store.resolve(p).clone(), store.resolve(o).clone());
+        store.remove(&s, &p, &o);
     }
+    n
+}
 
-    /// Number of metadata triples.
-    pub fn len(&self) -> usize {
-        self.store.len()
+/// Find the models described in `store` that match a filter, best
+/// accuracy first. Implemented as a SPARQL query against the graph
+/// (exactly what the paper's query optimizer does).
+pub fn find_models(store: &RdfStore, filter: &ModelFilter) -> Vec<ModelInfo> {
+    let class = filter.task_kind.map(vocab::class_of);
+    let mut where_clauses = vec![
+        "?m <https://www.kgnet.com/ModelAccuracy> ?acc .".to_owned(),
+        "?m <https://www.kgnet.com/InferenceTime> ?time .".to_owned(),
+        "?m <https://www.kgnet.com/ModelCardinality> ?card .".to_owned(),
+        "?m <https://www.kgnet.com/GMLMethod> ?method .".to_owned(),
+    ];
+    if let Some(c) = class {
+        where_clauses.push(format!("?m a <{c}> ."));
     }
-
-    /// True when no model is registered.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Register a trained model's metadata (Fig. 7 shape).
-    pub fn register(&mut self, artifact: &ModelArtifact) {
-        let m = Term::iri(artifact.uri.clone());
-        let class = vocab::class_of(artifact.task_kind);
-        self.store.insert(m.clone(), Term::iri(RDF_TYPE), Term::iri(class));
-        match artifact.task_kind {
-            TaskKind::NodeClassifier => {
-                self.insert(&m, vocab::TARGET_NODE, Term::iri(artifact.target_type.clone()));
-                self.insert(&m, vocab::NODE_LABEL, Term::iri(artifact.label_predicate.clone()));
-            }
-            TaskKind::LinkPredictor => {
-                self.insert(&m, vocab::SOURCE_NODE, Term::iri(artifact.target_type.clone()));
-                if let Some(dest) = &artifact.destination_type {
-                    self.insert(&m, vocab::DESTINATION_NODE, Term::iri(dest.clone()));
-                }
-                self.insert(&m, vocab::NODE_LABEL, Term::iri(artifact.label_predicate.clone()));
-            }
-            TaskKind::NodeSimilarity => {
-                self.insert(&m, vocab::TARGET_NODE, Term::iri(artifact.target_type.clone()));
-            }
+    let mut push_opt = |pred: &str, value: &Option<String>| {
+        if let Some(v) = value {
+            where_clauses.push(format!("?m <{pred}> <{v}> ."));
         }
-        self.insert(&m, vocab::MODEL_ACCURACY, Term::double(artifact.accuracy()));
-        self.insert(&m, vocab::INFERENCE_TIME, Term::double(artifact.inference_time_ms()));
-        self.insert(&m, vocab::MODEL_CARDINALITY, Term::int(artifact.cardinality as i64));
-        self.insert(&m, vocab::GML_METHOD, Term::str(artifact.method.name()));
-        self.insert(&m, vocab::SAMPLER, Term::str(artifact.sampler.clone()));
-        self.insert(&m, vocab::TRAINING_TIME, Term::double(artifact.report.train_time_s));
-        self.insert(&m, vocab::TRAINING_MEMORY, Term::int(artifact.report.peak_mem_bytes as i64));
-        self.insert(&m, vocab::TRAINED_GENERATION, Term::int(artifact.trained_generation as i64));
-        // Interlink with the data KG: the target type advertises the task.
-        self.store.insert(
-            Term::iri(artifact.target_type.clone()),
-            Term::iri(vocab::HAS_GML_TASK),
-            m,
-        );
-    }
+    };
+    push_opt(vocab::TARGET_NODE, &filter.target_type);
+    push_opt(vocab::NODE_LABEL, &filter.node_label);
+    push_opt(vocab::SOURCE_NODE, &filter.source_type);
+    push_opt(vocab::DESTINATION_NODE, &filter.destination_type);
 
-    fn insert(&mut self, model: &Term, predicate: &str, object: Term) {
-        self.store.insert(model.clone(), Term::iri(predicate), object);
-    }
-
-    /// Remove every triple about a model URI (including interlinks).
-    /// Returns the number of triples removed.
-    pub fn unregister(&mut self, uri: &str) -> usize {
-        let model = Term::iri(uri);
-        let Some(id) = self.store.lookup(&model) else { return 0 };
-        let mut doomed = self.store.matches(Some(id), None, None);
-        doomed.extend(self.store.matches(None, None, Some(id)));
-        let n = doomed.len();
-        for (s, p, o) in doomed {
-            let (s, p, o) = (
-                self.store.resolve(s).clone(),
-                self.store.resolve(p).clone(),
-                self.store.resolve(o).clone(),
-            );
-            self.store.remove(&s, &p, &o);
-        }
-        n
-    }
-
-    /// Find models matching a filter, best accuracy first. Implemented as a
-    /// SPARQL query against the KGMeta graph (exactly what the paper's query
-    /// optimizer does).
-    pub fn find_models(&self, filter: &ModelFilter) -> Vec<ModelInfo> {
-        let class = filter.task_kind.map(vocab::class_of);
-        let mut where_clauses = vec![
-            "?m <https://www.kgnet.com/ModelAccuracy> ?acc .".to_owned(),
-            "?m <https://www.kgnet.com/InferenceTime> ?time .".to_owned(),
-            "?m <https://www.kgnet.com/ModelCardinality> ?card .".to_owned(),
-            "?m <https://www.kgnet.com/GMLMethod> ?method .".to_owned(),
-        ];
-        if let Some(c) = class {
-            where_clauses.push(format!("?m a <{c}> ."));
-        }
-        let mut push_opt = |pred: &str, value: &Option<String>| {
-            if let Some(v) = value {
-                where_clauses.push(format!("?m <{pred}> <{v}> ."));
-            }
-        };
-        push_opt(vocab::TARGET_NODE, &filter.target_type);
-        push_opt(vocab::NODE_LABEL, &filter.node_label);
-        push_opt(vocab::SOURCE_NODE, &filter.source_type);
-        push_opt(vocab::DESTINATION_NODE, &filter.destination_type);
-
-        let query =
-            format!("SELECT ?m ?acc ?time ?card ?method WHERE {{ {} }}", where_clauses.join(" "));
-        let result = kgnet_rdf::query(&self.store, &query).expect("well-formed KGMeta query");
-        let mut models: Vec<ModelInfo> = result
-            .rows
-            .iter()
-            .filter_map(|row| {
-                Some(ModelInfo {
-                    uri: row[0].as_ref()?.as_iri()?.to_owned(),
-                    accuracy: row[1].as_ref()?.as_f64()?,
-                    inference_time_ms: row[2].as_ref()?.as_f64()?,
-                    cardinality: row[3].as_ref()?.as_int()? as usize,
-                    method: row[4].as_ref()?.as_literal()?.to_owned(),
-                })
+    let query =
+        format!("SELECT ?m ?acc ?time ?card ?method WHERE {{ {} }}", where_clauses.join(" "));
+    let result = kgnet_rdf::query(store, &query).expect("well-formed KGMeta query");
+    let mut models: Vec<ModelInfo> = result
+        .rows
+        .iter()
+        .filter_map(|row| {
+            Some(ModelInfo {
+                uri: row[0].as_ref()?.as_iri()?.to_owned(),
+                accuracy: row[1].as_ref()?.as_f64()?,
+                inference_time_ms: row[2].as_ref()?.as_f64()?,
+                cardinality: row[3].as_ref()?.as_int()? as usize,
+                method: row[4].as_ref()?.as_literal()?.to_owned(),
             })
-            .collect();
-        models.sort_by(|a, b| {
-            b.accuracy.partial_cmp(&a.accuracy).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        models.dedup_by(|a, b| a.uri == b.uri);
-        models
-    }
+        })
+        .collect();
+    models.sort_by(|a, b| b.accuracy.partial_cmp(&a.accuracy).unwrap_or(std::cmp::Ordering::Equal));
+    models.dedup_by(|a, b| a.uri == b.uri);
+    models
+}
 
-    /// URIs of models matching a filter (used by DELETE queries).
-    pub fn matching_uris(&self, filter: &ModelFilter) -> Vec<String> {
-        self.find_models(filter).into_iter().map(|m| m.uri).collect()
+/// Whether a plain update's templates name a KGMeta triple by their
+/// ground terms: a `kgnet:` predicate, or `rdf:type` with a `kgnet:` class.
+pub(crate) fn writes_kgmeta(update: &Update) -> bool {
+    fn iri(t: &TermPattern) -> Option<&str> {
+        t.as_ground().and_then(Term::as_iri)
     }
+    let in_ns = |t: &TermPattern| iri(t).is_some_and(|i| i.starts_with(vocab::NS));
+    let (first, second): (&[TriplePattern], &[_]) = match update {
+        Update::InsertData(t) | Update::DeleteData(t) | Update::DeleteWhere(t) => (t, &[]),
+        Update::Modify { delete, insert, .. } => (delete, insert),
+    };
+    first
+        .iter()
+        .chain(second)
+        .any(|tp| in_ns(&tp.p) || (iri(&tp.p) == Some(RDF_TYPE) && in_ns(&tp.o)))
 }
 
 #[cfg(test)]
@@ -238,6 +234,8 @@ mod tests {
     use super::*;
     use kgnet_gml::config::{GmlMethodKind, TrainReport};
     use kgnet_gmlaas::ArtifactPayload;
+    use kgnet_graph::{GmlTask, NcTask};
+    use kgnet_sampler::{meta_sample_task, SamplingScope};
 
     fn artifact(uri: &str, accuracy: f64, infer_ms: f64) -> ModelArtifact {
         ModelArtifact {
@@ -268,9 +266,8 @@ mod tests {
 
     #[test]
     fn register_creates_fig7_shape() {
-        let mut meta = KgMeta::new();
-        meta.register(&artifact("https://www.kgnet.com/model/nc/m1", 0.9, 0.2));
-        let st = meta.store();
+        let mut st = RdfStore::new();
+        register(&mut st, &artifact("https://www.kgnet.com/model/nc/m1", 0.9, 0.2));
         assert!(st.contains(
             &Term::iri("https://www.kgnet.com/model/nc/m1"),
             &Term::iri(RDF_TYPE),
@@ -281,21 +278,21 @@ mod tests {
             &Term::iri(vocab::HAS_GML_TASK),
             &Term::iri("https://www.kgnet.com/model/nc/m1")
         ));
-        assert!(meta.len() >= 10);
+        assert!(st.len() >= 10);
     }
 
     #[test]
     fn find_models_filters_and_sorts() {
-        let mut meta = KgMeta::new();
-        meta.register(&artifact("https://www.kgnet.com/model/nc/m1", 0.80, 0.2));
-        meta.register(&artifact("https://www.kgnet.com/model/nc/m2", 0.92, 0.9));
+        let mut st = RdfStore::new();
+        register(&mut st, &artifact("https://www.kgnet.com/model/nc/m1", 0.80, 0.2));
+        register(&mut st, &artifact("https://www.kgnet.com/model/nc/m2", 0.92, 0.9));
         let filter = ModelFilter {
             task_kind: Some(TaskKind::NodeClassifier),
             target_type: Some("https://www.dblp.org/Publication".into()),
             node_label: Some("https://www.dblp.org/publishedIn".into()),
             ..Default::default()
         };
-        let models = meta.find_models(&filter);
+        let models = find_models(&st, &filter);
         assert_eq!(models.len(), 2);
         assert_eq!(models[0].uri, "https://www.kgnet.com/model/nc/m2");
         assert!((models[0].accuracy - 0.92).abs() < 1e-9);
@@ -305,19 +302,74 @@ mod tests {
 
     #[test]
     fn mismatched_filter_finds_nothing() {
-        let mut meta = KgMeta::new();
-        meta.register(&artifact("https://www.kgnet.com/model/nc/m1", 0.8, 0.2));
+        let mut st = RdfStore::new();
+        register(&mut st, &artifact("https://www.kgnet.com/model/nc/m1", 0.8, 0.2));
         let filter = ModelFilter { task_kind: Some(TaskKind::LinkPredictor), ..Default::default() };
-        assert!(meta.find_models(&filter).is_empty());
+        assert!(find_models(&st, &filter).is_empty());
     }
 
     #[test]
     fn unregister_removes_all_triples() {
-        let mut meta = KgMeta::new();
-        meta.register(&artifact("https://www.kgnet.com/model/nc/m1", 0.8, 0.2));
-        let removed = meta.unregister("https://www.kgnet.com/model/nc/m1");
+        let mut st = RdfStore::new();
+        register(&mut st, &artifact("https://www.kgnet.com/model/nc/m1", 0.8, 0.2));
+        let removed = unregister(&mut st, "https://www.kgnet.com/model/nc/m1");
         assert!(removed >= 10);
-        assert!(meta.is_empty());
-        assert_eq!(meta.unregister("https://www.kgnet.com/model/nc/m1"), 0);
+        assert!(st.is_empty());
+        assert_eq!(unregister(&mut st, "https://www.kgnet.com/model/nc/m1"), 0);
     }
+
+    /// KG' sampled from a store holding KGMeta equals KG' sampled from the
+    /// same data without it, for every task seed type and scope.
+    fn assert_kg_prime_ignores_kgmeta(data: &RdfStore, scopes: &[SamplingScope]) {
+        use kgnet_datagen::vocab::dblp;
+        let mut with_models = data.clone();
+        register(&mut with_models, &artifact("https://www.kgnet.com/model/nc/m1", 0.9, 0.2));
+        let mut lp = artifact("https://www.kgnet.com/model/lp/m2", 0.5, 0.1);
+        lp.task_kind = TaskKind::LinkPredictor;
+        lp.target_type = dblp::PERSON.into();
+        lp.label_predicate = dblp::AFFILIATED_WITH.into();
+        lp.destination_type = Some(dblp::AFFILIATION.into());
+        register(&mut with_models, &lp);
+        assert!(with_models.len() > data.len());
+
+        let dump = |st: &RdfStore| {
+            let mut lines: Vec<String> = st.to_ntriples().lines().map(str::to_owned).collect();
+            lines.sort_unstable();
+            lines
+        };
+        let tasks = [
+            GmlTask::NodeClassification(NcTask {
+                target_type: dblp::PUBLICATION.into(),
+                label_predicate: dblp::PUBLISHED_IN.into(),
+            }),
+            GmlTask::EntitySimilarity { target_type: dblp::PERSON.into() },
+        ];
+        for task in &tasks {
+            for &scope in scopes {
+                let plain = meta_sample_task(data, task, scope).store;
+                let sampled = meta_sample_task(&with_models, task, scope).store;
+                assert_eq!(dump(&sampled), dump(&plain), "{task:?} at {scope}");
+            }
+        }
+    }
+
+    #[test]
+    fn kg_prime_never_contains_kgmeta() {
+        use kgnet_datagen::{generate_dblp, vocab::dblp, DblpConfig};
+        let (data, _) = generate_dblp(&DblpConfig::tiny(41));
+        assert_kg_prime_ignores_kgmeta(&data, &SamplingScope::ALL);
+
+        // A data edge that is not `rdf:type` puts the target class itself
+        // one hop from a seed, so d2h2 expands the class node, whose
+        // KGMeta edges (`kgnet:HasGMLTask` out, `kgnet:TargetNode` in) the
+        // sampler must not follow.
+        let mut schema = data.clone();
+        let class = Term::iri(dblp::PUBLICATION);
+        schema.insert(Term::iri(dblp::paper(0)), Term::iri(DCTERMS_TYPE), class.clone());
+        schema.insert(class, Term::iri(RDFS_SUBCLASS_OF), Term::iri("https://www.dblp.org/Work"));
+        assert_kg_prime_ignores_kgmeta(&schema, &[SamplingScope::D2H2]);
+    }
+
+    const DCTERMS_TYPE: &str = "http://purl.org/dc/terms/type";
+    const RDFS_SUBCLASS_OF: &str = "http://www.w3.org/2000/01/rdf-schema#subClassOf";
 }

@@ -5,15 +5,19 @@
 //! `SELECT` queries are optimized (model, then plan selection integer
 //! programs) into one [`PreparedQuery`] for the plain streaming executor,
 //! whose inference steps call the inference service's JSON boundary.
-//! `DELETE` removes models and their KGMeta metadata.
+//! `DELETE` removes models' KGMeta metadata.
+//!
+//! The manager holds no mutable state: KGMeta lives in the store each call
+//! is given (see [`kgmeta`](mod@crate::kgmeta)), so every method takes `&self`
+//! and the models a query finds are those of the version it reads.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use kgnet_gml::config::{GmlMethodKind, GnnConfig};
 use kgnet_gmlaas::{
-    InferenceRequest, InferenceResponse, InferenceService, ModelArtifact, ModelStore, ServiceError,
-    TaskKind, TrainError, TrainRequest, TrainingManager,
+    InferenceRequest, InferenceResponse, InferenceService, ModelStore, ServiceError, TaskKind,
+    TrainError, TrainRequest, TrainingManager,
 };
 use kgnet_rdf::sparql::eval::{
     evaluate_prepared, evaluate_select, execute_update, prepare_select_inferring, PreparedQuery,
@@ -23,7 +27,7 @@ use kgnet_rdf::sparql::{InferredObjects, TermPattern};
 use kgnet_rdf::{RdfStore, SparqlError, Term};
 use kgnet_sampler::{meta_sample_task, SamplingScope};
 
-use crate::kgmeta::KgMeta;
+use crate::kgmeta;
 use crate::opt::{select_models, select_plans, PlanInputs, RewritePlan};
 use crate::parser::{parse, SparqlMlOperation, SparqlMlQuery};
 use crate::rewrite::{rewrite, RewrittenQuery};
@@ -107,7 +111,9 @@ pub enum MlOutcome {
     Rows(QueryResult),
     /// A model was trained and registered.
     Trained(TrainedSummary),
-    /// Models deleted (their URIs).
+    /// Models deleted (their URIs). Their KGMeta triples are gone from
+    /// the store written; their artifacts stay in the registry for the
+    /// caller to retire once no reader can still see them.
     DeletedModels(Vec<String>),
     /// A plain update ran.
     Updated(UpdateStats),
@@ -131,7 +137,6 @@ const DICT_ENTRY_BYTES: usize = 96;
 
 /// The SPARQL-ML query manager.
 pub struct QueryManager {
-    kgmeta: KgMeta,
     trainer: TrainingManager,
     service: InferenceService,
     config: ManagerConfig,
@@ -144,20 +149,14 @@ impl Default for QueryManager {
 }
 
 impl QueryManager {
-    /// Manager with a fresh model store and KGMeta.
+    /// Manager with a fresh model store.
     pub fn new(config: ManagerConfig) -> Self {
         let models = ModelStore::new();
         QueryManager {
-            kgmeta: KgMeta::new(),
             trainer: TrainingManager::new(models.clone()),
             service: InferenceService::new(models),
             config,
         }
-    }
-
-    /// The KGMeta graph.
-    pub fn kgmeta(&self) -> &KgMeta {
-        &self.kgmeta
     }
 
     /// The inference service (exposes HTTP-call counters).
@@ -168,12 +167,6 @@ impl QueryManager {
     /// The training manager / model registry.
     pub fn trainer(&self) -> &TrainingManager {
         &self.trainer
-    }
-
-    /// Execute one SPARQL-ML operation against a data KG (reads and writes;
-    /// equivalent to [`QueryManager::update`]).
-    pub fn execute(&mut self, data: &mut RdfStore, text: &str) -> Result<MlOutcome, MlError> {
-        self.update(data, text)
     }
 
     /// The read path: evaluate a plain or ML SELECT through shared borrows
@@ -206,30 +199,30 @@ impl QueryManager {
     }
 
     /// The write path: INSERT-MODEL (`TrainGML`), model DELETE and plain
-    /// data updates, requiring exclusive access to both the manager state
-    /// (KGMeta) and the store. SELECTs are delegated to the read path.
-    pub fn update(&mut self, data: &mut RdfStore, text: &str) -> Result<MlOutcome, MlError> {
+    /// data updates, all writing `data` (KGMeta included). SELECTs are
+    /// delegated to the read path. A plain update whose templates name a
+    /// KGMeta triple is refused: only `TrainGML` and model DELETE keep
+    /// KGMeta and the model registry in step.
+    pub fn update(&self, data: &mut RdfStore, text: &str) -> Result<MlOutcome, MlError> {
         match parse(text)? {
+            SparqlMlOperation::PlainUpdate(u) if kgmeta::writes_kgmeta(&u) => {
+                Err(MlError::Sparql(SparqlError::eval(
+                    "a plain update may not write KGMeta (a kgnet: predicate or class); \
+                     use TrainGML or a model DELETE",
+                )))
+            }
             SparqlMlOperation::PlainUpdate(u) => Ok(MlOutcome::Updated(execute_update(data, &u)?)),
             SparqlMlOperation::Train(spec) => self.train(data, spec),
             SparqlMlOperation::DeleteModels(filter) => {
-                let uris = self.kgmeta.matching_uris(&filter);
+                let uris: Vec<String> =
+                    kgmeta::find_models(data, &filter).into_iter().map(|m| m.uri).collect();
                 for uri in &uris {
-                    self.kgmeta.unregister(uri);
-                    self.trainer.model_store().remove(uri);
+                    kgmeta::unregister(data, uri);
                 }
                 Ok(MlOutcome::DeletedModels(uris))
             }
             op => self.read(data, op),
         }
-    }
-
-    /// Register an externally trained artifact in KGMeta. Used by serving
-    /// layers whose job queues train through a [`TrainingManager`] clone
-    /// outside any manager lock and commit the metadata under a brief
-    /// exclusive borrow once training has succeeded.
-    pub fn register_artifact(&mut self, artifact: &ModelArtifact) {
-        self.kgmeta.register(artifact);
     }
 
     /// Optimize and rewrite a SPARQL-ML SELECT without executing it: the
@@ -247,13 +240,13 @@ impl QueryManager {
     // -- training ----------------------------------------------------------
 
     fn train(
-        &mut self,
-        data: &RdfStore,
+        &self,
+        data: &mut RdfStore,
         spec: crate::parser::TrainGmlSpec,
     ) -> Result<MlOutcome, MlError> {
         // Hyper-parameters are checked before sampling: out-of-range values
         // would panic a trainer (a zero batch size) or train a degenerate
-        // model, and both happen under the caller's manager lock.
+        // model, and both happen while the caller holds the writer gate.
         let mut cfg = self.config.default_cfg.clone();
         for (key, &value) in &spec.hyperparams {
             let invalid = |rule: &str| {
@@ -301,11 +294,10 @@ impl QueryManager {
             sampler: scope.name(),
         };
         let (mut artifact, _trace) = self.trainer.train_uncommitted(&sampled.store, &req)?;
-        // Stamp which store version the model saw, then commit: registry
-        // insert and KGMeta registration happen together as the final step.
+        // Stamp which store version the model saw, then publish it as the
+        // final step: registry insert, then KGMeta triples into `data`.
         artifact.trained_generation = data.generation();
-        let artifact = self.trainer.model_store().insert(artifact);
-        self.kgmeta.register(&artifact);
+        let artifact = kgmeta::publish(self.trainer.model_store(), data, artifact);
         Ok(MlOutcome::Trained(TrainedSummary {
             model_uri: artifact.uri.clone(),
             method: artifact.method,
@@ -329,10 +321,10 @@ impl QueryManager {
         data: &RdfStore,
         q: &SparqlMlQuery,
     ) -> Result<(PreparedQuery, Vec<String>, Vec<RewritePlan>), MlError> {
-        // Candidate models per predicate from KGMeta.
+        // Candidate models per predicate from the KGMeta triples in `data`.
         let mut candidates = Vec::with_capacity(q.ud_predicates.len());
         for ud in &q.ud_predicates {
-            let models = self.kgmeta.find_models(&ud.filter);
+            let models = kgmeta::find_models(data, &ud.filter);
             if models.is_empty() {
                 return Err(MlError::NoModel(ud.var.clone()));
             }
@@ -482,9 +474,9 @@ mod tests {
         QueryManager::new(cfg)
     }
 
-    fn train_nc(mgr: &mut QueryManager, data: &mut RdfStore) -> TrainedSummary {
+    fn train_nc(mgr: &QueryManager, data: &mut RdfStore) -> TrainedSummary {
         let out = mgr
-            .execute(
+            .update(
                 data,
                 r#"PREFIX dblp: <https://www.dblp.org/>
                    PREFIX kgnet: <https://www.kgnet.com/>
@@ -516,12 +508,12 @@ mod tests {
     #[test]
     fn end_to_end_train_then_query() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(41));
-        let mut mgr = manager();
-        let summary = train_nc(&mut mgr, &mut data);
+        let mgr = manager();
+        let summary = train_nc(&mgr, &mut data);
         assert!(summary.kg_prime_triples < data.len());
         assert_eq!(summary.sampler, "d1h1");
 
-        let out = mgr.execute(&mut data, PV_QUERY).unwrap();
+        let out = mgr.update(&mut data, PV_QUERY).unwrap();
         let MlOutcome::Rows(rows) = out else { panic!("expected rows") };
         assert_eq!(rows.vars, vec!["title", "venue"]);
         // Every paper gets a predicted venue.
@@ -537,8 +529,8 @@ mod tests {
     #[test]
     fn read_path_runs_ml_select_through_shared_borrows() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(41));
-        let mut mgr = manager();
-        train_nc(&mut mgr, &mut data);
+        let mgr = manager();
+        train_nc(&mgr, &mut data);
         // From here on: &QueryManager and &RdfStore only.
         let mgr_ref: &QueryManager = &mgr;
         let data_ref: &RdfStore = &data;
@@ -547,10 +539,10 @@ mod tests {
         };
         assert_eq!(via_query.len(), 60);
         // The read and write paths agree exactly.
-        let MlOutcome::Rows(via_execute) = mgr.execute(&mut data, PV_QUERY).unwrap() else {
+        let MlOutcome::Rows(via_update) = mgr.update(&mut data, PV_QUERY).unwrap() else {
             panic!("expected rows")
         };
-        assert_eq!(via_query, via_execute);
+        assert_eq!(via_query, via_update);
     }
 
     #[test]
@@ -573,10 +565,11 @@ mod tests {
     #[test]
     fn failed_training_leaves_kgmeta_and_registry_unchanged() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(45));
-        let mut mgr = manager();
+        let before = data.clone();
+        let mgr = manager();
         // Unsatisfiable task: no such target type in the graph.
         let err = mgr
-            .execute(
+            .update(
                 &mut data,
                 r#"PREFIX kgnet: <https://www.kgnet.com/>
                    PREFIX nope: <http://nope/>
@@ -588,14 +581,19 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, MlError::Train(TrainError::EmptyTask)), "unexpected error: {err}");
-        assert!(mgr.kgmeta().is_empty(), "failed training must not touch KGMeta");
+        assert_eq!(
+            data.to_ntriples(),
+            before.to_ntriples(),
+            "failed training must not touch KGMeta"
+        );
         assert!(mgr.trainer().model_store().is_empty(), "failed training must not register models");
     }
 
     #[test]
     fn out_of_range_hyperparams_are_rejected_before_training() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(45));
-        let mut mgr = manager();
+        let before = data.len();
+        let mgr = manager();
         let cases = [
             ("BatchSize: 0", "BatchSize"),
             ("Hidden: 0", "Hidden"),
@@ -617,33 +615,35 @@ mod tests {
                         TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn}},
                       Method: 'ShadowSAINT', Hyperparams: {{{hyperparams}}}}})}}"#
             );
-            match mgr.execute(&mut data, &text) {
+            match mgr.update(&mut data, &text) {
                 Err(e @ MlError::Sparql(_)) => {
                     assert!(e.to_string().contains(&format!("`{key}`")), "{hyperparams}: {e}")
                 }
                 other => panic!("{hyperparams}: expected a rejection, got {other:?}"),
             }
         }
-        assert!(mgr.kgmeta().is_empty(), "a rejected request must not register a model");
+        assert_eq!(data.len(), before, "a rejected request must not register a model");
     }
 
     #[test]
     fn query_without_model_errors() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(43));
-        let mut mgr = manager();
-        match mgr.execute(&mut data, PV_QUERY) {
+        let mgr = manager();
+        match mgr.update(&mut data, PV_QUERY) {
             Err(MlError::NoModel(var)) => assert_eq!(var, "NodeClassifier"),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn delete_models_clears_kgmeta_and_registry() {
+    fn delete_models_clears_kgmeta_and_leaves_the_registry_to_the_caller() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(47));
-        let mut mgr = manager();
-        let summary = train_nc(&mut mgr, &mut data);
+        let before = data.len();
+        let mgr = manager();
+        let summary = train_nc(&mgr, &mut data);
+        assert!(data.len() > before, "training registers KGMeta triples in the data store");
         let out = mgr
-            .execute(
+            .update(
                 &mut data,
                 r#"PREFIX dblp: <https://www.dblp.org/>
                    PREFIX kgnet: <https://www.kgnet.com/>
@@ -654,21 +654,56 @@ mod tests {
             )
             .unwrap();
         match out {
-            MlOutcome::DeletedModels(uris) => assert_eq!(uris, vec![summary.model_uri]),
+            MlOutcome::DeletedModels(uris) => assert_eq!(uris, vec![summary.model_uri.clone()]),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(mgr.kgmeta().is_empty());
-        assert!(mgr.trainer().model_store().is_empty());
+        assert_eq!(data.len(), before, "every KGMeta triple of the model is gone");
+        // The artifact stays until the caller retires it: a reader of an
+        // older version may still find the model in its KGMeta.
+        assert!(mgr.trainer().model_store().get(&summary.model_uri).is_some());
         // Querying now fails again.
-        assert!(matches!(mgr.execute(&mut data, PV_QUERY), Err(MlError::NoModel(_))));
+        assert!(matches!(mgr.update(&mut data, PV_QUERY), Err(MlError::NoModel(_))));
+    }
+
+    #[test]
+    fn plain_updates_may_not_write_kgmeta() {
+        let (mut data, _) = generate_dblp(&DblpConfig::tiny(47));
+        let mgr = manager();
+        train_nc(&mgr, &mut data);
+        let before = data.to_ntriples();
+        let writes = [
+            "PREFIX kgnet: <https://www.kgnet.com/> \
+             INSERT DATA { <http://x/m> a kgnet:NodeClassifier }",
+            "PREFIX kgnet: <https://www.kgnet.com/> \
+             INSERT DATA { <http://x/m> kgnet:ModelAccuracy 1.0 }",
+            "PREFIX kgnet: <https://www.kgnet.com/> \
+             DELETE WHERE { ?m kgnet:ModelAccuracy ?a }",
+            "PREFIX kgnet: <https://www.kgnet.com/> PREFIX dblp: <https://www.dblp.org/> \
+             DELETE { ?t kgnet:HasGMLTask ?m } INSERT { ?t dblp:note ?m } \
+             WHERE { ?t kgnet:HasGMLTask ?m }",
+        ];
+        for text in writes {
+            match mgr.update(&mut data, text) {
+                Err(MlError::Sparql(e)) => assert!(e.to_string().contains("KGMeta"), "{e}"),
+                other => panic!("{text}: expected a rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(data.to_ntriples(), before, "a rejected update must not write");
+        // Reading KGMeta in WHERE is fine: only the templates are checked.
+        let copy = "PREFIX kgnet: <https://www.kgnet.com/> \
+                    INSERT { ?m <http://x/seen> <http://x/yes> } WHERE { ?m kgnet:ModelAccuracy ?a }";
+        let MlOutcome::Updated(stats) = mgr.update(&mut data, copy).unwrap() else {
+            panic!("expected an update")
+        };
+        assert_eq!(stats.inserted, 1);
     }
 
     #[test]
     fn link_prediction_query_expands_topk() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(53));
-        let mut mgr = manager();
+        let mgr = manager();
         let out = mgr
-            .execute(
+            .update(
                 &mut data,
                 r#"PREFIX dblp: <https://www.dblp.org/>
                    PREFIX kgnet: <https://www.kgnet.com/>
@@ -685,7 +720,7 @@ mod tests {
         assert!(matches!(out, MlOutcome::Trained(_)));
 
         let out = mgr
-            .execute(
+            .update(
                 &mut data,
                 r#"PREFIX dblp: <https://www.dblp.org/>
                    PREFIX kgnet: <https://www.kgnet.com/>
@@ -708,9 +743,9 @@ mod tests {
     #[test]
     fn plain_sparql_passes_through() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(59));
-        let mut mgr = manager();
+        let mgr = manager();
         let out = mgr
-            .execute(
+            .update(
                 &mut data,
                 "PREFIX dblp: <https://www.dblp.org/> SELECT (COUNT(*) AS ?n) WHERE { ?p a dblp:Publication }",
             )
@@ -749,8 +784,8 @@ mod tests {
     #[test]
     fn explain_reports_dictionary_plan() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(61));
-        let mut mgr = manager();
-        train_nc(&mut mgr, &mut data);
+        let mgr = manager();
+        train_nc(&mgr, &mut data);
         let rewritten = mgr.explain(&data, PV_QUERY).unwrap();
         assert_eq!(rewritten.steps.len(), 1);
         assert_eq!(rewritten.steps[0].plan, RewritePlan::Dictionary);

@@ -136,6 +136,12 @@ pub fn classify_select(query: SelectQuery) -> SparqlMlOperation {
             },
         );
     }
+    // Only a variable some triple uses as its predicate, with a variable
+    // object, is a user-defined predicate. A model-typed variable used
+    // otherwise reads KGMeta like any data, so its triples stay.
+    ud.retain(|var, _| {
+        triples.iter().any(|tp| tp.p.as_var() == Some(var.as_str()) && tp.o.as_var().is_some())
+    });
     if ud.is_empty() {
         // Nothing ML about this query.
         base.pattern.triples = triples;
@@ -167,12 +173,8 @@ pub fn classify_select(query: SelectQuery) -> SparqlMlOperation {
     }
     base.pattern.triples = kept;
 
-    let mut ud_predicates: Vec<UdPredicate> =
-        ud.into_values().filter(|u| !u.object_var.is_empty()).collect();
+    let mut ud_predicates: Vec<UdPredicate> = ud.into_values().collect();
     ud_predicates.sort_by(|a, b| a.var.cmp(&b.var));
-    if ud_predicates.is_empty() {
-        return SparqlMlOperation::PlainSelect(base);
-    }
     SparqlMlOperation::Select(SparqlMlQuery { base, ud_predicates })
 }
 
@@ -530,6 +532,17 @@ mod tests {
     fn plain_update_passes_through() {
         let op = parse("INSERT DATA { <http://x/a> <http://x/p> <http://x/b> }").unwrap();
         assert!(matches!(op, SparqlMlOperation::PlainUpdate(_)));
+    }
+
+    #[test]
+    fn a_model_typed_variable_that_is_not_a_predicate_reads_kgmeta() {
+        let text = "PREFIX kgnet: <https://www.kgnet.com/> PREFIX dblp: <https://www.dblp.org/> \
+                    SELECT ?m WHERE { ?m a kgnet:NodeClassifier . \
+                    ?m kgnet:TargetNode dblp:Publication . }";
+        let SparqlMlOperation::PlainSelect(q) = parse(text).unwrap() else {
+            panic!("expected a plain select")
+        };
+        assert_eq!(q.pattern.triples.len(), 2, "the KGMeta patterns were dropped");
     }
 
     #[test]

@@ -24,11 +24,11 @@ const TRAIN: &str = r#"INSERT INTO <kgnet> { ?s ?p ?o } WHERE { SELECT * FROM kg
 fn ml_order_by_over_mixed_numbers_and_text_returns_every_row() {
     let cfg = DblpConfig::tiny(41);
     let (mut data, _) = generate_dblp(&cfg);
-    let mut mgr = QueryManager::new(ManagerConfig {
+    let mgr = QueryManager::new(ManagerConfig {
         default_cfg: GnnConfig::fast_test(),
         ..Default::default()
     });
-    let trained = mgr.execute(&mut data, &format!("{PREFIXES}{TRAIN}"));
+    let trained = mgr.update(&mut data, &format!("{PREFIXES}{TRAIN}"));
     assert!(matches!(trained, Ok(MlOutcome::Trained(_))), "training failed: {trained:?}");
 
     // ~5 000 sort keys spread over the papers, mixing integers, doubles,

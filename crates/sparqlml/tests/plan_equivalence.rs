@@ -18,7 +18,7 @@ use kgnet_datagen::{generate_dblp, DblpConfig};
 use kgnet_gml::config::{GmlMethodKind, GnnConfig, TrainReport};
 use kgnet_gmlaas::{ArtifactPayload, EmbeddingStore, Metric, ModelArtifact, TaskKind};
 use kgnet_rdf::{QueryResult, RdfStore, Term};
-use kgnet_sparqlml::{ManagerConfig, MlOutcome, QueryManager, RewritePlan};
+use kgnet_sparqlml::{kgmeta, ManagerConfig, MlOutcome, QueryManager, RewritePlan};
 
 const PREFIXES: &str =
     "PREFIX dblp: <https://www.dblp.org/>\nPREFIX kgnet: <https://www.kgnet.com/>\n";
@@ -60,16 +60,15 @@ fn sorted(result: &QueryResult) -> Vec<Vec<Option<Term>>> {
 fn dictionary_and_per_binding_plans_return_the_same_rows() {
     let (mut data, _) = generate_dblp(&DblpConfig::tiny(41));
     let cfg = ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() };
-    let mut dictionary = QueryManager::new(cfg.clone());
+    let dictionary = QueryManager::new(cfg.clone());
     let Ok(MlOutcome::Trained(summary)) =
-        dictionary.execute(&mut data, &format!("{PREFIXES}{TRAIN}"))
+        dictionary.update(&mut data, &format!("{PREFIXES}{TRAIN}"))
     else {
         panic!("training failed")
     };
     let artifact = dictionary.trainer().model_store().get(&summary.model_uri).unwrap();
-    let mut per_binding = QueryManager::new(ManagerConfig { dict_bytes_cap: Some(0), ..cfg });
-    let registered = per_binding.trainer().model_store().insert((*artifact).clone());
-    per_binding.register_artifact(&registered);
+    let per_binding = QueryManager::new(ManagerConfig { dict_bytes_cap: Some(0), ..cfg });
+    kgmeta::publish(per_binding.trainer().model_store(), &mut data, (*artifact).clone());
 
     let paper = dblp::paper(3);
     let author = rows(
@@ -269,13 +268,16 @@ fn oracle_models(cfg: &DblpConfig) -> Vec<ModelArtifact> {
     ]
 }
 
-/// A manager serving `models` without training; `dict_bytes_cap: Some(0)`
-/// rules the Dictionary plan out.
-fn manager_with(models: &[ModelArtifact], dict_bytes_cap: Option<usize>) -> QueryManager {
-    let mut mgr = QueryManager::new(ManagerConfig { dict_bytes_cap, ..Default::default() });
+/// A manager serving `models` without training, registered in `data`;
+/// `dict_bytes_cap: Some(0)` rules the Dictionary plan out.
+fn manager_with(
+    data: &mut RdfStore,
+    models: &[ModelArtifact],
+    dict_bytes_cap: Option<usize>,
+) -> QueryManager {
+    let mgr = QueryManager::new(ManagerConfig { dict_bytes_cap, ..Default::default() });
     for model in models {
-        let registered = mgr.trainer().model_store().insert(model.clone());
-        mgr.register_artifact(&registered);
+        kgmeta::publish(mgr.trainer().model_store(), data, model.clone());
     }
     mgr
 }
@@ -461,15 +463,17 @@ fn mismatch(got: &QueryResult, want: &QueryResult, check: Check) -> Option<Strin
 #[test]
 fn ml_selects_equal_plain_selects_over_materialised_predictions() {
     let cfg = DblpConfig::tiny(41);
-    let (data, _) = generate_dblp(&cfg);
+    let (mut data, _) = generate_dblp(&cfg);
     let models = oracle_models(&cfg);
     let oracle = oracle_store(&data, &models);
     assert!(
         data.lookup(&Term::iri(ABSENT_VENUE)).is_none(),
         "the absent venue must be unknown to the data store"
     );
-    let managers =
-        [("default", manager_with(&models, None)), ("per-binding", manager_with(&models, Some(0)))];
+    let managers = [
+        ("default", manager_with(&mut data, &models, None)),
+        ("per-binding", manager_with(&mut data, &models, Some(0))),
+    ];
 
     let mut failures = Vec::new();
     for shape in oracle_shapes(&data) {
@@ -492,11 +496,11 @@ fn ml_selects_equal_plain_selects_over_materialised_predictions() {
 #[test]
 fn an_inference_failure_aborts_the_query() {
     let cfg = DblpConfig::tiny(41);
-    let (data, _) = generate_dblp(&cfg);
+    let (mut data, _) = generate_dblp(&cfg);
     let models = oracle_models(&cfg);
     for dict_bytes_cap in [None, Some(0)] {
         // KGMeta still lists the NC model, but the service no longer has it.
-        let mgr = manager_with(&models, dict_bytes_cap);
+        let mgr = manager_with(&mut data, &models, dict_bytes_cap);
         mgr.trainer().model_store().remove(&models[0].uri);
         let text = format!(
             "{PREFIXES}SELECT ?paper ?venue WHERE {{ {CLASSIFIER} \
@@ -510,8 +514,8 @@ fn an_inference_failure_aborts_the_query() {
 #[test]
 fn explain_names_the_call_each_task_kind_makes() {
     let cfg = DblpConfig::tiny(41);
-    let (data, _) = generate_dblp(&cfg);
-    let mgr = manager_with(&oracle_models(&cfg), None);
+    let (mut data, _) = generate_dblp(&cfg);
+    let mgr = manager_with(&mut data, &oracle_models(&cfg), None);
     let explain = |body: &str, constraints: &str| {
         let text = format!("{PREFIXES}SELECT * WHERE {{ {constraints} {body} }}");
         mgr.explain(&data, &text).unwrap()
@@ -531,7 +535,7 @@ fn explain_names_the_call_each_task_kind_makes() {
 #[test]
 fn limit_stops_calling_the_model() {
     let cfg = DblpConfig::tiny(41);
-    let (data, _) = generate_dblp(&cfg);
+    let (mut data, _) = generate_dblp(&cfg);
     // An NC model with a prediction for every paper, so every pulled row
     // survives inference.
     let full_nc = artifact(
@@ -544,7 +548,7 @@ fn limit_stops_calling_the_model() {
     );
     let mut models = oracle_models(&cfg);
     models[0] = full_nc;
-    let mgr = manager_with(&models, Some(0));
+    let mgr = manager_with(&mut data, &models, Some(0));
     let calls = |text: &str| {
         let before = mgr.service().stats().calls;
         let Ok(MlOutcome::Rows(rows)) = mgr.query(&data, text) else { panic!("{text}") };

@@ -52,10 +52,11 @@ fn main() {
         );
     }
 
-    // --- 3. KGMeta is an RDF graph: inspect it with SPARQL (Fig. 7).
+    // --- 3. KGMeta is triples in the served graph: inspect it with SPARQL
+    // (Fig. 7), at the session's snapshot like any data.
     let mut session = server.read_session();
     let meta = session
-        .sparql_kgmeta(
+        .query(
             "PREFIX kgnet: <https://www.kgnet.com/>
              SELECT ?model ?acc ?time ?card WHERE {
                ?model a kgnet:NodeClassifier .
@@ -105,10 +106,17 @@ fn main() {
         .unwrap();
     writer.commit();
     if let MlOutcome::DeletedModels(uris) = out {
+        let listed = server
+            .read_session()
+            .query(
+                "PREFIX kgnet: <https://www.kgnet.com/>
+                 SELECT ?m WHERE { ?m a kgnet:NodeClassifier }",
+            )
+            .unwrap();
         println!(
-            "6. Deleted {} model(s); KGMeta now has {} triples",
+            "6. Deleted {} model(s); KGMeta now lists {} node classifier(s)",
             uris.len(),
-            server.manager().read().kgmeta().len()
+            listed.len()
         );
     }
 }

@@ -55,9 +55,9 @@ fn two_models_and_optimizer_picks_more_accurate() {
     let m1 = train(&p, "first", "GCN");
     let m2 = train(&p, "second", "GraphSAINT");
     // KGMeta holds both.
-    let session = p.read_session();
+    let mut session = p.read_session();
     let meta = session
-        .sparql_kgmeta(
+        .query(
             "PREFIX kgnet: <https://www.kgnet.com/>
              SELECT (COUNT(?m) AS ?n) WHERE { ?m a kgnet:NodeClassifier }",
         )

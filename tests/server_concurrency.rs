@@ -79,8 +79,8 @@ fn four_readers_serve_while_training_jobs_churn() {
     // Serial baseline on an identical graph (the generator is seeded): one
     // unversioned store and one query manager, no sessions or plan cache.
     let (mut kg, _) = generate_dblp(&DblpConfig::tiny(41));
-    let mut baseline = QueryManager::new(fast_config());
-    baseline.execute(&mut kg, TRAIN_NC).unwrap();
+    let baseline = QueryManager::new(fast_config());
+    baseline.update(&mut kg, TRAIN_NC).unwrap();
     let select = |text| match baseline.query(&kg, text).unwrap() {
         MlOutcome::Rows(rows) => rows,
         other => panic!("expected rows, got {other:?}"),
