@@ -7,7 +7,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-use crate::format::{AnnFile, AnnFileWriter, FormatError};
 use crate::index::sort_hits;
 use crate::metric::Metric;
 use crate::stats::{CountingVectors, SearchStats};
@@ -139,85 +138,6 @@ impl IvfIndex {
         let scored = counting.accesses();
         let coarse = self.centroids.len() as u64;
         (hits, SearchStats { candidates: scored, distance_computations: scored + coarse })
-    }
-
-    /// Persist into `w` under the `index.` section prefix.
-    pub(crate) fn put_sections(&self, w: &mut AnnFileWriter) {
-        let dim = self.centroids.first().map_or(0, |c| c.len());
-        w.put_u32s("index.params", &[self.centroids.len() as u32, dim as u32, self.len as u32]);
-        let flat: Vec<f32> = self.centroids.iter().flatten().copied().collect();
-        w.put_f32s("index.centroids", &flat);
-        let mut offsets = Vec::with_capacity(self.lists.len() + 1);
-        let mut entries = Vec::new();
-        offsets.push(0u32);
-        for list in &self.lists {
-            entries.extend_from_slice(list);
-            offsets.push(entries.len() as u32);
-        }
-        w.put_u32s("index.list_offsets", &offsets);
-        w.put_u32s("index.list_entries", &entries);
-    }
-
-    /// Load from the `index.` sections of a persisted file whose vector
-    /// table holds `table_len` vectors of width `table_dim`. Rejects, as
-    /// `Malformed`, an index over a different count or width, and posting
-    /// lists that do not hold every id in `0..table_len` exactly once.
-    pub(crate) fn from_file(
-        f: &AnnFile,
-        table_dim: usize,
-        table_len: usize,
-    ) -> Result<IvfIndex, FormatError> {
-        let params = f.u32s("index.params")?;
-        if params.len() != 3 {
-            return Err(FormatError::Malformed("ivf params section has wrong arity".into()));
-        }
-        let (cells, dim, len) = (params[0] as usize, params[1] as usize, params[2] as usize);
-        if len != table_len {
-            return Err(FormatError::Malformed(format!(
-                "index covers {len} vectors but the table holds {table_len}"
-            )));
-        }
-        if cells > 0 && dim != table_dim {
-            return Err(FormatError::Malformed(format!(
-                "ivf centroid width {dim} disagrees with vector width {table_dim}"
-            )));
-        }
-        let flat = f.f32s("index.centroids")?;
-        if flat.len() != cells * dim {
-            return Err(FormatError::Malformed("ivf centroid section size mismatch".into()));
-        }
-        let centroids = flat.chunks_exact(dim.max(1)).map(<[f32]>::to_vec).take(cells).collect();
-        let offsets = f.u32s("index.list_offsets")?;
-        let entries = f.u32s("index.list_entries")?;
-        if offsets.len() != cells + 1
-            || offsets.last().copied().unwrap_or(0) as usize != entries.len()
-        {
-            return Err(FormatError::Malformed("ivf posting-list offsets are inconsistent".into()));
-        }
-        if entries.iter().any(|&id| id as usize >= len) {
-            return Err(FormatError::Malformed("ivf posting-list entry id out of range".into()));
-        }
-        let mut seen = vec![false; len];
-        if let Some(id) =
-            entries.iter().find(|&&id| std::mem::replace(&mut seen[id as usize], true))
-        {
-            return Err(FormatError::Malformed(format!("ivf posting lists hold id {id} twice")));
-        }
-        if entries.len() != len {
-            return Err(FormatError::Malformed(format!(
-                "ivf posting lists miss {} of {len} ids",
-                len - entries.len()
-            )));
-        }
-        let mut lists = Vec::with_capacity(cells);
-        for wnd in offsets.windows(2) {
-            let (a, b) = (wnd[0] as usize, wnd[1] as usize);
-            if a > b || b > entries.len() {
-                return Err(FormatError::Malformed("ivf posting-list range out of bounds".into()));
-            }
-            lists.push(entries[a..b].to_vec());
-        }
-        Ok(IvfIndex { centroids, lists, len })
     }
 }
 

@@ -1,8 +1,8 @@
 //! # kgnet-ann
 //!
 //! The vector-search subsystem of the KGNet platform: the approximate
-//! nearest-neighbour index over entity embeddings, and a binary columnar
-//! persistence format with a memory-mapped zero-copy reader.
+//! nearest-neighbour index over entity embeddings and its exact-scan
+//! oracle, both over in-memory vectors.
 //!
 //! The paper positions trained-model/embedding serving as a first-class
 //! platform service next to SPARQL; this crate is the engine under that
@@ -12,10 +12,7 @@
 //!   posting lists): the one index the platform builds and serves.
 //! - [`search_exact`] — the linear-scan oracle the index is measured
 //!   against, and the search of a store with no index.
-//! - [`format`](mod@format) / [`file`](mod@file) — a versioned, checksummed flat file format for
-//!   embedding matrices and index structures, read back through a
-//!   memory-mapped [`VectorTable`] so searches run straight off the page
-//!   cache without JSON round-trips.
+//! - [`VectorTable`] — the flat row-major matrix a store's vectors live in.
 //!
 //! Both searches read any [`Vectors`] source. Index construction is
 //! data-parallel on the vendored batch pool: every parallel phase is a
@@ -23,21 +20,14 @@
 //! `RAYON_NUM_THREADS` — the same guarantee `kgnet-linalg` kernels give.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-pub mod file;
-pub mod format;
 pub mod index;
 pub mod ivf;
 pub mod metric;
 pub mod stats;
 pub mod vectors;
-mod view;
 
-pub use file::{
-    load_embedding_file, save_embedding_file, EmbeddingFileContents, EmbeddingFileView,
-};
-pub use format::{AnnFile, AnnFileWriter, FormatError, SectionType};
 pub use index::{search_exact, search_exact_with_stats};
 pub use ivf::IvfIndex;
 pub use metric::Metric;
@@ -59,10 +49,6 @@ pub enum AnnError {
         /// The width of the offending vector.
         got: usize,
     },
-    /// An I/O failure while persisting or loading.
-    Io(std::io::Error),
-    /// A malformed, truncated or corrupt persisted file.
-    Format(FormatError),
 }
 
 impl std::fmt::Display for AnnError {
@@ -71,22 +57,8 @@ impl std::fmt::Display for AnnError {
             AnnError::DimensionMismatch { expected, got } => {
                 write!(f, "vector width mismatch: store holds {expected}-d vectors, got {got}-d")
             }
-            AnnError::Io(e) => write!(f, "i/o error: {e}"),
-            AnnError::Format(e) => write!(f, "persisted file error: {e}"),
         }
     }
 }
 
 impl std::error::Error for AnnError {}
-
-impl From<std::io::Error> for AnnError {
-    fn from(e: std::io::Error) -> Self {
-        AnnError::Io(e)
-    }
-}
-
-impl From<FormatError> for AnnError {
-    fn from(e: FormatError) -> Self {
-        AnnError::Format(e)
-    }
-}

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use kgnet_ann::{
-    search_exact, search_exact_with_stats, IvfIndex, Metric, SearchStats, VectorTable,
+    search_exact, search_exact_with_stats, IvfIndex, Metric, SearchStats, VectorTable, Vectors,
 };
 
 /// Big enough to push the exact scoring loop onto the parallel path
@@ -54,4 +54,31 @@ fn ivf_stats_separate_coarse_scan_from_candidates() {
     // Deterministic probe order ⇒ identical tallies on any pool size.
     let (_, again) = index.search_with_stats(&t, Metric::L2, &q, 10, 4);
     assert_eq!(again, stats);
+}
+
+/// Probing every cell makes IVF an exact scan: the posting lists of the
+/// index `build` produces hold every id in `0..n` exactly once, so the
+/// full ranking and its scores equal the linear scan's, and every vector
+/// is scored once. Covered below the cell count (where `build` clamps the
+/// cells to `n`) and above the parallel cutoff (where both searches score
+/// on the pool).
+#[test]
+fn full_probe_ivf_equals_the_exact_scan() {
+    const CELLS: usize = 25;
+    let big = table(21);
+    let small =
+        VectorTable::from_rows(DIM, &(0..10).map(|i| big.vector(i).to_vec()).collect::<Vec<_>>())
+            .unwrap();
+    for t in [&small, &big] {
+        let n = t.len();
+        let index = IvfIndex::build(t, CELLS, 5, 4);
+        for metric in [Metric::L2, Metric::Cosine, Metric::Dot] {
+            for seed in 0..3 {
+                let q = query(100 + seed);
+                let (hits, stats) = index.search_with_stats(t, metric, &q, n, CELLS);
+                assert_eq!(hits, search_exact(t, metric, &q, n), "n={n} {metric:?}");
+                assert_eq!(stats.candidates, n as u64, "n={n} {metric:?}");
+            }
+        }
+    }
 }

@@ -3,9 +3,8 @@
 //! entity-similarity (ES) task of Table I.
 //!
 //! The store is a thin key-management layer over the `kgnet-ann`
-//! subsystem: vectors live in a flat [`VectorTable`] (owned, or zero-copy
-//! over a memory-mapped artifact after [`EmbeddingStore::load_binary`]).
-//! Searches run on an [`IvfIndex`] once [`build_ivf`](EmbeddingStore::build_ivf)
+//! subsystem: vectors live in a flat in-memory [`VectorTable`]. Searches
+//! run on an [`IvfIndex`] once [`build_ivf`](EmbeddingStore::build_ivf)
 //! has built one, and on the exact scan otherwise. Training builds every
 //! served store's index with [`served_ivf_cells`], and both serving paths
 //! probe [`SERVED_NPROBE`] cells. Index construction is
@@ -13,14 +12,11 @@
 //! `RAYON_NUM_THREADS`), and every search tie-breaks deterministically on
 //! (score, then key), so results are stable across runs and pool sizes.
 
-use std::path::Path;
-
 pub use kgnet_ann::{AnnError, Metric, SearchStats};
 
 use kgnet_ann::{
-    load_embedding_file, save_embedding_file, search_exact as ann_search_exact,
-    search_exact_with_stats as ann_search_exact_with_stats, EmbeddingFileView, IvfIndex,
-    VectorTable, Vectors,
+    search_exact as ann_search_exact, search_exact_with_stats as ann_search_exact_with_stats,
+    IvfIndex, VectorTable, Vectors,
 };
 
 /// IVF cells a served similarity search probes: the `nprobe` of
@@ -153,43 +149,6 @@ impl EmbeddingStore {
             hits.into_iter().map(|(i, s)| (self.keys[i as usize].clone(), s)).collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
-    }
-
-    /// Persist this store (keys, vectors and any built index) as one
-    /// checksummed binary artifact — the paper-scale replacement for JSON
-    /// round-trips.
-    pub fn save_binary(&self, path: &Path) -> Result<(), AnnError> {
-        save_embedding_file(
-            path,
-            EmbeddingFileView {
-                dim: self.dim,
-                metric: self.metric,
-                keys: &self.keys,
-                vectors: &self.vectors,
-                index: self.index.as_ref(),
-            },
-        )
-    }
-
-    /// Load a store persisted by [`EmbeddingStore::save_binary`]. The
-    /// vector matrix is served zero-copy from the memory-mapped file, and
-    /// searches return exactly what the in-memory store returned before
-    /// saving.
-    pub fn load_binary(path: &Path) -> Result<EmbeddingStore, AnnError> {
-        let c = load_embedding_file(path)?;
-        Ok(EmbeddingStore {
-            dim: c.dim,
-            metric: c.metric,
-            keys: c.keys,
-            vectors: c.vectors,
-            index: c.index,
-        })
-    }
-
-    /// True when the vector table reads from a memory-mapped artifact
-    /// rather than owned memory (diagnostics only).
-    pub fn is_mapped(&self) -> bool {
-        self.vectors.is_mapped()
     }
 }
 
@@ -342,20 +301,5 @@ mod tests {
         single.install(|| a.build_ivf(32, 4, 7));
         multi.install(|| b.build_ivf(32, 4, 7));
         assert_eq!(format!("{:?}", a.index), format!("{:?}", b.index));
-    }
-
-    #[test]
-    fn binary_roundtrip_serves_identical_searches() {
-        let path = std::env::temp_dir().join(format!("kgnet-embstore-{}.ann", std::process::id()));
-        let mut store = filled_store(500, 8, 20);
-        store.build_ivf(16, 4, 2);
-        store.save_binary(&path).unwrap();
-        let back = EmbeddingStore::load_binary(&path).unwrap();
-        assert_eq!(back.len(), store.len());
-        assert!(back.is_indexed());
-        let q = store.get("e123").unwrap().to_vec();
-        assert_eq!(store.search(&q, 10, 4), back.search(&q, 10, 4));
-        assert_eq!(store.search_exact(&q, 10), back.search_exact(&q, 10));
-        let _ = std::fs::remove_file(&path);
     }
 }

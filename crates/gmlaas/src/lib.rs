@@ -22,7 +22,7 @@ pub mod training;
 pub use budget::{Priority, TaskBudget};
 pub use embedding_store::{served_ivf_cells, AnnError, EmbeddingStore, Metric, SERVED_NPROBE};
 pub use ip::{solve, IntegerProgram, IpSolution};
-pub use model_store::{ArtifactPayload, LoadReport, ModelArtifact, ModelStore, TaskKind};
+pub use model_store::{ArtifactPayload, ModelArtifact, ModelStore, TaskKind};
 pub use selector::{select_method, Candidate, SelectionTrace};
 pub use service::{
     InferenceRequest, InferenceResponse, InferenceService, ServiceError, ServiceStats,

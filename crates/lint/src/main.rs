@@ -19,9 +19,8 @@
 //!   unnecessary, and on channels an `unwrap` turns a peer's panic into a
 //!   cascade.
 //! - **forbid-unsafe** — every crate root carries
-//!   `#![forbid(unsafe_code)]`, except the two crates that need raw
-//!   pointers (`kgnet-ann`'s mmap views, `kgnet-check`'s instrumented
-//!   cells) and `vendor/`.
+//!   `#![forbid(unsafe_code)]`, except `kgnet-check`, whose instrumented
+//!   cells need raw pointers, and `vendor/`.
 //! - **net-boundary** — sockets live in exactly one crate. `std::net`,
 //!   `TcpListener`, `TcpStream` and `UdpSocket` are banned outside
 //!   `crates/http/` (and tests/vendor): everything below the frontend is
@@ -636,8 +635,8 @@ fn rule_unwrap_on_sync(file: &SourceFile, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// Crates that legitimately contain `unsafe` (each site still needs its
-/// SAFETY comment): the mmap/ANN layer and the model checker's primitives.
-const UNSAFE_CRATES: &[&str] = &["crates/ann/", "crates/check/"];
+/// SAFETY comment): the model checker's primitives.
+const UNSAFE_CRATES: &[&str] = &["crates/check/"];
 
 fn rule_forbid_unsafe(file: &SourceFile, out: &mut Vec<Finding>) {
     let p = file.path.to_string_lossy().replace('\\', "/");
@@ -659,8 +658,8 @@ fn rule_forbid_unsafe(file: &SourceFile, out: &mut Vec<Finding>) {
             path: file.path.clone(),
             line: 1,
             rule: "forbid-unsafe",
-            message: "crate root lacks `#![forbid(unsafe_code)]` (only kgnet-ann and \
-                      kgnet-check may contain unsafe code)"
+            message: "crate root lacks `#![forbid(unsafe_code)]` (only kgnet-check may \
+                      contain unsafe code)"
                 .to_owned(),
         });
     }
@@ -1027,7 +1026,7 @@ mod tests {
         let src = "use std::sync::Mutex;\n";
         assert!(findings_for("crates/sync/src/facade.rs", src).is_empty());
         assert!(findings_for("crates/check/src/sync.rs", src).is_empty());
-        assert!(findings_for("vendor/memmap2/src/lib.rs", src).is_empty());
+        assert!(findings_for("vendor/parking_lot/src/lib.rs", src).is_empty());
         assert!(findings_for("crates/rdf/tests/x.rs", src).is_empty());
         let gated = "#[cfg(test)]\nmod tests {\n    use std::sync::Barrier;\n}\n";
         assert!(findings_for("crates/rdf/src/x.rs", gated).is_empty());
@@ -1039,17 +1038,20 @@ mod tests {
     #[test]
     fn safety_comment_required_even_in_vendor() {
         let bad = "pub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-        assert_eq!(rules(&findings_for("vendor/memmap2/src/lib.rs", bad)), vec!["safety-comment"]);
+        assert_eq!(
+            rules(&findings_for("vendor/parking_lot/src/lib.rs", bad)),
+            vec!["safety-comment"]
+        );
         let good = "pub fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid.\n    unsafe { *p }\n}\n";
-        assert!(findings_for("vendor/memmap2/src/lib.rs", good).is_empty());
+        assert!(findings_for("vendor/parking_lot/src/lib.rs", good).is_empty());
     }
 
     #[test]
     fn safety_comment_accepts_shared_comment_for_impl_pairs_and_safety_doc() {
         let pair = "// SAFETY: T is Send, the raw pointer is owned.\nunsafe impl<T: Send> Send for X<T> {}\nunsafe impl<T: Send> Sync for X<T> {}\n";
-        assert!(findings_for("crates/ann/src/x.rs", pair).is_empty());
+        assert!(findings_for("crates/check/src/x.rs", pair).is_empty());
         let doc = "/// Reads a byte.\n///\n/// # Safety\n/// `p` must be valid.\npub unsafe fn f(p: *const u8) -> u8 { *p }\n";
-        assert!(findings_for("crates/ann/src/x.rs", doc).is_empty());
+        assert!(findings_for("crates/check/src/x.rs", doc).is_empty());
     }
 
     #[test]
@@ -1074,8 +1076,9 @@ mod tests {
         assert_eq!(rules(&findings_for("crates/rdf/src/lib.rs", bare)), vec!["forbid-unsafe"]);
         let good = "#![forbid(unsafe_code)]\npub fn f() {}\n";
         assert!(findings_for("crates/rdf/src/lib.rs", good).is_empty());
-        // ann/check/vendor are exempt; non-root files are too.
-        assert!(findings_for("crates/ann/src/lib.rs", bare).is_empty());
+        // kgnet-ann holds no unsafe code, so its root must forbid it.
+        assert_eq!(rules(&findings_for("crates/ann/src/lib.rs", bare)), vec!["forbid-unsafe"]);
+        // check/vendor are exempt; non-root files are too.
         assert!(findings_for("crates/check/src/lib.rs", bare).is_empty());
         assert!(findings_for("vendor/rayon/src/lib.rs", bare).is_empty());
         assert!(findings_for("crates/rdf/src/store.rs", bare).is_empty());
@@ -1119,7 +1122,7 @@ mod tests {
         // modules are all allowed to touch sockets.
         let src = "use std::net::{TcpListener, TcpStream};\n";
         assert!(findings_for("crates/http/src/client.rs", src).is_empty());
-        assert!(findings_for("vendor/memmap2/src/lib.rs", src).is_empty());
+        assert!(findings_for("vendor/parking_lot/src/lib.rs", src).is_empty());
         assert!(findings_for("crates/server/tests/x.rs", src).is_empty());
         let gated = "#[cfg(test)]\nmod tests {\n    use std::net::TcpStream;\n}\n";
         assert!(findings_for("crates/server/src/x.rs", gated).is_empty());

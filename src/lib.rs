@@ -37,7 +37,7 @@ pub use kgnet_sampler as sampler;
 /// GML methods: GCN, RGCN, GraphSAINT, ShadowSAINT, MorsE, KGE family.
 pub use kgnet_gml as gml;
 
-/// Vector search: the IVF index, its exact-scan oracle and binary embedding persistence.
+/// Vector search: the IVF index and its exact-scan oracle.
 pub use kgnet_ann as ann;
 
 /// GML-as-a-service: training manager, model/embedding stores, inference.
