@@ -247,18 +247,27 @@ fn has_agg(q: &SelectQuery) -> bool {
 /// equals [`PreparedQuery::generation`]: ids and the chosen join order
 /// capture store state. [`evaluate_prepared`]
 /// refuses stale plans, so caches (e.g. a server session's plan LRU) key by
-/// `(query text, generation)` and re-prepare after any write.
+/// `(query text, generation)` and re-prepare after any write. A SPARQL-ML
+/// plan is no exception: its inference steps hold no answers, so it too
+/// serves any number of executions at its generation.
 pub struct PreparedQuery {
     query: SelectQuery,
     vars: VarTable,
     plan: GroupPlan,
     generation: u64,
+    infers: bool,
 }
 
 impl PreparedQuery {
     /// The store generation this plan was compiled against.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Whether this plan was compiled from a SPARQL-ML SELECT (by
+    /// [`prepare_select_inferring`] with at least one inferred pattern).
+    pub fn infers(&self) -> bool {
+        self.infers
     }
 
     /// Refuse to run against a store that has moved past this plan's
@@ -428,7 +437,8 @@ pub fn prepare_select_inferring(
     // Sub-SELECTs, OPTIONALs and filters are taken to keep every row.
     let rows = if plan.impossible { 0.0 } else { plan.steps.iter().map(|s| s.est).product() };
     plan_inferred(store, &mut plan, inferred, answer(rows), &vars, held, rows);
-    Ok(PreparedQuery { query, vars, plan, generation: store.generation() })
+    let infers = !inferred.is_empty();
+    Ok(PreparedQuery { query, vars, plan, generation: store.generation(), infers })
 }
 
 /// Execute a prepared SELECT, skipping parsing and planning. Errors when the

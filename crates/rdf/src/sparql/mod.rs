@@ -18,5 +18,5 @@ pub use eval::{
     OpTiming, OrderKey, PreparedQuery, QueryResult, UpdateStats,
 };
 pub use parser::{parse, parse_select, Parser};
-pub use plan::InferredObjects;
+pub use plan::{InferredObjects, ObjectsFn};
 pub use stream::ExecStats;

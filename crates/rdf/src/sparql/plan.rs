@@ -148,13 +148,19 @@ impl GroupPlan {
     }
 }
 
+/// The objects inferred for one subject, best first, or none when the
+/// model has no prediction for it. An error aborts the query.
+pub type ObjectsFn<'a> = Box<dyn FnMut(&Term) -> Result<Vec<Term>, SparqlError> + 'a>;
+
 /// The objects an inferred triple pattern `?s ?M ?o` gives one subject:
 /// what a model predicts for it. `kgnet-rdf` plans and runs the pattern;
-/// the SPARQL-ML layer implements this over its inference service.
+/// the SPARQL-ML layer implements this over its inference service. A plan
+/// serves many executions, so it holds no answers: whatever one execution
+/// fetches lives in the [`ObjectsFn`] that execution opens.
 pub trait InferredObjects: Send + Sync {
-    /// The objects inferred for `subject`, best first, or none when the
-    /// model has no prediction for it. An error aborts the query.
-    fn objects(&self, subject: &Term) -> Result<Vec<Term>, SparqlError>;
+    /// The answerer for one execution of the plan, opened when its
+    /// pipeline is built and dropped when the execution ends.
+    fn execution(&self) -> ObjectsFn<'_>;
 
     /// One line naming the model and how it is called, for EXPLAIN and
     /// operator profiles.

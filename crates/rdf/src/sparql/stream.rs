@@ -28,7 +28,7 @@ use crate::dict::{TermDict, TermId};
 use crate::error::SparqlError;
 use crate::sparql::ast::Expr;
 use crate::sparql::eval::{eval_expr, Binding, IdRow, VarTable};
-use crate::sparql::plan::{GroupPlan, InferStep, PatternStep, Slot, SubPlan};
+use crate::sparql::plan::{GroupPlan, InferStep, ObjectsFn, PatternStep, Slot, SubPlan};
 use crate::store::{RdfStore, ScanIter};
 use crate::term::Term;
 
@@ -153,7 +153,8 @@ pub(crate) fn build_group_stream<'a>(
         let n = (step.est as usize).min(1 << 12);
         let memo = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let objects = Vec::with_capacity(n);
-        stream = Box::new(InferJoin { ctx, step, memo, objects, input: stream, cur: None });
+        let answer = step.objects.execution();
+        stream = Box::new(InferJoin { ctx, step, answer, memo, objects, input: stream, cur: None });
         stream = tap(stream, taps.as_deref_mut(), || step.label.clone());
     }
     stream
@@ -395,13 +396,16 @@ impl BindingStream for OptionalStep<'_> {
 }
 
 /// Joins each input binding with the objects an inference step gives its
-/// subject: one [`InferredObjects`](crate::sparql::plan::InferredObjects)
-/// call per distinct subject, remembered for the rest of the execution. An
-/// object variable the input already binds keeps only the matching object.
-/// A failed call is recorded in the execution state and ends the stream.
+/// subject: one call of this execution's
+/// [`ObjectsFn`](crate::sparql::plan::ObjectsFn) per distinct subject,
+/// remembered for the rest of the execution. An object variable the input
+/// already binds keeps only the matching object. A failed call is recorded
+/// in the execution state and ends the stream.
 struct InferJoin<'a> {
     ctx: ExecCtx<'a>,
     step: &'a InferStep,
+    /// The step's answerer, opened for this execution alone.
+    answer: ObjectsFn<'a>,
     /// Each subject seen so far, with its objects' range in `objects`.
     memo: FxHashMap<TermId, Range<usize>>,
     objects: Vec<TermId>,
@@ -416,7 +420,7 @@ impl InferJoin<'_> {
             return Ok(range.clone());
         }
         let start = self.objects.len();
-        for term in self.step.objects.objects(&self.ctx.term(subject))? {
+        for term in (self.answer)(&self.ctx.term(subject))? {
             self.objects.push(self.ctx.intern(term));
         }
         self.memo.insert(subject, start..self.objects.len());

@@ -2,11 +2,14 @@
 //!
 //! Planning a SELECT re-resolves every ground term, re-reads predicate
 //! statistics and re-plans sub-selects (a plan holds no rows: each
-//! execution runs its sub-selects once); for the repeated parametric
-//! queries of an OLTP-style workload that work is identical run after run —
-//! and identical *across sessions*, so one [`SharedPlanCache`] hangs off
-//! the server and every [`ReadSession`](crate::ReadSession) consults it. A
-//! plan prepared by any session serves all of them.
+//! execution runs its sub-selects once); a SPARQL-ML SELECT adds model
+//! selection over KGMeta and the inference-plan choice (a plan holds no
+//! predictions either: each execution makes its own inference calls). For
+//! the repeated parametric queries of an OLTP-style workload that work is
+//! identical run after run — and identical *across sessions*, so one
+//! [`SharedPlanCache`] hangs off the server and every
+//! [`ReadSession`](crate::ReadSession) consults it. A plan prepared by any
+//! session serves all of them.
 //!
 //! Entries are keyed by the *lexer's token stream* plus the store
 //! [`generation`](kgnet_rdf::RdfStore::generation) (MVCC snapshot version)
@@ -18,12 +21,15 @@
 //! session pinned to an older snapshot keeps hitting the plans compiled
 //! for *its* version while sessions on the current version populate
 //! theirs; superseded-generation entries age out through the LRU policy.
+//! KGMeta is triples in the same version, so the models an ML plan names
+//! are that generation's, and their artifacts outlive every pin of it
+//! ([`RetiredModels`](crate::RetiredModels)).
 //!
 //! Lookup ([`SharedPlanCache::get`]) and insertion
-//! ([`SharedPlanCache::prepare_insert`]) are split so a hit costs one
-//! tokenize + hash under a short mutex hold — callers skip re-parsing the
-//! query text entirely on the hot path. Sessions count their own hits and
-//! misses; the cache keeps the server-wide totals.
+//! ([`SharedPlanCache::insert`]) are split so a hit costs one tokenize +
+//! hash under a short mutex hold — callers skip parsing and planning
+//! entirely on the hot path, and plan a miss outside the lock. Sessions
+//! count their own hits and misses; the cache keeps the server-wide totals.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -39,8 +45,7 @@ use kgnet_rdf::sparql::lexer::tokenize;
 /// lookup and every cold-plan insertion funnels through it, so its
 /// contended share is the first thing to check when read p99 regresses.
 static PLAN_CACHE_SITE: SyncSite = SyncSite::new("server.plan_cache");
-use kgnet_rdf::sparql::{prepare_select, SelectQuery};
-use kgnet_rdf::{PreparedQuery, RdfStore, SparqlError};
+use kgnet_rdf::PreparedQuery;
 
 /// Hit/miss counters and occupancy of a plan cache (server-wide when read
 /// off the cache itself, per-session when read off a `ReadSession`).
@@ -48,9 +53,10 @@ use kgnet_rdf::{PreparedQuery, RdfStore, SparqlError};
 pub struct CacheStats {
     /// Lookups answered from the cache (same token stream, same generation).
     pub hits: u64,
-    /// Plans prepared and inserted (cold, or a generation not yet seen).
-    /// Lookups for queries that are never cached (ML SELECTs, updates) do
-    /// not count, so hits/misses reflect only cacheable traffic.
+    /// Plans prepared and inserted (cold, or a generation not yet seen),
+    /// plain and SPARQL-ML alike. Lookups for queries that are never cached
+    /// (updates, `TrainGML`, a SELECT that fails to prepare) do not count,
+    /// so hits/misses reflect only cacheable traffic.
     pub misses: u64,
     /// Entries currently cached (across all generations).
     pub entries: usize,
@@ -90,10 +96,9 @@ impl SharedPlanCache {
     }
 
     /// Fetch the plan for `text` compiled against snapshot `generation`.
-    /// On `None` the caller should parse and
-    /// [`prepare_insert`](Self::prepare_insert) next; the miss is counted
-    /// there, so lookups for never-cached query kinds do not skew the
-    /// stats.
+    /// On `None` the caller should parse, prepare and [`insert`](Self::insert)
+    /// next; the miss is counted there, so lookups for never-cached query
+    /// kinds do not skew the stats.
     pub fn get(&self, generation: u64, text: &str) -> Option<Arc<PreparedQuery>> {
         let key = key_of(text)?;
         let mut inner = lock_tracked(&self.inner, &PLAN_CACHE_SITE);
@@ -108,19 +113,14 @@ impl SharedPlanCache {
         None
     }
 
-    /// Plan `parsed` against `store` (a pinned snapshot) and cache it under
-    /// `text`'s token stream and the snapshot's generation for the next
-    /// [`get`](Self::get) — by this session or any other. Planning runs
-    /// outside the cache lock; when two sessions race on the same cold
+    /// Cache `prepared`, a plan the caller compiled from `text` — a plain
+    /// or a SPARQL-ML SELECT — under `text`'s token stream and the plan's
+    /// generation for the next [`get`](Self::get), by this session or any
+    /// other, and count the miss. When two sessions race on the same cold
     /// query both prepare and the last insert wins, which is correct
     /// because equal keys imply equal plans.
-    pub fn prepare_insert(
-        &self,
-        store: &RdfStore,
-        text: &str,
-        parsed: SelectQuery,
-    ) -> Result<Arc<PreparedQuery>, SparqlError> {
-        let prepared = Arc::new(prepare_select(store, parsed)?);
+    pub fn insert(&self, text: &str, prepared: PreparedQuery) -> Arc<PreparedQuery> {
+        let prepared = Arc::new(prepared);
         let mut inner = lock_tracked(&self.inner, &PLAN_CACHE_SITE);
         inner.misses += 1;
         if let Some(key) = key_of(text) {
@@ -130,11 +130,11 @@ impl SharedPlanCache {
                 evict_lru(&mut inner);
             }
             inner.entries.insert(
-                (key, store.generation()),
+                (key, prepared.generation()),
                 Entry { prepared: prepared.clone(), last_used: tick },
             );
         }
-        Ok(prepared)
+        prepared
     }
 }
 
@@ -165,8 +165,8 @@ fn key_of(text: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgnet_rdf::sparql::parse_select;
-    use kgnet_rdf::Term;
+    use kgnet_rdf::sparql::{parse_select, prepare_select};
+    use kgnet_rdf::{RdfStore, Term};
 
     fn store() -> RdfStore {
         let mut st = RdfStore::new();
@@ -181,7 +181,7 @@ mod tests {
         if let Some(prepared) = cache.get(st.generation(), q) {
             return prepared;
         }
-        cache.prepare_insert(st, q, parse_select(q).unwrap()).unwrap()
+        cache.insert(q, prepare_select(st, parse_select(q).unwrap()).unwrap())
     }
 
     #[test]

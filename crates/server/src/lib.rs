@@ -43,7 +43,9 @@
 //! A SPARQL-ML SELECT is prepared by the manager (model and plan choice
 //! from the pinned version's KGMeta) and then runs on the same streaming
 //! executor as a plain SELECT, its inference steps calling the model
-//! service as rows reach them; only plain plans are cached.
+//! service as rows reach them. Its plan is cached like a plain one, keyed
+//! by generation: a repeat skips parsing, model selection and planning,
+//! and still makes its own inference calls.
 //!
 //! Every SELECT a session runs is timed; one at or above
 //! [`ServerConfig::slow_query`] lands, with its rendered plan and span
@@ -810,6 +812,69 @@ mod tests {
         assert!(registered(&server, &uri));
         server.write_session().commit();
         assert!(!registered(&server, &uri), "the artifact outlived every version listing it");
+    }
+
+    #[test]
+    fn a_repeated_ml_select_hits_its_plan_and_still_calls_once_per_execution() {
+        let server = fast_server(41);
+        trained_nc(&server);
+        let mut session = server.read_session();
+        let explained = server.manager().read().explain(session.snapshot(), PV_QUERY).unwrap();
+        assert_eq!(explained.steps[0].plan, kgnet_sparqlml::RewritePlan::Dictionary);
+        let calls = || server.manager().read().service().stats().calls;
+        let cache = |session: &ReadSession| {
+            let stats = session.cache_stats();
+            (stats.hits, stats.misses)
+        };
+
+        let before = calls();
+        let first = session.query(PV_QUERY).unwrap();
+        assert_eq!(first.len(), 60);
+        assert_eq!(calls(), before + 1);
+        assert_eq!(cache(&session), (0, 1));
+
+        // The second run reuses the plan (no parse, no model selection) but
+        // fetches the dictionary again: the plan holds no predictions.
+        let second = session.query(PV_QUERY).unwrap();
+        assert_eq!(second, first);
+        assert_eq!(calls(), before + 2, "a cached Dictionary plan makes one call per execution");
+        assert_eq!(cache(&session), (1, 1));
+
+        let (profiled, profile) = session.query_profiled(PV_QUERY).unwrap();
+        assert_eq!(profiled, first);
+        assert_eq!(calls(), before + 3);
+        assert_eq!(cache(&session), (2, 1));
+        assert_eq!(profile.name, "sparql-ml", "a hit is rooted by its plan, not by a parse");
+        assert!(profile.children.iter().any(|c| c.name.starts_with("infer ")), "{profile:?}");
+    }
+
+    #[test]
+    fn a_pinned_session_keeps_its_cached_ml_plan_across_a_model_delete() {
+        let server = fast_server(43);
+        trained_nc(&server);
+        let mut pinned = server.read_session();
+        let before = pinned.query(PV_QUERY).unwrap();
+        assert_eq!(before.len(), 60);
+
+        let mut writer = server.write_session();
+        writer.execute(DELETE_NC).unwrap();
+        writer.commit();
+
+        // The pin's generation still lists the model, so its cached plan
+        // keeps hitting and its artifact still answers.
+        for hits in 1..=2 {
+            assert_eq!(pinned.query(PV_QUERY).unwrap(), before);
+            let stats = pinned.cache_stats();
+            assert_eq!((stats.hits, stats.misses), (hits, 1));
+        }
+
+        // On the new generation the lookup misses, and preparing finds no
+        // model; a plan that fails to prepare is neither cached nor counted.
+        pinned.refresh();
+        let err = pinned.query(PV_QUERY).unwrap_err();
+        assert!(matches!(err, kgnet_sparqlml::MlError::NoModel(_)), "{err}");
+        let stats = pinned.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]

@@ -8,22 +8,22 @@
 //! the latest version. That holds for ML answers too: KGMeta is triples
 //! in the same version, so the models a query chooses are the pinned
 //! version's, and a deleted model's artifact outlives every pin that can
-//! still see it. Plans come from the server-wide
-//! [`SharedPlanCache`], keyed by the lexer's token stream and the pinned
-//! snapshot's generation, so a query planned by any session serves all
-//! sessions on the same version; each session keeps its own hit/miss
-//! counters on top of the shared totals.
+//! still see it. Plans, plain and SPARQL-ML alike, come from the
+//! server-wide [`SharedPlanCache`], keyed by the lexer's token stream and
+//! the pinned snapshot's generation, so a query planned by any session
+//! serves all sessions on the same version; each session keeps its own
+//! hit/miss counters on top of the shared totals.
 //!
 //! [`query`](ReadSession::query) and
 //! [`query_profiled`](ReadSession::query_profiled) share one dispatch that
-//! takes each step once: probe the plan cache, parse on a miss, prepare
-//! the plan — a plain SELECT through the cache, a SPARQL-ML SELECT through
-//! the manager, whose inference steps run inside the same executor — then
-//! evaluate it (operator-profiled when asked), record the latency, row and
-//! scan metrics plus the session totals, and — when the latency crosses
-//! the server's slow-query threshold — capture a [`SlowQuery`] into the
-//! server's bounded slow-query [`Ring`]. Only a slow query pays for
-//! rendering its plan; a fast one pays the comparison.
+//! takes each step once: probe the plan cache; on a miss parse, prepare
+//! the plan — a plain SELECT directly, a SPARQL-ML SELECT through the
+//! manager, whose inference steps run inside the same executor — and
+//! insert it; then evaluate it (operator-profiled when asked), record the
+//! latency, row and scan metrics plus the session totals, and — when the
+//! latency crosses the server's slow-query threshold — capture a
+//! [`SlowQuery`] into the server's bounded slow-query [`Ring`]. Only a slow
+//! query pays for rendering its plan; a fast one pays the comparison.
 //!
 //! A [`WriteSession`] owns a [`WriteTxn`]: it batches data mutations into
 //! a private next version and publishes them in one atomic
@@ -38,9 +38,9 @@
 //! [`RetiredModels`]).
 //!
 //! The query manager holds no mutable state, so nothing takes its lock for
-//! writing: it is read-locked while an ML SELECT is prepared (not while it
-//! runs), while a write session's operation runs, and to look up an
-//! artifact.
+//! writing: it is read-locked while an ML SELECT misses the plan cache and
+//! is prepared (not on a hit, nor while it runs), while a write session's
+//! operation runs, and to look up an artifact.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,8 +51,8 @@ use kgnet_sync::tracked::read_tracked;
 use kgnet_sync::RwLock;
 
 use kgnet_gmlaas::{ArtifactPayload, ServiceError, SERVED_NPROBE};
-use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled};
-use kgnet_rdf::{QueryResult, RdfStore, SharedStore, Snapshot, WriteTxn};
+use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled, prepare_select};
+use kgnet_rdf::{PreparedQuery, QueryResult, RdfStore, SharedStore, Snapshot, WriteTxn};
 use kgnet_sparqlml::{
     contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation,
 };
@@ -61,8 +61,9 @@ use crate::cache::{CacheStats, SharedPlanCache};
 use crate::metrics::{nanos_since, ServerMetrics};
 use crate::retire::RetiredModels;
 
-/// Contention profile of query-manager acquisitions (ML SELECT prepare,
-/// write-session operations, artifact lookups). All are shared.
+/// Contention profile of query-manager acquisitions (ML SELECT prepare on
+/// a plan-cache miss, write-session operations, artifact lookups). All are
+/// shared.
 static MANAGER_SITE: SyncSite = SyncSite::new("server.manager.read");
 
 /// One query that crossed the slow threshold, captured with everything a
@@ -145,10 +146,11 @@ impl ReadSession {
     /// [`MlError::ReadOnly`] — use a [`WriteSession`] or the server's
     /// training queue.
     ///
-    /// Plain SELECTs run through the shared plan cache — a hit skips
-    /// re-parsing as well as re-planning; ML SELECTs are prepared per call
-    /// (models and plans from the snapshot's KGMeta) and execute against
-    /// the snapshot with no lock held. KGMeta itself is queried like any
+    /// Plain and ML SELECTs run through the shared plan cache — a hit skips
+    /// parsing and planning, and for an ML SELECT model and plan selection
+    /// too (an ML plan's models and plans are its generation's KGMeta's) —
+    /// and execute against the snapshot with no lock held; each execution
+    /// makes its own inference calls. KGMeta itself is queried like any
     /// data: `SELECT ?m WHERE { ?m a kgnet:NodeClassifier }` lists the
     /// models of the pinned version.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, MlError> {
@@ -158,7 +160,7 @@ impl ReadSession {
     /// Execute a SELECT with per-operator profiling: the rows plus a span
     /// tree whose root covers the end-to-end evaluation and whose children
     /// carry per-operator *self* times and row counts, so the children's
-    /// nanos sum exactly to the root's. Plain SELECTs ride the shared plan
+    /// nanos sum exactly to the root's. Both kinds ride the shared plan
     /// cache like [`query`](Self::query); SPARQL-ML SELECTs, rooted at a
     /// `sparql-ml` node, add one `infer` child per user-defined predicate.
     /// Every operator is profiled. Updates and `TrainGML` are rejected with
@@ -180,35 +182,23 @@ impl ReadSession {
         let _span = metrics.span(if profiled { "read.query_profiled" } else { "read.query" });
         let wait0 = kgnet_sync::profile::thread_wait_nanos();
         let t0 = Instant::now();
-        // Only plain SELECTs are ever cached, and the key is the token
-        // stream classification is a pure function of, so a hit proves this
-        // text parses to the cached plan's query. The one exception is
+        // Plain and SPARQL-ML SELECTs are cached alike, and the key is the
+        // token stream classification is a pure function of, so a hit proves
+        // this text parses to the cached plan's query. The one exception is
         // `contains_traingml` — `parse` applies it to *raw* text (comments
         // included) before tokenizing — so it gates the probe.
         let cached =
             if contains_traingml(text) { None } else { self.cache.get(self.generation(), text) };
-        let mut ml = false;
         let prepared = match cached {
             Some(prepared) => {
                 self.hits += 1;
                 metrics.plan_cache_hits.inc();
                 Ok(prepared)
             }
-            None => parse(text).map_err(MlError::from).and_then(|op| match op {
-                SparqlMlOperation::PlainSelect(q) => {
-                    let prepared = self.cache.prepare_insert(&self.snapshot, text, q)?;
-                    self.misses += 1;
-                    metrics.plan_cache_misses.inc();
-                    Ok(prepared)
-                }
-                SparqlMlOperation::Select(q) => {
-                    ml = true;
-                    let manager = read_tracked(&self.manager, &MANAGER_SITE);
-                    Ok(Arc::new(manager.prepare_select(&self.snapshot, &q)?))
-                }
-                SparqlMlOperation::PlainUpdate(_)
-                | SparqlMlOperation::Train(_)
-                | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
+            None => self.prepare(text).map(|prepared| {
+                self.misses += 1;
+                metrics.plan_cache_misses.inc();
+                self.cache.insert(text, prepared)
             }),
         };
         let executed = prepared.and_then(|prepared| {
@@ -221,8 +211,8 @@ impl ReadSession {
             };
             Ok((prepared, rows, stats.triples_scanned, ops))
         });
-        let root = if ml { "sparql-ml" } else { "query" };
         let out = executed.map(|(prepared, rows, scanned, ops)| {
+            let root = if prepared.infers() { "sparql-ml" } else { "query" };
             let total = nanos_since(t0);
             let n = rows.len() as u64;
             metrics.query_latency.record(total);
@@ -259,6 +249,21 @@ impl ReadSession {
         self.stats.lock_wait_nanos +=
             kgnet_sync::profile::thread_wait_nanos().saturating_sub(wait0);
         out
+    }
+
+    /// Parse `text` and plan it against the pinned snapshot: a plain SELECT
+    /// directly, a SPARQL-ML SELECT through the manager (model and plan
+    /// choice from the snapshot's KGMeta). Every other operation writes.
+    fn prepare(&self, text: &str) -> Result<PreparedQuery, MlError> {
+        match parse(text)? {
+            SparqlMlOperation::PlainSelect(q) => Ok(prepare_select(&self.snapshot, q)?),
+            SparqlMlOperation::Select(q) => {
+                read_tracked(&self.manager, &MANAGER_SITE).prepare_select(&self.snapshot, &q)
+            }
+            SparqlMlOperation::PlainUpdate(_)
+            | SparqlMlOperation::Train(_)
+            | SparqlMlOperation::DeleteModels(_) => Err(MlError::ReadOnly),
+        }
     }
 
     /// Top-k entity-similarity search against a trained NodeSimilarity

@@ -1,7 +1,7 @@
 //! Deterministic model-check suites for the serving layer: the training
 //! queue's cancel-vs-complete race, the shared plan cache under a
-//! concurrent generation bump, and KGMeta readers against model DELETE and
-//! registration commits.
+//! concurrent generation bump, and KGMeta readers — direct ones and cached
+//! SPARQL-ML plans — against model DELETE and registration commits.
 //!
 //! Compiled only under `--cfg kgnet_check`: the `kgnet-sync` facade then
 //! routes every lock and atomic inside [`QueueState`]'s mutex and
@@ -26,7 +26,7 @@ use kgnet_rdf::{RdfStore, SharedStore, Term};
 use kgnet_server::cache::SharedPlanCache;
 use kgnet_server::queue::{JobState, QueueState};
 use kgnet_server::RetiredModels;
-use kgnet_sparqlml::{kgmeta, ModelFilter};
+use kgnet_sparqlml::{kgmeta, parse, MlError, ModelFilter, QueryManager, SparqlMlOperation};
 use kgnet_sync::atomic::Ordering;
 use kgnet_sync::{thread, Mutex};
 
@@ -171,7 +171,8 @@ fn plan_cache_never_serves_stale_generation() {
         assert!(cache.get(gen, TEXT).is_none(), "cold cache produced a plan");
 
         let parsed = kgnet_rdf::sparql::parse_select(TEXT).expect("query parses");
-        let prepared = cache.prepare_insert(&snap, TEXT, parsed).expect("plans on snapshot");
+        let planned = kgnet_rdf::sparql::prepare_select(&snap, parsed).expect("plans on snapshot");
+        let prepared = cache.insert(TEXT, planned);
         let hit = cache.get(gen, TEXT).expect("plan for the pinned generation was dropped");
         assert!(Arc::ptr_eq(&prepared, &hit), "hit returned a different plan");
 
@@ -216,7 +217,15 @@ fn nc_model(uri: &str) -> ModelArtifact {
         sampler: "d1h1".into(),
         cardinality: 1,
         trained_generation: 0,
-        payload: ArtifactPayload::NodeClassifier { predictions: Default::default() },
+        // A class for the seed store's one subject, so a query over it
+        // gets a row from the model.
+        payload: ArtifactPayload::NodeClassifier {
+            predictions: Arc::new(
+                [("http://kgnet/s0".to_owned(), "http://kgnet/c0".to_owned())]
+                    .into_iter()
+                    .collect(),
+            ),
+        },
     }
 }
 
@@ -278,4 +287,82 @@ fn kgmeta_listed_models_never_miss_their_artifact() {
         assert_eq!(listed.iter().map(|m| m.uri.as_str()).collect::<Vec<_>>(), [NEW]);
     });
     assert_coverage("server/kgmeta-reader-vs-delete-and-register", &[report], 1_000);
+}
+
+/// A reader runs a SPARQL-ML SELECT twice the way `ReadSession` does —
+/// pin, shared plan-cache lookup, `prepare_select` + insert on a miss,
+/// execute — so the second run executes the plan the first one cached at
+/// the reader's generation. It races a model DELETE's commit and sweep and
+/// a registration, as in `kgmeta_listed_models_never_miss_their_artifact`.
+/// In no schedule does an execution fail because the plan's model lost its
+/// artifact; the only error is `NoModel` at prepare time, when the pin
+/// falls between the DELETE and the registration and lists no model.
+#[test]
+fn cached_ml_plans_never_miss_their_artifact() {
+    const OLD: &str = "http://kgnet/model/old";
+    const NEW: &str = "http://kgnet/model/new";
+    const TEXT: &str = "PREFIX kgnet: <https://www.kgnet.com/> \
+        SELECT ?s ?c WHERE { ?s <http://kgnet/p> ?o . ?s ?M ?c . \
+        ?M a kgnet:NodeClassifier . ?M kgnet:TargetNode <http://kgnet/T> . }";
+    let report = explore(&cfg(), || {
+        let store = SharedStore::new(seed_store());
+        let manager = QueryManager::default();
+        let registry = manager.trainer().model_store().clone();
+        let retired = Arc::new(RetiredModels::new(registry.clone()));
+        let cache = SharedPlanCache::new(CAP);
+        let mut old = nc_model(OLD);
+        old.trained_generation = store.generation();
+        store.commit(|st| kgmeta::publish(&registry, st, old));
+
+        let deleter = {
+            let (store, retired) = (store.clone(), Arc::clone(&retired));
+            thread::spawn(move || {
+                let mut txn = store.begin();
+                kgmeta::unregister(txn.store_mut(), OLD);
+                retired.commit(&store, txn, vec![OLD.to_owned()]);
+            })
+        };
+        let registrar = {
+            let (store, retired, registry) =
+                (store.clone(), Arc::clone(&retired), registry.clone());
+            thread::spawn(move || {
+                let mut new = nc_model(NEW);
+                new.trained_generation = store.snapshot().generation();
+                let mut txn = store.begin();
+                kgmeta::publish(&registry, txn.store_mut(), new);
+                retired.commit(&store, txn, Vec::new());
+            })
+        };
+
+        let snapshot = store.snapshot();
+        let generation = snapshot.generation();
+        for run in 0..2 {
+            let prepared = match cache.get(generation, TEXT) {
+                Some(prepared) => prepared,
+                None => {
+                    assert_eq!(run, 0, "the plan cached at generation {generation} was lost");
+                    let Ok(SparqlMlOperation::Select(q)) = parse(TEXT) else {
+                        panic!("not an ML SELECT")
+                    };
+                    match manager.prepare_select(&snapshot, &q) {
+                        Ok(prepared) => cache.insert(TEXT, prepared),
+                        Err(MlError::NoModel(_)) => break,
+                        Err(e) => panic!("prepare at generation {generation} failed: {e}"),
+                    }
+                }
+            };
+            match kgnet_rdf::sparql::evaluate_prepared(&snapshot, &prepared) {
+                Ok((rows, _)) => assert_eq!(rows.len(), 1, "run {run} lost the model's row"),
+                Err(e) => panic!("run {run} of a plan cached at generation {generation}: {e}"),
+            }
+        }
+        drop(snapshot);
+        deleter.join().unwrap();
+        registrar.join().unwrap();
+
+        retired.commit(&store, store.begin(), Vec::new());
+        assert!(registry.get(OLD).is_none(), "the deleted artifact outlived every pin");
+        assert!(registry.get(NEW).is_some(), "the registered artifact was lost");
+    });
+    assert_coverage("server/cached-ml-plan-vs-delete-and-register", &[report], 1_000);
 }

@@ -12,7 +12,6 @@
 //! and the models a query finds are those of the version it reads.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
 
 use kgnet_gml::config::{GmlMethodKind, GnnConfig};
 use kgnet_gmlaas::{
@@ -23,7 +22,7 @@ use kgnet_rdf::sparql::eval::{
     evaluate_prepared, evaluate_select, execute_update, prepare_select_inferring, PreparedQuery,
     QueryResult, UpdateStats,
 };
-use kgnet_rdf::sparql::{InferredObjects, TermPattern};
+use kgnet_rdf::sparql::{InferredObjects, ObjectsFn, TermPattern};
 use kgnet_rdf::{RdfStore, SparqlError, Term};
 use kgnet_sampler::{meta_sample_task, SamplingScope};
 
@@ -189,7 +188,10 @@ impl QueryManager {
     /// serving layers that classify the operation themselves: models and
     /// plans are chosen now, and the plan runs (and explains) through
     /// [`evaluate_prepared`] like any plain one, calling this manager's
-    /// inference service as rows reach its inference steps.
+    /// inference service as rows reach its inference steps. The models and
+    /// plans are fixed by `data`'s KGMeta, so the plan is reusable for every
+    /// execution at `data`'s generation, like a plain one: each execution
+    /// fetches a Dictionary plan's dictionary once, for itself.
     pub fn prepare_select(
         &self,
         data: &RdfStore,
@@ -372,7 +374,6 @@ impl QueryManager {
                         kind: ud.task_kind,
                         plan,
                         k: ud.topk,
-                        dictionary: OnceLock::new(),
                     }) as Box<dyn InferredObjects>
                 })
                 .collect()
@@ -382,16 +383,17 @@ impl QueryManager {
 }
 
 /// One user-defined predicate answered through the inference service under
-/// its chosen plan: the Fig. 12 dictionary, fetched once on first use, or
-/// the Fig. 11 per-binding call, which the executor makes once per
-/// distinct subject. At most `k` objects are kept per subject.
+/// its chosen plan: the Fig. 12 dictionary, fetched once per execution on
+/// first use and dropped with it, or the Fig. 11 per-binding call, which
+/// the executor makes once per distinct subject. At most `k` objects are
+/// kept per subject. It names its model and holds no predictions, so a
+/// cached plan keeps no artifact's answers alive.
 struct Inference {
     service: InferenceService,
     model: String,
     kind: TaskKind,
     plan: RewritePlan,
     k: usize,
-    dictionary: OnceLock<InferenceResponse>,
 }
 
 impl Inference {
@@ -407,22 +409,23 @@ impl Inference {
             (T::NodeSimilarity, _) => R::GetSimilarNodes { model, node, k },
         }
     }
-}
 
-impl InferredObjects for Inference {
-    fn objects(&self, subject: &Term) -> Result<Vec<Term>, SparqlError> {
+    /// The objects predicted for `subject`; `dictionary` is the calling
+    /// execution's Fig. 12 dictionary, fetched into it on first use.
+    fn objects(
+        &self,
+        subject: &Term,
+        dictionary: &mut Option<InferenceResponse>,
+    ) -> Result<Vec<Term>, SparqlError> {
         let node = subject.as_iri().map_or_else(|| Cow::Owned(subject.to_string()), Cow::Borrowed);
         let call = || {
             let failed = |e: ServiceError| SparqlError::eval(format!("inference failed: {e}"));
             self.service.call(&self.request(&node)).map_err(failed)
         };
         let fetched;
-        let response = match (self.plan, self.dictionary.get()) {
-            (RewritePlan::Dictionary, Some(dictionary)) => dictionary,
-            (RewritePlan::Dictionary, None) => {
-                let dictionary = call()?;
-                self.dictionary.get_or_init(|| dictionary)
-            }
+        let response = match (self.plan, dictionary) {
+            (RewritePlan::Dictionary, Some(dictionary)) => &*dictionary,
+            (RewritePlan::Dictionary, empty) => &*empty.insert(call()?),
             (RewritePlan::PerBinding, _) => {
                 fetched = call()?;
                 &fetched
@@ -440,6 +443,13 @@ impl InferredObjects for Inference {
             R::TopkLinks { links, .. } | R::SimilarNodes { neighbors: links } => ranked(links),
             R::AllTopkLinks { links } => links.get(&*node).map_or_else(Vec::new, |l| ranked(l)),
         })
+    }
+}
+
+impl InferredObjects for Inference {
+    fn execution(&self) -> ObjectsFn<'_> {
+        let mut dictionary = None;
+        Box::new(move |subject| self.objects(subject, &mut dictionary))
     }
 
     fn describe(&self) -> String {

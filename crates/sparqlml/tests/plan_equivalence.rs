@@ -8,7 +8,9 @@
 //!
 //! The virtual-triple oracle below goes further: hand-built NC, LP and
 //! similarity models answer each ML SELECT exactly like a plain SELECT
-//! over a copy of the store in which every prediction is a real triple.
+//! over a copy of the store in which every prediction is a real triple,
+//! and it holds with the plan warm: one prepared plan run twice answers
+//! the same and calls the models as often each time.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -17,8 +19,11 @@ use kgnet_datagen::vocab::dblp;
 use kgnet_datagen::{generate_dblp, DblpConfig};
 use kgnet_gml::config::{GmlMethodKind, GnnConfig, TrainReport};
 use kgnet_gmlaas::{ArtifactPayload, EmbeddingStore, Metric, ModelArtifact, TaskKind};
+use kgnet_rdf::sparql::evaluate_prepared;
 use kgnet_rdf::{QueryResult, RdfStore, Term};
-use kgnet_sparqlml::{kgmeta, ManagerConfig, MlOutcome, QueryManager, RewritePlan};
+use kgnet_sparqlml::{
+    kgmeta, parse, ManagerConfig, MlOutcome, QueryManager, RewritePlan, SparqlMlOperation,
+};
 
 const PREFIXES: &str =
     "PREFIX dblp: <https://www.dblp.org/>\nPREFIX kgnet: <https://www.kgnet.com/>\n";
@@ -491,6 +496,67 @@ fn ml_selects_equal_plain_selects_over_materialised_predictions() {
         }
     }
     assert!(failures.is_empty(), "shapes that differ from the oracle:\n{}", failures.join("\n"));
+}
+
+/// The oracle again with the plan warm: each shape is prepared once and
+/// that one [`PreparedQuery`](kgnet_rdf::PreparedQuery) runs twice, as a
+/// cached plan does. Both runs equal the oracle and make the same number of
+/// inference calls — one per Dictionary step, one per distinct subject
+/// under the per-binding plan — so a plan keeps no answers between runs.
+#[test]
+fn a_warm_plan_runs_like_a_cold_one() {
+    let cfg = DblpConfig::tiny(41);
+    let (mut data, _) = generate_dblp(&cfg);
+    let models = oracle_models(&cfg);
+    let oracle = oracle_store(&data, &models);
+    let managers = [
+        ("default", manager_with(&mut data, &models, None)),
+        ("per-binding", manager_with(&mut data, &models, Some(0))),
+    ];
+
+    let mut failures = Vec::new();
+    for shape in oracle_shapes(&data) {
+        let (ml_text, plain_text) = shape.texts();
+        let want = kgnet_rdf::query(&oracle, &plain_text).unwrap();
+        let Ok(SparqlMlOperation::Select(q)) = parse(&ml_text) else { panic!("{ml_text}") };
+        for (plan, mgr) in &managers {
+            let prepared = mgr.prepare_select(&data, &q).unwrap();
+            let steps = mgr.explain(&data, &ml_text).unwrap().steps;
+            let dictionaries = steps.iter().filter(|s| s.plan == RewritePlan::Dictionary).count();
+            let mut calls = Vec::new();
+            for run in ["cold", "warm"] {
+                let before = mgr.service().stats().calls;
+                let why = match evaluate_prepared(&data, &prepared) {
+                    Ok((got, _)) => mismatch(&got, &want, shape.check),
+                    Err(e) => Some(e.to_string()),
+                };
+                if let Some(why) = why {
+                    failures.push(format!("{} ({plan}, {run} run): {why}", shape.name));
+                }
+                calls.push(mgr.service().stats().calls - before);
+            }
+            if calls[0] != calls[1] {
+                failures.push(format!("{} ({plan}): calls per run {calls:?}", shape.name));
+            }
+            if dictionaries == steps.len() && calls[0] != dictionaries {
+                failures.push(format!(
+                    "{} ({plan}): {} calls for {dictionaries} Dictionary steps",
+                    shape.name, calls[0]
+                ));
+            }
+        }
+    }
+    // The per-binding plan calls once per distinct subject: 60 papers.
+    let all = &oracle_shapes(&data)[0];
+    let Ok(SparqlMlOperation::Select(q)) = parse(&all.texts().0) else { panic!("ML SELECT") };
+    let per_binding = &managers[1].1;
+    let prepared = per_binding.prepare_select(&data, &q).unwrap();
+    for _ in 0..2 {
+        let before = per_binding.service().stats().calls;
+        evaluate_prepared(&data, &prepared).unwrap();
+        assert_eq!(per_binding.service().stats().calls - before, cfg.n_papers);
+    }
+    assert!(failures.is_empty(), "warm plans that differ:\n{}", failures.join("\n"));
 }
 
 #[test]
