@@ -8,15 +8,20 @@
 //! This crate is the stand-in for `torch.sparse`/PyG tensor machinery in the
 //! paper's Fig. 6 pipeline; every GML method in `kgnet-gml` is built on it.
 //!
-//! There is one dense row kernel: `matmul`'s ikj loop. `matmul_nt` and
-//! `matmul_tn` transpose one operand and run it too, so every output
-//! element sums its products in the naive dot-product order. CSR
-//! construction (`from_coo`, `transpose`) is a counting sort, with no
-//! comparison sort over all entries. The dense kernel and CSR `spmm` are
-//! data-parallel over output-row blocks on the vendored `rayon` batch
-//! pool (sized by `RAYON_NUM_THREADS`), with a sequential
-//! cutoff for small shapes. Each output element keeps one accumulation
-//! order, so results are bit-identical on pools of any size.
+//! There is one dense kernel, register-tiled in safe Rust: `matmul`,
+//! `matmul_nt` and `matmul_tn` pack the right factor into 8-column panels
+//! and sum each 4 × 8 output block in local accumulators, with no
+//! transposed copy of either operand. Every output element sums its
+//! products from +0.0 in the naive dot-product order; CSR `spmm` keeps
+//! each row's CSR order the same way. No zero factor is skipped, which
+//! keeps the bits for finite inputs (a ±0 product never changes such a
+//! sum) and gives NaN for `0 × ∞`, as IEEE does. CSR construction
+//! (`from_coo`, `transpose`) is a counting sort, with no comparison sort
+//! over all entries. The dense kernel and CSR `spmm` are data-parallel
+//! over output-row blocks on the vendored `rayon` batch pool (sized by
+//! `RAYON_NUM_THREADS`), with a sequential cutoff for small shapes. Each
+//! output element keeps one accumulation order, so results are
+//! bit-identical on pools of any size.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -83,7 +83,17 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    adjs: Vec<Rc<CsrMatrix>>,
+    adjs: Vec<Adjacency>,
+}
+
+/// A registered adjacency. Its transpose is built by the first backward use
+/// and dropped after the last, so a two-layer model transposes each
+/// adjacency once per step and holds the copy no longer than it needs it.
+struct Adjacency {
+    matrix: Rc<CsrMatrix>,
+    transpose: Option<CsrMatrix>,
+    /// Backward uses still to come: one per `spmm` that needs a gradient.
+    uses_left: usize,
 }
 
 impl Tape {
@@ -110,7 +120,7 @@ impl Tape {
     /// Register a sparse adjacency used by [`Tape::spmm`]. The matrix is
     /// treated as a constant (no gradient w.r.t. edge weights).
     pub fn adjacency(&mut self, adj: Rc<CsrMatrix>) -> usize {
-        self.adjs.push(adj);
+        self.adjs.push(Adjacency { matrix: adj, transpose: None, uses_left: 0 });
         self.adjs.len() - 1
     }
 
@@ -142,8 +152,9 @@ impl Tape {
 
     /// Sparse-dense product `adj @ x` for a registered adjacency.
     pub fn spmm(&mut self, adj: usize, x: Var) -> Var {
-        let value = self.adjs[adj].spmm(&self.nodes[x.0].value);
+        let value = self.adjs[adj].matrix.spmm(&self.nodes[x.0].value);
         let ng = self.needs(x);
+        self.adjs[adj].uses_left += usize::from(ng);
         self.push(Op::SpMM { adj, x }, value, ng)
     }
 
@@ -471,7 +482,12 @@ impl Tape {
             Op::SpMM { adj, x } => {
                 if self.needs(*x) {
                     // d/dx (A x) = Aᵀ grad
-                    let gt = self.adjs[*adj].transpose().spmm(grad);
+                    let a = &mut self.adjs[*adj];
+                    let gt = a.transpose.get_or_insert_with(|| a.matrix.transpose()).spmm(grad);
+                    a.uses_left = a.uses_left.saturating_sub(1);
+                    if a.uses_left == 0 {
+                        a.transpose = None;
+                    }
                     self.accumulate(*x, gt);
                 }
             }
