@@ -131,7 +131,8 @@ impl DblpConfig {
     }
 
     /// Scale every entity count by `f` (triple count scales roughly
-    /// linearly). Used by the scalability sweeps.
+    /// linearly). The paper-claim tests and the benchmark run at reduced
+    /// scales.
     pub fn scaled(mut self, f: f64) -> Self {
         let scale = |n: usize| ((n as f64 * f).round() as usize).max(1);
         self.n_papers = scale(self.n_papers);

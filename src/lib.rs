@@ -5,14 +5,14 @@
 //! SPARQL subset, the SPARQL-ML language (user-defined predicates backed by
 //! trained graph-ML models), GML-as-a-service with budget-constrained
 //! automatic method selection, task-specific meta-sampling, the KGMeta
-//! metadata graph, and an evaluation harness regenerating every table and
-//! figure of the paper on schema-faithful synthetic KGs.
+//! metadata graph, and tests checking the paper's evaluation claims on
+//! schema-faithful synthetic KGs.
 //!
 //! Start with [`server::KgServer`], the one platform handle: read sessions
 //! for plain and SPARQL-ML SELECTs, write sessions for updates, `TrainGML`
 //! and model DELETE, and a background training queue; [`http::HttpServer`]
 //! puts it on the wire. See the `examples/` directory for end-to-end
-//! walkthroughs and `crates/bench` for the experiment harness.
+//! walkthroughs and `tests/paper_claims.rs` for the paper's claims.
 
 #![forbid(unsafe_code)]
 
