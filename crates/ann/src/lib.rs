@@ -20,7 +20,6 @@
 //! `RAYON_NUM_THREADS` — the same guarantee `kgnet-linalg` kernels give.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod index;
 pub mod ivf;

@@ -8,7 +8,6 @@
 //! elsewhere). See DESIGN.md §2 for the substitution argument.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod dblp;
 pub mod vocab;

@@ -19,7 +19,6 @@
 //! fixed seed reproduces identical results on any `RAYON_NUM_THREADS`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod control;

@@ -8,7 +8,6 @@
 //! optimizer minimises.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod budget;
 mod codec;

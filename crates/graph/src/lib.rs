@@ -6,7 +6,6 @@
 //! (random and community-based) and Table-I-style KG statistics.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod hetero;
 pub mod split;

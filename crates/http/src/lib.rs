@@ -2,8 +2,9 @@
 //!
 //! Wire-level operational surface: a dependency-free HTTP/1.1 frontend
 //! over one [`KgServer`]. The whole serving stack below this crate is
-//! in-process; this is the one place the platform touches a socket (a
-//! repo lint, `net-boundary`, enforces that), exposing:
+//! in-process; this is the one place the platform touches a socket
+//! (`clippy.toml`'s `disallowed-types` bans socket types in every other
+//! crate), exposing:
 //!
 //! | Endpoint | What it serves |
 //! |---|---|
@@ -33,8 +34,9 @@
 //! requests). [`HttpServer::shutdown`] drains gracefully:
 //! in-flight requests complete, new connections stop being accepted.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The one crate allowed to name socket types.
+#![allow(clippy::disallowed_types)]
 
 pub mod client;
 mod parser;

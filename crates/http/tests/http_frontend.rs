@@ -6,6 +6,9 @@
 //! correlated from the access log onto root trace spans, and a graceful
 //! shutdown that finishes an in-flight request.
 
+// A raw `TcpStream` holds a request in flight across the shutdown.
+#![allow(clippy::disallowed_types)]
+
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;

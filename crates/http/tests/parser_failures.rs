@@ -5,8 +5,10 @@
 //! never a panic, never a hung connection slot.
 //!
 //! The raw `TcpStream` writes below are the point of the test (driving
-//! the parser with wire garbage the [`kgnet_http::Client`] cannot emit);
-//! test code is exempt from the `net-boundary` lint.
+//! the parser with wire garbage the [`kgnet_http::Client`] cannot emit),
+//! hence the file-level allow of `clippy.toml`'s socket-type ban.
+
+#![allow(clippy::disallowed_types)]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

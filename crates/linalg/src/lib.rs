@@ -24,7 +24,6 @@
 //! bit-identical on pools of any size.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod csr;
 pub mod init;

@@ -29,7 +29,6 @@
 //!   [`push_json_escaped`] and [`push_json_f64`], which write text or,
 //!   into a [`ByteCount`], only count it.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

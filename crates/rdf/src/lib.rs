@@ -10,7 +10,6 @@
 //! SPARQL-ML query manager.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod dict;
 pub mod error;

@@ -391,6 +391,7 @@ impl PreparedQuery {
 
     /// The answer [`Self::id_rows`] gives, from the materialised reference
     /// executor.
+    #[allow(clippy::disallowed_methods)] // the oracle's own entry point
     pub(crate) fn materialised_id_rows(&self, store: &RdfStore, state: &ExecState) -> Vec<IdRow> {
         let (q, vars) = (&self.query, &self.vars);
         let ctx = ExecCtx { store, vars, state };
@@ -1064,6 +1065,7 @@ fn instantiate(ctx: ExecCtx<'_>, tp: &TriplePattern, b: &Binding) -> Option<(Ter
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // compares the streaming executor with its oracle
 mod tests {
     use super::*;
 

@@ -463,6 +463,7 @@ impl BindingStream for InferJoin<'_> {
 /// Loop-based reference execution of the same plan: materialises the full
 /// binding table between operators, and runs each sub-SELECT anew on its
 /// own. Kept only as the correctness oracle for the streaming operators.
+#[allow(clippy::disallowed_methods)] // recurses into itself for OPTIONAL groups
 pub(crate) fn exec_group_materialised(
     ctx: ExecCtx<'_>,
     plan: &GroupPlan,

@@ -17,7 +17,6 @@
 //! runs as index scans against the `kgnet-rdf` store.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use rustc_hash::FxHashSet;
 

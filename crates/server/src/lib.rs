@@ -54,7 +54,6 @@
 //! [`KgServer::slow_queries`].
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod metrics;

@@ -8,7 +8,6 @@
 //! the end-to-end query manager.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod kgmeta;
 pub mod manager;

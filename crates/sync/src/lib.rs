@@ -21,8 +21,6 @@
 //!   additionally returns a [`WaitTimeoutResult`]);
 //! - [`thread::spawn`]/[`thread::Builder`] mirror `std::thread`.
 
-#![forbid(unsafe_code)]
-
 pub mod profile;
 pub mod sites;
 pub mod tracked;

@@ -14,8 +14,6 @@
 //! puts it on the wire. See the `examples/` directory for end-to-end
 //! walkthroughs and `tests/paper_claims.rs` for the paper's claims.
 
-#![forbid(unsafe_code)]
-
 // Task and training-configuration types, named at the root for callers
 // that build training requests.
 pub use kgnet_gml::config::{GmlMethodKind, GnnConfig};

@@ -1,6 +1,9 @@
 //! Cross-crate integration: SPARQL engine behaviour on generated KGs, and
 //! agreement between store-level scans and SPARQL answers.
 
+// The materialised executor is the streaming executor's oracle here.
+#![allow(clippy::disallowed_methods)]
+
 use kgnet::datagen::{generate_dblp, generate_yago, DblpConfig, YagoConfig};
 use kgnet::rdf::{query, RdfStore, Term};
 
