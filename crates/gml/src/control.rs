@@ -1,13 +1,15 @@
 //! Cooperative cancellation and epoch observation for training loops.
 //!
 //! [`TrainControl`] carries an optional cancel flag and an optional
-//! [`EpochObserver`] into every trainer's epoch loop. Trainers poll the
-//! flag at the top of each epoch and stop early when it is raised, so
-//! cancelling a running job costs at most one epoch of latency — not the
-//! remainder of the run. A cancelled run returns the partial result built
-//! so far (its `loss_curve` records exactly the epochs that completed);
-//! deciding whether to keep or discard it is the caller's job (the
-//! GML-as-a-service layer discards and reports cancellation).
+//! [`EpochObserver`] into every trainer, and owns the one epoch loop they
+//! all run: [`TrainControl::run_epochs`]. It polls the flag at the top of
+//! each epoch and stops early when it is raised, so cancelling a running
+//! job costs at most one epoch of latency — not the remainder of the run.
+//! A cancelled run returns the partial result built so far (its
+//! `loss_curve` records exactly the epochs that completed); deciding
+//! whether to keep or discard it is the caller's job (the
+//! GML-as-a-service layer reads [`TrainControl::is_cancelled`] after the
+//! run, then discards and reports cancellation).
 //!
 //! The observer is notified at the bottom of each completed epoch, which
 //! is how the serving layer measures per-epoch training time without the
@@ -45,7 +47,7 @@ impl EpochObserver for PairObserver<'_> {
     }
 }
 
-/// A borrowed, copyable handle polled by trainers between epochs.
+/// A borrowed, copyable handle that runs a trainer's epochs.
 #[derive(Clone, Copy, Default)]
 pub struct TrainControl<'a> {
     cancel: Option<&'a AtomicBool>,
@@ -72,12 +74,22 @@ impl<'a> TrainControl<'a> {
         self.cancel.is_some_and(|f| f.load(Ordering::SeqCst))
     }
 
-    /// Notify the observer (if any) that `epoch` just completed. Trainers
-    /// call this at the bottom of every epoch iteration.
-    pub fn epoch_completed(&self, epoch: usize) {
-        if let Some(obs) = self.observer {
-            obs.epoch_completed(epoch);
+    /// Run up to `epochs` epochs of `epoch`, which trains epoch `e` and
+    /// returns its loss. The flag is polled before each epoch, and the
+    /// observer hears of each one after its loss is recorded. Returns the
+    /// loss curve: one entry per completed epoch.
+    pub fn run_epochs(&self, epochs: usize, mut epoch: impl FnMut(usize) -> f32) -> Vec<f32> {
+        let mut losses = Vec::with_capacity(epochs);
+        for e in 0..epochs {
+            if self.is_cancelled() {
+                break;
+            }
+            losses.push(epoch(e));
+            if let Some(obs) = self.observer {
+                obs.epoch_completed(e);
+            }
         }
+        losses
     }
 }
 
@@ -96,10 +108,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_never_cancels() {
+    fn none_runs_every_epoch() {
         assert!(!TrainControl::NONE.is_cancelled());
-        // And notifying without an observer is a no-op.
-        TrainControl::NONE.epoch_completed(0);
+        let losses = TrainControl::NONE.run_epochs(3, |e| e as f32);
+        assert_eq!(losses, vec![0.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -118,6 +130,12 @@ mod tests {
         seen: kgnet_sync::Mutex<Vec<usize>>,
     }
 
+    impl Recorder {
+        fn new() -> Self {
+            Recorder { seen: kgnet_sync::Mutex::new(Vec::new()) }
+        }
+    }
+
     impl EpochObserver for Recorder {
         fn epoch_completed(&self, epoch: usize) {
             self.seen.lock().push(epoch);
@@ -125,33 +143,46 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_each_completed_epoch_and_keeps_the_flag() {
-        let flag = AtomicBool::new(false);
-        let rec = Recorder { seen: kgnet_sync::Mutex::new(Vec::new()) };
-        let ctl = TrainControl::with_flag(&flag).with_observer(&rec);
-        for e in 0..3 {
-            ctl.epoch_completed(e);
+    fn flag_raised_inside_epoch_k_ends_the_run_after_it() {
+        for k in [0usize, 1, 4] {
+            let flag = AtomicBool::new(false);
+            let rec = Recorder::new();
+            let ctl = TrainControl::with_flag(&flag).with_observer(&rec);
+            let losses = ctl.run_epochs(10, |e| {
+                if e == k {
+                    flag.store(true, Ordering::SeqCst);
+                }
+                e as f32
+            });
+            assert_eq!(losses.len(), k + 1, "raised in epoch {k}");
+            assert_eq!(*rec.seen.lock(), (0..=k).collect::<Vec<_>>());
         }
-        assert_eq!(*rec.seen.lock(), vec![0, 1, 2]);
-        flag.store(true, Ordering::SeqCst);
-        assert!(ctl.is_cancelled(), "with_observer must preserve the cancel flag");
+    }
+
+    #[test]
+    fn flag_raised_before_the_run_runs_zero_epochs() {
+        let flag = AtomicBool::new(true);
+        let rec = Recorder::new();
+        let ctl = TrainControl::with_flag(&flag).with_observer(&rec);
+        let losses = ctl.run_epochs(10, |_| panic!("an epoch ran after cancellation"));
+        assert!(losses.is_empty());
+        assert!(rec.seen.lock().is_empty());
     }
 
     #[test]
     fn pair_observer_notifies_both_in_order() {
-        let a = Recorder { seen: kgnet_sync::Mutex::new(Vec::new()) };
-        let b = Recorder { seen: kgnet_sync::Mutex::new(Vec::new()) };
+        let a = Recorder::new();
+        let b = Recorder::new();
         let pair = PairObserver::new(&a, &b);
         let ctl = TrainControl::default().with_observer(&pair);
-        ctl.epoch_completed(0);
-        ctl.epoch_completed(1);
+        ctl.run_epochs(2, |_| 0.0);
         assert_eq!(*a.seen.lock(), vec![0, 1]);
         assert_eq!(*b.seen.lock(), vec![0, 1]);
     }
 
     #[test]
     fn debug_reports_observation() {
-        let rec = Recorder { seen: kgnet_sync::Mutex::new(Vec::new()) };
+        let rec = Recorder::new();
         let dbg = format!("{:?}", TrainControl::default().with_observer(&rec));
         assert!(dbg.contains("observed: true"), "{dbg}");
     }

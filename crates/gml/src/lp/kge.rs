@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use kgnet_linalg::{init, memtrack, Adam, Matrix, Optimizer, ParamStore, Tape, Var};
+use kgnet_linalg::{init, memtrack, Adam, Matrix, ParamStore, Tape, Var};
 
 use crate::config::{GmlMethodKind, GnnConfig};
 use crate::control::TrainControl;
@@ -68,11 +68,7 @@ pub fn train(
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
     let batches_per_epoch = (triples.len() / cfg.batch_size.max(1)).clamp(1, 16);
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if ctl.is_cancelled() {
-            break;
-        }
+    let loss_curve = ctl.run_epochs(cfg.epochs, |_| {
         let mut epoch_loss = 0.0f32;
         let mut done = 0usize;
         // Waves of GRAD_WAVE batches: sampling (positives and corrupted
@@ -98,8 +94,8 @@ pub fn train(
 
             let wave = par::parallel_batch_grads(&mut prepared, |pb| {
                 let mut tape = Tape::new();
-                let ve = tape.param(ps.get(entities).clone());
-                let vr = tape.param(ps.get(relations).clone());
+                let ve = tape.param(&ps, entities);
+                let vr = tape.param(&ps, relations);
                 let h = tape.gather(ve, Rc::new(std::mem::take(&mut pb.heads)));
                 let r = tape.gather(vr, Rc::new(std::mem::take(&mut pb.rels)));
                 let t = tape.gather(ve, Rc::new(std::mem::take(&mut pb.tails)));
@@ -129,17 +125,13 @@ pub fn train(
                     other => panic!("{other} is not a KGE method"),
                 };
                 tape.backward(loss);
-                let grads = [(entities, ve), (relations, vr)]
-                    .map(|(pid, var)| (pid, tape.take_grad(var)))
-                    .to_vec();
-                (tape.scalar(loss), grads)
+                (tape.scalar(loss), tape.param_grads())
             });
             epoch_loss += par::reduce_grads_into(&mut ps, wave);
             opt.step(&mut ps);
         }
-        loss_curve.push(epoch_loss / batches_per_epoch as f32);
-        ctl.epoch_completed(epoch);
-    }
+        epoch_loss / batches_per_epoch as f32
+    });
     let train_time_s = t0.elapsed().as_secs_f64();
     let peak = scope.peak_delta();
 
@@ -197,42 +189,34 @@ pub fn train_unsupervised_ctl(
     let relations = ps.add(init::xavier_uniform(n_rel, d, &mut rng));
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    if !triples.is_empty() {
-        for epoch in 0..cfg.epochs {
-            if ctl.is_cancelled() {
-                break;
-            }
-            let mut batch: Vec<(u16, u32, u32)> = Vec::with_capacity(cfg.batch_size);
-            for _ in 0..cfg.batch_size {
-                batch.push(*triples.choose(&mut rng).expect("non-empty triples"));
-            }
-            let heads: Rc<Vec<u32>> = Rc::new(batch.iter().map(|&(_, s, _)| s).collect());
-            let rels: Rc<Vec<u32>> = Rc::new(batch.iter().map(|&(r, _, _)| r as u32).collect());
-            let tails: Rc<Vec<u32>> = Rc::new(batch.iter().map(|&(_, _, t)| t).collect());
-            let negs: Rc<Vec<u32>> =
-                Rc::new(batch.iter().map(|_| rng.gen_range(0..n as u32)).collect());
-            let mut tape = Tape::new();
-            let ve = tape.param(ps.get(entities).clone());
-            let vr = tape.param(ps.get(relations).clone());
-            let h = tape.gather(ve, heads);
-            let r = tape.gather(vr, rels);
-            let t = tape.gather(ve, tails);
-            let t_neg = tape.gather(ve, negs);
-            let pos = transe_dist(&mut tape, h, r, t);
-            let neg = transe_dist(&mut tape, h, r, t_neg);
-            let loss = margin_loss(&mut tape, pos, neg, cfg.margin);
-            tape.backward(loss);
-            loss_curve.push(tape.scalar(loss));
-            for (pid, var) in [(entities, ve), (relations, vr)] {
-                if let Some(g) = tape.take_grad(var) {
-                    ps.set_grad(pid, g);
-                }
-            }
-            opt.step(&mut ps);
-            ctl.epoch_completed(epoch);
+    // No triples, nothing to train on: zero epochs.
+    let epochs = if triples.is_empty() { 0 } else { cfg.epochs };
+    let loss_curve = ctl.run_epochs(epochs, |_| {
+        let mut batch: Vec<(u16, u32, u32)> = Vec::with_capacity(cfg.batch_size);
+        for _ in 0..cfg.batch_size {
+            batch.push(*triples.choose(&mut rng).expect("non-empty triples"));
         }
-    }
+        let heads: Rc<Vec<u32>> = Rc::new(batch.iter().map(|&(_, s, _)| s).collect());
+        let rels: Rc<Vec<u32>> = Rc::new(batch.iter().map(|&(r, _, _)| r as u32).collect());
+        let tails: Rc<Vec<u32>> = Rc::new(batch.iter().map(|&(_, _, t)| t).collect());
+        let negs: Rc<Vec<u32>> =
+            Rc::new(batch.iter().map(|_| rng.gen_range(0..n as u32)).collect());
+        let mut tape = Tape::new();
+        let ve = tape.param(&ps, entities);
+        let vr = tape.param(&ps, relations);
+        let h = tape.gather(ve, heads);
+        let r = tape.gather(vr, rels);
+        let t = tape.gather(ve, tails);
+        let t_neg = tape.gather(ve, negs);
+        let pos = transe_dist(&mut tape, h, r, t);
+        let neg = transe_dist(&mut tape, h, r, t_neg);
+        let loss = margin_loss(&mut tape, pos, neg, cfg.margin);
+        tape.backward(loss);
+        let step = (tape.scalar(loss), tape.param_grads());
+        let loss = par::reduce_grads_into(&mut ps, vec![step]);
+        opt.step(&mut ps);
+        loss
+    });
     let report = crate::config::TrainReport {
         method: GmlMethodKind::TransE,
         train_time_s: t0.elapsed().as_secs_f64(),
@@ -248,7 +232,7 @@ pub fn train_unsupervised_ctl(
     (ps.get(entities).clone(), report)
 }
 
-fn transe_dist(tape: &mut Tape, h: Var, r: Var, t: Var) -> Var {
+fn transe_dist(tape: &mut Tape<'_>, h: Var, r: Var, t: Var) -> Var {
     let hr = tape.add(h, r);
     let diff = tape.sub(hr, t);
     let sq = tape.mul(diff, diff);
@@ -256,7 +240,7 @@ fn transe_dist(tape: &mut Tape, h: Var, r: Var, t: Var) -> Var {
     tape.sqrt(ss)
 }
 
-fn rotate_dist(tape: &mut Tape, h: Var, phases: Var, t: Var, d: usize) -> Var {
+fn rotate_dist(tape: &mut Tape<'_>, h: Var, phases: Var, t: Var, d: usize) -> Var {
     let half = d / 2;
     let h_re = tape.slice_cols(h, 0, half);
     let h_im = tape.slice_cols(h, half, d);
@@ -280,13 +264,13 @@ fn rotate_dist(tape: &mut Tape, h: Var, phases: Var, t: Var, d: usize) -> Var {
     tape.sqrt(ss)
 }
 
-fn distmult_score(tape: &mut Tape, h: Var, r: Var, t: Var) -> Var {
+fn distmult_score(tape: &mut Tape<'_>, h: Var, r: Var, t: Var) -> Var {
     let hr = tape.mul(h, r);
     let hrt = tape.mul(hr, t);
     tape.row_sum(hrt)
 }
 
-fn complex_score(tape: &mut Tape, h: Var, r: Var, t: Var, d: usize) -> Var {
+fn complex_score(tape: &mut Tape<'_>, h: Var, r: Var, t: Var, d: usize) -> Var {
     let half = d / 2;
     let (h_re, h_im) = (tape.slice_cols(h, 0, half), tape.slice_cols(h, half, d));
     let (r_re, r_im) = (tape.slice_cols(r, 0, half), tape.slice_cols(r, half, d));
@@ -306,14 +290,14 @@ fn complex_score(tape: &mut Tape, h: Var, r: Var, t: Var, d: usize) -> Var {
     tape.row_sum(full)
 }
 
-fn margin_loss(tape: &mut Tape, pos_dist: Var, neg_dist: Var, margin: f32) -> Var {
+fn margin_loss(tape: &mut Tape<'_>, pos_dist: Var, neg_dist: Var, margin: f32) -> Var {
     let gap = tape.sub(pos_dist, neg_dist);
     let gap = tape.add_scalar(gap, margin);
     let hinge = tape.relu(gap);
     tape.mean_all(hinge)
 }
 
-fn logistic_loss(tape: &mut Tape, pos_score: Var, neg_score: Var) -> Var {
+fn logistic_loss(tape: &mut Tape<'_>, pos_score: Var, neg_score: Var) -> Var {
     let npos = tape.scale(pos_score, -1.0);
     let lp = tape.softplus(npos);
     let ln = tape.softplus(neg_score);

@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn pre_raised_cancel_runs_zero_epochs() {
-        use std::sync::atomic::AtomicBool;
+        use kgnet_sync::atomic::AtomicBool;
         let data = testutil::tiny_lp();
         let cfg = GnnConfig { epochs: 5000, ..GnnConfig::fast_test() };
         let flag = AtomicBool::new(true);

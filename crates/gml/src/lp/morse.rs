@@ -31,12 +31,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, Optimizer, ParamStore, Tape};
+use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, ParamStore, Tape, Var};
 
 use crate::config::{GmlMethodKind, GnnConfig};
 use crate::control::TrainControl;
 use crate::dataset::LpDataset;
 use crate::lp::{finish_lp, TrainedLp};
+use crate::par;
 
 /// Train MorsE on the dataset. Cancellation via `ctl` is polled at every
 /// epoch boundary.
@@ -83,11 +84,7 @@ pub fn train(data: &LpDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
         return finish_lp(GmlMethodKind::Morse, data, scores, emb, vec![], 0.0, 0, 0.0);
     }
 
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if ctl.is_cancelled() {
-            break;
-        }
+    let loss_curve = ctl.run_epochs(cfg.epochs, |_| {
         // --- Sample a sub-KG: 80% of the context edges.
         let sampled: Vec<(u16, u32, u32)> =
             context.iter().filter(|_| rng.gen_bool(0.8)).copied().collect();
@@ -132,11 +129,11 @@ pub fn train(data: &LpDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
         let mut tape = Tape::new();
         let ca = tape.adjacency(c_adj);
         let na = tape.adjacency(n_adj);
-        let vx = tape.param(ps.get(x).clone());
-        let va = tape.param(ps.get(a).clone());
-        let vw1 = tape.param(ps.get(w1).clone());
-        let vw2 = tape.param(ps.get(w2).clone());
-        let vp = tape.param(ps.get(p).clone());
+        let vx = tape.param(&ps, x);
+        let va = tape.param(&ps, a);
+        let vw1 = tape.param(&ps, w1);
+        let vw2 = tape.param(&ps, w2);
+        let vp = tape.param(&ps, p);
 
         let profile = tape.spmm(ca, va); // n x d
         let e0 = tape.add(vx, profile);
@@ -159,16 +156,11 @@ pub fn train(data: &LpDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
         let hinge = tape.relu(gap);
         let loss = tape.mean_all(hinge);
         tape.backward(loss);
-        loss_curve.push(tape.scalar(loss));
-
-        for (pid, var) in [(x, vx), (a, va), (w1, vw1), (w2, vw2), (p, vp)] {
-            if let Some(g) = tape.take_grad(var) {
-                ps.set_grad(pid, g);
-            }
-        }
+        let step = (tape.scalar(loss), tape.param_grads());
+        let loss = par::reduce_grads_into(&mut ps, vec![step]);
         opt.step(&mut ps);
-        ctl.epoch_completed(epoch);
-    }
+        loss
+    });
     let train_time_s = t0.elapsed().as_secs_f64();
     let peak = scope.peak_delta();
 
@@ -209,7 +201,7 @@ pub fn train(data: &LpDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 }
 
 /// L2 distance per row between two `k x d` vars.
-fn distance(tape: &mut Tape, a: kgnet_linalg::Var, b: kgnet_linalg::Var) -> kgnet_linalg::Var {
+fn distance(tape: &mut Tape<'_>, a: Var, b: Var) -> Var {
     let diff = tape.sub(a, b);
     let sq = tape.mul(diff, diff);
     let ss = tape.row_sum(sq);

@@ -10,12 +10,13 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, Optimizer, ParamStore, Tape};
+use kgnet_linalg::{memtrack, Adam, ParamStore, Tape};
 
 use crate::config::{GmlMethodKind, GnnConfig};
 use crate::control::TrainControl;
 use crate::dataset::NcDataset;
-use crate::nc::{finish, gcn_forward, TrainedNc};
+use crate::nc::{finish, Gcn, TrainedNc};
+use crate::par;
 
 /// Train a full-batch GCN on the dataset. Cancellation via `ctl` is polled
 /// at every epoch boundary.
@@ -26,15 +27,10 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 
     let n = data.graph.n_nodes();
     let c = data.n_classes().max(2);
-    let f = cfg.hidden;
     let adj = Rc::new(data.graph.gcn_adjacency());
 
     let mut ps = ParamStore::new();
-    let x = ps.add(init::xavier_uniform(n, f, &mut rng));
-    let w1 = ps.add(init::xavier_uniform(f, f, &mut rng));
-    let b1 = ps.add(Matrix::zeros(1, f));
-    let w2 = ps.add(init::xavier_uniform(f, c, &mut rng));
-    let b2 = ps.add(Matrix::zeros(1, c));
+    let gcn = Gcn::init(&mut ps, n, cfg.hidden, c, &mut rng);
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
     let train_nodes: Rc<Vec<u32>> =
@@ -42,46 +38,23 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
     let train_labels: Rc<Vec<u32>> =
         Rc::new(data.split.train.iter().map(|&i| data.labels[i as usize]).collect());
 
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if ctl.is_cancelled() {
-            break;
-        }
+    let loss_curve = ctl.run_epochs(cfg.epochs, |_| {
         let mut tape = Tape::new();
-        let a = tape.adjacency(adj.clone());
-        let vx = tape.param(ps.get(x).clone());
-        let vw1 = tape.param(ps.get(w1).clone());
-        let vb1 = tape.param(ps.get(b1).clone());
-        let vw2 = tape.param(ps.get(w2).clone());
-        let vb2 = tape.param(ps.get(b2).clone());
-
-        let xw = tape.matmul(vx, vw1);
-        let h = tape.spmm(a, xw);
-        let h = tape.add_bias(h, vb1);
-        let h = tape.relu(h);
-        let h = tape.dropout(h, cfg.dropout, &mut rng);
-        let hw = tape.matmul(h, vw2);
-        let z = tape.spmm(a, hw);
-        let z = tape.add_bias(z, vb2);
+        let z = gcn.logits(&mut tape, &ps, adj.clone(), None, cfg.dropout, &mut rng);
         let zt = tape.gather(z, train_nodes.clone());
         let loss = tape.softmax_ce(zt, train_labels.clone());
         tape.backward(loss);
-        loss_curve.push(tape.scalar(loss));
-
-        for (pid, var) in [(x, vx), (w1, vw1), (b1, vb1), (w2, vw2), (b2, vb2)] {
-            if let Some(g) = tape.take_grad(var) {
-                ps.set_grad(pid, g);
-            }
-        }
+        let step = (tape.scalar(loss), tape.param_grads());
+        let loss = par::reduce_grads_into(&mut ps, vec![step]);
         opt.step(&mut ps);
-        ctl.epoch_completed(epoch);
-    }
+        loss
+    });
     let train_time_s = t0.elapsed().as_secs_f64();
     let peak = scope.peak_delta();
 
     // Final full-graph inference.
     let ti = Instant::now();
-    let (h, z) = evaluate(&adj, &ps, x, w1, b1, w2, b2);
+    let (h, z) = gcn.forward(&ps, &adj);
     let infer_ms = ti.elapsed().as_secs_f64() * 1e3 / data.target_nodes.len().max(1) as f64;
 
     let target_logits = z.gather_rows(&data.target_nodes);
@@ -96,19 +69,6 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
         peak,
         infer_ms,
     )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    adj: &CsrMatrix,
-    ps: &ParamStore,
-    x: kgnet_linalg::ParamId,
-    w1: kgnet_linalg::ParamId,
-    b1: kgnet_linalg::ParamId,
-    w2: kgnet_linalg::ParamId,
-    b2: kgnet_linalg::ParamId,
-) -> (Matrix, Matrix) {
-    gcn_forward(adj, ps.get(x), ps.get(w1), ps.get(b1), ps.get(w2), ps.get(b2))
 }
 
 #[cfg(test)]

@@ -9,7 +9,11 @@ pub mod rgcn;
 pub mod saint;
 pub mod shadow;
 
-use kgnet_linalg::{CsrMatrix, Matrix};
+use std::rc::Rc;
+
+use rand::rngs::StdRng;
+
+use kgnet_linalg::{init, CsrMatrix, Matrix, ParamId, ParamStore, Tape, Var};
 
 use crate::config::{GmlMethodKind, GnnConfig, TrainReport};
 use crate::control::TrainControl;
@@ -52,22 +56,71 @@ pub fn train_nc_ctl(
     }
 }
 
-/// Plain (tape-free) two-layer GCN forward used for evaluation:
-/// `H = relu(Â X W1 + b1)`, `Z = Â H W2 + b2`. Returns `(H, Z)`.
-pub(crate) fn gcn_forward(
-    adj: &CsrMatrix,
-    x: &Matrix,
-    w1: &Matrix,
-    b1: &Matrix,
-    w2: &Matrix,
-    b2: &Matrix,
-) -> (Matrix, Matrix) {
-    let mut h = adj.spmm(&x.matmul(w1));
-    add_bias_inplace(&mut h, b1);
-    relu_inplace(&mut h);
-    let mut z = adj.spmm(&h.matmul(w2));
-    add_bias_inplace(&mut z, b2);
-    (h, z)
+/// The two-layer GCN that [`gcn`] trains on the whole graph and [`saint`]
+/// on sampled subgraphs: a learnable node-feature table `X`, then
+/// `H = relu(Â X W1 + b1)` and `Z = Â H W2 + b2`.
+pub(crate) struct Gcn {
+    x: ParamId,
+    w1: ParamId,
+    b1: ParamId,
+    w2: ParamId,
+    b2: ParamId,
+}
+
+impl Gcn {
+    /// Register Xavier-initialised parameters for `n` nodes, hidden width
+    /// `f` and `c` classes.
+    pub(crate) fn init(ps: &mut ParamStore, n: usize, f: usize, c: usize, rng: &mut StdRng) -> Gcn {
+        Gcn {
+            x: ps.add(init::xavier_uniform(n, f, rng)),
+            w1: ps.add(init::xavier_uniform(f, f, rng)),
+            b1: ps.add(Matrix::zeros(1, f)),
+            w2: ps.add(init::xavier_uniform(f, c, rng)),
+            b2: ps.add(Matrix::zeros(1, c)),
+        }
+    }
+
+    /// `Z` on the tape, with dropout after the first layer. `x_rows` picks
+    /// the feature rows of a sampled subgraph that `adj` covers; `None`
+    /// uses the whole table.
+    pub(crate) fn logits<'p>(
+        &self,
+        tape: &mut Tape<'p>,
+        ps: &'p ParamStore,
+        adj: Rc<CsrMatrix>,
+        x_rows: Option<Rc<Vec<u32>>>,
+        dropout: f32,
+        rng: &mut StdRng,
+    ) -> Var {
+        let a = tape.adjacency(adj);
+        let vx = tape.param(ps, self.x);
+        let vw1 = tape.param(ps, self.w1);
+        let vb1 = tape.param(ps, self.b1);
+        let vw2 = tape.param(ps, self.w2);
+        let vb2 = tape.param(ps, self.b2);
+        let x = match x_rows {
+            Some(rows) => tape.gather(vx, rows),
+            None => vx,
+        };
+        let xw = tape.matmul(x, vw1);
+        let h = tape.spmm(a, xw);
+        let h = tape.add_bias(h, vb1);
+        let h = tape.relu(h);
+        let h = tape.dropout(h, dropout, rng);
+        let hw = tape.matmul(h, vw2);
+        let z = tape.spmm(a, hw);
+        tape.add_bias(z, vb2)
+    }
+
+    /// Tape-free `(H, Z)` over the whole graph, for inference.
+    pub(crate) fn forward(&self, ps: &ParamStore, adj: &CsrMatrix) -> (Matrix, Matrix) {
+        let mut h = adj.spmm(&ps.get(self.x).matmul(ps.get(self.w1)));
+        add_bias_inplace(&mut h, ps.get(self.b1));
+        relu_inplace(&mut h);
+        let mut z = adj.spmm(&h.matmul(ps.get(self.w2)));
+        add_bias_inplace(&mut z, ps.get(self.b2));
+        (h, z)
+    }
 }
 
 pub(crate) fn add_bias_inplace(m: &mut Matrix, bias: &Matrix) {
@@ -154,23 +207,21 @@ mod tests {
 
     #[test]
     fn gcn_forward_shapes() {
+        use rand::SeedableRng;
         let adj = CsrMatrix::gcn_norm(4, &[(0, 1), (1, 2), (2, 3)]);
-        let x = Matrix::filled(4, 3, 0.5);
-        let w1 = Matrix::filled(3, 5, 0.1);
-        let b1 = Matrix::zeros(1, 5);
-        let w2 = Matrix::filled(5, 2, 0.1);
-        let b2 = Matrix::zeros(1, 2);
-        let (h, z) = gcn_forward(&adj, &x, &w1, &b1, &w2, &b2);
+        let mut ps = ParamStore::new();
+        let gcn = Gcn::init(&mut ps, 4, 5, 2, &mut StdRng::seed_from_u64(0));
+        let (h, z) = gcn.forward(&ps, &adj);
         assert_eq!(h.shape(), (4, 5));
         assert_eq!(z.shape(), (4, 2));
     }
 
     #[test]
     fn pre_raised_cancel_runs_zero_epochs() {
-        use std::sync::atomic::AtomicBool;
-        // A flag raised before the run starts proves the poll sits at the
-        // top of every epoch loop: not a single epoch may execute, no
-        // matter how many are configured.
+        use kgnet_sync::atomic::AtomicBool;
+        // A flag raised before the run starts proves every trainer runs its
+        // epochs through `TrainControl::run_epochs`: not a single epoch may
+        // execute, no matter how many are configured.
         let data = testutil::tiny_nc();
         let cfg = GnnConfig { epochs: 5000, ..GnnConfig::fast_test() };
         let flag = AtomicBool::new(true);
@@ -191,7 +242,7 @@ mod tests {
 
     #[test]
     fn mid_run_cancel_stops_within_epochs_not_at_run_end() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use kgnet_sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         // The run is configured far beyond what could finish quickly; a
         // cancel raised shortly after the start must end it long before the

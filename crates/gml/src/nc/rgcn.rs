@@ -22,14 +22,13 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use kgnet_linalg::{
-    init, memtrack, Adam, CsrMatrix, Matrix, Optimizer, ParamId, ParamStore, Tape, Var,
-};
+use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, ParamId, ParamStore, Tape, Var};
 
 use crate::config::{GmlMethodKind, GnnConfig};
 use crate::control::TrainControl;
 use crate::dataset::NcDataset;
 use crate::nc::{add_bias_inplace, finish, relu_inplace, TrainedNc};
+use crate::par;
 
 struct Relation {
     /// Compact adjacency over active source rows (`k x n`).
@@ -80,21 +79,17 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
     let train_labels: Rc<Vec<u32>> =
         Rc::new(data.split.train.iter().map(|&i| data.labels[i as usize]).collect());
 
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if ctl.is_cancelled() {
-            break;
-        }
+    let loss_curve = ctl.run_epochs(cfg.epochs, |_| {
         let mut tape = Tape::new();
         let adj_ids: Vec<usize> =
             relations.iter().map(|r| tape.adjacency(r.sub_adj.clone())).collect();
-        let vx = tape.param(ps.get(x).clone());
-        let vw1s = tape.param(ps.get(w1_self).clone());
-        let vb1 = tape.param(ps.get(b1).clone());
-        let vw2s = tape.param(ps.get(w2_self).clone());
-        let vb2 = tape.param(ps.get(b2).clone());
-        let vw1r: Vec<Var> = w1_rel.iter().map(|&p| tape.param(ps.get(p).clone())).collect();
-        let vw2r: Vec<Var> = w2_rel.iter().map(|&p| tape.param(ps.get(p).clone())).collect();
+        let vx = tape.param(&ps, x);
+        let vw1s = tape.param(&ps, w1_self);
+        let vb1 = tape.param(&ps, b1);
+        let vw2s = tape.param(&ps, w2_self);
+        let vb2 = tape.param(&ps, b2);
+        let vw1r: Vec<Var> = w1_rel.iter().map(|&p| tape.param(&ps, p)).collect();
+        let vw2r: Vec<Var> = w2_rel.iter().map(|&p| tape.param(&ps, p)).collect();
 
         let h = rgcn_layer(&mut tape, &relations, &adj_ids, vx, &vw1r, vw1s, vb1, n);
         let h = tape.relu(h);
@@ -103,21 +98,11 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
         let zt = tape.gather(z, train_nodes.clone());
         let loss = tape.softmax_ce(zt, train_labels.clone());
         tape.backward(loss);
-        loss_curve.push(tape.scalar(loss));
-
-        for (pid, var) in [(x, vx), (w1_self, vw1s), (b1, vb1), (w2_self, vw2s), (b2, vb2)] {
-            if let Some(g) = tape.take_grad(var) {
-                ps.set_grad(pid, g);
-            }
-        }
-        for (pid, var) in w1_rel.iter().zip(&vw1r).chain(w2_rel.iter().zip(&vw2r)) {
-            if let Some(g) = tape.take_grad(*var) {
-                ps.set_grad(*pid, g);
-            }
-        }
+        let step = (tape.scalar(loss), tape.param_grads());
+        let loss = par::reduce_grads_into(&mut ps, vec![step]);
         opt.step(&mut ps);
-        ctl.epoch_completed(epoch);
-    }
+        loss
+    });
     let train_time_s = t0.elapsed().as_secs_f64();
     let peak = scope.peak_delta();
 
@@ -143,7 +128,7 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 /// One RGCN layer on the tape.
 #[allow(clippy::too_many_arguments)]
 fn rgcn_layer(
-    tape: &mut Tape,
+    tape: &mut Tape<'_>,
     relations: &[Relation],
     adj_ids: &[usize],
     input: Var,

@@ -16,12 +16,12 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashMap;
 
-use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, Optimizer, ParamStore, Tape};
+use kgnet_linalg::{memtrack, Adam, CsrMatrix, ParamStore, Tape};
 
 use crate::config::{GmlMethodKind, GnnConfig};
 use crate::control::TrainControl;
 use crate::dataset::NcDataset;
-use crate::nc::{finish, gcn_forward, TrainedNc};
+use crate::nc::{finish, Gcn, TrainedNc};
 use crate::par;
 
 /// One sampled subgraph batch, ready for tape evaluation on any worker.
@@ -43,15 +43,10 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 
     let n = data.graph.n_nodes();
     let c = data.n_classes().max(2);
-    let f = cfg.hidden;
     let (offsets, neighbors) = data.graph.neighbor_lists();
 
     let mut ps = ParamStore::new();
-    let x = ps.add(init::xavier_uniform(n, f, &mut rng));
-    let w1 = ps.add(init::xavier_uniform(f, f, &mut rng));
-    let b1 = ps.add(Matrix::zeros(1, f));
-    let w2 = ps.add(init::xavier_uniform(f, c, &mut rng));
-    let b2 = ps.add(Matrix::zeros(1, c));
+    let gcn = Gcn::init(&mut ps, n, cfg.hidden, c, &mut rng);
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
     // Label lookup: global node -> (target index).
@@ -64,11 +59,7 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 
     let steps_per_epoch = (train_target_nodes.len() / cfg.saint_roots.max(1)).clamp(1, 32);
 
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if ctl.is_cancelled() {
-            break;
-        }
+    let loss_curve = ctl.run_epochs(cfg.epochs, |epoch| {
         let mut epoch_loss = 0.0f32;
         let mut counted = 0usize;
         let mut step = 0usize;
@@ -143,45 +134,32 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
             counted += prepared.len();
             let wave = par::parallel_batch_grads(&mut prepared, |batch| {
                 let mut drop_rng = StdRng::seed_from_u64(batch.seed);
-                let k = batch.nodes.len();
-                let sub_adj = Rc::new(CsrMatrix::gcn_norm(k, &batch.edges));
+                let sub_adj = Rc::new(CsrMatrix::gcn_norm(batch.nodes.len(), &batch.edges));
+                let nodes = Rc::new(std::mem::take(&mut batch.nodes));
                 let mut tape = Tape::new();
-                let a = tape.adjacency(sub_adj);
-                let vx = tape.param(ps.get(x).clone());
-                let vw1 = tape.param(ps.get(w1).clone());
-                let vb1 = tape.param(ps.get(b1).clone());
-                let vw2 = tape.param(ps.get(w2).clone());
-                let vb2 = tape.param(ps.get(b2).clone());
-                let xs = tape.gather(vx, Rc::new(std::mem::take(&mut batch.nodes)));
-                let xw = tape.matmul(xs, vw1);
-                let h = tape.spmm(a, xw);
-                let h = tape.add_bias(h, vb1);
-                let h = tape.relu(h);
-                let h = tape.dropout(h, cfg.dropout, &mut drop_rng);
-                let hw = tape.matmul(h, vw2);
-                let z = tape.spmm(a, hw);
-                let z = tape.add_bias(z, vb2);
+                let z =
+                    gcn.logits(&mut tape, &ps, sub_adj, Some(nodes), cfg.dropout, &mut drop_rng);
                 let zt = tape.gather(z, Rc::new(std::mem::take(&mut batch.batch_rows)));
                 let loss = tape.softmax_ce(zt, Rc::new(std::mem::take(&mut batch.batch_labels)));
                 tape.backward(loss);
-                let grads = [(x, vx), (w1, vw1), (b1, vb1), (w2, vw2), (b2, vb2)]
-                    .map(|(pid, var)| (pid, tape.take_grad(var)))
-                    .to_vec();
-                (tape.scalar(loss), grads)
+                (tape.scalar(loss), tape.param_grads())
             });
             epoch_loss += par::reduce_grads_into(&mut ps, wave);
             opt.step(&mut ps);
         }
-        loss_curve.push(if counted > 0 { epoch_loss / counted as f32 } else { f32::NAN });
-        ctl.epoch_completed(epoch);
-    }
+        if counted > 0 {
+            epoch_loss / counted as f32
+        } else {
+            f32::NAN
+        }
+    });
     let train_time_s = t0.elapsed().as_secs_f64();
     let peak = scope.peak_delta();
 
     // Full-graph inference with the trained weights (standard GraphSAINT).
     let ti = Instant::now();
     let adj = data.graph.gcn_adjacency();
-    let (h, z) = gcn_forward(&adj, ps.get(x), ps.get(w1), ps.get(b1), ps.get(w2), ps.get(b2));
+    let (h, z) = gcn.forward(&ps, &adj);
     let infer_ms = ti.elapsed().as_secs_f64() * 1e3 / data.target_nodes.len().max(1) as f64;
 
     let target_logits = z.gather_rows(&data.target_nodes);

@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rustc_hash::FxHashMap;
 
-use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, Optimizer, ParamStore, Tape};
+use kgnet_linalg::{init, memtrack, Adam, CsrMatrix, Matrix, ParamStore, Tape};
 
 use crate::config::{GmlMethodKind, GnnConfig};
 use crate::control::TrainControl;
@@ -69,11 +69,7 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
     let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
 
     let mut train_idx: Vec<u32> = data.split.train.clone();
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if ctl.is_cancelled() {
-            break;
-        }
+    let loss_curve = ctl.run_epochs(cfg.epochs, |epoch| {
         train_idx.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
@@ -99,13 +95,13 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
 
                 let mut tape = Tape::new();
                 let a = tape.adjacency(sub_adj);
-                let vx = tape.param(ps.get(x).clone());
-                let vw1 = tape.param(ps.get(w1).clone());
-                let vb1 = tape.param(ps.get(b1).clone());
-                let vw2 = tape.param(ps.get(w2).clone());
-                let vb2 = tape.param(ps.get(b2).clone());
-                let vw3 = tape.param(ps.get(w3).clone());
-                let vb3 = tape.param(ps.get(b3).clone());
+                let vx = tape.param(&ps, x);
+                let vw1 = tape.param(&ps, w1);
+                let vb1 = tape.param(&ps, b1);
+                let vw2 = tape.param(&ps, w2);
+                let vb2 = tape.param(&ps, b2);
+                let vw3 = tape.param(&ps, w3);
+                let vb3 = tape.param(&ps, b3);
 
                 let xs = tape.gather(vx, Rc::new(std::mem::take(&mut batch.nodes)));
                 let xw = tape.matmul(xs, vw1);
@@ -122,18 +118,17 @@ pub fn train(data: &NcDataset, cfg: &GnnConfig, ctl: TrainControl<'_>) -> Traine
                 let z = tape.add_bias(z, vb3);
                 let loss = tape.softmax_ce(z, Rc::new(std::mem::take(&mut batch.labels)));
                 tape.backward(loss);
-                let grads =
-                    [(x, vx), (w1, vw1), (b1, vb1), (w2, vw2), (b2, vb2), (w3, vw3), (b3, vb3)]
-                        .map(|(pid, var)| (pid, tape.take_grad(var)))
-                        .to_vec();
-                (tape.scalar(loss), grads)
+                (tape.scalar(loss), tape.param_grads())
             });
             epoch_loss += par::reduce_grads_into(&mut ps, wave);
             opt.step(&mut ps);
         }
-        loss_curve.push(if batches > 0 { epoch_loss / batches as f32 } else { f32::NAN });
-        ctl.epoch_completed(epoch);
-    }
+        if batches > 0 {
+            epoch_loss / batches as f32
+        } else {
+            f32::NAN
+        }
+    });
     let train_time_s = t0.elapsed().as_secs_f64();
     let peak = scope.peak_delta();
 

@@ -22,8 +22,9 @@ use rayon::prelude::*;
 /// thread count; the pool only decides how many of these run concurrently.
 pub const GRAD_WAVE: usize = 4;
 
-/// Per-batch training output: the scalar loss and the leaf gradients in the
-/// trainer's fixed parameter order (`None` where a leaf received none).
+/// Per-batch training output: the scalar loss and the parameter gradients
+/// as `Tape::param_grads` returns them, in the order the batch put its
+/// parameters on the tape (`None` where the loss did not reach one).
 pub type BatchGrads = (f32, Vec<(ParamId, Option<Matrix>)>);
 
 /// An independent, reproducible RNG seed for one mini-batch (dropout masks
@@ -55,7 +56,9 @@ where
 /// Average a wave's gradients in batch order and install them into the
 /// store; returns the sum of the batch losses. The fold order is fixed by
 /// batch index, so the reduced gradient is bit-identical regardless of
-/// which workers computed the parts, or in what order they finished.
+/// which workers computed the parts, or in what order they finished. The
+/// full-batch trainers pass a one-batch wave, whose gradients are installed
+/// as they are, unscaled.
 pub fn reduce_grads_into(ps: &mut ParamStore, wave: Vec<BatchGrads>) -> f32 {
     let k = wave.len();
     let mut loss_sum = 0.0f32;
@@ -117,10 +120,18 @@ mod tests {
         ];
         let loss = reduce_grads_into(&mut ps, wave);
         assert_eq!(loss, 4.0);
-        // The averaged gradient (3.0, 2.0) lands via one SGD step.
-        let mut opt = kgnet_linalg::Sgd::new(1.0);
-        kgnet_linalg::Optimizer::step(&mut opt, &mut ps);
-        assert_eq!(ps.get(w).as_slice(), &[-3.0, -2.0]);
+        assert_eq!(ps.grad(w).map(Matrix::as_slice), Some(&[3.0, 2.0][..]));
+    }
+
+    #[test]
+    fn reduce_installs_one_batch_unscaled() {
+        let mut ps = ParamStore::new();
+        let w = ps.add(Matrix::zeros(1, 2));
+        let v = ps.add(Matrix::zeros(1, 1));
+        let grads = vec![(w, Some(Matrix::from_vec(1, 2, vec![0.1, -0.3]))), (v, None)];
+        assert_eq!(reduce_grads_into(&mut ps, vec![(0.5, grads)]), 0.5);
+        assert_eq!(ps.grad(w).map(Matrix::as_slice), Some(&[0.1, -0.3][..]));
+        assert!(ps.grad(v).is_none());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Weight initialisation.
 //!
 //! The paper's evaluation setup states: "Node features are initialized
-//! randomly using Xavier weight initialization in all experiments." These
-//! helpers provide seeded Xavier (Glorot) initialisation used for both node
-//! feature tables and layer weights.
+//! randomly using Xavier weight initialization in all experiments." Seeded
+//! Xavier (Glorot) initialisation serves both node feature tables and layer
+//! weights.
 
 use rand::Rng;
 
@@ -13,24 +13,6 @@ use crate::matrix::Matrix;
 pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     let a = (6.0 / (rows + cols) as f32).sqrt();
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..a))
-}
-
-/// Xavier/Glorot normal: `N(0, 2 / (fan_in + fan_out))` via Box–Muller.
-pub fn xavier_normal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / (rows + cols) as f32).sqrt();
-    Matrix::from_fn(rows, cols, |_, _| std_normal(rng) * std)
-}
-
-/// Uniform `U(low, high)`.
-pub fn uniform(rows: usize, cols: usize, low: f32, high: f32, rng: &mut impl Rng) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(low..high))
-}
-
-/// One standard-normal sample via Box–Muller.
-pub fn std_normal(rng: &mut impl Rng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -45,18 +27,6 @@ mod tests {
         let m = xavier_uniform(64, 64, &mut rng);
         let a = (6.0 / 128.0f32).sqrt();
         assert!(m.as_slice().iter().all(|&v| v >= -a && v < a));
-    }
-
-    #[test]
-    fn xavier_normal_moments() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = xavier_normal(100, 100, &mut rng);
-        let mean: f32 = m.as_slice().iter().sum::<f32>() / m.len() as f32;
-        let var: f32 =
-            m.as_slice().iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / m.len() as f32;
-        let target = 2.0 / 200.0;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - target).abs() < target * 0.2, "var {var} target {target}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # kgnet-linalg
 //!
 //! Numerical substrate for the KGNet reproduction: dense matrices, CSR sparse
-//! matrices, a reverse-mode autodiff tape, weight initialisers, first-order
-//! optimizers, and a global logical-memory tracker used to report training
-//! memory the way the paper's figures do.
+//! matrices, a reverse-mode autodiff tape over borrowed parameters, Xavier
+//! initialisation, the Adam optimizer, and a global logical-memory tracker
+//! used to report training memory the way the paper's figures do.
 //!
 //! This crate is the stand-in for `torch.sparse`/PyG tensor machinery in the
 //! paper's Fig. 6 pipeline; every GML method in `kgnet-gml` is built on it.
@@ -35,7 +35,7 @@ pub mod tape;
 
 pub use csr::CsrMatrix;
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, ParamId, ParamStore, Sgd};
+pub use optim::{Adam, ParamId, ParamStore};
 pub use tape::{Tape, Var};
 
 #[cfg(test)]

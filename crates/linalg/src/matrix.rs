@@ -35,18 +35,17 @@ pub(crate) const PAR_MIN_FLOPS: usize = 1 << 16;
 /// have not started, which evens out rows of uneven cost.
 pub(crate) const PAR_PIECES_PER_THREAD: usize = 4;
 
-/// Pairwise (block) summation of `f(x)` over `xs`: splits in half down to a
-/// fixed base block, giving O(log n) rounding-error growth instead of the
-/// O(n) of a running sum. The combine tree depends only on the length, so
-/// every caller — sequential or parallel, any pool size — agrees
-/// bit-for-bit.
-pub(crate) fn pairwise_sum_by(xs: &[f32], f: &impl Fn(f32) -> f32) -> f32 {
+/// Pairwise (block) summation over `xs`: splits in half down to a fixed
+/// base block, giving O(log n) rounding-error growth instead of the O(n) of
+/// a running sum. The combine tree depends only on the length, so every
+/// caller — sequential or parallel, any pool size — agrees bit-for-bit.
+fn pairwise_sum(xs: &[f32]) -> f32 {
     const BASE: usize = 128;
     if xs.len() <= BASE {
-        xs.iter().map(|&v| f(v)).sum()
+        xs.iter().sum()
     } else {
         let mid = xs.len() / 2;
-        pairwise_sum_by(&xs[..mid], f) + pairwise_sum_by(&xs[mid..], f)
+        pairwise_sum(&xs[..mid]) + pairwise_sum(&xs[mid..])
     }
 }
 
@@ -236,14 +235,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise in-place `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Element-wise in-place scaling.
     pub fn scale_assign(&mut self, alpha: f32) {
         for a in &mut self.data {
@@ -275,15 +266,9 @@ impl Matrix {
             .collect()
     }
 
-    /// Frobenius norm, accumulated by pairwise (block) summation so the
-    /// result is stable in `f32` and identical for every pool size.
-    pub fn frobenius_norm(&self) -> f32 {
-        pairwise_sum_by(&self.data, &|v| v * v).sqrt()
-    }
-
     /// Sum of all elements, accumulated by pairwise (block) summation.
     pub fn sum(&self) -> f32 {
-        pairwise_sum_by(&self.data, &|v| v)
+        pairwise_sum(&self.data)
     }
 
     /// Copy the rows indexed by `rows` into a new matrix.
@@ -298,16 +283,6 @@ impl Matrix {
     /// Euclidean distance between two rows of (possibly different) matrices.
     pub fn row_l2(a: &[f32], b: &[f32]) -> f32 {
         a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum::<f32>().sqrt()
-    }
-
-    /// Dot product of two row slices.
-    pub fn row_dot(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-    }
-
-    /// Logical size of the backing buffer in bytes, as charged to memtrack.
-    pub fn nbytes(&self) -> usize {
-        self.data.capacity() * 4
     }
 }
 
@@ -659,17 +634,12 @@ pub(crate) mod tests {
         let pairwise = m.sum() as f64;
         let rel = ((pairwise - reference) / reference).abs();
         assert!(rel < 1e-6, "pairwise sum drifted: rel err {rel}");
-        let fro_ref: f64 =
-            m.as_slice().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt();
-        let fro = m.frobenius_norm() as f64;
-        assert!(((fro - fro_ref) / fro_ref).abs() < 1e-6);
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn add_and_scale() {
         let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        a.axpy(0.5, &b);
+        a.add_assign(&Matrix::filled(2, 2, 1.0));
         assert!(a.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
         a.scale_assign(2.0);
         assert!(a.as_slice().iter().all(|&v| (v - 4.0).abs() < 1e-6));

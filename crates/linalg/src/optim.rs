@@ -1,8 +1,8 @@
-//! Parameter storage and first-order optimizers (SGD, Adam).
+//! Parameter storage and the Adam optimizer.
 //!
-//! Trainers keep their weights in a [`ParamStore`], rebuild a fresh tape per
-//! step, copy leaf gradients back with [`ParamStore::set_grad`], and apply an
-//! [`Optimizer`] step.
+//! Trainers keep their weights in a [`ParamStore`], put them on a fresh
+//! tape each step by reference, install the tape's gradients with
+//! [`ParamStore::set_grad`], and apply an [`Adam::step`].
 
 use crate::matrix::Matrix;
 
@@ -35,85 +35,15 @@ impl ParamStore {
         &self.params[id.0]
     }
 
-    /// Mutable value (manual-gradient trainers update in place).
-    pub fn get_mut(&mut self, id: ParamId) -> &mut Matrix {
-        &mut self.params[id.0]
-    }
-
     /// Install the gradient for one parameter.
     pub fn set_grad(&mut self, id: ParamId, grad: Matrix) {
         debug_assert_eq!(self.params[id.0].shape(), grad.shape(), "grad shape mismatch");
         self.grads[id.0] = Some(grad);
     }
 
-    /// Clear all gradients.
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            *g = None;
-        }
-    }
-
-    /// Number of registered parameters.
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
-    /// True when no parameters are registered.
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
-    }
-
-    /// Total parameter element count.
-    pub fn n_elements(&self) -> usize {
-        self.params.iter().map(Matrix::len).sum()
-    }
-
-    fn iter_with_grads(&mut self) -> impl Iterator<Item = (&mut Matrix, &Matrix)> {
-        self.params
-            .iter_mut()
-            .zip(self.grads.iter())
-            .filter_map(|(p, g)| g.as_ref().map(|g| (p, g)))
-    }
-}
-
-/// A first-order optimizer over a [`ParamStore`].
-pub trait Optimizer {
-    /// Apply one update using the gradients currently installed in `store`,
-    /// then clear them.
-    fn step(&mut self, store: &mut ParamStore);
-    /// Learning rate currently in effect.
-    fn learning_rate(&self) -> f32;
-}
-
-/// Plain stochastic gradient descent with optional weight decay.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Decoupled L2 weight decay coefficient.
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, weight_decay: 0.0 }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        for (p, g) in store.iter_with_grads() {
-            if wd > 0.0 {
-                p.scale_assign(1.0 - lr * wd);
-            }
-            p.axpy(-lr, g);
-        }
-        store.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
+    /// The gradient installed for one parameter, if any.
+    pub fn grad(&self, id: ParamId) -> Option<&Matrix> {
+        self.grads[id.0].as_ref()
     }
 }
 
@@ -154,18 +84,18 @@ impl Adam {
         self.weight_decay = wd;
         self
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Apply one update using the gradients currently installed in
+    /// `store`, taking them out of it: a parameter with no gradient is left
+    /// as it is.
+    pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
-        while self.m.len() < store.len() {
-            self.m.push(None);
-            self.v.push(None);
-        }
+        let n = store.params.len();
+        self.m.resize_with(n, || None);
+        self.v.resize_with(n, || None);
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..store.len() {
+        for i in 0..n {
             let Some(grad) = store.grads[i].take() else { continue };
             let p = &mut store.params[i];
             let m = self.m[i].get_or_insert_with(|| Matrix::zeros(p.rows(), p.cols()));
@@ -186,11 +116,6 @@ impl Optimizer for Adam {
                 *pv -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
-        store.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
     }
 }
 
@@ -198,35 +123,17 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    fn quadratic_grad(p: &Matrix) -> Matrix {
-        // f(p) = 0.5 * ||p - 3||^2, grad = p - 3.
-        p.map(|v| v - 3.0)
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.add(Matrix::filled(2, 2, 10.0));
-        let mut opt = Sgd::new(0.2);
-        for _ in 0..100 {
-            let g = quadratic_grad(store.get(id));
-            store.set_grad(id, g);
-            opt.step(&mut store);
-        }
-        for &v in store.get(id).as_slice() {
-            assert!((v - 3.0).abs() < 1e-3, "v = {v}");
-        }
-    }
-
     #[test]
     fn adam_converges_on_quadratic() {
         let mut store = ParamStore::new();
         let id = store.add(Matrix::filled(2, 2, 10.0));
         let mut opt = Adam::new(0.3);
         for _ in 0..300 {
-            let g = quadratic_grad(store.get(id));
+            // f(p) = 0.5 * ||p - 3||^2, grad = p - 3.
+            let g = store.get(id).map(|v| v - 3.0);
             store.set_grad(id, g);
             opt.step(&mut store);
+            assert!(store.grad(id).is_none(), "step must consume the gradient");
         }
         for &v in store.get(id).as_slice() {
             assert!((v - 3.0).abs() < 1e-2, "v = {v}");
@@ -238,16 +145,18 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.add(Matrix::filled(1, 3, 5.0));
         let before = store.get(id).clone();
-        let mut opt = Adam::new(0.1);
+        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
         opt.step(&mut store);
         assert_eq!(&before, store.get(id));
     }
 
     #[test]
     fn weight_decay_shrinks_params() {
+        // A zero gradient leaves both moments at zero, so the whole update
+        // is the decoupled decay: p *= 1 - lr * wd.
         let mut store = ParamStore::new();
         let id = store.add(Matrix::filled(1, 1, 1.0));
-        let mut opt = Sgd { lr: 0.1, weight_decay: 0.5 };
+        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
         store.set_grad(id, Matrix::zeros(1, 1));
         opt.step(&mut store);
         let v = store.get(id).get(0, 0);

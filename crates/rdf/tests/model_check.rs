@@ -18,8 +18,6 @@
 
 #![cfg(kgnet_check)]
 
-use std::sync::Arc;
-
 use kgnet_check::{explore, Config, Report};
 use kgnet_rdf::{RdfStore, SharedStore, Term};
 use kgnet_sync::thread;
