@@ -19,7 +19,7 @@ pub mod service;
 pub mod training;
 
 pub use budget::{Priority, TaskBudget};
-pub use embedding_store::{served_ivf_cells, AnnError, EmbeddingStore, Metric, SERVED_NPROBE};
+pub use embedding_store::{AnnError, EmbeddingStore, Metric};
 pub use ip::{solve, IntegerProgram, IpSolution};
 pub use model_store::{ArtifactPayload, ModelArtifact, ModelStore, TaskKind};
 pub use selector::{select_method, Candidate, SelectionTrace};

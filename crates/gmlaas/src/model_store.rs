@@ -42,7 +42,7 @@ pub enum ArtifactPayload {
     },
     /// Entity-similarity model backed by an embedding store.
     NodeSimilarity {
-        /// The searchable embedding index.
+        /// The embedding store similarity searches scan.
         store: EmbeddingStore,
     },
 }

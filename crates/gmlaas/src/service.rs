@@ -21,7 +21,6 @@ use std::sync::Arc;
 use kgnet_obs::{push_json_string, ByteCount, JsonSink};
 
 use crate::codec::{push_key, push_links, push_map, push_tag};
-use crate::embedding_store::SERVED_NPROBE;
 use crate::model_store::{ArtifactPayload, ModelStore, Registered};
 
 /// A request to the inference service (one "HTTP call").
@@ -339,9 +338,7 @@ impl InferenceService {
                             return Ok(InferenceResponse::SimilarNodes { neighbors: vec![] });
                         };
                         let q = query.to_vec();
-                        Ok(InferenceResponse::SimilarNodes {
-                            neighbors: store.search(&q, *k, SERVED_NPROBE),
-                        })
+                        Ok(InferenceResponse::SimilarNodes { neighbors: store.search(&q, *k) })
                     }
                     _ => Err(ServiceError::WrongTask(format!("{model} is not a similarity model"))),
                 }

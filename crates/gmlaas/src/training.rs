@@ -14,9 +14,10 @@ use kgnet_gml::lp::{kge, train_lp_ctl};
 use kgnet_gml::nc::train_nc_ctl;
 use kgnet_graph::{transform, GmlTask, SplitRatios, SplitStrategy};
 use kgnet_rdf::RdfStore;
+use kgnet_sampler::SamplingScope;
 
 use crate::budget::TaskBudget;
-use crate::embedding_store::{served_ivf_cells, EmbeddingStore, Metric};
+use crate::embedding_store::{EmbeddingStore, Metric};
 use crate::model_store::{ArtifactPayload, ModelArtifact, ModelStore, TaskKind};
 use crate::selector::{select_method, SelectionTrace};
 
@@ -44,13 +45,10 @@ pub struct TrainRequest {
 
 impl TrainRequest {
     /// A request with defaults for everything but the task. The sampler
-    /// scope is the paper's best per task kind (`SamplingScope::default_for`
-    /// in `kgnet-sampler`): `d2h1` for link prediction, `d1h1` otherwise.
+    /// scope is the paper's best for the task kind,
+    /// [`SamplingScope::default_for`].
     pub fn new(name: impl Into<String>, task: GmlTask) -> Self {
-        let sampler = match task {
-            GmlTask::LinkPrediction(_) => "d2h1",
-            GmlTask::NodeClassification(_) | GmlTask::EntitySimilarity { .. } => "d1h1",
-        };
+        let sampler = SamplingScope::default_for(&task).name();
         TrainRequest {
             name: name.into(),
             task,
@@ -58,7 +56,7 @@ impl TrainRequest {
             cfg: GnnConfig::default(),
             forced_method: None,
             split_strategy: SplitStrategy::Random,
-            sampler: sampler.into(),
+            sampler,
         }
     }
 }
@@ -308,7 +306,6 @@ impl TrainingManager {
         if cardinality == 0 {
             return Err(TrainError::EmptyTask);
         }
-        store.build_ivf(served_ivf_cells(cardinality), 4, req.cfg.seed);
 
         let artifact = ModelArtifact {
             uri: self.mint_uri("sim", GmlMethodKind::TransE, &req.name),
@@ -394,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn similarity_training_builds_search_index() {
+    fn similarity_training_serves_its_embeddings() {
         let st = tiny_store();
         let mgr = TrainingManager::default();
         let mut req = TrainRequest::new(
@@ -408,7 +405,7 @@ mod tests {
                 assert!(!store.is_empty());
                 let key = v::paper(0);
                 let q = store.get(&key).unwrap().to_vec();
-                let hits = store.search(&q, 3, crate::SERVED_NPROBE);
+                let hits = store.search(&q, 3);
                 assert_eq!(hits[0].0, key);
             }
             other => panic!("unexpected payload {other:?}"),

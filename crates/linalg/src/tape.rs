@@ -74,7 +74,8 @@ enum Op {
 }
 
 /// Every node depends on some parameter, so every node can receive a
-/// gradient; a node the loss does not reach simply never gets one.
+/// gradient; a node the loss does not reach simply never gets one, and
+/// after [`Tape::backward`] only parameters hold theirs.
 struct Node<'p> {
     op: Op,
     value: Cow<'p, Matrix>,
@@ -144,7 +145,9 @@ impl<'p> Tape<'p> {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of a var after [`Tape::backward`], if the loss reached it.
+    /// Gradient of a parameter var after [`Tape::backward`], if the loss
+    /// reached it. `None` for any other var: backward drops an
+    /// activation's gradient once it has propagated it.
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -384,33 +387,40 @@ impl<'p> Tape<'p> {
     }
 
     /// Run reverse-mode accumulation seeding `d(root)/d(root) = 1`.
-    /// `root` must be a scalar (`1x1`) var.
+    /// `root` must be a scalar (`1x1`) var. Each activation's gradient is
+    /// freed once propagated, so a step's peak holds parameter gradients
+    /// and the gradients still in flight, not one per activation.
     pub fn backward(&mut self, root: Var) {
         assert_eq!(self.nodes[root.0].value.shape(), (1, 1), "backward root must be scalar");
         self.nodes[root.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
         for i in (0..=root.0).rev() {
             let Some(grad) = self.nodes[i].grad.take() else { continue };
+            // Only a parameter keeps its gradient, for `param_grads`; an
+            // activation's is dropped as soon as it has been propagated.
+            if matches!(self.nodes[i].op, Op::Leaf) {
+                self.nodes[i].grad = Some(grad);
+                continue;
+            }
             // Borrow dance: move op out, propagate, put back.
             let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
-            self.propagate(&op, &grad);
+            self.propagate(&op, grad);
             self.nodes[i].op = op;
-            self.nodes[i].grad = Some(grad);
         }
     }
 
-    fn propagate(&mut self, op: &Op, grad: &Matrix) {
+    fn propagate(&mut self, op: &Op, grad: Matrix) {
         match op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
                 let ga = grad.matmul_nt(&self.nodes[b.0].value);
                 self.accumulate(*a, ga);
-                let gb = self.nodes[a.0].value.matmul_tn(grad);
+                let gb = self.nodes[a.0].value.matmul_tn(&grad);
                 self.accumulate(*b, gb);
             }
             Op::SpMM { adj, x } => {
                 // d/dx (A x) = Aᵀ grad
                 let a = &mut self.adjs[*adj];
-                let gt = a.transpose.get_or_insert_with(|| a.matrix.transpose()).spmm(grad);
+                let gt = a.transpose.get_or_insert_with(|| a.matrix.transpose()).spmm(&grad);
                 a.uses_left = a.uses_left.saturating_sub(1);
                 if a.uses_left == 0 {
                     a.transpose = None;
@@ -419,10 +429,9 @@ impl<'p> Tape<'p> {
             }
             Op::Add(a, b) => {
                 self.accumulate(*a, grad.clone());
-                self.accumulate(*b, grad.clone());
+                self.accumulate(*b, grad);
             }
             Op::AddBias(a, bias) => {
-                self.accumulate(*a, grad.clone());
                 let mut gb = Matrix::zeros(1, grad.cols());
                 for r in 0..grad.rows() {
                     let row = grad.row(r);
@@ -431,11 +440,12 @@ impl<'p> Tape<'p> {
                         *o += g;
                     }
                 }
+                self.accumulate(*a, grad);
                 self.accumulate(*bias, gb);
             }
             Op::Relu(a) => {
                 let forward = &self.nodes[a.0].value;
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 for (g, &x) in ga.as_mut_slice().iter_mut().zip(forward.as_slice()) {
                     if x <= 0.0 {
                         *g = 0.0;
@@ -444,14 +454,14 @@ impl<'p> Tape<'p> {
                 self.accumulate(*a, ga);
             }
             Op::Dropout(a, mask) => {
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 for (g, &m) in ga.as_mut_slice().iter_mut().zip(mask.as_slice()) {
                     *g *= m;
                 }
                 self.accumulate(*a, ga);
             }
             Op::Scale(a, alpha) => {
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 ga.scale_assign(*alpha);
                 self.accumulate(*a, ga);
             }
@@ -461,7 +471,7 @@ impl<'p> Tape<'p> {
                     *g *= y;
                 }
                 self.accumulate(*a, ga);
-                let mut gb = grad.clone();
+                let mut gb = grad;
                 for (g, &x) in gb.as_mut_slice().iter_mut().zip(self.nodes[a.0].value.as_slice()) {
                     *g *= x;
                 }
@@ -491,7 +501,7 @@ impl<'p> Tape<'p> {
                 self.accumulate(*logits, gl);
             }
             Op::AddScalar(a) => {
-                self.accumulate(*a, grad.clone());
+                self.accumulate(*a, grad);
             }
             Op::RowSum(a) => {
                 let src = &self.nodes[a.0].value;
@@ -512,7 +522,7 @@ impl<'p> Tape<'p> {
             Op::Sqrt(a) => {
                 // d sqrt(x) = 1 / (2 sqrt(x)); forward clamped at eps.
                 let fwd = &self.nodes[a.0].value;
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 for (g, &x) in ga.as_mut_slice().iter_mut().zip(fwd.as_slice()) {
                     *g *= 0.5 / x.max(1e-12).sqrt();
                 }
@@ -530,7 +540,7 @@ impl<'p> Tape<'p> {
             Op::Softplus(a) => {
                 // d softplus = sigmoid(x).
                 let fwd = &self.nodes[a.0].value;
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 for (g, &x) in ga.as_mut_slice().iter_mut().zip(fwd.as_slice()) {
                     let sig = if x > 20.0 {
                         1.0
@@ -545,7 +555,7 @@ impl<'p> Tape<'p> {
             }
             Op::Sin(a) => {
                 let fwd = &self.nodes[a.0].value;
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 for (g, &x) in ga.as_mut_slice().iter_mut().zip(fwd.as_slice()) {
                     *g *= x.cos();
                 }
@@ -553,7 +563,7 @@ impl<'p> Tape<'p> {
             }
             Op::Cos(a) => {
                 let fwd = &self.nodes[a.0].value;
-                let mut ga = grad.clone();
+                let mut ga = grad;
                 for (g, &x) in ga.as_mut_slice().iter_mut().zip(fwd.as_slice()) {
                     *g *= -x.sin();
                 }
@@ -810,6 +820,22 @@ mod tests {
         assert_eq!(grads[0].1.as_ref().map(Matrix::shape), Some((3, 2)));
         assert!(grads[1].1.is_none(), "unreached parameter got a gradient");
         assert_eq!(grads[2].1.as_ref().map(Matrix::shape), Some((2, 3)));
+    }
+
+    #[test]
+    fn backward_keeps_gradients_only_on_parameters() {
+        let (ps, ids) = store_of(&[&Matrix::filled(2, 3, 0.5), &Matrix::filled(3, 2, -0.5)]);
+        let mut t = Tape::new();
+        let va = t.param(&ps, ids[0]);
+        let vb = t.param(&ps, ids[1]);
+        let h = t.matmul(va, vb);
+        let r = t.relu(h);
+        let l = t.sum_all(r);
+        t.backward(l);
+        assert!(t.grad(va).is_some() && t.grad(vb).is_some());
+        for v in [h, r, l] {
+            assert!(t.grad(v).is_none(), "activation {v:?} kept its gradient");
+        }
     }
 
     #[test]

@@ -402,6 +402,8 @@ fn train_runner(
             return JobOutcome::Cancelled;
         }
         artifact.trained_generation = generation;
+        // KGMeta records the scope the job sampled at, not the request text.
+        artifact.sampler = scope.name();
         let mut txn = store.begin();
         let artifact = kgmeta::publish(trainer.model_store(), txn.store_mut(), artifact);
         retired.commit(&store, txn, Vec::new());
@@ -414,7 +416,7 @@ mod tests {
     use super::*;
     use kgnet_datagen::{generate_dblp, DblpConfig};
     use kgnet_gml::config::GnnConfig;
-    use kgnet_graph::{GmlTask, LpTask, NcTask};
+    use kgnet_graph::{GmlTask, NcTask};
     use kgnet_sparqlml::MlOutcome;
 
     fn fast_server(seed: u64) -> KgServer {
@@ -436,23 +438,6 @@ mod tests {
         );
         req.cfg = GnnConfig::fast_test();
         req
-    }
-
-    #[test]
-    fn train_request_defaults_to_the_task_kinds_sampling_scope() {
-        let tasks = [
-            nc_request("nc").task,
-            GmlTask::LinkPrediction(LpTask {
-                source_type: "https://www.dblp.org/Person".into(),
-                edge_predicate: "https://www.dblp.org/affiliatedWith".into(),
-                dest_type: "https://www.dblp.org/Affiliation".into(),
-            }),
-            GmlTask::EntitySimilarity { target_type: "https://www.dblp.org/Person".into() },
-        ];
-        for task in tasks {
-            let req = TrainRequest::new("scoped", task.clone());
-            assert_eq!(req.sampler, SamplingScope::default_for(&task).name(), "{task:?}");
-        }
     }
 
     const PV_QUERY: &str = r#"
@@ -514,6 +499,32 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows.rows[0][1].as_ref().unwrap().as_int(), Some(trained_against as i64));
+    }
+
+    #[test]
+    fn a_job_records_the_scope_it_sampled_at() {
+        // An unparseable scope falls back to the task's default, and that
+        // default, not the request text, is what the artifact and KGMeta
+        // record.
+        let server = fast_server(73);
+        let mut req = nc_request("bogus-scope");
+        req.sampler = "bogus".into();
+        let id = server.submit_train(req).unwrap();
+        let done = server.wait(id).unwrap();
+        let JobState::Done { model_uri } = &done.state else { panic!("job failed: {done:?}") };
+
+        let manager = server.manager();
+        let artifact = manager.read().trainer().model_store().get(model_uri).unwrap();
+        assert_eq!(artifact.sampler, "d1h1");
+        let mut session = server.read_session();
+        let rows = session
+            .query(
+                "PREFIX kgnet: <https://www.kgnet.com/>
+                 SELECT ?s WHERE { ?m kgnet:Sampler ?s }",
+            )
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows.rows[0][0].as_ref().unwrap().as_literal(), Some("d1h1"));
     }
 
     #[test]

@@ -120,7 +120,6 @@ declare_metrics! {
         train_epoch: histogram("kgnet_train_epoch_nanos", "Wall time of completed epochs of queued training jobs"),
         ann_search_latency: histogram("kgnet_ann_search_latency_nanos", "ANN similarity-search latency"),
         ann_candidates: counter("kgnet_ann_candidates_total", "Candidate vectors considered by ANN searches"),
-        ann_distance_computations: counter("kgnet_ann_distance_computations_total", "Distance computations spent by ANN searches"),
         lock_acquires: counter("kgnet_lock_acquires_total", "Facade-lock acquisitions across sites"),
         lock_contended: counter("kgnet_lock_contended_total", "Contended facade-lock acquisitions"),
         lock_wait_nanos: counter("kgnet_lock_wait_nanos_total", "Nanos waiting on contended facade locks"),

@@ -50,7 +50,7 @@ use kgnet_sync::profile::SyncSite;
 use kgnet_sync::tracked::read_tracked;
 use kgnet_sync::RwLock;
 
-use kgnet_gmlaas::{ArtifactPayload, ServiceError, SERVED_NPROBE};
+use kgnet_gmlaas::{ArtifactPayload, ServiceError};
 use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled, prepare_select};
 use kgnet_rdf::{PreparedQuery, QueryResult, RdfStore, SharedStore, Snapshot, WriteTxn};
 use kgnet_sparqlml::{
@@ -269,11 +269,11 @@ impl ReadSession {
     /// Top-k entity-similarity search against a trained NodeSimilarity
     /// model, served without touching the data store at all: the manager
     /// read lock is held only long enough to clone the artifact's `Arc`
-    /// out of the model registry, then the search runs against that shared
-    /// immutable ANN index — concurrent readers and writers never wait on
-    /// it. The model is looked up by URI in the registry, not in the
-    /// pinned version's KGMeta: a model trained after the pin is found,
-    /// and one whose DELETE has been swept is not.
+    /// out of the model registry, then the exact scan runs against that
+    /// shared immutable embedding store — concurrent readers and writers
+    /// never wait on it. The model is looked up by URI in the registry,
+    /// not in the pinned version's KGMeta: a model trained after the pin
+    /// is found, and one whose DELETE has been swept is not.
     pub fn similar_nodes(
         &self,
         model_uri: &str,
@@ -294,10 +294,9 @@ impl ReadSession {
         let q = query.to_vec();
         let _span = self.metrics.span("read.similar_nodes");
         let t0 = Instant::now();
-        let (hits, stats) = store.search_with_stats(&q, k, SERVED_NPROBE);
+        let hits = store.search(&q, k);
         self.metrics.ann_search_latency.record(nanos_since(t0));
-        self.metrics.ann_candidates.add(stats.candidates);
-        self.metrics.ann_distance_computations.add(stats.distance_computations);
+        self.metrics.ann_candidates.add(store.len() as u64);
         Ok(hits)
     }
 

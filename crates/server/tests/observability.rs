@@ -130,7 +130,6 @@ fn mixed_workload_surfaces_in_prometheus_and_traces() {
     // ANN path: the similarity search reported its cost.
     assert!(metric_value(&text, "kgnet_ann_search_latency_nanos_count") >= 1);
     assert!(metric_value(&text, "kgnet_ann_candidates_total") > 0);
-    assert!(metric_value(&text, "kgnet_ann_distance_computations_total") > 0);
 
     // JSON render stays one well-formed object with the same catalog.
     let json = server.metrics().render_json();

@@ -310,7 +310,7 @@ fn oracle_store(data: &RdfStore, models: &[ModelArtifact]) -> RdfStore {
             }
             ArtifactPayload::NodeSimilarity { store } => {
                 for s in store.keys() {
-                    for (o, _) in store.search_exact(store.get(s).unwrap(), SIM_K) {
+                    for (o, _) in store.search(store.get(s).unwrap(), SIM_K) {
                         assert(s, ORACLE_SIM, &o);
                     }
                 }

@@ -1,5 +1,5 @@
 //! The ES (entity-similarity) task of Table I: train entity embeddings,
-//! index them in the FAISS-style embedding store, and ask for the nearest
+//! keep them in the FAISS-style embedding store, and ask for the nearest
 //! papers of a probe — both through the public API and through SPARQL-ML
 //! on a `KgServer`.
 //!
@@ -12,7 +12,7 @@ use kgnet::sparqlml::ManagerConfig;
 use kgnet::GnnConfig;
 
 fn main() {
-    // Direct embedding-store usage (exact vs IVF approximate search).
+    // Direct embedding-store usage: an exact top-k search.
     let mut store = EmbeddingStore::new(8, Metric::Cosine);
     for i in 0..500 {
         let angle = i as f32 * 0.1;
@@ -23,9 +23,8 @@ fn main() {
             )
             .expect("widths match");
     }
-    store.build_ivf(16, 4, 42);
     let probe = store.get("e100").unwrap().to_vec();
-    println!("IVF search around e100: {:?}\n", store.search(&probe, 4, 4));
+    println!("Nearest to e100: {:?}\n", store.search(&probe, 4));
 
     // Through the platform: a NodeSimilarity model over papers.
     let (kg, _) = generate_dblp(&DblpConfig::small(11));

@@ -35,10 +35,8 @@ pub use kgnet_sampler as sampler;
 /// GML methods: GCN, RGCN, GraphSAINT, ShadowSAINT, MorsE, KGE family.
 pub use kgnet_gml as gml;
 
-/// Vector search: the IVF index and its exact-scan oracle.
-pub use kgnet_ann as ann;
-
-/// GML-as-a-service: training manager, model/embedding stores, inference.
+/// GML-as-a-service: training manager, model registry, inference, and the
+/// embedding store's exact top-k similarity search.
 pub use kgnet_gmlaas as gmlaas;
 
 /// The SPARQL-ML language layer: parser, KGMeta, optimizer, rewriter.
