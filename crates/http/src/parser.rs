@@ -112,10 +112,7 @@ pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
     }
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        Some((_, v)) => v.parse::<usize>().map_err(|_| ParseError::Malformed("content-length"))?,
-        None => 0,
-    };
+    let content_length = content_length(&headers)?;
     if content_length > limits.max_body_bytes {
         return Err(ParseError::BodyTooLarge);
     }
@@ -126,6 +123,26 @@ pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>
     let request =
         Request { method: method.to_owned(), path: path.to_owned(), headers, body: body.to_vec() };
     Ok(Some((request, body_start + content_length)))
+}
+
+/// The body length the head declares. Only `Content-Length` framing is
+/// spoken, so any `Transfer-Encoding`, a second `Content-Length` or a
+/// length that is not all ASCII digits is refused: reading such a body by
+/// a guess would leave its bytes to be parsed as the next request on the
+/// connection.
+fn content_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(ParseError::Malformed("transfer-encoding is not supported"));
+    }
+    let mut lengths = headers.iter().filter(|(n, _)| n == "content-length").map(|(_, v)| v);
+    let Some(value) = lengths.next() else { return Ok(0) };
+    if lengths.next().is_some() {
+        return Err(ParseError::Malformed("more than one content-length"));
+    }
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(ParseError::Malformed("content-length"));
+    }
+    value.parse().map_err(|_| ParseError::Malformed("content-length"))
 }
 
 /// First index of `needle` in `haystack`.
@@ -188,6 +205,47 @@ mod tests {
             let err = try_parse(wire, &LIMITS).unwrap_err();
             assert_eq!(err.status(), 400, "{wire:?} -> {err:?}");
         }
+    }
+
+    #[test]
+    fn chunked_requests_are_refused_not_read_as_bodiless() {
+        let wire = b"POST /sparql HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                     5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(
+            try_parse(wire, &LIMITS),
+            Err(ParseError::Malformed("transfer-encoding is not supported"))
+        );
+        // Beside a Content-Length too: the two framings disagree.
+        let both = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: gzip\r\n\r\nhello";
+        assert_eq!(try_parse(both, &LIMITS).unwrap_err().status(), 400);
+    }
+
+    #[test]
+    fn a_second_content_length_is_refused() {
+        for wire in [
+            &b"POST /x HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello"[..],
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello",
+        ] {
+            assert_eq!(
+                try_parse(wire, &LIMITS),
+                Err(ParseError::Malformed("more than one content-length")),
+                "{wire:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for value in ["+5", "-0", " 5x", "5 5", "0x5", ""] {
+            let wire = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert_eq!(
+                try_parse(wire.as_bytes(), &LIMITS),
+                Err(ParseError::Malformed("content-length")),
+                "{value:?}"
+            );
+        }
+        let wire = b"POST /x HTTP/1.1\r\nContent-Length: 005\r\n\r\nhello";
+        assert_eq!(try_parse(wire, &LIMITS).unwrap().unwrap().0.body, b"hello");
     }
 
     #[test]

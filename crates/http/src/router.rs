@@ -195,22 +195,23 @@ fn sparql(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
         return (400, TEXT, b"empty query body\n".to_vec());
     }
     let mut session = state.pool.checkout();
-    match session.query(text) {
-        Ok(rows) => {
+    match session.answer(text) {
+        Ok(answer) => {
             let mut out = String::from("{\"vars\":[");
-            push_string_array(&mut out, rows.vars.iter().map(String::as_str));
+            push_string_array(&mut out, answer.vars().iter().map(String::as_str));
             out.push_str("],\"rows\":[");
-            for (i, row) in rows.rows.iter().enumerate() {
+            for (i, row) in answer.rows().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
                 out.push('[');
-                for (j, term) in row.iter().enumerate() {
+                for (j, term) in row.enumerate() {
                     if j > 0 {
                         out.push(',');
                     }
                     // A cell is its term's N-Triples rendering as a JSON
-                    // string, escaped piece by piece into the body.
+                    // string, escaped piece by piece into the body from the
+                    // term the answer lends: no cell is cloned.
                     match term {
                         Some(t) => {
                             out.push('"');

@@ -525,3 +525,53 @@ fn sparql_body_is_byte_identical_to_the_reference_formula() {
     }
     http.shutdown();
 }
+
+#[test]
+fn sparql_bodies_the_answer_resolves_are_byte_identical_to_the_reference_formula() {
+    let (kg, _) = generate_dblp(&DblpConfig::tiny(31));
+    let server = Arc::new(KgServer::new(
+        kg,
+        ServerConfig {
+            manager: ManagerConfig { default_cfg: GnnConfig::fast_test(), ..Default::default() },
+            ..Default::default()
+        },
+    ));
+    let job = server.submit_train(nc_request("wire-venue")).unwrap();
+    let state = server.wait(job).map(|info| info.state);
+    assert!(matches!(state, Some(JobState::Done { .. })), "{state:?}");
+
+    let all_triples = "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }";
+    let sub_select = "PREFIX dblp: <https://www.dblp.org/> \
+        SELECT ?p ?t WHERE { ?p dblp:title ?t . \
+        { SELECT ?p WHERE { ?p dblp:authoredBy ?a } ORDER BY ?p LIMIT 12 } } \
+        ORDER BY ?p ?t LIMIT 4 OFFSET 3";
+    let bodies = [
+        // An empty answer: the columns and no row.
+        ("empty", "SELECT ?p ?q WHERE { ?p <http://x/absent> ?q }"),
+        // A COUNT literal the store's dictionary does not hold: it
+        // resolves from the execution's own terms.
+        ("count", all_triples),
+        ("sub-SELECT", sub_select),
+        // The venue cells are the model's inferred objects.
+        ("ML SELECT", PV_QUERY),
+    ];
+    let http = HttpServer::start(Arc::clone(&server), HttpConfig::default()).expect("bind");
+    let mut conn = Client::connect(http.addr()).unwrap();
+    let mut session = server.read_session();
+    for (name, text) in bodies {
+        let result = session.query(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let r = conn.post("/sparql", text.as_bytes()).unwrap();
+        assert_eq!(r.status, 200, "{name}: {}", r.text());
+        assert_eq!(r.text(), reference::body(&result), "{name}");
+        match name {
+            "empty" => assert_eq!(r.text(), "{\"vars\":[\"p\",\"q\"],\"rows\":[]}\n"),
+            "count" => {
+                let n = result.rows[0][0].as_ref().expect("a count is bound");
+                assert!(session.snapshot().lookup(n).is_none(), "{name}: {n} is a store term");
+            }
+            "sub-SELECT" => assert_eq!(result.len(), 4, "{name}"),
+            _ => assert!(!result.is_empty() && result.rows.iter().all(|row| row[1].is_some())),
+        }
+    }
+    http.shutdown();
+}

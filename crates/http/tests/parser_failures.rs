@@ -167,3 +167,30 @@ fn over_limit_connections_draw_an_immediate_503() {
     }
     http.shutdown();
 }
+
+#[test]
+fn a_request_smuggled_in_chunk_data_is_never_answered() {
+    let server = tiny_server(17);
+    let http = start(&server);
+    let metrics = server.metrics_handle();
+    let before = metrics.http_parse_errors.get();
+
+    // The chunk data is a complete request of its own. Read as a bodiless
+    // POST, the chunk bytes would be parsed as the next request on the
+    // keep-alive connection and the smuggled one could be answered.
+    let inner = "GET /healthz HTTP/1.1\r\nX-Request-Id: smuggled\r\n\r\n";
+    let wire = format!(
+        "POST /sparql HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{inner}\r\n0\r\n\r\n",
+        inner.len()
+    );
+    let mut s = TcpStream::connect(http.addr()).unwrap();
+    s.write_all(wire.as_bytes()).unwrap();
+    let reply = read_to_end(&mut s);
+    assert!(reply.starts_with("HTTP/1.1 400 "), "chunked request reply: {reply:.80}");
+    assert!(reply.contains("transfer-encoding"), "the 400 names the refused framing: {reply}");
+    assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "one response, then the close: {reply}");
+    assert!(!reply.contains("smuggled"), "the smuggled request was answered: {reply}");
+    assert!(metrics.http_parse_errors.get() > before);
+    assert_eq!(metrics.http_requests.get(), 0, "no request reached the router");
+    http.shutdown();
+}

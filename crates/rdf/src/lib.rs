@@ -25,7 +25,7 @@ pub use ntriples::{load_ntriples, parse_ntriples};
 pub use shared::{RetainedVersion, SharedStore, Snapshot, WriteTxn};
 pub use sparql::{
     execute, query, query_with_stats, ExecOutcome, ExecStats, OpProfile, OpTiming, PreparedQuery,
-    QueryResult,
+    QueryResult, Solutions,
 };
 pub use store::{PredicateStats, RdfStore, Triple};
 pub use term::Term;

@@ -11,12 +11,22 @@
 //! ([`evaluate_select_materialised`]). SPARQL-ML SELECTs compile into the
 //! same [`PreparedQuery`] ([`prepare_select_inferring`]), so every solution
 //! modifier is implemented once, here, for both kinds of query.
+//!
+//! Every execution ends in one answer type, [`Solutions`]: the projected
+//! id rows, the output column names, and the execution's own terms
+//! (aggregate values, inferred objects), lending each cell as a borrowed
+//! [`Term`]. A caller that only reads or renders the answer
+//! ([`answer_prepared`]) clones no term; [`Solutions::to_result`] is the
+//! one place rows become an owned [`QueryResult`], for
+//! [`evaluate_prepared`], [`evaluate_prepared_profiled`] and the reference
+//! executor alike.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::dict::TermId;
+use crate::dict::{TermDict, TermId};
 use crate::error::SparqlError;
 use crate::sparql::ast::*;
 use crate::sparql::plan::{plan_group, plan_inferred, GroupPlan, InferredObjects};
@@ -86,6 +96,58 @@ impl QueryResult {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The answer of one SELECT execution: the projected id rows, the output
+/// column names, and the terms the execution made that the store's
+/// dictionary lacks (aggregate values, inferred objects), whose ids
+/// continue past the dictionary's end. It borrows the store and lends every
+/// cell as `Option<&Term>`; [`Solutions::to_result`] is the one place rows
+/// are cloned into an owned [`QueryResult`].
+pub struct Solutions<'s> {
+    store: &'s RdfStore,
+    vars: Arc<[String]>,
+    rows: Vec<IdRow>,
+    side: TermDict,
+}
+
+impl Solutions<'_> {
+    /// Output column names (without `?`).
+    pub fn vars(&self) -> &[String] {
+        &self.vars
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when no rows were produced.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows in answer order, each as its cells in column order; `None`
+    /// marks an unbound variable.
+    pub fn rows(
+        &self,
+    ) -> impl ExactSizeIterator<Item = impl ExactSizeIterator<Item = Option<&Term>>> {
+        self.rows.iter().map(move |row| row.iter().map(move |id| id.map(|id| self.term(id))))
+    }
+
+    /// The term behind `id`: the store's, or one of this execution's.
+    fn term(&self, id: TermId) -> &Term {
+        let dict = self.store.dict();
+        dict.try_resolve(id).unwrap_or_else(|| self.side.resolve(TermId(id.0 - dict.len() as u32)))
+    }
+
+    /// The answer with every cell cloned into an owned [`QueryResult`].
+    pub fn to_result(&self) -> QueryResult {
+        QueryResult {
+            vars: self.vars.to_vec(),
+            rows: self.rows().map(|row| row.map(|t| t.cloned()).collect()).collect(),
+        }
     }
 }
 
@@ -252,6 +314,8 @@ fn has_agg(q: &SelectQuery) -> bool {
 /// serves any number of executions at its generation.
 pub struct PreparedQuery {
     query: SelectQuery,
+    /// The output column names, shared by every execution's answer.
+    output: Arc<[String]>,
     vars: VarTable,
     plan: GroupPlan,
     generation: u64,
@@ -320,7 +384,7 @@ impl PreparedQuery {
         if q.distinct {
             out.push_str(" DISTINCT");
         }
-        for v in q.output_vars() {
+        for v in self.output.iter() {
             out.push_str(&format!(" ?{v}"));
         }
         for (v, order) in &q.order_by {
@@ -361,11 +425,11 @@ impl PreparedQuery {
             // need not be projected), then project.
             let mut all = bindings.collect();
             sort_bindings(ctx, &mut all, &q.order_by);
-            project_all(ctx, q, &all)
+            project_all(q, &self.output_slots(), &all)
         } else {
             // Fully streaming path: DISTINCT/OFFSET/LIMIT applied per
             // binding, and LIMIT stops pulling (and therefore scanning) early.
-            let slots: Vec<Option<usize>> = q.output_vars().iter().map(|v| vars.get(v)).collect();
+            let slots = self.output_slots();
             let offset = q.offset.unwrap_or(0);
             let mut seen: FxHashSet<IdRow> = FxHashSet::default();
             let mut rows = Vec::new();
@@ -402,17 +466,23 @@ impl PreparedQuery {
         if !q.order_by.is_empty() {
             sort_bindings(ctx, &mut bindings, &q.order_by);
         }
-        project_all(ctx, q, &bindings)
+        project_all(q, &self.output_slots(), &bindings)
     }
 
-    /// `rows` as terms, under the output columns.
-    fn result(&self, store: &RdfStore, state: &ExecState, rows: &[IdRow]) -> QueryResult {
-        let ctx = ExecCtx { store, vars: &self.vars, state };
-        let term = |id: &Option<TermId>| id.map(|i| ctx.term(i).into_owned());
-        QueryResult {
-            vars: self.query.output_vars(),
-            rows: rows.iter().map(|row| row.iter().map(term).collect()).collect(),
-        }
+    /// The binding slot of each output column (`None`: never bound).
+    fn output_slots(&self) -> Vec<Option<usize>> {
+        self.output.iter().map(|v| self.vars.get(v)).collect()
+    }
+
+    /// The answer of one execution: `rows` under the output columns, with
+    /// the terms `state` made.
+    fn solutions<'s>(
+        &self,
+        store: &'s RdfStore,
+        state: ExecState,
+        rows: Vec<IdRow>,
+    ) -> Solutions<'s> {
+        Solutions { store, vars: Arc::clone(&self.output), rows, side: state.into_side() }
     }
 }
 
@@ -439,7 +509,8 @@ pub fn prepare_select_inferring(
     let rows = if plan.impossible { 0.0 } else { plan.steps.iter().map(|s| s.est).product() };
     plan_inferred(store, &mut plan, inferred, answer(rows), &vars, held, rows);
     let infers = !inferred.is_empty();
-    Ok(PreparedQuery { query, vars, plan, generation: store.generation(), infers })
+    let output = query.output_vars().into();
+    Ok(PreparedQuery { query, output, vars, plan, generation: store.generation(), infers })
 }
 
 /// Execute a prepared SELECT, skipping parsing and planning. Errors when the
@@ -448,6 +519,15 @@ pub fn evaluate_prepared(
     store: &RdfStore,
     prepared: &PreparedQuery,
 ) -> Result<(QueryResult, ExecStats), SparqlError> {
+    answer_prepared(store, prepared).map(|(answer, stats)| (answer.to_result(), stats))
+}
+
+/// [`evaluate_prepared`] without cloning a term: the answer borrows the
+/// store and lends its cells.
+pub fn answer_prepared<'s>(
+    store: &'s RdfStore,
+    prepared: &PreparedQuery,
+) -> Result<(Solutions<'s>, ExecStats), SparqlError> {
     prepared.check_fresh(store)?;
     evaluate_with_plan(store, prepared, None)
 }
@@ -477,12 +557,23 @@ pub struct OpProfile {
 
 /// Execute a prepared SELECT with a per-operator profile: every top-level
 /// pipeline operator is timed, and the residual (projection, DISTINCT,
-/// LIMIT, result materialisation) is reported as a final `project` entry —
-/// the raw material for the serving layer's span-tree query profiles.
+/// LIMIT, aggregation) is reported as a final `project` entry — the raw
+/// material for the serving layer's span-tree query profiles. Cloning the
+/// answer into the [`QueryResult`] happens after the profile closes.
 pub fn evaluate_prepared_profiled(
     store: &RdfStore,
     prepared: &PreparedQuery,
 ) -> Result<(QueryResult, ExecStats, OpProfile), SparqlError> {
+    answer_prepared_profiled(store, prepared)
+        .map(|(answer, stats, profile)| (answer.to_result(), stats, profile))
+}
+
+/// [`evaluate_prepared_profiled`] without cloning a term (see
+/// [`answer_prepared`]).
+pub fn answer_prepared_profiled<'s>(
+    store: &'s RdfStore,
+    prepared: &PreparedQuery,
+) -> Result<(Solutions<'s>, ExecStats, OpProfile), SparqlError> {
     prepared.check_fresh(store)?;
     let mut taps = Vec::new();
     let t0 = std::time::Instant::now();
@@ -513,12 +604,12 @@ pub fn evaluate_prepared_profiled(
 
 /// Run the streaming pipeline of a prepared query, tapping every top-level
 /// operator into `taps` when profiling, and drain it through the
-/// projection/aggregation/modifier stage.
-fn evaluate_with_plan(
-    store: &RdfStore,
+/// projection/aggregation/modifier stage into the answer.
+fn evaluate_with_plan<'s>(
+    store: &'s RdfStore,
     prepared: &PreparedQuery,
     taps: Option<&mut Vec<OpTap>>,
-) -> Result<(QueryResult, ExecStats), SparqlError> {
+) -> Result<(Solutions<'s>, ExecStats), SparqlError> {
     let state = ExecState::default();
     let (rows, emitted) = prepared.id_rows(store, &state, taps);
     if let Some(failure) = state.failure.take() {
@@ -526,7 +617,7 @@ fn evaluate_with_plan(
     }
     let stats =
         ExecStats { triples_scanned: state.triples_scanned.get(), bindings_emitted: emitted };
-    Ok((prepared.result(store, &state, &rows), stats))
+    Ok((prepared.solutions(store, state, rows), stats))
 }
 
 /// Evaluate a parsed SELECT query on the materialised reference executor.
@@ -542,7 +633,7 @@ pub fn evaluate_select_materialised(
     let prepared = prepare_select(store, q.clone())?;
     let state = ExecState::default();
     let rows = prepared.materialised_id_rows(store, &state);
-    Ok(prepared.result(store, &state, &rows))
+    Ok(prepared.solutions(store, state, rows).to_result())
 }
 
 /// The one row of an aggregate query over `bindings`, under OFFSET and
@@ -562,9 +653,9 @@ fn aggregate<B: std::borrow::Borrow<Binding>>(
     rows
 }
 
-/// Project bindings to id rows, applying DISTINCT, OFFSET and LIMIT.
-fn project_all(ctx: ExecCtx<'_>, q: &SelectQuery, bindings: &[Binding]) -> Vec<IdRow> {
-    let slots: Vec<Option<usize>> = q.output_vars().iter().map(|v| ctx.vars.get(v)).collect();
+/// Project bindings to id rows through the output columns' binding
+/// `slots`, applying DISTINCT, OFFSET and LIMIT.
+fn project_all(q: &SelectQuery, slots: &[Option<usize>], bindings: &[Binding]) -> Vec<IdRow> {
     let mut id_rows: Vec<IdRow> =
         bindings.iter().map(|b| slots.iter().map(|s| s.and_then(|i| b[i])).collect()).collect();
     if q.distinct {

@@ -46,6 +46,13 @@ pub(crate) struct ExecState {
     pub(crate) failure: RefCell<Option<SparqlError>>,
 }
 
+impl ExecState {
+    /// The terms the execution made, for its answer to resolve.
+    pub(crate) fn into_side(self) -> TermDict {
+        self.side.into_inner()
+    }
+}
+
 /// A snapshot of an execution's counters, returned alongside query results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {

@@ -24,6 +24,12 @@
 //! latency crosses the server's slow-query threshold — capture a
 //! [`SlowQuery`] into the server's bounded slow-query [`Ring`]. Only a slow
 //! query pays for rendering its plan; a fast one pays the comparison.
+//! The dispatch ends with the evaluator's answer, a [`Solutions`] of id
+//! rows over the pinned snapshot: [`answer`](ReadSession::answer) hands it
+//! out as is (the HTTP frontend renders its body from it), and `query`
+//! clones it into a [`QueryResult`] afterwards. So the latency histogram
+//! (`kgnet_query_latency_nanos`, the benchmark's `server.query_ms`) covers
+//! execution up to the id rows, not cloning terms into a result.
 //!
 //! A [`WriteSession`] owns a [`WriteTxn`]: it batches data mutations into
 //! a private next version and publishes them in one atomic
@@ -51,8 +57,8 @@ use kgnet_sync::tracked::read_tracked;
 use kgnet_sync::RwLock;
 
 use kgnet_gmlaas::{ArtifactPayload, ServiceError};
-use kgnet_rdf::sparql::{evaluate_prepared, evaluate_prepared_profiled, prepare_select};
-use kgnet_rdf::{PreparedQuery, QueryResult, RdfStore, SharedStore, Snapshot, WriteTxn};
+use kgnet_rdf::sparql::{answer_prepared, answer_prepared_profiled, prepare_select};
+use kgnet_rdf::{PreparedQuery, QueryResult, RdfStore, SharedStore, Snapshot, Solutions, WriteTxn};
 use kgnet_sparqlml::{
     contains_traingml, parse, MlError, MlOutcome, QueryManager, SparqlMlOperation,
 };
@@ -152,9 +158,20 @@ impl ReadSession {
     /// and execute against the snapshot with no lock held; each execution
     /// makes its own inference calls. KGMeta itself is queried like any
     /// data: `SELECT ?m WHERE { ?m a kgnet:NodeClassifier }` lists the
-    /// models of the pinned version.
+    /// models of the pinned version. The latency recorded for the query
+    /// (`kgnet_query_latency_nanos`) ends with the answer's id rows; cloning
+    /// their terms into the returned [`QueryResult`] comes after it.
     pub fn query(&mut self, text: &str) -> Result<QueryResult, MlError> {
-        self.run(text, false).map(|(rows, _)| rows)
+        self.run(text, false).map(|(answer, _)| answer.to_result())
+    }
+
+    /// [`query`](Self::query) without cloning a term: the answer borrows
+    /// this session's snapshot and lends its cells, so a caller that only
+    /// renders it (the HTTP frontend's `POST /sparql`) pays for no
+    /// [`QueryResult`]. The plan cache, metrics, slow log and session
+    /// totals see the same execution as under `query`.
+    pub fn answer(&mut self, text: &str) -> Result<Solutions<'_>, MlError> {
+        self.run(text, false).map(|(answer, _)| answer)
     }
 
     /// Execute a SELECT with per-operator profiling: the rows plus a span
@@ -166,18 +183,18 @@ impl ReadSession {
     /// Every operator is profiled. Updates and `TrainGML` are rejected with
     /// [`MlError::ReadOnly`].
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, SpanNode), MlError> {
-        let (rows, profile) = self.run(text, true)?;
-        Ok((rows, profile.expect("a profiled run builds its profile")))
+        let (answer, profile) = self.run(text, true)?;
+        Ok((answer.to_result(), profile.expect("a profiled run builds its profile")))
     }
 
-    /// The one read dispatch behind [`query`](Self::query) and
-    /// [`query_profiled`](Self::query_profiled). Returns the rows and, when
-    /// `profiled`, the span tree.
+    /// The one read dispatch behind [`query`](Self::query),
+    /// [`answer`](Self::answer) and [`query_profiled`](Self::query_profiled).
+    /// Returns the answer and, when `profiled`, the span tree.
     fn run(
         &mut self,
         text: &str,
         profiled: bool,
-    ) -> Result<(QueryResult, Option<SpanNode>), MlError> {
+    ) -> Result<(Solutions<'_>, Option<SpanNode>), MlError> {
         let metrics = Arc::clone(&self.metrics);
         let _span = metrics.span(if profiled { "read.query_profiled" } else { "read.query" });
         let wait0 = kgnet_sync::profile::thread_wait_nanos();
@@ -203,10 +220,10 @@ impl ReadSession {
         };
         let executed = prepared.and_then(|prepared| {
             let (rows, stats, ops) = if profiled {
-                let (rows, stats, ops) = evaluate_prepared_profiled(&self.snapshot, &prepared)?;
+                let (rows, stats, ops) = answer_prepared_profiled(&self.snapshot, &prepared)?;
                 (rows, stats, Some(ops))
             } else {
-                let (rows, stats) = evaluate_prepared(&self.snapshot, &prepared)?;
+                let (rows, stats) = answer_prepared(&self.snapshot, &prepared)?;
                 (rows, stats, None)
             };
             Ok((prepared, rows, stats.triples_scanned, ops))
