@@ -39,6 +39,22 @@ impl GmlMethodKind {
         }
     }
 
+    /// Parse a method name as a `TrainGML` request spells it, ignoring
+    /// ASCII case: a [`name`](Self::name) or one of the spellings
+    /// `GraphSAINT`, `SAINT`, `ShadowSAINT` and `Shadow`. `None` for any
+    /// other text.
+    pub fn parse(text: &str) -> Option<GmlMethodKind> {
+        use GmlMethodKind::{GraphSaint, ShadowSaint};
+        let aliases = [
+            ("GraphSAINT", GraphSaint),
+            ("SAINT", GraphSaint),
+            ("ShadowSAINT", ShadowSaint),
+            ("Shadow", ShadowSaint),
+        ];
+        let names = Self::NC_METHODS.into_iter().chain(Self::LP_METHODS).map(|m| (m.name(), m));
+        names.chain(aliases).find(|(name, _)| name.eq_ignore_ascii_case(text)).map(|(_, m)| m)
+    }
+
     /// Methods applicable to node classification.
     pub const NC_METHODS: [GmlMethodKind; 4] = [
         GmlMethodKind::Gcn,
@@ -161,6 +177,27 @@ mod tests {
         assert_eq!(GmlMethodKind::GraphSaint.name(), "G-SAINT");
         assert_eq!(GmlMethodKind::ShadowSaint.name(), "SH-SAINT");
         assert_eq!(GmlMethodKind::Rgcn.to_string(), "RGCN");
+    }
+
+    #[test]
+    fn every_name_and_spelling_parses_and_nothing_else_does() {
+        for m in GmlMethodKind::NC_METHODS.into_iter().chain(GmlMethodKind::LP_METHODS) {
+            assert_eq!(GmlMethodKind::parse(m.name()), Some(m));
+            assert_eq!(GmlMethodKind::parse(&m.name().to_ascii_lowercase()), Some(m));
+        }
+        for (text, method) in [
+            ("GCN", GmlMethodKind::Gcn),
+            ("GraphSAINT", GmlMethodKind::GraphSaint),
+            ("saint", GmlMethodKind::GraphSaint),
+            ("ShadowSAINT", GmlMethodKind::ShadowSaint),
+            ("shadow", GmlMethodKind::ShadowSaint),
+            ("MorsE", GmlMethodKind::Morse),
+        ] {
+            assert_eq!(GmlMethodKind::parse(text), Some(method), "{text}");
+        }
+        for text in ["Bogus", "", " GCN", "G SAINT", "auto"] {
+            assert_eq!(GmlMethodKind::parse(text), None, "{text:?}");
+        }
     }
 
     #[test]

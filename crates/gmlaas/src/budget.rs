@@ -34,11 +34,6 @@ impl TaskBudget {
         TaskBudget { max_memory_bytes: Some(bytes), ..Default::default() }
     }
 
-    /// Budget capped by time only.
-    pub fn with_time(seconds: f64) -> Self {
-        TaskBudget { max_time_s: Some(seconds), ..Default::default() }
-    }
-
     /// Parse the human-readable forms used in SPARQL-ML JSON:
     /// `"50GB"`, `"512MB"`, `"100000"` (bytes).
     pub fn parse_memory(text: &str) -> Option<usize> {

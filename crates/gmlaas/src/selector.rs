@@ -1,80 +1,56 @@
 //! Optimal GML method selection under a task budget (Fig. 6, "Optimal GML
 //! Method Selection").
 //!
-//! Candidates are filtered and ranked through the 0/1 integer program of the
-//! paper: one binary per method, exactly one chosen, memory/time rows bound
-//! by the budget, objective set by the budget priority.
+//! The paper states the choice as a 0/1 integer program: one binary per
+//! method, exactly one chosen, memory/time rows bound by the budget,
+//! objective set by the budget priority. With exactly one method chosen,
+//! each row bounds that method alone, so the program's optimum is the
+//! feasible method with the best priority key; [`select_method`] computes
+//! it in that closed form.
 
 use kgnet_gml::config::GmlMethodKind;
 use kgnet_gml::estimate::{estimate, GraphDims, ResourceEstimate};
 use kgnet_gml::GnnConfig;
 
 use crate::budget::{Priority, TaskBudget};
-use crate::ip::{solve, IntegerProgram};
 
-/// One candidate row of the selection trace.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// The method.
-    pub method: GmlMethodKind,
-    /// Its resource estimate on this problem.
-    pub estimate: ResourceEstimate,
-    /// Whether it fits the budget on its own.
-    pub feasible: bool,
-}
-
-/// The decision record returned with the selection.
-#[derive(Debug, Clone)]
-pub struct SelectionTrace {
-    /// All candidates with estimates.
-    pub candidates: Vec<Candidate>,
-    /// Chosen method, when any candidate was feasible.
-    pub chosen: Option<GmlMethodKind>,
-}
-
-/// Select the near-optimal method for a problem under a budget.
+/// Select the near-optimal method for a problem under a budget: among the
+/// `methods` whose estimate fits every cap of `budget`, the one with the
+/// most expected quality, the least time or the least memory, as its
+/// priority asks. Ties go to the earlier entry of `methods`. `None` when
+/// no method fits.
 pub fn select_method(
     methods: &[GmlMethodKind],
     dims: &GraphDims,
     cfg: &GnnConfig,
     budget: &TaskBudget,
-) -> SelectionTrace {
-    let candidates: Vec<Candidate> = methods
-        .iter()
-        .map(|&method| {
-            let est = estimate(method, dims, cfg);
-            let feasible = budget.max_memory_bytes.is_none_or(|cap| est.memory_bytes <= cap)
-                && budget.max_time_s.is_none_or(|cap| est.time_s <= cap);
-            Candidate { method, estimate: est, feasible }
-        })
-        .collect();
+) -> Option<GmlMethodKind> {
+    best_fit(methods.iter().map(|&method| (method, estimate(method, dims, cfg))), budget)
+}
 
-    // Integer program: pick exactly one method, subject to the budget rows.
-    let n = candidates.len();
-    let mut ip = IntegerProgram::new(n);
-    for (i, c) in candidates.iter().enumerate() {
-        ip.objective[i] = match budget.priority {
-            Priority::ModelScore => c.estimate.expected_quality,
-            // Minimisation becomes maximisation of the negated cost; the
-            // epsilon keeps every option strictly better than "pick none"
-            // (the equality row forbids that anyway).
-            Priority::TrainingTime => -c.estimate.time_s,
-            Priority::Memory => -(c.estimate.memory_bytes as f64),
-        };
-    }
-    ip.add_eq(vec![1.0; n], 1.0);
-    if let Some(cap) = budget.max_memory_bytes {
-        ip.add_le(candidates.iter().map(|c| c.estimate.memory_bytes as f64).collect(), cap as f64);
-    }
-    if let Some(cap) = budget.max_time_s {
-        ip.add_le(candidates.iter().map(|c| c.estimate.time_s).collect(), cap);
-    }
-
-    let chosen = solve(&ip).map(|sol| {
-        let idx = sol.assignment.iter().position(|&x| x).expect("one method chosen");
-        candidates[idx].method
+/// The feasible candidate with the best key on the budget's priority, the
+/// earliest among equals.
+fn best_fit(
+    candidates: impl IntoIterator<Item = (GmlMethodKind, ResourceEstimate)>,
+    budget: &TaskBudget,
+) -> Option<GmlMethodKind> {
+    let fits = |e: &ResourceEstimate| {
+        budget.max_memory_bytes.is_none_or(|cap| e.memory_bytes <= cap)
+            && budget.max_time_s.is_none_or(|cap| e.time_s <= cap)
+    };
+    let beats = |a: &ResourceEstimate, b: &ResourceEstimate| match budget.priority {
+        Priority::ModelScore => a.expected_quality > b.expected_quality,
+        Priority::TrainingTime => a.time_s < b.time_s,
+        Priority::Memory => a.memory_bytes < b.memory_bytes,
+    };
+    let best = candidates.into_iter().filter(|(_, e)| fits(e)).reduce(|best, next| {
+        if beats(&next.1, &best.1) {
+            next
+        } else {
+            best
+        }
     });
-    SelectionTrace { candidates, chosen }
+    best.map(|(method, _)| method)
 }
 
 #[cfg(test)]
@@ -93,15 +69,14 @@ mod tests {
 
     #[test]
     fn unlimited_budget_prefers_highest_quality() {
-        let trace = select_method(
+        let chosen = select_method(
             &GmlMethodKind::NC_METHODS,
             &dims(),
             &GnnConfig::default(),
             &TaskBudget::unlimited(),
         );
         // ShadowSaint carries the highest quality prior.
-        assert_eq!(trace.chosen, Some(GmlMethodKind::ShadowSaint));
-        assert_eq!(trace.candidates.len(), 4);
+        assert_eq!(chosen, Some(GmlMethodKind::ShadowSaint));
     }
 
     #[test]
@@ -109,33 +84,67 @@ mod tests {
         let cfg = GnnConfig::default();
         let rgcn_mem = estimate(GmlMethodKind::Rgcn, &dims(), &cfg).memory_bytes;
         let budget = TaskBudget::with_memory(rgcn_mem / 2);
-        let trace = select_method(&GmlMethodKind::NC_METHODS, &dims(), &cfg, &budget);
-        assert_ne!(trace.chosen, Some(GmlMethodKind::Rgcn));
-        assert!(trace.chosen.is_some(), "a sampled method should fit");
-        let rgcn = trace.candidates.iter().find(|c| c.method == GmlMethodKind::Rgcn).unwrap();
-        assert!(!rgcn.feasible);
+        let chosen = select_method(&GmlMethodKind::NC_METHODS, &dims(), &cfg, &budget);
+        assert_ne!(chosen, Some(GmlMethodKind::Rgcn));
+        assert!(chosen.is_some(), "a sampled method should fit");
+        assert_eq!(select_method(&[GmlMethodKind::Rgcn], &dims(), &cfg, &budget), None);
     }
 
     #[test]
     fn impossible_budget_selects_nothing() {
         let budget = TaskBudget::with_memory(16);
-        let trace =
+        let chosen =
             select_method(&GmlMethodKind::NC_METHODS, &dims(), &GnnConfig::default(), &budget);
-        assert_eq!(trace.chosen, None);
-        assert!(trace.candidates.iter().all(|c| !c.feasible));
+        assert_eq!(chosen, None);
     }
 
     #[test]
     fn time_priority_picks_fastest() {
+        let cfg = GnnConfig::default();
         let budget = TaskBudget { priority: Priority::TrainingTime, ..Default::default() };
-        let trace =
-            select_method(&GmlMethodKind::NC_METHODS, &dims(), &GnnConfig::default(), &budget);
-        let chosen = trace.chosen.unwrap();
-        let min = trace
-            .candidates
-            .iter()
-            .min_by(|a, b| a.estimate.time_s.partial_cmp(&b.estimate.time_s).unwrap())
+        let chosen = select_method(&GmlMethodKind::NC_METHODS, &dims(), &cfg, &budget).unwrap();
+        let fastest = GmlMethodKind::NC_METHODS
+            .into_iter()
+            .min_by(|&a, &b| {
+                let time = |m| estimate(m, &dims(), &cfg).time_s;
+                time(a).partial_cmp(&time(b)).unwrap()
+            })
             .unwrap();
-        assert_eq!(chosen, min.method);
+        assert_eq!(chosen, fastest);
+    }
+
+    fn candidate(
+        method: GmlMethodKind,
+        memory_bytes: usize,
+        time_s: f64,
+        expected_quality: f64,
+    ) -> (GmlMethodKind, ResourceEstimate) {
+        (method, ResourceEstimate { memory_bytes, time_s, expected_quality })
+    }
+
+    #[test]
+    fn ties_go_to_the_earlier_method() {
+        let (a, b) = (GmlMethodKind::Gcn, GmlMethodKind::Rgcn);
+        for priority in [Priority::ModelScore, Priority::TrainingTime, Priority::Memory] {
+            let budget = TaskBudget { priority, ..Default::default() };
+            let tied = [candidate(a, 100, 2.0, 0.8), candidate(b, 100, 2.0, 0.8)];
+            assert_eq!(best_fit(tied, &budget), Some(a), "{priority:?}");
+            let swapped = [tied[1], tied[0]];
+            assert_eq!(best_fit(swapped, &budget), Some(b), "{priority:?}");
+        }
+    }
+
+    #[test]
+    fn an_estimate_exactly_at_a_cap_fits() {
+        let (a, b) = (GmlMethodKind::Gcn, GmlMethodKind::Rgcn);
+        // The more accurate method sits exactly on both caps.
+        let candidates = [candidate(a, 100, 2.0, 0.7), candidate(b, 200, 4.0, 0.9)];
+        let at_caps =
+            TaskBudget { max_memory_bytes: Some(200), max_time_s: Some(4.0), ..Default::default() };
+        assert_eq!(best_fit(candidates, &at_caps), Some(b));
+        let memory_below = TaskBudget { max_memory_bytes: Some(199), ..at_caps };
+        assert_eq!(best_fit(candidates, &memory_below), Some(a));
+        let time_below = TaskBudget { max_time_s: Some(3.999), ..at_caps };
+        assert_eq!(best_fit(candidates, &time_below), Some(a));
     }
 }

@@ -19,7 +19,7 @@ use kgnet_sampler::SamplingScope;
 use crate::budget::TaskBudget;
 use crate::embedding_store::{EmbeddingStore, Metric};
 use crate::model_store::{ArtifactPayload, ModelArtifact, ModelStore, TaskKind};
-use crate::selector::{select_method, SelectionTrace};
+use crate::selector::select_method;
 
 /// Stored top-k depth for link-prediction artifacts.
 const STORED_TOPK: usize = 20;
@@ -35,7 +35,8 @@ pub struct TrainRequest {
     pub budget: TaskBudget,
     /// Hyper-parameters.
     pub cfg: GnnConfig,
-    /// Expert override: skip selection and use this method.
+    /// Expert override: skip selection and use this method, which must be
+    /// one that can train `task`.
     pub forced_method: Option<GmlMethodKind>,
     /// Split strategy for the transformer.
     pub split_strategy: SplitStrategy,
@@ -70,6 +71,14 @@ pub enum TrainError {
     EmptyTask,
     /// The run was cancelled mid-training; any partial result was discarded.
     Cancelled,
+    /// The forced method cannot train the request's task (a link predictor
+    /// forced on node classification, say).
+    MethodNotForTask {
+        /// The forced method.
+        method: GmlMethodKind,
+        /// The task's [`GmlTask::kind_name`].
+        task: &'static str,
+    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -78,19 +87,14 @@ impl std::fmt::Display for TrainError {
             TrainError::BudgetInfeasible => write!(f, "no GML method fits the task budget"),
             TrainError::EmptyTask => write!(f, "task selects no targets in the graph"),
             TrainError::Cancelled => write!(f, "training cancelled before completion"),
+            TrainError::MethodNotForTask { method, task } => {
+                write!(f, "{method} cannot train a {task} task")
+            }
         }
     }
 }
 
 impl std::error::Error for TrainError {}
-
-/// Outcome of a training run.
-pub struct TrainOutcome {
-    /// The registered artifact.
-    pub artifact: Arc<ModelArtifact>,
-    /// The method-selection trace (estimates per candidate).
-    pub trace: SelectionTrace,
-}
 
 /// The training manager: owns the model registry and mints model URIs.
 ///
@@ -120,46 +124,25 @@ impl TrainingManager {
         &self.store
     }
 
-    /// Run the automated pipeline on a task-specific subgraph.
-    ///
-    /// Atomicity: the pipeline builds the complete [`ModelArtifact`] first
-    /// and registers it in the model store as the single final step, so a
-    /// failure anywhere (infeasible budget, empty task, a panicking trainer)
-    /// leaves the registry exactly as it was — readers can never observe a
-    /// half-trained model.
+    /// Run the automated pipeline on a task-specific subgraph and return
+    /// the built artifact, which exists only on the caller's stack: the
+    /// caller registers it in the [`model_store`](Self::model_store)
+    /// together with its own metadata, so a failure anywhere (a forced
+    /// method that cannot train the task, an infeasible budget, an empty
+    /// task, a panicking trainer) leaves the registry exactly as it was.
+    /// `ctl` is polled in the trainer's epoch loop: a raised flag stops the
+    /// run within one epoch and yields [`TrainError::Cancelled`] (the
+    /// partial model is dropped, never built into an artifact).
     pub fn train(
         &self,
         kg_prime: &RdfStore,
         req: &TrainRequest,
-    ) -> Result<TrainOutcome, TrainError> {
-        let (artifact, trace) = self.train_uncommitted(kg_prime, req)?;
-        // The one commit point: nothing above touches the store.
-        Ok(TrainOutcome { artifact: self.store.insert(artifact), trace })
-    }
-
-    /// Everything [`train`](Self::train) does short of the registry insert:
-    /// the built artifact exists only on the caller's stack. Serving layers
-    /// use this to interpose a cancellation checkpoint between training and
-    /// commit, then insert into the [`model_store`](Self::model_store)
-    /// together with their own metadata registration.
-    pub fn train_uncommitted(
-        &self,
-        kg_prime: &RdfStore,
-        req: &TrainRequest,
-    ) -> Result<(ModelArtifact, SelectionTrace), TrainError> {
-        self.train_uncommitted_ctl(kg_prime, req, TrainControl::NONE)
-    }
-
-    /// [`train_uncommitted`](Self::train_uncommitted) with a cancellation
-    /// handle threaded into the trainer's epoch loop: a raised flag stops
-    /// the run within one epoch and yields [`TrainError::Cancelled`] (the
-    /// partial model is dropped, never built into an artifact).
-    pub fn train_uncommitted_ctl(
-        &self,
-        kg_prime: &RdfStore,
-        req: &TrainRequest,
         ctl: TrainControl<'_>,
-    ) -> Result<(ModelArtifact, SelectionTrace), TrainError> {
+    ) -> Result<ModelArtifact, TrainError> {
+        let methods = methods_for(&req.task);
+        if let Some(method) = req.forced_method.filter(|m| !methods.contains(m)) {
+            return Err(TrainError::MethodNotForTask { method, task: req.task.kind_name() });
+        }
         match &req.task {
             GmlTask::NodeClassification(nc) => self.train_nc_task(kg_prime, req, nc, ctl),
             GmlTask::LinkPrediction(lp) => self.train_lp_task(kg_prime, req, lp, ctl),
@@ -182,18 +165,17 @@ impl TrainingManager {
         req: &TrainRequest,
         task: &kgnet_graph::NcTask,
         ctl: TrainControl<'_>,
-    ) -> Result<(ModelArtifact, SelectionTrace), TrainError> {
+    ) -> Result<ModelArtifact, TrainError> {
         let data =
             build_nc_dataset(kg, task, req.split_strategy, SplitRatios::default(), req.cfg.seed);
         if data.n_targets() == 0 || data.n_classes() == 0 {
             return Err(TrainError::EmptyTask);
         }
         let dims = GraphDims::of_nc(&data);
-        let trace = match req.forced_method {
-            Some(m) => SelectionTrace { candidates: vec![], chosen: Some(m) },
-            None => select_method(&GmlMethodKind::NC_METHODS, &dims, &req.cfg, &req.budget),
-        };
-        let method = trace.chosen.ok_or(TrainError::BudgetInfeasible)?;
+        let method = req
+            .forced_method
+            .or_else(|| select_method(&GmlMethodKind::NC_METHODS, &dims, &req.cfg, &req.budget))
+            .ok_or(TrainError::BudgetInfeasible)?;
         let trained = train_nc_ctl(method, &data, &req.cfg, ctl);
         if ctl.is_cancelled() {
             return Err(TrainError::Cancelled);
@@ -218,7 +200,7 @@ impl TrainingManager {
             trained_generation: 0,
             payload: ArtifactPayload::NodeClassifier { predictions: Arc::new(predictions) },
         };
-        Ok((artifact, trace))
+        Ok(artifact)
     }
 
     fn train_lp_task(
@@ -227,17 +209,16 @@ impl TrainingManager {
         req: &TrainRequest,
         task: &kgnet_graph::LpTask,
         ctl: TrainControl<'_>,
-    ) -> Result<(ModelArtifact, SelectionTrace), TrainError> {
+    ) -> Result<ModelArtifact, TrainError> {
         let data = build_lp_dataset(kg, task, SplitRatios::default(), req.cfg.seed);
         if data.n_edges() == 0 || data.destinations.is_empty() {
             return Err(TrainError::EmptyTask);
         }
         let dims = GraphDims::of_lp(&data);
-        let trace = match req.forced_method {
-            Some(m) => SelectionTrace { candidates: vec![], chosen: Some(m) },
-            None => select_method(&GmlMethodKind::LP_METHODS, &dims, &req.cfg, &req.budget),
-        };
-        let method = trace.chosen.ok_or(TrainError::BudgetInfeasible)?;
+        let method = req
+            .forced_method
+            .or_else(|| select_method(&GmlMethodKind::LP_METHODS, &dims, &req.cfg, &req.budget))
+            .ok_or(TrainError::BudgetInfeasible)?;
         let trained = train_lp_ctl(method, &data, &req.cfg, ctl);
         if ctl.is_cancelled() {
             return Err(TrainError::Cancelled);
@@ -265,7 +246,7 @@ impl TrainingManager {
             trained_generation: 0,
             payload: ArtifactPayload::LinkPredictor { topk },
         };
-        Ok((artifact, trace))
+        Ok(artifact)
     }
 
     fn train_similarity(
@@ -274,7 +255,7 @@ impl TrainingManager {
         req: &TrainRequest,
         target_type: &str,
         ctl: TrainControl<'_>,
-    ) -> Result<(ModelArtifact, SelectionTrace), TrainError> {
+    ) -> Result<ModelArtifact, TrainError> {
         let (graph, _stats) = transform(kg, &[]);
         if graph.n_nodes() == 0 {
             return Err(TrainError::EmptyTask);
@@ -320,8 +301,16 @@ impl TrainingManager {
             trained_generation: 0,
             payload: ArtifactPayload::NodeSimilarity { store },
         };
-        let trace = SelectionTrace { candidates: vec![], chosen: Some(GmlMethodKind::TransE) };
-        Ok((artifact, trace))
+        Ok(artifact)
+    }
+}
+
+/// The methods that can train `task`, whether forced or selected.
+fn methods_for(task: &GmlTask) -> &'static [GmlMethodKind] {
+    match task {
+        GmlTask::NodeClassification(_) => &GmlMethodKind::NC_METHODS,
+        GmlTask::LinkPrediction(_) => &GmlMethodKind::LP_METHODS,
+        GmlTask::EntitySimilarity { .. } => &[GmlMethodKind::TransE],
     }
 }
 
@@ -334,6 +323,15 @@ mod tests {
 
     fn tiny_store() -> RdfStore {
         generate_dblp(&DblpConfig::tiny(31)).0
+    }
+
+    /// Train and, on success, register the artifact, as serving layers do.
+    fn train(
+        mgr: &TrainingManager,
+        st: &RdfStore,
+        req: &TrainRequest,
+    ) -> Result<Arc<ModelArtifact>, TrainError> {
+        mgr.train(st, req, TrainControl::NONE).map(|artifact| mgr.model_store().insert(artifact))
     }
 
     fn nc_task() -> GmlTask {
@@ -349,14 +347,14 @@ mod tests {
         let mgr = TrainingManager::default();
         let mut req = TrainRequest::new("paper-venue", nc_task());
         req.cfg = GnnConfig::fast_test();
-        let out = mgr.train(&st, &req).unwrap();
-        assert!(out.artifact.uri.contains("/model/nc/"));
-        assert_eq!(out.artifact.task_kind, TaskKind::NodeClassifier);
-        assert!(out.artifact.cardinality > 0);
-        assert!(mgr.model_store().get(&out.artifact.uri).is_some());
-        match &out.artifact.payload {
+        let artifact = train(&mgr, &st, &req).unwrap();
+        assert!(artifact.uri.contains("/model/nc/"));
+        assert_eq!(artifact.task_kind, TaskKind::NodeClassifier);
+        assert!(artifact.cardinality > 0);
+        assert!(mgr.model_store().get(&artifact.uri).is_some());
+        match &artifact.payload {
             ArtifactPayload::NodeClassifier { predictions } => {
-                assert_eq!(predictions.len(), out.artifact.cardinality);
+                assert_eq!(predictions.len(), artifact.cardinality);
                 let class = predictions.values().next().unwrap();
                 assert!(class.contains("venue"), "prediction should be a venue IRI: {class}");
             }
@@ -378,8 +376,8 @@ mod tests {
         );
         req.cfg = GnnConfig { epochs: 10, ..GnnConfig::fast_test() };
         req.forced_method = Some(GmlMethodKind::Morse);
-        let out = mgr.train(&st, &req).unwrap();
-        match &out.artifact.payload {
+        let artifact = train(&mgr, &st, &req).unwrap();
+        match &artifact.payload {
             ArtifactPayload::LinkPredictor { topk } => {
                 assert!(!topk.is_empty());
                 let links = topk.values().next().unwrap();
@@ -399,8 +397,8 @@ mod tests {
             GmlTask::EntitySimilarity { target_type: v::PUBLICATION.into() },
         );
         req.cfg = GnnConfig { epochs: 5, ..GnnConfig::fast_test() };
-        let out = mgr.train(&st, &req).unwrap();
-        match &out.artifact.payload {
+        let artifact = train(&mgr, &st, &req).unwrap();
+        match &artifact.payload {
             ArtifactPayload::NodeSimilarity { store } => {
                 assert!(!store.is_empty());
                 let key = v::paper(0);
@@ -418,7 +416,7 @@ mod tests {
         let mgr = TrainingManager::default();
         let mut req = TrainRequest::new("impossible", nc_task());
         req.budget = TaskBudget::with_memory(1);
-        match mgr.train(&st, &req) {
+        match train(&mgr, &st, &req) {
             Err(e) => assert_eq!(e, TrainError::BudgetInfeasible),
             Ok(_) => panic!("expected budget error"),
         }
@@ -433,12 +431,12 @@ mod tests {
         let mgr = TrainingManager::default();
         let mut ok = TrainRequest::new("good", nc_task());
         ok.cfg = GnnConfig::fast_test();
-        mgr.train(&st, &ok).unwrap();
+        train(&mgr, &st, &ok).unwrap();
         let uris_before = mgr.model_store().uris();
 
         let mut bad = TrainRequest::new("starved", nc_task());
         bad.budget = TaskBudget::with_memory(1);
-        match mgr.train(&st, &bad) {
+        match train(&mgr, &st, &bad) {
             Err(e) => assert_eq!(e, TrainError::BudgetInfeasible),
             Ok(_) => panic!("expected budget error"),
         }
@@ -449,8 +447,35 @@ mod tests {
                 label_predicate: "http://nope/p".into(),
             }),
         );
-        assert!(mgr.train(&st, &empty).is_err());
+        assert!(train(&mgr, &st, &empty).is_err());
         assert_eq!(mgr.model_store().uris(), uris_before);
+    }
+
+    #[test]
+    fn a_forced_method_that_cannot_train_the_task_is_refused_before_training() {
+        let st = tiny_store();
+        let mgr = TrainingManager::default();
+        let lp = GmlTask::LinkPrediction(LpTask {
+            source_type: v::PERSON.into(),
+            edge_predicate: v::AFFILIATED_WITH.into(),
+            dest_type: v::AFFILIATION.into(),
+        });
+        let similarity = GmlTask::EntitySimilarity { target_type: v::PUBLICATION.into() };
+        let cases = [
+            (nc_task(), GmlMethodKind::Morse, "NodeClassification"),
+            (nc_task(), GmlMethodKind::TransE, "NodeClassification"),
+            (lp, GmlMethodKind::Gcn, "LinkPrediction"),
+            (similarity, GmlMethodKind::Rgcn, "EntitySimilarity"),
+        ];
+        for (task, method, kind) in cases {
+            let mut req = TrainRequest::new("mismatched", task);
+            req.forced_method = Some(method);
+            match mgr.train(&st, &req, TrainControl::NONE) {
+                Err(e) => assert_eq!(e, TrainError::MethodNotForTask { method, task: kind }),
+                Ok(_) => panic!("{method} trained a {kind} task"),
+            }
+        }
+        assert!(mgr.model_store().is_empty());
     }
 
     #[test]
@@ -460,8 +485,8 @@ mod tests {
         let b = a.clone();
         let mut req = TrainRequest::new("shared", nc_task());
         req.cfg = GnnConfig::fast_test();
-        let ua = a.train(&st, &req).unwrap().artifact.uri.clone();
-        let ub = b.train(&st, &req).unwrap().artifact.uri.clone();
+        let ua = train(&a, &st, &req).unwrap().uri.clone();
+        let ub = train(&b, &st, &req).unwrap().uri.clone();
         assert_ne!(ua, ub, "shared counter must keep minted URIs distinct");
         assert_eq!(a.model_store().len(), 2);
         assert!(b.model_store().get(&ua).is_some());
@@ -478,7 +503,7 @@ mod tests {
                 label_predicate: "http://nope/p".into(),
             }),
         );
-        match mgr.train(&st, &req) {
+        match train(&mgr, &st, &req) {
             Err(e) => assert_eq!(e, TrainError::EmptyTask),
             Ok(_) => panic!("expected empty-task error"),
         }

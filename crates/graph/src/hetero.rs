@@ -96,11 +96,6 @@ impl HeteroGraph {
         &self.node_type_names[t as usize]
     }
 
-    /// Name of an edge type.
-    pub fn edge_type_name(&self, t: EdgeTypeId) -> &str {
-        &self.edge_type_names[t as usize]
-    }
-
     /// Id of a node type by name.
     pub fn node_type_id(&self, name: &str) -> Option<NodeTypeId> {
         self.node_type_names.iter().position(|n| n == name).map(|i| i as NodeTypeId)
@@ -192,12 +187,6 @@ impl HeteroGraph {
             }
         }
         (offsets, targets)
-    }
-
-    /// Approximate size of the adjacency structures in bytes, used by the
-    /// method-selection cost model.
-    pub fn adjacency_bytes(&self) -> usize {
-        self.n_edges() * 8 + self.n_nodes() * 8
     }
 }
 

@@ -54,19 +54,9 @@ static WRITER_GATE_SITE: SyncSite = SyncSite::new("rdf.writer_gate");
 #[derive(Clone)]
 pub struct Snapshot {
     inner: Arc<RdfStore>,
-    /// Present when the snapshot was pinned from a [`SharedStore`]: held
-    /// purely so its `Clone`/`Drop` keep the per-version pin count in the
-    /// store's retention tracker accurate.
-    _pin: Option<VersionPin>,
-}
-
-impl Snapshot {
-    /// Freeze a standalone store into a snapshot (version 0 of nothing in
-    /// particular; mostly useful in tests and one-shot pipelines). Untracked:
-    /// it never appears in [`SharedStore::retained_versions`].
-    pub fn freeze(store: RdfStore) -> Self {
-        Snapshot { inner: Arc::new(store), _pin: None }
-    }
+    /// Held purely so its `Clone`/`Drop` keep the per-version pin count in
+    /// the [`SharedStore`]'s retention tracker accurate.
+    _pin: VersionPin,
 }
 
 impl Deref for Snapshot {
@@ -241,10 +231,8 @@ impl SharedStore {
             lock_tracked(&self.tracker, &TRACKER_SITE).pin(generation, approx_bytes);
             (Arc::clone(&current), generation, approx_bytes)
         };
-        Snapshot {
-            inner,
-            _pin: Some(VersionPin { tracker: Arc::clone(&self.tracker), generation, approx_bytes }),
-        }
+        let _pin = VersionPin { tracker: Arc::clone(&self.tracker), generation, approx_bytes };
+        Snapshot { inner, _pin }
     }
 
     /// GC telemetry: every store version currently retained, with its live

@@ -489,25 +489,25 @@ impl PreparedQuery {
 /// Compile a parsed SELECT into a reusable [`PreparedQuery`] bound to the
 /// store's current generation.
 pub fn prepare_select(store: &RdfStore, query: SelectQuery) -> Result<PreparedQuery, SparqlError> {
-    prepare_select_inferring(store, query, &[], |_| Vec::new())
+    prepare_select_inferring(store, query, &[], Vec::new())
 }
 
 /// Compile a SPARQL-ML SELECT: the data `query` joined, in order, with the
 /// `inferred` triple patterns `(subject, object variable)`, each a required
 /// pattern run after the whole group (join steps, sub-SELECTs, OPTIONALs,
 /// other filters). A FILTER mentioning an inferred variable runs after the
-/// last step. `answer` gets the planner's estimate of the rows reaching the
-/// steps and returns one [`InferredObjects`] per pattern.
+/// last step. `objects` holds one [`InferredObjects`] per pattern; each
+/// step records the planner's estimate of the rows reaching it, for EXPLAIN.
 pub fn prepare_select_inferring(
     store: &RdfStore,
     query: SelectQuery,
     inferred: &[(TermPattern, String)],
-    answer: impl FnOnce(f64) -> Vec<Box<dyn InferredObjects>>,
+    objects: Vec<Box<dyn InferredObjects>>,
 ) -> Result<PreparedQuery, SparqlError> {
     let (vars, mut plan, held) = prepare(store, &query, inferred)?;
     // Sub-SELECTs, OPTIONALs and filters are taken to keep every row.
     let rows = if plan.impossible { 0.0 } else { plan.steps.iter().map(|s| s.est).product() };
-    plan_inferred(store, &mut plan, inferred, answer(rows), &vars, held, rows);
+    plan_inferred(store, &mut plan, inferred, objects, &vars, held, rows);
     let infers = !inferred.is_empty();
     let output = query.output_vars().into();
     Ok(PreparedQuery { query, output, vars, plan, generation: store.generation(), infers })

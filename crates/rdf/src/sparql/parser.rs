@@ -74,11 +74,6 @@ impl Parser {
         &self.tokens[self.pos]
     }
 
-    /// Look ahead `n` tokens.
-    pub fn peek_at(&self, n: usize) -> &Token {
-        self.tokens.get(self.pos + n).unwrap_or(&Token::Eof)
-    }
-
     /// Consume and return the current token.
     pub fn bump(&mut self) -> Token {
         let t = self.tokens[self.pos].clone();

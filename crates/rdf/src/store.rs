@@ -395,14 +395,6 @@ impl RdfStore {
         self.pos.range2(rdf_type.0, ty.0).map(|&(_, _, s)| TermId(s)).collect()
     }
 
-    /// The `rdf:type` objects of a subject.
-    pub fn types_of(&self, subject: TermId) -> Vec<TermId> {
-        let Some(rdf_type) = self.dict.get(&Term::iri(RDF_TYPE)) else {
-            return vec![];
-        };
-        self.spo.range2(subject.0, rdf_type.0).map(|&(_, _, o)| TermId(o)).collect()
-    }
-
     /// Distinct predicates in the store, ascending by id.
     pub fn predicates(&self) -> Vec<TermId> {
         // Shards partition the POS index by predicate id, so per-shard

@@ -393,7 +393,7 @@ fn train_runner(
         // epoch histogram.
         let pair = PairObserver::new(&timer, probe);
         let ctl = TrainControl::with_flag(cancel).with_observer(&pair);
-        let (mut artifact, _trace) = match trainer.train_uncommitted_ctl(&sampled.store, req, ctl) {
+        let mut artifact = match trainer.train(&sampled.store, req, ctl) {
             Ok(built) => built,
             Err(TrainError::Cancelled) => return JobOutcome::Cancelled,
             Err(e) => return JobOutcome::Failed(e.to_string()),
@@ -415,7 +415,7 @@ fn train_runner(
 mod tests {
     use super::*;
     use kgnet_datagen::{generate_dblp, DblpConfig};
-    use kgnet_gml::config::GnnConfig;
+    use kgnet_gml::config::{GmlMethodKind, GnnConfig};
     use kgnet_graph::{GmlTask, NcTask};
     use kgnet_sparqlml::MlOutcome;
 
@@ -470,6 +470,22 @@ mod tests {
             )
             .unwrap();
         assert_eq!(meta.len(), 1);
+    }
+
+    #[test]
+    fn a_queued_job_forcing_a_method_that_cannot_train_its_task_fails_without_training() {
+        let server = fast_server(41);
+        let before = server.store().snapshot().len();
+        let mut req = nc_request("mismatched");
+        req.forced_method = Some(GmlMethodKind::Morse);
+        let id = server.submit_train(req).unwrap();
+        let done = server.wait(id).unwrap();
+        let JobState::Failed { error } = &done.state else {
+            panic!("expected a failure: {done:?}")
+        };
+        assert_eq!(error, "MorsE cannot train a NodeClassification task");
+        assert!(server.manager().read().trainer().model_store().is_empty());
+        assert_eq!(server.store().snapshot().len(), before, "no KGMeta was written");
     }
 
     #[test]

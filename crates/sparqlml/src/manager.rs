@@ -2,9 +2,11 @@
 //!
 //! `INSERT`/`TrainGML` requests run the full KGNet pipeline — meta-sampling
 //! of `KG'`, budget-constrained training via GMLaaS, KGMeta registration.
-//! `SELECT` queries are optimized (model, then plan selection integer
-//! programs) into one [`PreparedQuery`] for the plain streaming executor,
-//! whose inference steps call the inference service's JSON boundary.
+//! `SELECT` queries are optimized (model, then plan selection: the paper's
+//! integer programs, solved in closed form per predicate by
+//! [`opt`](mod@crate::opt)) into one [`PreparedQuery`] for the plain
+//! streaming executor, whose inference steps call the inference service's
+//! JSON boundary.
 //! `DELETE` removes models' KGMeta metadata.
 //!
 //! The manager holds no mutable state: KGMeta lives in the store each call
@@ -14,6 +16,7 @@
 use std::borrow::Cow;
 
 use kgnet_gml::config::{GmlMethodKind, GnnConfig};
+use kgnet_gml::control::TrainControl;
 use kgnet_gmlaas::{
     InferenceRequest, InferenceResponse, InferenceService, ModelStore, ServiceError, TaskKind,
     TrainError, TrainRequest, TrainingManager,
@@ -27,7 +30,7 @@ use kgnet_rdf::{RdfStore, SparqlError, Term};
 use kgnet_sampler::{meta_sample_task, SamplingScope};
 
 use crate::kgmeta;
-use crate::opt::{select_models, select_plans, PlanInputs, RewritePlan};
+use crate::opt::{select_model, select_plan, RewritePlan};
 use crate::parser::{parse, SparqlMlOperation, SparqlMlQuery};
 use crate::rewrite::{rewrite, RewrittenQuery};
 
@@ -57,7 +60,7 @@ impl std::fmt::Display for MlError {
                 write!(f, "no trained model satisfies user-defined predicate ?{var}")
             }
             MlError::SelectionInfeasible => {
-                write!(f, "no model combination satisfies the inference-time bound")
+                write!(f, "no model of a user-defined predicate satisfies the inference-time bound")
             }
             MlError::Train(e) => write!(f, "{e}"),
             MlError::Service(e) => write!(f, "{e}"),
@@ -119,20 +122,20 @@ pub enum MlOutcome {
 }
 
 /// Tuning knobs of the query manager.
+///
+/// Both caps bound each user-defined predicate of a query alone, not a sum
+/// over the query's predicates as in the paper's integer programs.
 #[derive(Debug, Clone, Default)]
 pub struct ManagerConfig {
     /// Default training hyper-parameters.
     pub default_cfg: GnnConfig,
-    /// Optional bound on summed per-call inference time across predicates.
+    /// Optional bound on each predicate's per-call inference time: the
+    /// most accurate model within it is chosen.
     pub max_inference_ms: Option<f64>,
-    /// Optional cap on total dictionary bytes for plan selection.
+    /// Optional cap on each predicate's dictionary bytes (96 per entry): a
+    /// dictionary over it is replaced by per-binding calls.
     pub dict_bytes_cap: Option<usize>,
 }
-
-/// Estimated bytes per dictionary entry (one node URI and its prediction),
-/// the plan optimiser's per-entry cost against
-/// [`ManagerConfig::dict_bytes_cap`].
-const DICT_ENTRY_BYTES: usize = 96;
 
 /// The SPARQL-ML query manager.
 pub struct QueryManager {
@@ -279,11 +282,7 @@ impl QueryManager {
                 }
             }
         }
-        let scope = spec
-            .sampler
-            .as_deref()
-            .and_then(SamplingScope::parse)
-            .unwrap_or_else(|| SamplingScope::default_for(&spec.task));
+        let scope = spec.sampler.unwrap_or_else(|| SamplingScope::default_for(&spec.task));
         let sampled = meta_sample_task(data, &spec.task, scope);
 
         let req = TrainRequest {
@@ -291,11 +290,11 @@ impl QueryManager {
             task: spec.task.clone(),
             budget: spec.budget,
             cfg,
-            forced_method: spec.method.as_deref().and_then(parse_method),
+            forced_method: spec.method,
             split_strategy: kgnet_graph::SplitStrategy::Random,
             sampler: scope.name(),
         };
-        let (mut artifact, _trace) = self.trainer.train_uncommitted(&sampled.store, &req)?;
+        let mut artifact = self.trainer.train(&sampled.store, &req, TrainControl::NONE)?;
         // Stamp which store version the model saw, then publish it as the
         // final step: registry insert, then KGMeta triples into `data`.
         artifact.trained_generation = data.generation();
@@ -314,10 +313,9 @@ impl QueryManager {
 
     // -- SELECT ------------------------------------------------------------
 
-    /// Choose one model per user-defined predicate, then compile the query
-    /// with one inference step per predicate, its plan chosen from the
-    /// planner's estimate of the rows reaching the step. Execution and
-    /// [`explain`](Self::explain) both come through here.
+    /// Choose one model and one plan per user-defined predicate, then
+    /// compile the query with one inference step per predicate. Execution
+    /// and [`explain`](Self::explain) both come through here.
     fn prepare(
         &self,
         data: &RdfStore,
@@ -332,52 +330,24 @@ impl QueryManager {
             }
             candidates.push(models);
         }
-        let chosen = select_models(&candidates, self.config.max_inference_ms)
-            .ok_or(MlError::SelectionInfeasible)?;
-        let models: Vec<String> =
-            chosen.iter().zip(&candidates).map(|(&i, c)| c[i].uri.clone()).collect();
-
+        let (mut models, mut plans, mut objects) = (Vec::new(), Vec::new(), Vec::new());
+        for (ud, candidates) in q.ud_predicates.iter().zip(&candidates) {
+            let model = select_model(candidates, self.config.max_inference_ms)
+                .ok_or(MlError::SelectionInfeasible)?;
+            let plan = select_plan(ud.task_kind, model.cardinality, self.config.dict_bytes_cap);
+            objects.push(Box::new(Inference {
+                service: self.service.clone(),
+                model: model.uri.clone(),
+                kind: ud.task_kind,
+                plan,
+                k: ud.topk,
+            }) as Box<dyn InferredObjects>);
+            models.push(model.uri.clone());
+            plans.push(plan);
+        }
         let patterns: Vec<(TermPattern, String)> =
             q.ud_predicates.iter().map(|ud| (ud.subject.clone(), ud.object_var.clone())).collect();
-        let mut plans = Vec::new();
-        let prepared = prepare_select_inferring(data, q.base.clone(), &patterns, |rows| {
-            // A ground subject binds once. A similarity model has no
-            // dictionary: it enters the choice saving no calls and taking no
-            // bytes, and is always called per binding.
-            let inputs: Vec<PlanInputs> = q
-                .ud_predicates
-                .iter()
-                .enumerate()
-                .map(|(p, ud)| {
-                    let cardinality = candidates[p][chosen[p]].cardinality;
-                    let (bindings, model_cardinality) = match (ud.task_kind, &ud.subject) {
-                        (TaskKind::NodeSimilarity, _) => (1, 0),
-                        (_, TermPattern::Ground(_)) => (1, cardinality),
-                        (_, TermPattern::Var(_)) => (rows.ceil() as usize, cardinality),
-                    };
-                    PlanInputs { bindings, model_cardinality, entry_bytes: DICT_ENTRY_BYTES }
-                })
-                .collect();
-            plans = select_plans(&inputs, self.config.dict_bytes_cap);
-            for (plan, ud) in plans.iter_mut().zip(&q.ud_predicates) {
-                if ud.task_kind == TaskKind::NodeSimilarity {
-                    *plan = RewritePlan::PerBinding;
-                }
-            }
-            q.ud_predicates
-                .iter()
-                .zip(models.iter().zip(&plans))
-                .map(|(ud, (model, &plan))| {
-                    Box::new(Inference {
-                        service: self.service.clone(),
-                        model: model.clone(),
-                        kind: ud.task_kind,
-                        plan,
-                        k: ud.topk,
-                    }) as Box<dyn InferredObjects>
-                })
-                .collect()
-        })?;
+        let prepared = prepare_select_inferring(data, q.base.clone(), &patterns, objects)?;
         Ok((prepared, models, plans))
     }
 }
@@ -457,26 +427,9 @@ impl InferredObjects for Inference {
     }
 }
 
-fn parse_method(name: &str) -> Option<GmlMethodKind> {
-    let n = name.to_ascii_lowercase();
-    Some(match n.as_str() {
-        "gcn" => GmlMethodKind::Gcn,
-        "rgcn" => GmlMethodKind::Rgcn,
-        "graphsaint" | "g-saint" | "saint" => GmlMethodKind::GraphSaint,
-        "shadowsaint" | "sh-saint" | "shadow" => GmlMethodKind::ShadowSaint,
-        "morse" => GmlMethodKind::Morse,
-        "transe" => GmlMethodKind::TransE,
-        "distmult" => GmlMethodKind::DistMult,
-        "complex" => GmlMethodKind::ComplEx,
-        "rotate" => GmlMethodKind::RotatE,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opt::plan_calls;
     use kgnet_datagen::{generate_dblp, DblpConfig};
 
     fn manager() -> QueryManager {
@@ -636,6 +589,38 @@ mod tests {
     }
 
     #[test]
+    fn traingml_refuses_unknown_names_and_a_method_that_cannot_train_the_task() {
+        let (mut data, _) = generate_dblp(&DblpConfig::tiny(45));
+        let before = data.len();
+        let mgr = manager();
+        let cases = [
+            ("Method: 'Bogus'", "unknown Method 'Bogus'"),
+            ("Sampler: 'd9h9'", "unknown Sampler 'd9h9'"),
+            ("Method: 'MorsE'", "MorsE cannot train a NodeClassification task"),
+        ];
+        for (named, refused) in cases {
+            let text = format!(
+                r#"PREFIX dblp: <https://www.dblp.org/>
+                   PREFIX kgnet: <https://www.kgnet.com/>
+                   INSERT INTO <kgnet> {{ ?s ?p ?o }} WHERE {{ SELECT * FROM kgnet.TrainGML(
+                     {{Name: 'misnamed', GML-Task:{{ TaskType: kgnet:NodeClassifier,
+                        TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn}},
+                      {named}}})}}"#
+            );
+            match mgr.update(&mut data, &text) {
+                Err(
+                    e @ (MlError::Sparql(_) | MlError::Train(TrainError::MethodNotForTask { .. })),
+                ) => {
+                    assert!(e.to_string().contains(refused), "{named}: {e}")
+                }
+                other => panic!("{named}: expected a refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(data.len(), before, "a refused request must not register a model");
+        assert!(mgr.trainer().model_store().is_empty());
+    }
+
+    #[test]
     fn query_without_model_errors() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(43));
         let mgr = manager();
@@ -791,6 +776,32 @@ mod tests {
         }
     }
 
+    /// The plan is chosen without the binding estimate: Dictionary at an
+    /// estimate of 0 (a store term that is no subject's type) and of 1 (a
+    /// ground subject) alike.
+    #[test]
+    fn dictionary_plan_at_estimates_zero_and_one() {
+        let (mut data, _) = generate_dblp(&DblpConfig::tiny(61));
+        let mgr = manager();
+        train_nc(&mgr, &mut data);
+        let paper = kgnet_datagen::vocab::dblp::paper(0);
+        let cases = [
+            ("?paper a dblp:publishedIn . ?paper ?NC ?venue .".to_owned(), "(est 0.0)"),
+            (format!("<{paper}> ?NC ?venue ."), "(est 1.0)"),
+        ];
+        for (patterns, est) in cases {
+            let text = format!(
+                "PREFIX dblp: <https://www.dblp.org/> PREFIX kgnet: <https://www.kgnet.com/> \
+                 SELECT ?venue WHERE {{ {patterns} ?NC a kgnet:NodeClassifier . \
+                 ?NC kgnet:TargetNode dblp:Publication . ?NC kgnet:NodeLabel dblp:publishedIn . }}"
+            );
+            let SparqlMlOperation::Select(q) = parse(&text).unwrap() else { panic!("{text}") };
+            let explain = mgr.prepare_select(&data, &q).unwrap().explain(&data);
+            let infer = explain.lines().find(|l| l.starts_with("infer")).expect(&explain);
+            assert!(infer.contains("Dictionary") && infer.ends_with(est), "{infer}");
+        }
+    }
+
     #[test]
     fn explain_reports_dictionary_plan() {
         let (mut data, _) = generate_dblp(&DblpConfig::tiny(61));
@@ -800,6 +811,5 @@ mod tests {
         assert_eq!(rewritten.steps.len(), 1);
         assert_eq!(rewritten.steps[0].plan, RewritePlan::Dictionary);
         assert!(rewritten.sparql.contains("getKeyValue"));
-        assert_eq!(plan_calls(rewritten.steps[0].plan, 60), 1);
     }
 }

@@ -1,19 +1,23 @@
 //! SPARQL-ML query optimization (paper §IV.B.3).
 //!
-//! Two integer programs, both solved exactly with `kgnet-gmlaas`'s branch
-//! and bound:
+//! The paper states two choices as integer programs. Here each cap bounds
+//! each user-defined predicate alone, so both programs separate by
+//! predicate and are solved in closed form, one predicate at a time:
 //!
-//! 1. **Model selection** — for each user-defined predicate pick exactly one
-//!    model from its KGMeta candidates, maximising total accuracy subject to
-//!    an optional bound on summed inference time (the "near-optimal GML
-//!    model that achieves high accuracy and low inference time").
-//! 2. **Plan selection** — per predicate choose between the Fig. 11
-//!    per-binding plan (`|bindings|` HTTP calls, no dictionary) and the
-//!    Fig. 12 dictionary plan (1 HTTP call, a dictionary of `cardinality`
-//!    entries), minimising total HTTP calls subject to an optional
-//!    dictionary-memory cap.
+//! 1. **Model selection** — pick exactly one model from the predicate's
+//!    KGMeta candidates, maximising accuracy subject to an optional bound
+//!    on its inference time (the "near-optimal GML model that achieves high
+//!    accuracy and low inference time"): [`select_model`] takes the most
+//!    accurate candidate within the bound.
+//! 2. **Plan selection** — choose between the Fig. 11 per-binding plan
+//!    (one HTTP call per binding, no dictionary) and the Fig. 12 dictionary
+//!    plan (a dictionary of `cardinality` entries), minimising HTTP calls
+//!    subject to an optional dictionary-memory cap. The dictionary is
+//!    fetched on its first lookup, so it costs one call at most and never
+//!    more than per-binding calls: [`select_plan`] picks it whenever it
+//!    fits the cap, whatever the number of bindings.
 
-use kgnet_gmlaas::ip::{solve, IntegerProgram};
+use kgnet_gmlaas::TaskKind;
 
 use crate::kgmeta::ModelInfo;
 
@@ -26,95 +30,36 @@ pub enum RewritePlan {
     Dictionary,
 }
 
-/// Select one model per predicate. `candidates[p]` lists the KGMeta models
-/// admissible for predicate `p` (already filtered). Returns indexes into
-/// each candidate list, or `None` when a predicate has no candidate or the
-/// inference-time bound is unsatisfiable.
-pub fn select_models(
-    candidates: &[Vec<ModelInfo>],
-    max_total_inference_ms: Option<f64>,
-) -> Option<Vec<usize>> {
-    if candidates.iter().any(Vec::is_empty) {
-        return None;
-    }
-    // Variables: one binary per (predicate, model).
-    let layout: Vec<(usize, usize)> = candidates
+/// Estimated bytes per dictionary entry (one node URI and its prediction),
+/// the plan choice's per-entry cost against a dictionary-bytes cap.
+const DICT_ENTRY_BYTES: usize = 96;
+
+/// Select one predicate's model from its admissible KGMeta `candidates`:
+/// the most accurate one whose per-call inference time is within
+/// `max_inference_ms`, the earliest among equals. `None` when no candidate
+/// is within the bound.
+pub fn select_model(candidates: &[ModelInfo], max_inference_ms: Option<f64>) -> Option<&ModelInfo> {
+    candidates
         .iter()
-        .enumerate()
-        .flat_map(|(p, models)| (0..models.len()).map(move |m| (p, m)))
-        .collect();
-    let n = layout.len();
-    let mut ip = IntegerProgram::new(n);
-    for (i, &(p, m)) in layout.iter().enumerate() {
-        ip.objective[i] = candidates[p][m].accuracy;
-    }
-    for (p, _) in candidates.iter().enumerate() {
-        let row: Vec<f64> = layout.iter().map(|&(pp, _)| if pp == p { 1.0 } else { 0.0 }).collect();
-        ip.add_eq(row, 1.0);
-    }
-    if let Some(cap) = max_total_inference_ms {
-        let row: Vec<f64> =
-            layout.iter().map(|&(p, m)| candidates[p][m].inference_time_ms).collect();
-        ip.add_le(row, cap);
-    }
-    let sol = solve(&ip)?;
-    let mut chosen = vec![0usize; candidates.len()];
-    for (i, &(p, m)) in layout.iter().enumerate() {
-        if sol.assignment[i] {
-            chosen[p] = m;
-        }
-    }
-    Some(chosen)
+        .filter(|m| max_inference_ms.is_none_or(|cap| m.inference_time_ms <= cap))
+        .reduce(|best, next| if next.accuracy > best.accuracy { next } else { best })
 }
 
-/// Inputs to plan selection for one predicate.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanInputs {
-    /// Bindings of the predicate's subject expected at its inference step
-    /// (the `|?papers|` of the paper's example): the planner's row estimate.
-    pub bindings: usize,
-    /// The chosen model's prediction cardinality.
-    pub model_cardinality: usize,
-    /// Estimated bytes per dictionary entry.
-    pub entry_bytes: usize,
-}
-
-/// Choose a plan per predicate, minimising total HTTP calls subject to an
-/// optional cap on total dictionary bytes. Falls back to per-binding when
-/// the dictionary does not fit.
-pub fn select_plans(inputs: &[PlanInputs], dict_bytes_cap: Option<usize>) -> Vec<RewritePlan> {
-    let n = inputs.len();
-    if n == 0 {
-        return vec![];
-    }
-    // One binary per predicate: x = 1 -> Dictionary, x = 0 -> PerBinding.
-    // Calls = Σ (bindings - (bindings - 1) x); maximising saved calls
-    // (bindings - 1 per dictionary choice) minimises total calls.
-    let mut ip = IntegerProgram::new(n);
-    for (i, inp) in inputs.iter().enumerate() {
-        ip.objective[i] = inp.bindings.saturating_sub(1) as f64;
-    }
-    if let Some(cap) = dict_bytes_cap {
-        ip.add_le(
-            inputs.iter().map(|i| (i.model_cardinality * i.entry_bytes) as f64).collect(),
-            cap as f64,
-        );
-    }
-    match solve(&ip) {
-        Some(sol) => sol
-            .assignment
-            .iter()
-            .map(|&x| if x { RewritePlan::Dictionary } else { RewritePlan::PerBinding })
-            .collect(),
-        None => vec![RewritePlan::PerBinding; n],
-    }
-}
-
-/// HTTP calls a plan will issue.
-pub fn plan_calls(plan: RewritePlan, bindings: usize) -> usize {
-    match plan {
-        RewritePlan::PerBinding => bindings,
-        RewritePlan::Dictionary => 1,
+/// Choose the plan of one predicate answered by a `kind` model that
+/// predicts for `cardinality` nodes: [`RewritePlan::Dictionary`] when its
+/// dictionary of `cardinality` × 96 bytes is within `dict_bytes_cap` (or
+/// there is no cap), per-binding otherwise. A similarity model has no
+/// dictionary and is always called per binding.
+pub fn select_plan(
+    kind: TaskKind,
+    cardinality: usize,
+    dict_bytes_cap: Option<usize>,
+) -> RewritePlan {
+    let fits = dict_bytes_cap.is_none_or(|cap| cardinality.saturating_mul(DICT_ENTRY_BYTES) <= cap);
+    if fits && kind != TaskKind::NodeSimilarity {
+        RewritePlan::Dictionary
+    } else {
+        RewritePlan::PerBinding
     }
 }
 
@@ -132,63 +77,83 @@ mod tests {
         }
     }
 
+    fn chosen(candidates: &[ModelInfo], cap: Option<f64>) -> Option<&str> {
+        select_model(candidates, cap).map(|m| m.uri.as_str())
+    }
+
     #[test]
     fn picks_most_accurate_without_bound() {
-        let candidates = vec![vec![model("a", 0.7, 1.0), model("b", 0.9, 5.0)]];
-        let chosen = select_models(&candidates, None).unwrap();
-        assert_eq!(chosen, vec![1]);
+        let candidates = [model("a", 0.7, 1.0), model("b", 0.9, 5.0)];
+        assert_eq!(chosen(&candidates, None), Some("b"));
     }
 
     #[test]
     fn inference_bound_forces_faster_model() {
-        let candidates =
-            vec![vec![model("a", 0.7, 1.0), model("b", 0.9, 5.0)], vec![model("c", 0.8, 1.0)]];
-        // Total budget 3 ms: b (5ms) + c (1ms) violates; must use a + c.
-        let chosen = select_models(&candidates, Some(3.0)).unwrap();
-        assert_eq!(chosen, vec![0, 0]);
+        let candidates = [model("a", 0.7, 1.0), model("b", 0.9, 5.0)];
+        assert_eq!(chosen(&candidates, Some(3.0)), Some("a"));
+        // A model exactly at the bound is within it.
+        assert_eq!(chosen(&candidates, Some(5.0)), Some("b"));
     }
 
     #[test]
-    fn empty_candidate_list_is_none() {
-        assert!(select_models(&[vec![]], None).is_none());
-        let candidates = vec![vec![model("a", 0.7, 10.0)]];
-        assert!(select_models(&candidates, Some(1.0)).is_none());
+    fn equal_accuracy_goes_to_the_earlier_model() {
+        let candidates = [model("a", 0.8, 2.0), model("b", 0.8, 1.0)];
+        assert_eq!(chosen(&candidates, None), Some("a"));
     }
 
     #[test]
-    fn dictionary_wins_for_many_bindings() {
-        let plans = select_plans(
-            &[PlanInputs { bindings: 1000, model_cardinality: 1000, entry_bytes: 64 }],
-            None,
-        );
-        assert_eq!(plans, vec![RewritePlan::Dictionary]);
-        assert_eq!(plan_calls(plans[0], 1000), 1);
+    fn empty_or_out_of_bound_candidates_are_none() {
+        assert_eq!(chosen(&[], None), None);
+        assert_eq!(chosen(&[model("a", 0.7, 10.0)], Some(1.0)), None);
     }
 
     #[test]
-    fn per_binding_wins_for_single_binding() {
-        let plans = select_plans(
-            &[PlanInputs { bindings: 1, model_cardinality: 100_000, entry_bytes: 64 }],
-            None,
-        );
-        // Saving is zero, so the solver is indifferent; calls must be 1
-        // either way.
-        assert_eq!(plan_calls(plans[0], 1), 1);
+    fn dictionary_wins_without_a_cap() {
+        for cardinality in [0, 1, 1000, 100_000] {
+            let plan = select_plan(TaskKind::NodeClassifier, cardinality, None);
+            assert_eq!(plan, RewritePlan::Dictionary);
+            assert_eq!(select_plan(TaskKind::LinkPredictor, cardinality, None), plan);
+        }
+    }
+
+    #[test]
+    fn similarity_is_always_per_binding() {
+        for cap in [None, Some(0), Some(usize::MAX)] {
+            let plan = select_plan(TaskKind::NodeSimilarity, 10, cap);
+            assert_eq!(plan, RewritePlan::PerBinding);
+        }
     }
 
     #[test]
     fn dictionary_cap_forces_per_binding() {
-        let plans = select_plans(
-            &[
-                PlanInputs { bindings: 500, model_cardinality: 1_000, entry_bytes: 100 },
-                PlanInputs { bindings: 400, model_cardinality: 2_000, entry_bytes: 100 },
-            ],
-            Some(150_000),
-        );
-        // Only one dictionary fits under the cap; the solver keeps the one
-        // saving more calls (the first saves 499 < 399? no: 499 > 399, but
-        // its dict is 100k <= 150k while both together are 300k).
-        assert_eq!(plans[0], RewritePlan::Dictionary);
-        assert_eq!(plans[1], RewritePlan::PerBinding);
+        let kind = TaskKind::NodeClassifier;
+        let cap = Some(150_000);
+        // 1 000 entries are 96 kB, within the cap; 2 000 are 192 kB.
+        assert_eq!(select_plan(kind, 1_000, cap), RewritePlan::Dictionary);
+        assert_eq!(select_plan(kind, 2_000, cap), RewritePlan::PerBinding);
+        // A dictionary exactly at the cap fits.
+        assert_eq!(select_plan(kind, 1_000, Some(96_000)), RewritePlan::Dictionary);
+        assert_eq!(select_plan(kind, 1_000, Some(95_999)), RewritePlan::PerBinding);
+        assert_eq!(select_plan(kind, 1, Some(0)), RewritePlan::PerBinding);
+    }
+
+    /// Each cap bounds each predicate alone: two predicates that each fit
+    /// keep their best model and their dictionary, although their sums
+    /// exceed the caps.
+    #[test]
+    fn caps_bound_each_predicate_alone() {
+        let predicates = [
+            [model("a", 0.7, 1.0), model("b", 0.9, 3.0)],
+            [model("c", 0.95, 3.0), model("d", 0.6, 0.5)],
+        ];
+        for candidates in &predicates {
+            let best = chosen(candidates, None);
+            assert_eq!(chosen(candidates, Some(3.0)), best, "3 + 3 ms exceeds the bound");
+        }
+        let entries = 1_000;
+        let cap = Some(entries * DICT_ENTRY_BYTES);
+        for kind in [TaskKind::NodeClassifier, TaskKind::LinkPredictor] {
+            assert_eq!(select_plan(kind, entries, cap), RewritePlan::Dictionary);
+        }
     }
 }

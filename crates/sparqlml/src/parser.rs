@@ -13,10 +13,12 @@
 
 use rustc_hash::FxHashMap;
 
+use kgnet_gml::config::GmlMethodKind;
 use kgnet_gmlaas::{Priority, TaskBudget, TaskKind};
 use kgnet_graph::{GmlTask, LpTask, NcTask};
 use kgnet_rdf::sparql::{Operation, SelectQuery, TermPattern, TriplePattern, Update};
 use kgnet_rdf::{SparqlError, Term};
+use kgnet_sampler::SamplingScope;
 
 use crate::kgmeta::{vocab, ModelFilter};
 
@@ -55,12 +57,14 @@ pub struct TrainGmlSpec {
     pub task: GmlTask,
     /// The task budget.
     pub budget: TaskBudget,
-    /// Optional expert method override (by method name, e.g. "RGCN").
-    pub method: Option<String>,
+    /// Optional expert method override, named as
+    /// [`GmlMethodKind::parse`] reads it (e.g. "RGCN").
+    pub method: Option<GmlMethodKind>,
     /// Optional hyper-parameter overrides.
     pub hyperparams: FxHashMap<String, f64>,
-    /// Optional sampler scope name override (e.g. "d2h1").
-    pub sampler: Option<String>,
+    /// Optional sampler scope override, named as [`SamplingScope::parse`]
+    /// reads it (e.g. "d2h1").
+    pub sampler: Option<SamplingScope>,
 }
 
 /// Any SPARQL-ML operation.
@@ -333,8 +337,16 @@ fn parse_traingml(input: &str) -> Result<SparqlMlOperation, SparqlError> {
         }
     }
 
-    let method = json.get("Method").and_then(|v| v.as_str()).map(str::to_owned);
-    let sampler = json.get("Sampler").and_then(|v| v.as_str()).map(str::to_owned);
+    // An unknown name is refused, never read as "choose for me".
+    let named = |key: &str| json.get(key).and_then(|v| v.as_str());
+    let unknown =
+        |key: &str, name: &str| SparqlError::parse(format!("TrainGML: unknown {key} '{name}'"));
+    let method = named("Method")
+        .map(|name| GmlMethodKind::parse(name).ok_or_else(|| unknown("Method", name)))
+        .transpose()?;
+    let sampler = named("Sampler")
+        .map(|name| SamplingScope::parse(name).ok_or_else(|| unknown("Sampler", name)))
+        .transpose()?;
     let mut hyperparams = FxHashMap::default();
     if let Some(h) = json.get("Hyperparams").and_then(|v| v.as_object()) {
         for (k, v) in h {
@@ -485,10 +497,48 @@ mod tests {
         )
         .unwrap();
         let SparqlMlOperation::Train(spec) = op else { panic!("expected train") };
-        assert_eq!(spec.method.as_deref(), Some("MorsE"));
-        assert_eq!(spec.sampler.as_deref(), Some("d2h1"));
+        assert_eq!(spec.method, Some(GmlMethodKind::Morse));
+        assert_eq!(spec.sampler, Some(SamplingScope::D2H1));
         assert_eq!(spec.hyperparams.get("Epochs"), Some(&25.0));
         assert!(matches!(spec.task, GmlTask::LinkPrediction(_)));
+    }
+
+    fn traingml_naming(method: &str, sampler: &str) -> Result<SparqlMlOperation, SparqlError> {
+        parse(&format!(
+            r#"PREFIX dblp: <https://www.dblp.org/>
+               PREFIX kgnet: <https://www.kgnet.com/>
+               INSERT INTO <kgnet> {{ ?s ?p ?o }} WHERE {{ SELECT * FROM kgnet.TrainGML(
+                 {{Name: 'named', GML-Task:{{ TaskType: kgnet:NodeClassifier,
+                    TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn}},
+                  Method: '{method}', Sampler: '{sampler}'}})}}"#
+        ))
+    }
+
+    #[test]
+    fn traingml_reads_the_method_and_scope_spellings_in_use() {
+        for (name, method) in [
+            ("GCN", GmlMethodKind::Gcn),
+            ("GraphSAINT", GmlMethodKind::GraphSaint),
+            ("ShadowSAINT", GmlMethodKind::ShadowSaint),
+            ("MorsE", GmlMethodKind::Morse),
+        ] {
+            let Ok(SparqlMlOperation::Train(spec)) = traingml_naming(name, "d2h1") else {
+                panic!("{name} did not parse")
+            };
+            assert_eq!((spec.method, spec.sampler), (Some(method), Some(SamplingScope::D2H1)));
+        }
+    }
+
+    #[test]
+    fn traingml_refuses_unknown_method_and_sampler_names() {
+        for (method, sampler, refused) in
+            [("Bogus", "d1h1", "unknown Method 'Bogus'"), ("GCN", "d9h9", "unknown Sampler 'd9h9'")]
+        {
+            match traingml_naming(method, sampler) {
+                Err(e) => assert!(e.to_string().contains(refused), "{e}"),
+                Ok(op) => panic!("{method}/{sampler} parsed as {op:?}"),
+            }
+        }
     }
 
     #[test]
