@@ -35,7 +35,8 @@ impl TaskBudget {
     }
 
     /// Parse the human-readable forms used in SPARQL-ML JSON:
-    /// `"50GB"`, `"512MB"`, `"100000"` (bytes).
+    /// `"50GB"`, `"512MB"`, `"100000"` (bytes). `None` when the text is
+    /// not a size, or is negative or not finite.
     pub fn parse_memory(text: &str) -> Option<usize> {
         let t = text.trim().to_ascii_uppercase();
         let (num, mult) = if let Some(stripped) = t.strip_suffix("GB") {
@@ -50,10 +51,11 @@ impl TaskBudget {
             (t.as_str(), 1)
         };
         let value: f64 = num.trim().parse().ok()?;
-        Some((value * mult as f64) as usize)
+        (value.is_finite() && value >= 0.0).then_some((value * mult as f64) as usize)
     }
 
-    /// Parse `"1h"`, `"30m"`, `"45s"` or plain seconds.
+    /// Parse `"1h"`, `"30m"`, `"45s"` or plain seconds. `None` when the
+    /// text is not a duration, or is negative or not finite.
     pub fn parse_time(text: &str) -> Option<f64> {
         let t = text.trim().to_ascii_lowercase();
         let (num, mult) = if let Some(stripped) = t.strip_suffix('h') {
@@ -66,7 +68,7 @@ impl TaskBudget {
             (t.as_str(), 1.0)
         };
         let value: f64 = num.trim().parse().ok()?;
-        Some(value * mult)
+        (value.is_finite() && value >= 0.0).then_some(value * mult)
     }
 }
 
@@ -81,6 +83,9 @@ mod tests {
         assert_eq!(TaskBudget::parse_memory("1024"), Some(1024));
         assert_eq!(TaskBudget::parse_memory("2kb"), Some(2048));
         assert_eq!(TaskBudget::parse_memory("junk"), None);
+        for unreadable in ["-5GB", "-1", "inf", "NaNMB"] {
+            assert_eq!(TaskBudget::parse_memory(unreadable), None, "{unreadable}");
+        }
     }
 
     #[test]
@@ -89,6 +94,9 @@ mod tests {
         assert_eq!(TaskBudget::parse_time("30m"), Some(1800.0));
         assert_eq!(TaskBudget::parse_time("45s"), Some(45.0));
         assert_eq!(TaskBudget::parse_time("12"), Some(12.0));
+        for unreadable in ["-1h", "-0.5", "infs", "NaN", "soon"] {
+            assert_eq!(TaskBudget::parse_time(unreadable), None, "{unreadable}");
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! | `GET /healthz` | Liveness (always 200 while the process serves) |
 //! | `GET /readyz` | Readiness: store loaded, queue headroom, not draining |
 //! | `GET /slowlog` | Retained slow queries |
-//! | `GET /traces` | Drained span trees, tags included |
 //! | `GET /accesslog` | The bounded access-log ring |
 //! | `POST /sparql` | SPARQL / SPARQL-ML SELECT (body = query text) |
 //! | `POST /similar` | ANN similarity: `{"model","node","k"}` (JSON or the relaxed TrainGML dialect) |
@@ -27,9 +26,9 @@
 //! read timeout; responses are written with `Content-Length`, keep-alive
 //! by default. Every request gets a request id (an incoming
 //! `X-Request-Id` is respected, otherwise one is assigned), echoed on
-//! the response, tagged onto the root `http.request` trace span and
-//! recorded — with status, byte counts and latency — in the access log, a
-//! [`kgnet_obs::Ring`] of the newest 256 requests. `POST /sparql` and
+//! the response and recorded — with method, path, status, byte counts
+//! and latency — in the access log, a [`kgnet_obs::Ring`] of the newest
+//! 256 requests. `POST /sparql` and
 //! `POST /similar` run on pooled read sessions (up to 8 kept idle between
 //! requests). [`HttpServer::shutdown`] drains gracefully:
 //! in-flight requests complete, new connections stop being accepted.

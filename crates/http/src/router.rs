@@ -1,11 +1,10 @@
 //! Endpoint routing and response rendering over one [`KgServer`].
 //!
 //! Every parsed request flows through [`handle`]: it assigns (or echoes)
-//! the request id, opens the root `http.request` span tagged with
-//! id/method/path — sessions opened by the handler on the same thread
-//! nest their own spans under it — dispatches on `(method, path)`,
-//! writes the response, and lands the request in the metric counters and
-//! the access log.
+//! the request id, dispatches on `(method, path)`, writes the response,
+//! and lands the request in the metric counters and the access log — the
+//! one per-request record, with id, method, path, status, bytes and
+//! latency.
 
 use std::io;
 use std::net::TcpStream;
@@ -37,8 +36,8 @@ static ACCESS_LOG_SITE: SyncSite = SyncSite::new("http.access_log");
 /// One completed request, as the access log retains it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRecord {
-    /// Request id — echoed from `X-Request-Id` or frontend-assigned. The
-    /// same id is tagged onto the request's root trace span.
+    /// Request id — echoed from `X-Request-Id` or frontend-assigned, and
+    /// sent back in the response's `X-Request-Id`.
     pub request_id: String,
     /// Request method.
     pub method: String,
@@ -103,16 +102,7 @@ pub(crate) fn handle(
         _ => format!("req-{}", state.next_request_id.fetch_add(1, Ordering::Relaxed)),
     };
     state.metrics.http_requests.inc();
-    let (status, content_type, body) = {
-        // Scoped so the root span closes (and records) before the access
-        // log entry is written: a scraper reading `/accesslog` and then
-        // `trace_dump()` finds a root span for every logged id.
-        let mut span = state.metrics.span("http.request");
-        span.tag("request_id", request_id.as_str());
-        span.tag("method", req.method.as_str());
-        span.tag("path", req.path.as_str());
-        route(state, req)
-    };
+    let (status, content_type, body) = route(state, req);
     let bytes_out = write_response(stream, status, content_type, Some(&request_id), &body, close)?;
     let latency = elapsed_nanos(t0);
     state.metrics.http_request_latency.record(latency);
@@ -161,14 +151,13 @@ fn route(state: &AppState, req: &Request) -> (u16, &'static str, Vec<u8>) {
         ("GET", "/healthz") => (200, TEXT, b"ok\n".to_vec()),
         ("GET", "/readyz") => readyz(state),
         ("GET", "/slowlog") => (200, JSON, slowlog_json(state).into_bytes()),
-        ("GET", "/traces") => (200, JSON, traces_json(state).into_bytes()),
         ("GET", "/accesslog") => (200, JSON, accesslog_json(state).into_bytes()),
         ("POST", "/sparql") => sparql(state, req),
         ("POST", "/similar") => similar(state, req),
         (
             _,
             "/metrics" | "/metrics.json" | "/debug" | "/healthz" | "/readyz" | "/slowlog"
-            | "/traces" | "/accesslog" | "/sparql" | "/similar",
+            | "/accesslog" | "/sparql" | "/similar",
         ) => (405, TEXT, format!("method {} not allowed here\n", req.method).into_bytes()),
         _ => (404, TEXT, format!("no such endpoint: {path}\n").into_bytes()),
     }
@@ -297,40 +286,6 @@ fn slowlog_json(state: &AppState) -> String {
     }
     out.push_str("]\n");
     out
-}
-
-fn traces_json(state: &AppState) -> String {
-    let mut out = String::from("[");
-    for (i, root) in state.server.trace_dump().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_span_json(&mut out, root);
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn push_span_json(out: &mut String, node: &kgnet_obs::SpanNode) {
-    out.push_str("{\"name\":");
-    push_json_string(out, &node.name);
-    out.push_str(&format!(",\"nanos\":{},\"rows\":{},\"tags\":{{", node.nanos, node.rows));
-    for (i, (k, v)) in node.tags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(out, k);
-        out.push(':');
-        push_json_string(out, v);
-    }
-    out.push_str("},\"children\":[");
-    for (i, child) in node.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_span_json(out, child);
-    }
-    out.push_str("]}");
 }
 
 fn accesslog_json(state: &AppState) -> String {

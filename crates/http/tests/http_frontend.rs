@@ -2,8 +2,8 @@
 //! frontend on an ephemeral loopback port, concurrent SPARQL and
 //! similarity clients while training churns in the background, the
 //! `/metrics` body held to the same structural rules as the in-process
-//! render, readiness flipping under queue saturation, request ids
-//! correlated from the access log onto root trace spans, and a graceful
+//! render, readiness flipping under queue saturation, every client-sent
+//! request id landing in the access log, and a graceful
 //! shutdown that finishes an in-flight request.
 
 // A raw `TcpStream` holds a request in flight across the shutdown.
@@ -65,7 +65,7 @@ fn sample(text: &str, name: &str) -> f64 {
 }
 
 #[test]
-fn frontend_serves_queries_probes_and_traces_under_churn() {
+fn frontend_serves_queries_and_probes_under_churn() {
     let (kg, _) = generate_dblp(&DblpConfig::tiny(29));
     let server = Arc::new(KgServer::new(
         kg,
@@ -246,23 +246,21 @@ fn frontend_serves_queries_probes_and_traces_under_churn() {
     server.wait(running);
     drop(conn);
 
-    // Every access-logged request id must appear as a tag on a root
-    // `http.request` span — the log and the trace tree agree on what ran.
+    // The access log is the one per-request record: every id a worker
+    // sent is in it, under the path it was sent to, and nothing else
+    // carries a client id.
     let records = http.access_log();
     assert!(records.len() >= 41, "access log too small: {}", records.len());
-    let roots = server.trace_dump();
-    for record in &records {
-        assert!(
-            roots.iter().any(|r| r.name == "http.request"
-                && r.tag("request_id") == Some(record.request_id.as_str())
-                && r.tag("path") == Some(record.path.as_str())),
-            "no root span tagged for {record:?}"
-        );
+    for worker in 0..4 {
+        for round in (0..10).filter(|round| (worker + round) % 2 == 0) {
+            let id = format!("client-{worker}-{round}");
+            assert!(
+                records.iter().any(|r| r.request_id == id && r.path == "/sparql"),
+                "{id} missing from the access log"
+            );
+        }
     }
-    assert!(
-        records.iter().any(|r| r.request_id.starts_with("client-")),
-        "client-supplied ids must be respected"
-    );
+    assert_eq!(records.iter().filter(|r| r.request_id.starts_with("client-")).count(), 20);
 
     // Graceful shutdown: a request whose body is still arriving when the
     // drain starts is finished, answered `Connection: close`, and only

@@ -544,9 +544,9 @@ fn rule_unwrap_on_sync(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Lock tokens banned from the metric instruments. Counter/gauge bumps and
 /// histogram recording sit on the query and commit hot paths: they must
-/// stay lock-free (relaxed/release atomics). The registry and tracer may
-/// lock — registration and span draining are cold — so only the
-/// instruments file is policed.
+/// stay lock-free (relaxed/release atomics). The registry and the rings may
+/// lock — registration and log appends are off the instruments' path — so
+/// only the instruments file is policed.
 const OBS_LOCK_TOKENS: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier"];
 
 /// Additionally banned from the lock-site profiler: the uncontended-acquire
@@ -577,7 +577,7 @@ fn rule_obs_hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
                 rule: "obs-hot-path",
                 message: format!(
                     "`{}` in the metric instruments: hot-path recording must stay lock-free \
-                     atomics — locks belong in the registry/tracer, not Counter/Gauge/Histogram",
+                     atomics — locks belong in the registry/rings, not Counter/Gauge/Histogram",
                     t.text
                 ),
             });
@@ -851,10 +851,10 @@ mod tests {
                       pub struct Counter { v: AtomicU64 }\n";
         assert!(findings_for("crates/obs/src/metrics.rs", atomic).is_empty());
         // Comments, test code and the rest of the obs crate are out of
-        // scope: registry and tracer may lock.
+        // scope: registry and rings may lock.
         let elsewhere = "use kgnet_sync::Mutex;\n";
         assert!(findings_for("crates/obs/src/registry.rs", elsewhere).is_empty());
-        assert!(findings_for("crates/obs/src/trace.rs", elsewhere).is_empty());
+        assert!(findings_for("crates/obs/src/ring.rs", elsewhere).is_empty());
         let in_tests = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use kgnet_sync::Mutex;\n}\n";
         assert!(findings_for("crates/obs/src/metrics.rs", in_tests).is_empty());
         let comment = "// Mutex would be wrong here\npub fn f() {}\n";

@@ -13,14 +13,14 @@
 //!   (relaxed `kgnet-sync` atomics); histograms are log-bucketed
 //!   (≤6.25% relative quantile error), mergeable, and snapshot with
 //!   coherent totals under concurrent writers (model-checked).
-//! - **Tracing** ([`Tracer`], [`SpanGuard`]) — RAII spans with monotonic
-//!   ids and per-thread parent linkage, completing into a bounded ring
-//!   buffer drained by subscribers; [`SpanNode::assemble`] rebuilds span
-//!   trees from drained records.
+//! - **Profiles** ([`SpanNode`]) — the one span-tree type: named timed
+//!   nodes with row counts, built directly by the instrumented code that
+//!   timed them (the server's `query_profiled`), so the children's times
+//!   are measured on the same clock as their root's.
 //! - **Bounded logs** ([`Ring`]) — the one evict-oldest record buffer:
-//!   the tracer's span ring, the server's slow-query log and the HTTP
-//!   access log, each locking through its own contention site and
-//!   counting what it evicts (model-checked).
+//!   the server's slow-query log and the HTTP access log, each locking
+//!   through its own contention site and counting what it evicts
+//!   (model-checked).
 //! - **Exporters** — [`Registry::render_prometheus`] (text exposition
 //!   format) and [`Registry::render_json`].
 //! - **JSON** ([`mod@json`]) — the workspace's one JSON codec: the parser
@@ -37,7 +37,6 @@ pub mod profile;
 pub mod promcheck;
 pub mod registry;
 pub mod ring;
-pub mod trace;
 
 pub use json::{push_json_escaped, push_json_f64, push_json_string, ByteCount, JsonSink};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
@@ -45,4 +44,3 @@ pub use profile::SpanNode;
 pub use promcheck::validate_prometheus;
 pub use registry::Registry;
 pub use ring::Ring;
-pub use trace::{SpanGuard, SpanRecord, Tracer};

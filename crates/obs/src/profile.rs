@@ -1,8 +1,8 @@
 //! [`SpanNode`]: a span tree for per-query profiles — named timed nodes
-//! with row counts and children, assembled from drained [`SpanRecord`]s
-//! or built directly by an instrumented executor.
-
-use crate::trace::SpanRecord;
+//! with row counts and children, built directly by the instrumented code
+//! that timed them. Building the tree from one set of measurements is what
+//! lets a root's children sum exactly to it; separately clocked guards
+//! could not promise that.
 
 /// One node of a profile tree: a named timed operation, optionally with a
 /// row count, containing the operations it invoked.
@@ -14,9 +14,6 @@ pub struct SpanNode {
     pub nanos: u64,
     /// Rows this operation produced (0 when not applicable).
     pub rows: u64,
-    /// Key/value annotations copied from the source [`SpanRecord`]
-    /// (request ids, methods — empty for executor-built nodes).
-    pub tags: Vec<(String, String)>,
     /// Nested operations, in execution order.
     pub children: Vec<SpanNode>,
 }
@@ -24,12 +21,7 @@ pub struct SpanNode {
 impl SpanNode {
     /// New leaf node.
     pub fn new(name: impl Into<String>, nanos: u64, rows: u64) -> SpanNode {
-        SpanNode { name: name.into(), nanos, rows, tags: Vec::new(), children: Vec::new() }
-    }
-
-    /// The value of tag `key`, if present.
-    pub fn tag(&self, key: &str) -> Option<&str> {
-        self.tags.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        SpanNode { name: name.into(), nanos, rows, children: Vec::new() }
     }
 
     /// Total inclusive time of the direct children.
@@ -41,39 +33,6 @@ impl SpanNode {
     /// clock jitter can make children sum slightly past the parent).
     pub fn self_nanos(&self) -> u64 {
         self.nanos.saturating_sub(self.child_nanos())
-    }
-
-    /// Rebuild trees from drained span records (children-first order, as
-    /// [`crate::Tracer::drain`] returns them). Records whose parent is
-    /// not in `records` become roots; roots are returned in drain order.
-    pub fn assemble(records: &[SpanRecord]) -> Vec<SpanNode> {
-        let known: Vec<u64> = records.iter().map(|r| r.id).collect();
-        let mut pending: Vec<(Option<u64>, SpanNode)> = Vec::new();
-        let mut roots = Vec::new();
-        // Records arrive children-first: by the time a parent appears,
-        // every one of its finished children is already pending.
-        for r in records {
-            let mut node = SpanNode::new(r.name.clone(), r.duration_nanos, 0);
-            node.tags = r.tags.clone();
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].0 == Some(r.id) {
-                    node.children.push(pending.remove(i).1);
-                } else {
-                    i += 1;
-                }
-            }
-            let parent = r.parent.filter(|p| known.contains(p));
-            if parent.is_none() {
-                roots.push(node);
-            } else {
-                pending.push((parent, node));
-            }
-        }
-        // Orphans (parent finished earlier than the ring retained) become
-        // roots rather than silently vanishing.
-        roots.extend(pending.into_iter().map(|(_, n)| n));
-        roots
     }
 
     /// Render the tree as indented text, one node per line:
@@ -102,44 +61,6 @@ impl SpanNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
-
-    #[test]
-    fn assemble_rebuilds_nesting_from_drain_order() {
-        let t = Tracer::new(16);
-        {
-            let _outer = t.span("outer");
-            {
-                let _inner = t.span("inner");
-                let _leaf = t.span("leaf");
-            }
-            let _sibling = t.span("sibling");
-        }
-        let roots = SpanNode::assemble(&t.drain());
-        assert_eq!(roots.len(), 1);
-        let outer = &roots[0];
-        assert_eq!(outer.name, "outer");
-        let child_names: Vec<&str> = outer.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(child_names, vec!["inner", "sibling"]);
-        assert_eq!(outer.children[0].children[0].name, "leaf");
-    }
-
-    #[test]
-    fn orphaned_children_surface_as_roots() {
-        let records = vec![SpanRecord {
-            id: 9,
-            parent: Some(1),
-            name: "lost-parent".into(),
-            start_nanos: 0,
-            duration_nanos: 5,
-            tags: vec![("request_id".into(), "req-3".into())],
-        }];
-        let roots = SpanNode::assemble(&records);
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0].name, "lost-parent");
-        assert_eq!(roots[0].tag("request_id"), Some("req-3"));
-        assert_eq!(roots[0].tag("missing"), None);
-    }
 
     #[test]
     fn self_time_excludes_children() {

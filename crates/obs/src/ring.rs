@@ -1,11 +1,10 @@
 //! [`Ring`]: the platform's one bounded log — a FIFO that evicts its
 //! oldest record when full.
 //!
-//! The tracer's span buffer, the server's slow-query log and the HTTP
-//! access log are each a `Ring`. Every ring locks through the
-//! [`SyncSite`] its owner names, so the per-site contention gauges still
-//! tell the three apart; evictions are counted, so a saturated ring does
-//! not read as a quiet system.
+//! The server's slow-query log and the HTTP access log are each a
+//! `Ring`. Every ring locks through the [`SyncSite`] its owner names, so
+//! the per-site contention gauges still tell the two apart; evictions
+//! are counted, so a saturated ring does not read as a quiet system.
 
 use std::collections::VecDeque;
 

@@ -1078,71 +1078,88 @@ fn term_text(t: &Term) -> &str {
 
 /// Execute a parsed update.
 pub fn execute_update(store: &mut RdfStore, update: &Update) -> Result<UpdateStats, SparqlError> {
-    let mut stats = UpdateStats::default();
-    match update {
-        Update::InsertData(triples) => {
-            for tp in triples {
-                let (s, p, o) = ground_triple(tp)?;
-                if store.insert(s, p, o) {
-                    stats.inserted += 1;
-                }
-            }
-        }
-        Update::DeleteData(triples) => {
-            for tp in triples {
-                let (s, p, o) = ground_triple(tp)?;
-                if store.remove(&s, &p, &o) {
-                    stats.deleted += 1;
-                }
-            }
-        }
+    execute_update_checked(store, update, |_, _, _| Ok(()))
+}
+
+/// Execute a parsed update once `check` has accepted every triple it
+/// deletes or inserts, as instantiated by the WHERE bindings: the first
+/// refusal fails the whole update before anything is written. A caller
+/// that reserves part of the graph passes its test here, where a
+/// template's variables are already bound.
+pub fn execute_update_checked(
+    store: &mut RdfStore,
+    update: &Update,
+    check: impl Fn(&Term, &Term, &Term) -> Result<(), SparqlError>,
+) -> Result<UpdateStats, SparqlError> {
+    let (to_delete, to_insert) = match update {
+        Update::InsertData(triples) => (Vec::new(), ground_triples(triples)?),
+        Update::DeleteData(triples) => (ground_triples(triples)?, Vec::new()),
         Update::DeleteWhere(triples) => {
             let pattern = GroupPattern { triples: triples.clone(), ..Default::default() };
-            let modify = Update::Modify { delete: triples.clone(), insert: vec![], pattern };
-            return execute_update(store, &modify);
+            instantiate_templates(store, &pattern, triples, &[])?
         }
         Update::Modify { delete, insert, pattern } => {
-            let mut vars = VarTable::default();
-            collect_vars(pattern, &mut vars);
-            for tp in delete.iter().chain(insert) {
-                for v in tp.vars() {
-                    vars.slot(v);
-                }
-            }
-            let plan = plan_group(store, pattern, &vars, &FxHashSet::default())?;
-            let (mut to_delete, mut to_insert) = (Vec::new(), Vec::new());
-            {
-                let state = ExecState::default();
-                let ctx = ExecCtx { store, vars: &vars, state: &state };
-                let mut stream = build_group_stream(ctx, &plan, vec![None; vars.len()], None);
-                while let Some(b) = stream.next_binding() {
-                    to_delete.extend(delete.iter().filter_map(|tp| instantiate(ctx, tp, &b)));
-                    to_insert.extend(insert.iter().filter_map(|tp| instantiate(ctx, tp, &b)));
-                }
-            }
-            for (s, p, o) in to_delete {
-                if store.remove(&s, &p, &o) {
-                    stats.deleted += 1;
-                }
-            }
-            for (s, p, o) in to_insert {
-                if store.insert(s, p, o) {
-                    stats.inserted += 1;
-                }
-            }
+            instantiate_templates(store, pattern, delete, insert)?
+        }
+    };
+    for (s, p, o) in to_delete.iter().chain(&to_insert) {
+        check(s, p, o)?;
+    }
+    let mut stats = UpdateStats::default();
+    for (s, p, o) in to_delete {
+        if store.remove(&s, &p, &o) {
+            stats.deleted += 1;
+        }
+    }
+    for (s, p, o) in to_insert {
+        if store.insert(s, p, o) {
+            stats.inserted += 1;
         }
     }
     Ok(stats)
 }
 
-fn ground_triple(tp: &TriplePattern) -> Result<(Term, Term, Term), SparqlError> {
+type TermTriple = (Term, Term, Term);
+
+fn ground_triples(triples: &[TriplePattern]) -> Result<Vec<TermTriple>, SparqlError> {
+    triples.iter().map(ground_triple).collect()
+}
+
+/// The `delete` and `insert` templates instantiated by every solution of
+/// `pattern`, in solution order.
+fn instantiate_templates(
+    store: &RdfStore,
+    pattern: &GroupPattern,
+    delete: &[TriplePattern],
+    insert: &[TriplePattern],
+) -> Result<(Vec<TermTriple>, Vec<TermTriple>), SparqlError> {
+    let mut vars = VarTable::default();
+    collect_vars(pattern, &mut vars);
+    for tp in delete.iter().chain(insert) {
+        for v in tp.vars() {
+            vars.slot(v);
+        }
+    }
+    let plan = plan_group(store, pattern, &vars, &FxHashSet::default())?;
+    let (mut to_delete, mut to_insert) = (Vec::new(), Vec::new());
+    let state = ExecState::default();
+    let ctx = ExecCtx { store, vars: &vars, state: &state };
+    let mut stream = build_group_stream(ctx, &plan, vec![None; vars.len()], None);
+    while let Some(b) = stream.next_binding() {
+        to_delete.extend(delete.iter().filter_map(|tp| instantiate(ctx, tp, &b)));
+        to_insert.extend(insert.iter().filter_map(|tp| instantiate(ctx, tp, &b)));
+    }
+    Ok((to_delete, to_insert))
+}
+
+fn ground_triple(tp: &TriplePattern) -> Result<TermTriple, SparqlError> {
     let get = |t: &TermPattern| -> Result<Term, SparqlError> {
         t.as_ground().cloned().ok_or_else(|| SparqlError::eval("variable in ground data template"))
     };
     Ok((get(&tp.s)?, get(&tp.p)?, get(&tp.o)?))
 }
 
-fn instantiate(ctx: ExecCtx<'_>, tp: &TriplePattern, b: &Binding) -> Option<(Term, Term, Term)> {
+fn instantiate(ctx: ExecCtx<'_>, tp: &TriplePattern, b: &Binding) -> Option<TermTriple> {
     let get = |t: &TermPattern| -> Option<Term> {
         match t {
             TermPattern::Ground(term) => Some(term.clone()),

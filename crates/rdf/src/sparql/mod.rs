@@ -14,9 +14,9 @@ pub use ast::{
 pub use eval::{
     answer_prepared, answer_prepared_profiled, cmp_terms, evaluate_prepared,
     evaluate_prepared_profiled, evaluate_select, evaluate_select_materialised, execute,
-    execute_update, order_key, prepare_select, prepare_select_inferring, query, query_with_stats,
-    sort_by_order_keys, ExecOutcome, OpProfile, OpTiming, OrderKey, PreparedQuery, QueryResult,
-    Solutions, UpdateStats,
+    execute_update, execute_update_checked, order_key, prepare_select, prepare_select_inferring,
+    query, query_with_stats, sort_by_order_keys, ExecOutcome, OpProfile, OpTiming, OrderKey,
+    PreparedQuery, QueryResult, Solutions, UpdateStats,
 };
 pub use parser::{parse, parse_select, Parser};
 pub use plan::{InferredObjects, ObjectsFn};

@@ -77,7 +77,7 @@ use kgnet_sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kgnet_obs::{Histogram, Ring, SpanNode};
+use kgnet_obs::{Histogram, Ring};
 use kgnet_sync::profile::SyncSite;
 use kgnet_sync::RwLock;
 
@@ -224,9 +224,8 @@ impl KgServer {
 
     /// The server's metric catalog, with the store gauges (generation,
     /// retained versions/bytes) refreshed from the live store — and the
-    /// system-wide profiles (lock-site counters, pool gauges, dropped-span
-    /// total) harvested — so a subsequent
-    /// [`ServerMetrics::render_prometheus`] or
+    /// system-wide profiles (lock-site counters, pool gauges) harvested —
+    /// so a subsequent [`ServerMetrics::render_prometheus`] or
     /// [`ServerMetrics::render_json`] reports current state.
     pub fn metrics(&self) -> &ServerMetrics {
         self.metrics.store_generation.set(self.store.generation() as i64);
@@ -262,12 +261,6 @@ impl KgServer {
     pub fn debug_report(&self) -> String {
         self.metrics();
         report::render(self)
-    }
-
-    /// Drain every span buffered since the last dump and rebuild the
-    /// profile trees (children-first drain order), oldest roots first.
-    pub fn trace_dump(&self) -> Vec<SpanNode> {
-        SpanNode::assemble(&self.metrics.tracer().drain())
     }
 
     /// Submit a training job to the background queue. Returns immediately
@@ -838,6 +831,27 @@ mod tests {
         assert!(registered(&server, &uri));
         server.write_session().commit();
         assert!(!registered(&server, &uri), "the artifact outlived every version listing it");
+    }
+
+    /// The `train-job` benchmark's cleanup (`delete_models` in
+    /// `kgnet_bench/src/drive.rs`) sends these texts: each is a model
+    /// DELETE, not a plain update refused for writing KGMeta, and one
+    /// commit empties the registry.
+    #[test]
+    fn class_wide_model_deletes_empty_the_registry() {
+        let server = fast_server(43);
+        let uri = trained_nc(&server);
+        let mut writer = server.write_session();
+        for (class, deleted) in [("NodeClassifier", vec![uri]), ("LinkPredictor", vec![])] {
+            let text = format!(
+                "PREFIX kgnet: <https://www.kgnet.com/> \
+                 DELETE {{ ?m ?p ?o }} WHERE {{ ?m a kgnet:{class} }}"
+            );
+            let out = writer.execute(&text).unwrap();
+            assert!(matches!(&out, MlOutcome::DeletedModels(uris) if *uris == deleted), "{out:?}");
+        }
+        writer.commit();
+        assert!(server.manager().read().trainer().model_store().is_empty());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The server's observability surface: one [`Registry`] carrying the full
-//! metric catalog, the [`Tracer`] behind span dumps, and the handle bundle
-//! the job queue records through.
+//! metric catalog and the handle bundle the job queue records through.
+//! Per-request timings live in the latency histograms and, at the HTTP
+//! frontend, in its access log; a per-query span tree is built directly
+//! by `ReadSession::query_profiled`.
 //!
 //! Every metric is declared exactly once, in the `declare_metrics!` list
 //! below: its field, kind, exposition name and help text. That one entry
@@ -20,11 +22,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use kgnet_obs::{Counter, Gauge, Histogram, Registry, SpanGuard, Tracer};
+use kgnet_obs::{Counter, Gauge, Histogram, Registry};
 use kgnet_sync::atomic::{AtomicU64, Ordering};
-
-/// Finished spans retained by the server tracer before eviction.
-const TRACE_CAPACITY: usize = 4096;
 
 /// The handle type of one metric kind.
 macro_rules! handle {
@@ -96,12 +95,11 @@ declare_metrics! {
         job_peak_mem: histogram("kgnet_job_peak_mem_bytes", "Peak tracked-memory delta per job"),
     }
 
-    /// The server-wide metric catalog plus the tracer. One instance per
+    /// The server-wide metric catalog. One instance per
     /// [`crate::KgServer`]; sessions and the queue record through cloned
     /// handles.
     pub struct ServerMetrics {
         registry: Arc<Registry>,
-        tracer: Tracer,
         queue: Arc<QueueObs>,
         /// Last harvested totals of the process-wide sources, so
         /// [`refresh_system`](Self::refresh_system) bumps the aggregate
@@ -123,7 +121,6 @@ declare_metrics! {
         lock_acquires: counter("kgnet_lock_acquires_total", "Facade-lock acquisitions across sites"),
         lock_contended: counter("kgnet_lock_contended_total", "Contended facade-lock acquisitions"),
         lock_wait_nanos: counter("kgnet_lock_wait_nanos_total", "Nanos waiting on contended facade locks"),
-        spans_dropped: counter("kgnet_spans_dropped_total", "Trace spans evicted unread from the ring"),
         slow_queries: counter("kgnet_slow_queries_total", "Queries over the slow-query threshold"),
         pool_threads: gauge("kgnet_pool_global_threads", "Global rayon pool worker threads"),
         pool_jobs: gauge("kgnet_pool_global_jobs", "Jobs executed by the global pool"),
@@ -143,16 +140,14 @@ declare_metrics! {
     }
 }
 
-/// Last-seen cumulative values of the process-wide instrumentation
-/// sources (lock sites, trace ring). Facade atomics so the model checker
-/// can compile this crate, `fetch_max` so concurrent harvests never
-/// double-count a delta.
+/// Last-seen cumulative values of the process-wide lock-site counters.
+/// Facade atomics so the model checker can compile this crate,
+/// `fetch_max` so concurrent harvests never double-count a delta.
 #[derive(Default)]
 struct Harvest {
     lock_acquires: AtomicU64,
     lock_contended: AtomicU64,
     lock_wait_nanos: AtomicU64,
-    spans_dropped: AtomicU64,
 }
 
 /// Bump `counter` by how far `current` has advanced past the last
@@ -180,8 +175,7 @@ impl ServerMetrics {
     pub fn new() -> ServerMetrics {
         let r = Arc::new(Registry::new());
         let queue = Arc::new(QueueObs::register(&r));
-        let tracer = Tracer::new(TRACE_CAPACITY);
-        ServerMetrics::register(&r, Arc::clone(&r), tracer, queue, Harvest::default())
+        ServerMetrics::register(&r, Arc::clone(&r), queue, Harvest::default())
     }
 
     /// The underlying registry (for embedding extra metrics beside the
@@ -195,31 +189,20 @@ impl ServerMetrics {
         Arc::clone(&self.queue)
     }
 
-    /// The server tracer; [`crate::KgServer::trace_dump`] drains it.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Open a span on the server tracer.
-    pub fn span(&self, name: impl Into<String>) -> SpanGuard<'_> {
-        self.tracer.span(name)
-    }
-
     /// Harvest the process-wide instrumentation sources into the registry:
     /// facade-lock site counters (the three `kgnet_lock_*_total` aggregates
     /// bumped by delta, plus one lazily registered
     /// `kgnet_lock_site_<site>_{acquires,contended,wait_nanos}` gauge
-    /// triple per site), the global rayon pool's scheduler stats, and the
-    /// tracer's dropped-span count. [`crate::KgServer::metrics`] calls this
-    /// ahead of every render; the per-site gauges appear on first harvest
-    /// rather than at construction because the site list is discovered at
-    /// runtime (a site registers itself on its first recorded acquire).
+    /// triple per site) and the global rayon pool's scheduler stats.
+    /// [`crate::KgServer::metrics`] calls this ahead of every render; the
+    /// per-site gauges appear on first harvest rather than at construction
+    /// because the site list is discovered at runtime (a site registers
+    /// itself on its first recorded acquire).
     pub fn refresh_system(&self) {
         let totals = kgnet_sync::sites::totals();
         bump_delta(&self.lock_acquires, &self.harvest.lock_acquires, totals.acquires);
         bump_delta(&self.lock_contended, &self.harvest.lock_contended, totals.contended);
         bump_delta(&self.lock_wait_nanos, &self.harvest.lock_wait_nanos, totals.wait_nanos);
-        bump_delta(&self.spans_dropped, &self.harvest.spans_dropped, self.tracer.dropped());
         for site in kgnet_sync::sites::all() {
             let base = sanitize_site(site.name);
             let help = format!("Facade-lock site {}", site.name);
@@ -261,7 +244,6 @@ impl std::fmt::Debug for ServerMetrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerMetrics")
             .field("metrics", &self.registry.names().len())
-            .field("tracer", &self.tracer)
             .finish_non_exhaustive()
     }
 }
@@ -358,17 +340,5 @@ mod tests {
     fn sanitize_site_maps_to_metric_charset() {
         assert_eq!(sanitize_site("rdf.writer_gate"), "rdf_writer_gate");
         assert_eq!(sanitize_site("Server.Plan-Cache"), "server_plan_cache");
-    }
-
-    #[test]
-    fn spans_flow_into_the_server_tracer() {
-        let m = ServerMetrics::new();
-        {
-            let _outer = m.span("outer");
-            let _inner = m.span("inner");
-        }
-        let records = m.tracer().drain();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1].name, "outer");
     }
 }

@@ -196,7 +196,6 @@ impl ReadSession {
         profiled: bool,
     ) -> Result<(Solutions<'_>, Option<SpanNode>), MlError> {
         let metrics = Arc::clone(&self.metrics);
-        let _span = metrics.span(if profiled { "read.query_profiled" } else { "read.query" });
         let wait0 = kgnet_sync::profile::thread_wait_nanos();
         let t0 = Instant::now();
         // Plain and SPARQL-ML SELECTs are cached alike, and the key is the
@@ -309,7 +308,6 @@ impl ReadSession {
         };
         let Some(query) = store.get(node) else { return Ok(Vec::new()) };
         let q = query.to_vec();
-        let _span = self.metrics.span("read.similar_nodes");
         let t0 = Instant::now();
         let hits = store.search(&q, k);
         self.metrics.ann_search_latency.record(nanos_since(t0));
@@ -407,7 +405,6 @@ impl WriteSession {
     /// concurrent serving should submit training through the server's job
     /// queue instead.
     pub fn execute(&mut self, text: &str) -> Result<MlOutcome, MlError> {
-        let _span = self.metrics.span("write.execute");
         let manager = read_tracked(&self.manager, &MANAGER_SITE);
         let out = manager.update(self.txn.store_mut(), text);
         match &out {
@@ -442,7 +439,6 @@ impl WriteSession {
     /// version lists is swept. Returns the committed generation.
     pub fn commit(self) -> u64 {
         let WriteSession { txn, store, mut models, metrics, .. } = self;
-        let _span = metrics.span("write.commit");
         let t0 = Instant::now();
         models.trained.clear();
         let generation = models.retired.commit(&store, txn, std::mem::take(&mut models.deleted));

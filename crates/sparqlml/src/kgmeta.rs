@@ -13,13 +13,12 @@
 //! Every KGMeta triple has a predicate in the `kgnet:` namespace, or is an
 //! `rdf:type` whose class is in it. Only [`register`] (through
 //! [`publish`]) and [`unregister`] write them; the query manager refuses a
-//! plain update that would, and the meta-sampler never copies one into
-//! `KG'`.
+//! plain update that would delete or insert one once its templates are
+//! instantiated, and the meta-sampler never copies one into `KG'`.
 
 use std::sync::Arc;
 
 use kgnet_gmlaas::{ModelArtifact, ModelStore, TaskKind};
-use kgnet_rdf::sparql::{TermPattern, TriplePattern, Update};
 use kgnet_rdf::term::RDF_TYPE;
 use kgnet_rdf::{RdfStore, Term};
 
@@ -212,21 +211,11 @@ pub fn find_models(store: &RdfStore, filter: &ModelFilter) -> Vec<ModelInfo> {
     models
 }
 
-/// Whether a plain update's templates name a KGMeta triple by their
-/// ground terms: a `kgnet:` predicate, or `rdf:type` with a `kgnet:` class.
-pub(crate) fn writes_kgmeta(update: &Update) -> bool {
-    fn iri(t: &TermPattern) -> Option<&str> {
-        t.as_ground().and_then(Term::as_iri)
-    }
-    let in_ns = |t: &TermPattern| iri(t).is_some_and(|i| i.starts_with(vocab::NS));
-    let (first, second): (&[TriplePattern], &[_]) = match update {
-        Update::InsertData(t) | Update::DeleteData(t) | Update::DeleteWhere(t) => (t, &[]),
-        Update::Modify { delete, insert, .. } => (delete, insert),
-    };
-    first
-        .iter()
-        .chain(second)
-        .any(|tp| in_ns(&tp.p) || (iri(&tp.p) == Some(RDF_TYPE) && in_ns(&tp.o)))
+/// Whether a triple with predicate `p` and object `o` is KGMeta: a
+/// `kgnet:` predicate, or `rdf:type` with a `kgnet:` class.
+pub(crate) fn is_kgmeta(p: &Term, o: &Term) -> bool {
+    let in_ns = |t: &Term| t.as_iri().is_some_and(|i| i.starts_with(vocab::NS));
+    in_ns(p) || (p.as_iri() == Some(RDF_TYPE) && in_ns(o))
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ use kgnet_gmlaas::{
     TrainError, TrainRequest, TrainingManager,
 };
 use kgnet_rdf::sparql::eval::{
-    evaluate_prepared, evaluate_select, execute_update, prepare_select_inferring, PreparedQuery,
-    QueryResult, UpdateStats,
+    evaluate_prepared, evaluate_select, execute_update_checked, prepare_select_inferring,
+    PreparedQuery, QueryResult, UpdateStats,
 };
 use kgnet_rdf::sparql::{InferredObjects, ObjectsFn, TermPattern};
 use kgnet_rdf::{RdfStore, SparqlError, Term};
@@ -205,18 +205,24 @@ impl QueryManager {
 
     /// The write path: INSERT-MODEL (`TrainGML`), model DELETE and plain
     /// data updates, all writing `data` (KGMeta included). SELECTs are
-    /// delegated to the read path. A plain update whose templates name a
-    /// KGMeta triple is refused: only `TrainGML` and model DELETE keep
-    /// KGMeta and the model registry in step.
+    /// delegated to the read path. A plain update that would delete or
+    /// insert a KGMeta triple, once its templates are instantiated, is
+    /// refused whole: only `TrainGML` and model DELETE keep KGMeta and the
+    /// model registry in step.
     pub fn update(&self, data: &mut RdfStore, text: &str) -> Result<MlOutcome, MlError> {
         match parse(text)? {
-            SparqlMlOperation::PlainUpdate(u) if kgmeta::writes_kgmeta(&u) => {
-                Err(MlError::Sparql(SparqlError::eval(
-                    "a plain update may not write KGMeta (a kgnet: predicate or class); \
-                     use TrainGML or a model DELETE",
-                )))
+            SparqlMlOperation::PlainUpdate(u) => {
+                let refuse_kgmeta = |s: &Term, p: &Term, o: &Term| {
+                    if !kgmeta::is_kgmeta(p, o) {
+                        return Ok(());
+                    }
+                    Err(SparqlError::eval(format!(
+                        "a plain update may not write KGMeta (a kgnet: predicate or class), \
+                         here {s} {p} {o}; use TrainGML or a model DELETE"
+                    )))
+                };
+                Ok(MlOutcome::Updated(execute_update_checked(data, &u, refuse_kgmeta)?))
             }
-            SparqlMlOperation::PlainUpdate(u) => Ok(MlOutcome::Updated(execute_update(data, &u)?)),
             SparqlMlOperation::Train(spec) => self.train(data, spec),
             SparqlMlOperation::DeleteModels(filter) => {
                 let uris: Vec<String> =
@@ -691,6 +697,43 @@ mod tests {
             panic!("expected an update")
         };
         assert_eq!(stats.inserted, 1);
+    }
+
+    /// A template variable can bind a KGMeta predicate that no ground term
+    /// names, so the check runs on the instantiated triples: neither
+    /// orphaning a model nor forging one gets through, and nothing of
+    /// either update is written.
+    #[test]
+    fn variable_templates_may_not_write_kgmeta() {
+        let (mut data, _) = generate_dblp(&DblpConfig::tiny(47));
+        let mgr = manager();
+        let summary = train_nc(&mgr, &mut data);
+        let before = data.to_ntriples();
+        let writes = [
+            // Deletes the model's KGMeta, leaving its artifact orphaned.
+            "PREFIX kgnet: <https://www.kgnet.com/> \
+             DELETE { ?m ?p ?o } WHERE { ?m ?p ?o . ?m kgnet:GMLMethod ?x }",
+            // Copies the model's KGMeta onto a model that was never trained.
+            "PREFIX kgnet: <https://www.kgnet.com/> \
+             INSERT { <http://x/forged> ?p ?o } WHERE { ?m ?p ?o . ?m kgnet:GMLMethod ?x }",
+        ];
+        for text in writes {
+            match mgr.update(&mut data, text) {
+                Err(MlError::Sparql(e)) => assert!(e.to_string().contains("KGMeta"), "{e}"),
+                other => panic!("{text}: expected a rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(data.to_ntriples(), before, "a rejected update must not write");
+        let models = kgmeta::find_models(&data, &kgmeta::ModelFilter::default());
+        assert_eq!(models.iter().map(|m| m.uri.as_str()).collect::<Vec<_>>(), [summary.model_uri]);
+
+        // A variable predicate that binds only data predicates still writes.
+        let copy = "PREFIX dblp: <https://www.dblp.org/> \
+                    INSERT { <http://x/copy> ?p ?o } WHERE { ?s ?p ?o . ?s a dblp:Person }";
+        let MlOutcome::Updated(stats) = mgr.update(&mut data, copy).unwrap() else {
+            panic!("expected an update")
+        };
+        assert!(stats.inserted > 0);
     }
 
     #[test]

@@ -314,37 +314,69 @@ fn parse_traingml(input: &str) -> Result<SparqlMlOperation, SparqlError> {
         }
     };
 
+    // A budget field that cannot be read is refused, never left unset.
     let mut budget = TaskBudget::unlimited();
     if let Some(b) = json.get("Task Budget").or_else(|| json.get("TaskBudget")) {
-        if let Some(mem) = b.get("MaxMemory").and_then(|v| v.as_str()) {
-            budget.max_memory_bytes = TaskBudget::parse_memory(mem);
-        }
-        if let Some(mem) = b.get("MaxMemory").and_then(|v| v.as_i64()) {
-            budget.max_memory_bytes = Some(mem.max(0) as usize);
-        }
-        if let Some(t) = b.get("MaxTime").and_then(|v| v.as_str()) {
-            budget.max_time_s = TaskBudget::parse_time(t);
-        }
-        if let Some(t) = b.get("MaxTime").and_then(|v| v.as_f64()) {
-            budget.max_time_s = Some(t);
-        }
-        if let Some(p) = b.get("Priority").and_then(|v| v.as_str()) {
-            budget.priority = match p {
-                "TrainingTime" | "Time" => Priority::TrainingTime,
-                "Memory" => Priority::Memory,
-                _ => Priority::ModelScore,
+        let fields = b
+            .as_object()
+            .ok_or_else(|| SparqlError::parse("TrainGML: Task Budget is not an object"))?;
+        for (key, value) in fields {
+            let unreadable = |rule: &str| {
+                SparqlError::parse(format!(
+                    "TrainGML Task Budget: `{key}` must be {rule}, got {value:?}"
+                ))
             };
+            match key.as_str() {
+                "MaxMemory" => {
+                    let bytes = match value.as_str() {
+                        Some(text) => TaskBudget::parse_memory(text),
+                        None => value.as_u64().and_then(|n| usize::try_from(n).ok()),
+                    };
+                    budget.max_memory_bytes =
+                        Some(bytes.ok_or_else(|| unreadable("a size (50GB) or whole bytes"))?);
+                }
+                "MaxTime" => {
+                    let secs = match value.as_str() {
+                        Some(text) => TaskBudget::parse_time(text),
+                        None => value.as_f64().filter(|t| t.is_finite() && *t >= 0.0),
+                    };
+                    budget.max_time_s =
+                        Some(secs.ok_or_else(|| unreadable("a duration (1h) or seconds >= 0"))?);
+                }
+                "Priority" => {
+                    budget.priority = match value.as_str() {
+                        Some("ModelScore") => Priority::ModelScore,
+                        Some("TrainingTime" | "Time") => Priority::TrainingTime,
+                        Some("Memory") => Priority::Memory,
+                        _ => return Err(unreadable("ModelScore, TrainingTime, Time or Memory")),
+                    };
+                }
+                _ => {
+                    return Err(SparqlError::parse(format!(
+                        "TrainGML Task Budget: unknown key `{key}`"
+                    )))
+                }
+            }
         }
     }
 
-    // An unknown name is refused, never read as "choose for me".
-    let named = |key: &str| json.get(key).and_then(|v| v.as_str());
+    // An unknown name, or a value that is not a name, is refused, never
+    // read as "choose for me".
+    let named = |key: &str| {
+        json.get(key)
+            .map(|v| {
+                v.as_str().ok_or_else(|| {
+                    SparqlError::parse(format!("TrainGML: {key} must be a name, got {v:?}"))
+                })
+            })
+            .transpose()
+    };
     let unknown =
         |key: &str, name: &str| SparqlError::parse(format!("TrainGML: unknown {key} '{name}'"));
-    let method = named("Method")
+    let method = named("Method")?
         .map(|name| GmlMethodKind::parse(name).ok_or_else(|| unknown("Method", name)))
         .transpose()?;
-    let sampler = named("Sampler")
+    let sampler = named("Sampler")?
         .map(|name| SamplingScope::parse(name).ok_or_else(|| unknown("Sampler", name)))
         .transpose()?;
     let mut hyperparams = FxHashMap::default();
@@ -479,6 +511,75 @@ mod tests {
         }
         assert_eq!(spec.budget.max_memory_bytes, Some(50 * 1024 * 1024 * 1024));
         assert_eq!(spec.budget.max_time_s, Some(3600.0));
+    }
+
+    /// The Fig. 8 TrainGML with `{budget}` as its `Task Budget` and
+    /// `{extra}` as further top-level fields.
+    fn traingml(budget: &str, extra: &str) -> Result<SparqlMlOperation, SparqlError> {
+        parse(&format!(
+            r#"PREFIX dblp: <https://www.dblp.org/>
+               PREFIX kgnet: <https://www.kgnet.com/>
+               INSERT INTO <kgnet> {{ ?s ?p ?o }} WHERE {{ SELECT * FROM kgnet.TrainGML(
+                 {{Name: 'budgeted',
+                  GML-Task:{{ TaskType: kgnet:NodeClassifier,
+                             TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn}},
+                  Task Budget:{{ {budget} }}{extra}}})}}"#
+        ))
+    }
+
+    #[test]
+    fn traingml_reads_every_budget_spelling_in_use() {
+        let budget = |fields: &str| match traingml(fields, "").unwrap() {
+            SparqlMlOperation::Train(spec) => spec.budget,
+            other => panic!("expected train, got {other:?}"),
+        };
+        let b = budget("MaxMemory: 50GB, MaxTime: 1h, Priority: ModelScore");
+        assert_eq!(b.max_memory_bytes, Some(50 * 1024 * 1024 * 1024));
+        assert_eq!((b.max_time_s, b.priority), (Some(3600.0), Priority::ModelScore));
+        let b = budget("MaxMemory: 4096, MaxTime: 90.5, Priority: 'TrainingTime'");
+        assert_eq!((b.max_memory_bytes, b.max_time_s), (Some(4096), Some(90.5)));
+        assert_eq!(b.priority, Priority::TrainingTime);
+        assert_eq!(budget("Priority: Time").priority, Priority::TrainingTime);
+        assert_eq!(budget("Priority: Memory").priority, Priority::Memory);
+        assert_eq!(budget(""), TaskBudget::unlimited());
+    }
+
+    /// Each of these once trained with the field dropped or replaced: an
+    /// unknown priority read as ModelScore, an unreadable cap left unset, a
+    /// negative memory cap clamped to 0, a negative or infinite time cap
+    /// accepted, a non-string method or sampler read as absent.
+    #[test]
+    fn traingml_refuses_budget_fields_and_names_it_cannot_read() {
+        let cases = [
+            ("Priority: Accuracy", "", "`Priority`"),
+            ("Priority: 3", "", "`Priority`"),
+            ("MaxMemory: 'lots'", "", "`MaxMemory`"),
+            ("MaxMemory: -1", "", "`MaxMemory`"),
+            ("MaxMemory: 1.5", "", "`MaxMemory`"),
+            ("MaxMemory: '-2GB'", "", "`MaxMemory`"),
+            ("MaxTime: 'soon'", "", "`MaxTime`"),
+            ("MaxTime: -5", "", "`MaxTime`"),
+            ("MaxTime: 1e999", "", "`MaxTime`"),
+            ("MaxTime: true", "", "`MaxTime`"),
+            ("MaxMem: 1GB", "", "unknown key `MaxMem`"),
+            ("", ", Method: 42", "Method must be a name"),
+            ("", ", Sampler: ['d1h1']", "Sampler must be a name"),
+        ];
+        for (budget, extra, refused) in cases {
+            match traingml(budget, extra) {
+                Err(e) => assert!(e.to_string().contains(refused), "{budget}{extra}: {e}"),
+                Ok(op) => panic!("{budget}{extra}: expected a refusal, got {op:?}"),
+            }
+        }
+        let not_an_object = parse(
+            r#"PREFIX dblp: <https://www.dblp.org/>
+               PREFIX kgnet: <https://www.kgnet.com/>
+               INSERT INTO <kgnet> { ?s ?p ?o } WHERE { SELECT * FROM kgnet.TrainGML(
+                 {GML-Task:{ TaskType: kgnet:NodeClassifier,
+                             TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn},
+                  Task Budget: 5})}"#,
+        );
+        assert!(not_an_object.is_err_and(|e| e.to_string().contains("not an object")));
     }
 
     #[test]

@@ -98,11 +98,17 @@ fn train(store: &RdfStore, task: &GmlTask, method: GmlMethodKind, seed: u64) -> 
     }
 }
 
-/// Figs. 13–15. Peaks are compared by direction only: G-SAINT's peak
-/// depends on how its batch workers interleave (one seed's full-KG peak
-/// read 4.8, 5.2 and 5.2 MB over three release runs on 2 threads, and
-/// 3.4 MB at `RAYON_NUM_THREADS=1`). LP runs at 0.25 scale because at 0.1
-/// Hits@10's chance level is 0.83.
+/// Figs. 13–15. Peaks are compared by direction only. LP runs at 0.25
+/// scale because at 0.1 Hits@10's chance level is 0.83.
+///
+/// The G-SAINT rows train in a one-thread pool. On more threads G-SAINT's
+/// tracked peak moves with how its batch workers interleave: YAGO 0.1
+/// seed 13 read 3.51–3.65 MB on the KG and 2.89–3.47 MB on KG′ (a ratio
+/// of 0.82–0.95) over three runs on two threads, and one run of this
+/// test failed on KG′ 3 489 360 B against the KG's 3 485 408 B. On one
+/// thread every run repeats to the byte (DBLP 0.1 seed 13: 2 523 876 →
+/// 1 167 460 B; YAGO 0.1 seed 13: 2 987 520 → 2 197 740 B), with the same
+/// accuracies as on two threads.
 #[test]
 fn kg_prime_is_cheaper_and_at_least_as_accurate() {
     type Row = (&'static str, fn(u64) -> RdfStore, fn() -> GmlTask, GmlMethodKind, SamplingScope);
@@ -116,14 +122,19 @@ fn kg_prime_is_cheaper_and_at_least_as_accurate() {
         ("Fig. 14", yago_tenth, yago_nc, ShadowSaint, SamplingScope::D1H1),
         ("Fig. 15", dblp_quarter, dblp_lp, Morse, SamplingScope::D2H1),
     ];
+    let single_thread = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     for &(figure, kg_of, task_of, method, scope) in rows {
         let task = task_of();
         for seed in SEEDS {
             let kg = kg_of(seed);
             let prime = meta_sample_task(&kg, &task, scope).store;
             let _measuring = measure();
-            let full = train(&kg, &task, method, seed);
-            let sampled = train(&prime, &task, method, seed);
+            let (full, sampled) = match method {
+                GraphSaint => single_thread.install(|| {
+                    (train(&kg, &task, method, seed), train(&prime, &task, method, seed))
+                }),
+                _ => (train(&kg, &task, method, seed), train(&prime, &task, method, seed)),
+            };
             let row = format!("{figure} {method} {} seed {seed}", scope.name());
             assert!(
                 sampled.peak_mem_bytes < full.peak_mem_bytes,
